@@ -59,19 +59,19 @@ artifact against ``benchmarks/BENCH_baseline.json`` in CI:
     breakdown.
 ``test_service_ingest_gate``
     The service gate: the same workload pushed through a
-    :class:`repro.service.JoinSession` (bounded queue + worker thread +
+    :class:`repro.service.JoinSession` (bounded queue + pool quanta +
     micro-batching + memory sink).  Asserts pair/counter parity with the
     direct run, sustained ingest throughput ≥ 0.8× the direct engine at
     full size, and records the p50/p95/p99 enqueue-to-processed ingest
     latency in the ``service_ingest`` record of ``BENCH_micro.json``.
 ``test_service_multitenant_gate``
     The multi-tenant gate: many sessions across several tenants, run
-    once thread-per-session (the legacy service) and once over the
-    bounded worker pool of the scheduler tier.  Asserts per-session
+    through the service's bounded worker pool and, as the base, through
+    the direct engine one stream after another.  Asserts per-session
     bitwise pair parity with the direct engine, and at full size pooled
-    aggregate throughput ≥ 0.8× thread-per-session; records aggregate
-    throughput, the worst per-session p99 and the cross-session fairness
-    spread in the ``service_multitenant`` record of ``BENCH_micro.json``.
+    aggregate throughput ≥ 0.5× direct; records aggregate throughput,
+    the worst per-session p99 and the cross-session fairness spread in
+    the ``service_multitenant`` record of ``BENCH_micro.json``.
 ``test_obs_overhead_gate``
     The observability gate: the STR workload run with telemetry fully
     wired (sampled batch spans, per-batch histogram/counter updates,
@@ -154,10 +154,12 @@ GATE_SPEEDUP_COMPILED = 2.0
 GATE_SCAN_SPEEDUP_COMPILED = 3.0
 #: Minimum service-over-direct throughput ratio at full service-gate size.
 GATE_SERVICE_RATIO = 0.8
-#: Minimum pooled-over-threaded aggregate throughput ratio on the
+#: Minimum pooled-over-direct aggregate throughput ratio on the
 #: multi-tenant gate at full size (100 sessions on an 8-worker pool vs
-#: one thread per session).
-GATE_MULTITENANT_RATIO = 0.8
+#: the direct engine over the same streams).  Seventeen runs of this
+#: definition on a 2-vCPU box read 0.64–0.88 (median 0.78); the ratio
+#: drifts with host speed between its two legs, hence the margin.
+GATE_MULTITENANT_RATIO = 0.5
 #: Minimum obs-disabled over obs-enabled throughput ratio at full size —
 #: instrumentation (sampled spans, per-batch metric updates, periodic
 #: collector scrapes) may cost at most 5%.
@@ -539,7 +541,7 @@ def test_l2ap_sharded_scaling(benchmark, hashtags_vectors):
 def test_service_ingest_gate(benchmark):
     """Service gate: the STR workload through a JoinSession vs direct.
 
-    The session path adds a bounded queue, a worker thread, micro-batch
+    The session path adds a bounded queue, pool scheduling, micro-batch
     assembly and sink emission on top of the same join; the gate pins
     that overhead to ≤ 20% of throughput (ratio ≥ 0.8) and records the
     enqueue-to-processed ingest latency percentiles — the same numbers
@@ -557,7 +559,7 @@ def test_service_ingest_gate(benchmark):
         config = SessionConfig(
             name="bench", threshold=threshold, decay=decay,
             algorithm="STR-L2AP", backend="numpy",
-            queue_max=256, batch_max_items=256, batch_max_delay=0.0)
+            queue_max=256, batch_max_items=256)
         session = JoinSession(config)
         start = time.perf_counter()
         session.ingest(vectors)
@@ -603,23 +605,23 @@ def test_service_ingest_gate(benchmark):
 
 @pytest.mark.skipif("numpy" not in BACKENDS, reason="NumPy backend unavailable")
 def test_service_multitenant_gate(benchmark):
-    """Multi-tenant gate: N sessions thread-per-session vs a worker pool.
+    """Multi-tenant gate: N sessions over a worker pool vs the direct engine.
 
     The same per-session streams (contiguous slices of one hashtags
-    corpus, spread over four tenants) are joined twice: once with the
-    legacy model — every session owning a worker thread — and once
-    through a :class:`~repro.service.SchedulerService` running all of
-    them over a small bounded pool with DRR fairness.  Both paths call
+    corpus, spread over four tenants) are joined twice: by the direct
+    engine, one stream after another, and through a
+    :class:`~repro.service.JoinService` running all of them over a small
+    bounded pool with DRR fairness.  The pooled path calls
     ``session.ingest`` directly (no wire codec), so the ratio isolates
-    the scheduling model.  Asserts bitwise per-session pair parity with
-    the direct engine on sampled sessions, and at full size pooled
-    aggregate throughput ≥ 0.8× thread-per-session; emits the
+    queueing and scheduling.  Asserts bitwise per-session pair parity
+    (and counter parity on sampled sessions) with the direct engine, and
+    at full size pooled aggregate throughput ≥ 0.5× direct; emits the
     ``service_multitenant`` record with aggregate throughput, the worst
     per-session p99 and the cross-session fairness spread.
     """
     import statistics
 
-    from repro.service import JoinSession, SchedulerService, SessionConfig
+    from repro.service import JoinService
 
     threshold, decay = 0.6, 2e-5
     sessions, per_session = GATE_MT_SESSIONS, GATE_MT_VECTORS
@@ -628,28 +630,23 @@ def test_service_multitenant_gate(benchmark):
     streams = [corpus[index * per_session:(index + 1) * per_session]
                for index in range(sessions)]
     count = sessions * per_session
-    session_options = dict(
-        threshold=threshold, decay=decay, algorithm="STR-L2AP",
-        backend="numpy", queue_max=per_session, batch_max_items=64,
-        batch_max_delay=0.0)
 
-    def run_threaded():
-        live = [JoinSession(SessionConfig(name=f"mt{index}",
-                                          tenant=f"tenant{index % 4}",
-                                          **session_options))
-                for index in range(sessions)]
+    def run_direct():
         start = time.perf_counter()
-        for session, stream in zip(live, streams):
-            session.ingest(stream)
-        for session in live:
-            session.drain(timeout=None)
-        elapsed = time.perf_counter() - start
-        for session in live:
-            session.close()
-        return elapsed
+        references = []
+        for stream in streams:
+            stats = JoinStatistics()
+            join = create_join("STR-L2AP", threshold, decay, stats=stats,
+                               backend="numpy")
+            pairs = []
+            for vector in stream:
+                pairs.extend(join.process(vector))
+            pairs.extend(join.flush())
+            references.append((pairs, stats))
+        return time.perf_counter() - start, references
 
-    def run_pooled():
-        service = SchedulerService(pool_workers=GATE_MT_POOL)
+    def run_pooled(references):
+        service = JoinService(pool_workers=GATE_MT_POOL)
         live = []
         for index in range(sessions):
             response = service.handle({
@@ -657,8 +654,7 @@ def test_service_multitenant_gate(benchmark):
                 "decay": decay, "tenant": f"tenant{index % 4}",
                 "checkpoint": False, "algorithm": "STR-L2AP",
                 "backend": "numpy", "queue_max": per_session,
-                "batch_max_items": 64, "batch_max_delay_ms": 0.0,
-                "normalize": False})
+                "batch_max_items": 64, "normalize": False})
             assert response.get("ok"), response
             live.append(service.sessions[f"mt{index}"])
         start = time.perf_counter()
@@ -668,37 +664,30 @@ def test_service_multitenant_gate(benchmark):
             session.drain(timeout=None)
         elapsed = time.perf_counter() - start
         p99s = [session.latency.summary()["p99_ms"] for session in live]
-        # Sampled bitwise parity: the pooled sessions must emit exactly
-        # the direct engine's pairs for their streams.
+        # Bitwise parity: every pooled session must emit exactly the
+        # direct engine's pairs for its stream.
+        for session, (reference, _) in zip(live, references):
+            assert session.results.read(0, None)[0] == reference
         for index in (0, sessions // 2, sessions - 1):
-            session, stream = live[index], streams[index]
-            emitted = session.results.read(0, None)[0]
-            stats = JoinStatistics()
-            join = create_join("STR-L2AP", threshold, decay, stats=stats,
-                               backend="numpy")
-            reference = []
-            for vector in stream:
-                reference.extend(join.process(vector))
-            reference.extend(join.flush())
-            assert emitted == reference
-            _assert_counter_parity(session.join.stats, stats)
+            _assert_counter_parity(live[index].join.stats,
+                                   references[index][1])
         service.shutdown()
         return elapsed, p99s
 
     def run_both():
-        threaded_elapsed = run_threaded()
-        pooled_elapsed, p99s = run_pooled()
-        return threaded_elapsed, pooled_elapsed, p99s
+        direct_elapsed, references = run_direct()
+        pooled_elapsed, p99s = run_pooled(references)
+        return direct_elapsed, pooled_elapsed, p99s
 
-    threaded_elapsed, pooled_elapsed, p99s = benchmark.pedantic(
+    direct_elapsed, pooled_elapsed, p99s = benchmark.pedantic(
         run_both, rounds=1, iterations=1)
-    ratio = threaded_elapsed / pooled_elapsed if pooled_elapsed else 0.0
+    ratio = direct_elapsed / pooled_elapsed if pooled_elapsed else 0.0
     worst_p99 = max(p99s)
     median_p99 = statistics.median(p99s)
     fairness_spread = worst_p99 / median_p99 if median_p99 else 0.0
     throughput = count / pooled_elapsed if pooled_elapsed else 0.0
     print(f"\nmulti-tenant ({sessions} sessions × {per_session} vectors, "
-          f"pool {GATE_MT_POOL}): threaded {threaded_elapsed:.1f}s, pooled "
+          f"pool {GATE_MT_POOL}): direct {direct_elapsed:.1f}s, pooled "
           f"{pooled_elapsed:.1f}s (ratio {ratio:.2f}x), aggregate "
           f"{throughput:.0f} vec/s, worst p99 {worst_p99:.2f} ms, fairness "
           f"spread {fairness_spread:.2f}x")
@@ -712,10 +701,10 @@ def test_service_multitenant_gate(benchmark):
                 "algorithm": "STR-L2AP", "threshold": threshold,
                 "decay": decay, "batch_max_items": 64},
         backends={
-            "numpy_threaded": {
-                "elapsed_s": threaded_elapsed,
-                "throughput_vps": (count / threaded_elapsed
-                                   if threaded_elapsed else 0.0),
+            "numpy_direct": {
+                "elapsed_s": direct_elapsed,
+                "throughput_vps": (count / direct_elapsed
+                                   if direct_elapsed else 0.0),
             },
             "numpy_pooled": {
                 "elapsed_s": pooled_elapsed,

@@ -45,8 +45,7 @@ def main() -> None:
 
     flagged = []
     config = SessionConfig(name="dedup", threshold=THETA, decay=DECAY,
-                           batch_max_items=32, batch_max_delay=0.0,
-                           queue_max=256, backpressure="block",
+                           batch_max_items=32, queue_max=256, backpressure="block",
                            checkpoint_every_items=100)
     session = JoinSession(config,
                           sinks=[JsonlSink(audit_log),

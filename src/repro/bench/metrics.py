@@ -28,8 +28,8 @@ class LatencyStats:
     sample (p50 of two samples was the *smaller* one); tiny windows
     interpolate linearly instead.
 
-    Thread-safe: the service records from its worker thread while the
-    ``stats`` endpoint summarises from server handler threads.
+    Thread-safe: the service records from a pool worker while the
+    ``stats`` endpoint summarises from server dispatch threads.
     """
 
     def __init__(self, window: int = 65536) -> None:

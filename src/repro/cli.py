@@ -222,35 +222,30 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--read-timeout", type=float, default=30.0, metavar="S",
                        help="per-connection socket read deadline in seconds; "
                             "idle or wedged clients are disconnected instead "
-                            "of pinning a handler thread (default 30, "
+                            "of holding a connection slot (default 30, "
                             "0 disables)")
     serve.add_argument("--pool-workers", type=int, default=None, metavar="M",
-                       help="enable the multi-tenant scheduler: run all "
-                            "sessions over M pool workers behind a selector "
-                            "(single I/O loop) server, with per-tenant "
-                            "quotas, fair scheduling and checkpoint-evict "
-                            "(default: one thread per session)")
+                       help="worker threads running all sessions' quanta "
+                            "(default: one per CPU); quanta share the GIL, "
+                            "so more workers add concurrency, not speed")
     serve.add_argument("--dispatch-workers", type=int, default=8, metavar="N",
                        help="request dispatch threads of the selector server "
-                            "(default 8; only with --pool-workers)")
+                            "(default 8)")
     serve.add_argument("--evict-after", type=float, default=None, metavar="S",
                        help="checkpoint-and-evict sessions idle for S "
                             "seconds; they restore lazily on the next "
-                            "request (only with --pool-workers and "
-                            "--checkpoint-dir)")
+                            "request (needs --checkpoint-dir)")
     serve.add_argument("--quota-sessions", type=int, default=None, metavar="N",
-                       help="per-tenant cap on open sessions "
-                            "(only with --pool-workers)")
+                       help="per-tenant cap on open sessions")
     serve.add_argument("--quota-queued", type=int, default=None, metavar="N",
                        help="per-tenant cap on queued-but-unprocessed "
-                            "vectors (only with --pool-workers)")
+                            "vectors")
     serve.add_argument("--quota-rate", type=float, default=None, metavar="R",
                        help="per-tenant sustained ingest rate in vectors/s "
-                            "(token bucket; only with --pool-workers)")
+                            "(token bucket)")
     serve.add_argument("--adaptive-batch", action="store_true",
                        help="size each session's micro-batches from its live "
-                            "latency and queue depth (only with "
-                            "--pool-workers)")
+                            "latency and queue depth")
     serve.add_argument("--adaptive-min", type=int, default=16, metavar="N",
                        help="adaptive batching floor (default 16)")
     serve.add_argument("--adaptive-max", type=int, default=1024, metavar="N",
@@ -322,8 +317,6 @@ def build_parser() -> argparse.ArgumentParser:
     ingest.add_argument("--queue-max", type=int, default=4096)
     ingest.add_argument("--batch-max", type=int, default=128,
                         help="micro-batch flush size (items)")
-    ingest.add_argument("--batch-delay-ms", type=float, default=50.0,
-                        help="micro-batch flush delay (milliseconds)")
     ingest.add_argument("--backpressure", default="block",
                         choices=["block", "drop", "error"])
     ingest.add_argument("--sink-jsonl", default=None, metavar="PATH",
@@ -834,28 +827,26 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if error is not None:
         print(error, file=sys.stderr)
         return 2
-    scheduler_options = None
-    if args.pool_workers is not None:
-        if args.pool_workers <= 0:
-            print("--pool-workers must be positive", file=sys.stderr)
-            return 2
-        if args.evict_after is not None and not args.checkpoint_dir:
-            print("--evict-after needs --checkpoint-dir (eviction is "
-                  "checkpoint-backed)", file=sys.stderr)
-            return 2
-        from repro.service import TenantQuota
+    if args.pool_workers is not None and args.pool_workers <= 0:
+        print("--pool-workers must be positive", file=sys.stderr)
+        return 2
+    if args.evict_after is not None and not args.checkpoint_dir:
+        print("--evict-after needs --checkpoint-dir (eviction is "
+              "checkpoint-backed)", file=sys.stderr)
+        return 2
+    from repro.service import TenantQuota
 
-        scheduler_options = {
-            "default_quota": TenantQuota(
-                max_sessions=args.quota_sessions,
-                max_queued=args.quota_queued,
-                rate=args.quota_rate),
-            "evict_after": args.evict_after,
-            "adaptive_batch": args.adaptive_batch,
-            "adaptive_min_items": args.adaptive_min,
-            "adaptive_max_items": args.adaptive_max,
-            "adaptive_target_p99_ms": args.adaptive_target_p99_ms,
-        }
+    scheduler_options = {
+        "default_quota": TenantQuota(
+            max_sessions=args.quota_sessions,
+            max_queued=args.quota_queued,
+            rate=args.quota_rate),
+        "evict_after": args.evict_after,
+        "adaptive_batch": args.adaptive_batch,
+        "adaptive_min_items": args.adaptive_min,
+        "adaptive_max_items": args.adaptive_max,
+        "adaptive_target_p99_ms": args.adaptive_target_p99_ms,
+    }
     server, recovered = serve(
         host=args.host, port=args.port,
         checkpoint_dir=args.checkpoint_dir,
@@ -879,13 +870,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         m_host, m_port = metrics_server.address
         print(f"metrics endpoint on http://{m_host}:{m_port}/metrics",
               flush=True)
-    if args.pool_workers is not None:
-        knobs = f"pool={args.pool_workers}"
-        if args.evict_after is not None:
-            knobs += f" evict_after={args.evict_after:g}s"
-        if args.adaptive_batch:
-            knobs += " adaptive_batch"
-        print(f"multi-tenant scheduler enabled ({knobs})", flush=True)
+    knobs = f"pool={server.service.pool.workers}"
+    if args.evict_after is not None:
+        knobs += f" evict_after={args.evict_after:g}s"
+    if args.adaptive_batch:
+        knobs += " adaptive_batch"
+    print(f"multi-tenant scheduler enabled ({knobs})", flush=True)
     if recovered:
         print(f"recovered sessions from {args.checkpoint_dir}: "
               + ", ".join(recovered), flush=True)
@@ -950,7 +940,6 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
         "approx": approx,
         "queue_max": args.queue_max,
         "batch_max_items": args.batch_max,
-        "batch_max_delay_ms": args.batch_delay_ms,
         "backpressure": args.backpressure,
         "tenant": args.tenant,
         # Dataset readers/generators already unit-normalise; skipping the

@@ -14,10 +14,10 @@ and is consulted by the components that can break:
 
 Every event fires exactly once, at a deterministic site occurrence, so
 a seeded plan reproduces the same chaos on every run.  All counters are
-lock-protected — sessions, handler threads and executors share one
+lock-protected — sessions, dispatch threads and executors share one
 injector.  Fired faults and observed recoveries are appended to
 :attr:`log` (list of dicts) and can be written as JSON lines via
-:meth:`write_log` for the chaos-smoke CI artifact.
+:meth:`write_log` for the service-smoke CI artifact.
 """
 
 from __future__ import annotations

@@ -7,18 +7,19 @@ existing engine without changing it:
 * :class:`JoinSession` — one live join (any algorithm/backend, optionally
   sharded via ``workers``) behind a bounded queue with micro-batching,
   explicit backpressure (``block`` / ``drop`` / ``error``) and periodic
-  atomic checkpoints;
+  atomic checkpoints, run in quanta by a worker pool;
 * sinks (:class:`MemorySink`, :class:`JsonlSink`, :class:`CallbackSink`)
   — where matched pairs stream out as they are found;
-* :class:`JoinService` / :class:`ServiceServer` — many named sessions
-  behind a line-delimited-JSON socket protocol (``sssj serve``), with
-  crash recovery from the checkpoint directory;
+* :class:`JoinService` / :func:`serve` — many named sessions over a
+  bounded worker pool with per-tenant quotas, DRR fairness and
+  checkpoint-evict / lazy restore, behind a selector-based single-loop
+  line-delimited-JSON socket server (``sssj serve``), with crash
+  recovery from the checkpoint directory;
 * :class:`ServiceClient` — the protocol client behind ``sssj ingest`` /
   ``sssj results`` / ``sssj drain``;
-* :mod:`repro.service.scheduler` — the multi-tenant tier (``sssj serve
-  --pool-workers N``): N sessions over a bounded worker pool with
-  per-tenant quotas, DRR fairness, checkpoint-evict / lazy restore and
-  a selector-based single-loop transport.
+* :mod:`repro.service.scheduler` — the pieces the service schedules
+  with: worker pool, DRR ready queue, tenant quotas, adaptive batching
+  and the selector transport.
 
 Determinism contract: for the same accepted vectors, a session emits
 exactly the pairs of :func:`repro.core.join.streaming_self_join` — in
@@ -41,11 +42,10 @@ from repro.service.protocol import (
 from repro.service.scheduler import (
     QUOTA_CODES,
     QuotaError,
-    SchedulerService,
     SelectorServiceServer,
     TenantQuota,
 )
-from repro.service.server import JoinService, ServiceServer, serve
+from repro.service.server import JoinService, serve
 from repro.service.session import (
     BACKPRESSURE_POLICIES,
     BackpressureError,
@@ -75,12 +75,10 @@ __all__ = [
     "MemorySink",
     "QuotaError",
     "ResultSink",
-    "SchedulerService",
     "SelectorServiceServer",
     "ServiceClient",
     "ServiceClientError",
     "ServiceProtocolError",
-    "ServiceServer",
     "SessionConfig",
     "SessionError",
     "SinkError",

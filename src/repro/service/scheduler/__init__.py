@@ -1,24 +1,23 @@
 """Multi-tenant session scheduling for the join service.
 
-The package turns the service from "a thread per session, a thread per
-connection" into a bounded system: N sessions share M pool workers
-(:mod:`~repro.service.scheduler.pool`) scheduled by weighted deficit
-round robin over tenants (:mod:`~repro.service.scheduler.ready`), with
-per-tenant quotas (:mod:`~repro.service.scheduler.tenants`), idle
-checkpoint-evict / lazy restore and adaptive micro-batching
-(:mod:`~repro.service.scheduler.service`,
-:mod:`~repro.service.scheduler.adaptive`), all behind a single-loop
+N sessions share M pool workers (:mod:`~repro.service.scheduler.pool`)
+scheduled by weighted deficit round robin over tenants
+(:mod:`~repro.service.scheduler.ready`), with per-tenant quotas
+(:mod:`~repro.service.scheduler.tenants`) and adaptive micro-batching
+(:mod:`~repro.service.scheduler.adaptive`), all behind a single-loop
 selector transport (:mod:`~repro.service.scheduler.aserver`).
+:class:`~repro.service.server.JoinService` owns one of each, plus idle
+checkpoint-evict / lazy restore.
 
-Enable it with ``sssj serve --pool-workers N`` or
-``serve(pool_workers=N, scheduler_options={...})``.
+Size the pool with ``sssj serve --pool-workers N`` or
+``serve(pool_workers=N, scheduler_options={...})``; the default is one
+worker per CPU.
 """
 
 from repro.service.scheduler.adaptive import AdaptiveBatcher
 from repro.service.scheduler.aserver import SelectorServiceServer
-from repro.service.scheduler.pool import WorkerPool
+from repro.service.scheduler.pool import WorkerPool, default_pool
 from repro.service.scheduler.ready import DRRReadyQueue
-from repro.service.scheduler.service import SchedulerService
 from repro.service.scheduler.tenants import (
     QUOTA_CODES,
     QuotaError,
@@ -31,9 +30,9 @@ __all__ = [
     "DRRReadyQueue",
     "QUOTA_CODES",
     "QuotaError",
-    "SchedulerService",
     "SelectorServiceServer",
     "TenantQuota",
     "TenantState",
     "WorkerPool",
+    "default_pool",
 ]

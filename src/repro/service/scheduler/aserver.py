@@ -1,26 +1,25 @@
 """Selector-based service transport: every connection on one I/O loop.
 
-The legacy :class:`~repro.service.server.ServiceServer` spends a thread
-per client connection — fine for a handful of clients, a scaling wall
-for the multi-tenant tier where hundreds of sessions each hold a socket
-open.  :class:`SelectorServiceServer` multiplexes all connections over a
-single ``selectors`` event loop:
+A thread per client connection is fine for a handful of clients and a
+scaling wall when hundreds of sessions each hold a socket open, so
+:class:`SelectorServiceServer` multiplexes all connections over a single
+``selectors`` event loop:
 
 * the loop thread does only non-blocking I/O — accepting, reading bytes
   into per-connection buffers, flushing response bytes out;
 * complete NDJSON lines are handed to a small dispatch thread pool that
   runs :meth:`JoinService.handle`.  Dispatch is **serial per
   connection** (a busy flag): a client's requests are answered in the
-  order sent, exactly like the thread-per-connection transport, while
-  different connections' requests run concurrently;
+  order sent, while different connections' requests run concurrently;
 * dispatch threads never touch the selector — they append to the
   connection's write buffer under its lock and tickle a ``socketpair``
   to wake the loop, which recomputes read/write interest every tick.
 
-The wire protocol, idle ``read_timeout`` semantics, the post-ack
-client-sever fault hook, and the ``shutdown`` op behaviour are all
-bit-compatible with the threaded transport, so clients (and the chaos
-harness) cannot tell the difference.
+A connection idle past ``read_timeout`` is dropped; the client
+reconnects and resumes, with sequence-numbered ingest guaranteeing no
+duplicates.  A dropped connection is shut down before it is closed, so
+the peer sees the FIN even while forked shard workers still hold
+inherited copies of the socket.
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ import threading
 import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from repro import obs
 from repro.service.protocol import (
@@ -40,7 +39,9 @@ from repro.service.protocol import (
     error_response,
     parse_line,
 )
-from repro.service.server import JoinService
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.service.server import JoinService
 
 __all__ = ["SelectorServiceServer"]
 
@@ -93,7 +94,7 @@ class _Connection:
 class SelectorServiceServer:
     """Single-loop non-blocking TCP transport for a :class:`JoinService`."""
 
-    def __init__(self, service: JoinService, host: str = "127.0.0.1",
+    def __init__(self, service: "JoinService", host: str = "127.0.0.1",
                  port: int = 0, *, read_timeout: float | None = None,
                  dispatch_workers: int = 8) -> None:
         if dispatch_workers <= 0:
@@ -120,7 +121,7 @@ class SelectorServiceServer:
         if obs.enabled():
             obs.get_registry().add_collector(_collect_transport, owner=self)
 
-    # -- public surface (mirrors ServiceServer) --------------------------------
+    # -- public surface --------------------------------------------------------
 
     @property
     def address(self) -> tuple[str, int]:
@@ -161,10 +162,6 @@ class SelectorServiceServer:
             metrics_server = getattr(self, "obs_metrics_server", None)
             if metrics_server is not None:
                 metrics_server.close()
-
-    def shutdown(self) -> None:
-        """ServiceServer-compatible alias for :meth:`request_stop`."""
-        self.request_stop()
 
     def server_close(self) -> None:
         if self._closed:
@@ -315,6 +312,12 @@ class SelectorServiceServer:
         except (KeyError, ValueError):
             pass
         try:
+            # close() alone sends no FIN while a forked process (a shard
+            # worker of a process-executor session) still holds the fd.
+            sock.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass  # already disconnected
+        try:
             sock.close()
         except OSError:
             pass
@@ -326,15 +329,27 @@ class SelectorServiceServer:
     # -- dispatch (executor threads) -------------------------------------------
 
     def _dispatch(self, conn: _Connection) -> None:
-        """Drain one connection's pending lines, strictly in order."""
-        while True:
-            with conn.lock:
-                if not conn.pending or conn.dead:
+        """Drain one connection's pending lines, strictly in order.
+
+        ``busy`` is cleared however this ends: if handling a line raises,
+        the connection is dropped instead of wedged with no reply.
+        """
+        finished = False
+        try:
+            while True:
+                with conn.lock:
+                    if not conn.pending or conn.dead:
+                        conn.busy = False
+                        finished = True
+                        break
+                    line = conn.pending.popleft()
+                self._handle_line(conn, line)
+        finally:
+            if not finished:
+                with conn.lock:
+                    conn.dead = True
                     conn.busy = False
-                    break
-                line = conn.pending.popleft()
-            self._handle_line(conn, line)
-        self._wake()
+            self._wake()
 
     def _handle_line(self, conn: _Connection, line: bytes) -> None:
         try:
@@ -348,8 +363,8 @@ class SelectorServiceServer:
         if (injector is not None and request.get("op") == "ingest"
                 and response.get("ok") and injector.client_sever_due()):
             # Sever *after* the request was applied but before the ack —
-            # same harsh spot as the threaded transport: the client must
-            # retry into the sequence-number dedup.
+            # the harshest spot: the client must retry into the
+            # sequence-number dedup.
             conn.dead = True
             self._wake()
             return

@@ -1,12 +1,18 @@
 """The bounded worker pool: M threads running N sessions' quanta.
 
-Replaces thread-per-session: each worker loops popping the next ready
-session from the :class:`~repro.service.scheduler.ready.DRRReadyQueue`,
+The only thing that runs a session: each worker loops popping the next
+ready session from the :class:`~repro.service.scheduler.ready.DRRReadyQueue`,
 runs one quantum (:meth:`JoinSession.run_quantum` — exclusive, so the
 per-session FIFO determinism contract is untouched), charges the
 tenant's deficit with the vectors actually processed, and hands the
 session back to the queue.  Capacity is therefore ``workers`` concurrent
-quanta regardless of how many thousands of sessions exist.
+quanta regardless of how many thousands of sessions exist.  Quanta run
+Python code under the GIL, so the pool size buys concurrency (a slow
+session cannot hold up the rest), not CPU parallelism.
+
+The pool is also the sessions' scheduler: :meth:`WorkerPool.notify` is
+the one callback a session makes when work is enqueued.  Sessions built
+without a scheduler share :func:`default_pool`, started on first use.
 
 An optional :class:`~repro.service.scheduler.adaptive.AdaptiveBatcher`
 chooses each quantum's micro-batch size from the session's live latency
@@ -15,20 +21,23 @@ and queue depth.
 
 from __future__ import annotations
 
+import os
 import threading
 from typing import Any
 
 from repro import obs
 from repro.service.scheduler.ready import DRRReadyQueue
 
-__all__ = ["WorkerPool"]
+__all__ = ["WorkerPool", "default_pool"]
 
 
 class WorkerPool:
     """Fixed-size thread pool draining a DRR ready queue of sessions."""
 
-    def __init__(self, ready: DRRReadyQueue, *, workers: int = 4,
+    def __init__(self, ready: DRRReadyQueue, *, workers: int | None = None,
                  max_batches: int = 4, batcher=None) -> None:
+        if workers is None:
+            workers = os.cpu_count() or 1
         if workers <= 0:
             raise ValueError(f"workers must be positive, got {workers}")
         if max_batches <= 0:
@@ -45,6 +54,10 @@ class WorkerPool:
         self._lock = threading.Lock()
         self.quanta_run = 0
         self.vectors_processed = 0
+
+    def notify(self, session) -> None:
+        """Session callback: work was enqueued — make the session ready."""
+        self._ready.push(session)
 
     def start(self) -> None:
         if self._threads:
@@ -93,3 +106,21 @@ class WorkerPool:
                 "vectors_processed": self.vectors_processed,
                 "adaptive": self._batcher is not None,
             }
+
+
+_default: WorkerPool | None = None
+_default_lock = threading.Lock()
+
+
+def default_pool() -> WorkerPool:
+    """The process-wide pool running sessions built without a scheduler.
+
+    Started on first use with the default size (one worker per CPU) and
+    never stopped — its workers are daemon threads idling on the queue.
+    """
+    global _default
+    with _default_lock:
+        if _default is None:
+            _default = WorkerPool(DRRReadyQueue())
+            _default.start()
+        return _default

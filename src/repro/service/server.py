@@ -1,16 +1,39 @@
-"""The join server: many sessions behind one NDJSON socket endpoint.
+"""The join service: many sessions behind one NDJSON socket endpoint.
 
-Two layers:
+:class:`JoinService` is the transport-independent core: a registry of
+named :class:`~repro.service.session.JoinSession` objects, the request
+dispatcher (``open`` / ``ingest`` / ``results`` / ``stats`` / ``evict``
+/ ``checkpoint`` / ``drain`` / ``close`` / ``shutdown``; tests drive it
+directly with plain dictionaries), and the scheduler that runs N
+sessions over M threads:
 
-* :class:`JoinService` — the transport-independent core: a registry of
-  named :class:`~repro.service.session.JoinSession` objects plus the
-  request dispatcher (``open`` / ``ingest`` / ``results`` / ``stats`` /
-  ``checkpoint`` / ``drain`` / ``close`` / ``shutdown``).  Tests drive it
-  directly with plain dictionaries.
-* :class:`ServiceServer` — a threaded TCP server (one thread per client
-  connection) speaking the line-delimited JSON protocol of
-  :mod:`repro.service.protocol` on a local socket.  ``sssj serve`` wraps
-  it.
+* a :class:`~repro.service.scheduler.pool.WorkerPool` (one worker per
+  CPU by default) runs quanta handed out by a weighted
+  deficit-round-robin :class:`~repro.service.scheduler.ready.DRRReadyQueue`,
+  so one hot tenant cannot starve the rest;
+* per-tenant :class:`~repro.service.scheduler.tenants.TenantState`
+  enforces session-count, standing-queue and ingest-rate quotas before
+  any vector is consumed (rejections carry machine-readable codes and
+  never advance the ingest sequence);
+* idle sessions are **checkpointed and evicted** — the engine and the
+  retained pairs are dropped, leaving a placeholder whose memory cost is
+  a config and a handful of counters; the next ingest (or results read)
+  **lazily restores** the session from its envelope, transparently to
+  the client (sequence numbers continue exactly);
+* an optional :class:`~repro.service.scheduler.adaptive.AdaptiveBatcher`
+  sizes each quantum's micro-batch from the session's live latency.
+
+:func:`serve` puts the service behind the single-loop selector transport
+(:class:`~repro.service.scheduler.aserver.SelectorServiceServer`), which
+speaks the line-delimited JSON protocol of :mod:`repro.service.protocol`;
+``sssj serve`` wraps it.
+
+Determinism: scheduling only decides *when* a session's FIFO queue is
+drained, never in what order or by how many concurrent workers (quanta
+are exclusive), so each session emits exactly the pairs of
+``streaming_self_join`` over its accepted vectors — under any pool size,
+quota configuration or eviction timing (pinned in
+``tests/test_scheduler.py``).
 
 Crash recovery: when the service is given a checkpoint directory, every
 session with checkpointing enabled writes its envelope there
@@ -23,12 +46,11 @@ JSONL sink rollback guarantees no duplicated pairs).
 
 from __future__ import annotations
 
-import socketserver
 import sys
 import threading
 import time
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 from repro import obs
 from repro.core.join import parse_algorithm
@@ -36,11 +58,14 @@ from repro.exceptions import SSSJError
 from repro.service.protocol import (
     ServiceProtocolError,
     decode_vector,
-    dump_line,
     error_response,
     pair_to_wire,
-    parse_line,
 )
+from repro.service.scheduler.adaptive import AdaptiveBatcher
+from repro.service.scheduler.aserver import SelectorServiceServer
+from repro.service.scheduler.pool import WorkerPool
+from repro.service.scheduler.ready import DRRReadyQueue
+from repro.service.scheduler.tenants import TenantQuota, TenantState
 from repro.service.session import (
     BackpressureError,
     JoinSession,
@@ -49,7 +74,7 @@ from repro.service.session import (
 )
 from repro.service.sinks import SinkError, create_sink
 
-__all__ = ["JoinService", "ServiceServer", "serve"]
+__all__ = ["JoinService", "serve"]
 
 _SESSION_NAME_OK = set(
     "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789._-")
@@ -121,6 +146,60 @@ def _collect_service(service: "JoinService") -> None:
             session.queued)
         tracker.export(tenant_ingest.labels(tenant=config.tenant),
                        ("tenant_ingest", name, epoch), session.accepted)
+    _collect_scheduler(service, registry, tracker)
+
+
+def _collect_scheduler(service: "JoinService", registry, tracker) -> None:
+    """The scrape's scheduler part: pool, DRR queue, eviction, tenants."""
+    pool = service.pool.stats()
+    registry.gauge("sssj_pool_workers",
+                   "Threads in the worker pool.").labels().set(
+        pool["workers"])
+    tracker.export(registry.counter(
+        "sssj_pool_quanta_total", "Quanta run by the worker pool.").labels(),
+        "pool_quanta", pool["quanta_run"])
+    tracker.export(registry.counter(
+        "sssj_pool_vectors_total",
+        "Vectors processed by pooled quanta.").labels(),
+        "pool_vectors", pool["vectors_processed"])
+    ready = service.ready.stats()
+    registry.gauge("sssj_scheduler_ready_sessions",
+                   "Sessions waiting in the DRR ready queue.").labels().set(
+        ready["ready_sessions"])
+    registry.gauge("sssj_scheduler_tenants_in_rotation",
+                   "Tenants currently in the DRR rotation.").labels().set(
+        ready["tenants_in_rotation"])
+    tracker.export(registry.counter(
+        "sssj_scheduler_pushes_total", "Ready-queue pushes.").labels(),
+        "ready_pushes", ready["pushes"])
+    tracker.export(registry.counter(
+        "sssj_scheduler_pops_total", "Ready-queue pops.").labels(),
+        "ready_pops", ready["pops"])
+    deficit_gauge = registry.gauge(
+        "sssj_scheduler_drr_deficit",
+        "DRR deficit per tenant (negative values are carried debt).",
+        ("tenant",))
+    for tenant, deficit in ready["deficit"].items():
+        deficit_gauge.labels(tenant=tenant).set(deficit)
+    tracker.export(registry.counter(
+        "sssj_scheduler_evictions_total",
+        "Idle sessions checkpoint-evicted.").labels(),
+        "evictions", service.evictions)
+    tracker.export(registry.counter(
+        "sssj_scheduler_restores_total",
+        "Evicted sessions lazily restored.").labels(),
+        "restores", service.restores)
+    with service._lock:
+        tenants = list(service.tenants.values())
+    admitted = registry.counter(
+        "sssj_tenant_admitted_vectors_total",
+        "Vectors admitted past tenant quotas.", ("tenant",))
+    tenant_sessions = registry.gauge(
+        "sssj_tenant_sessions", "Open sessions per tenant.", ("tenant",))
+    for state in tenants:
+        tracker.export(admitted.labels(tenant=state.name),
+                       ("tenant_admitted", state.name), state.admitted)
+        tenant_sessions.labels(tenant=state.name).set(state.session_count)
 
 
 def _session_name(request: dict[str, Any]) -> str:
@@ -134,16 +213,34 @@ def _session_name(request: dict[str, Any]) -> str:
 
 
 class JoinService:
-    """Session registry and request dispatcher (no transport of its own)."""
+    """Session registry, request dispatcher and the pool that runs them.
+
+    ``pool_workers`` defaults to ``os.cpu_count()``.  Quanta execute
+    Python under the GIL, so the size buys concurrency — a slow session
+    does not hold up the others — rather than CPU parallelism.
+    """
 
     def __init__(self, *, checkpoint_dir: str | Path | None = None,
                  checkpoint_every_items: int | None = None,
                  checkpoint_every_seconds: float | None = None,
-                 fault_injector=None) -> None:
+                 fault_injector=None,
+                 pool_workers: int | None = None,
+                 quantum_batches: int = 4,
+                 drr_quantum: int = 256,
+                 default_quota: TenantQuota | None = None,
+                 tenant_quotas: dict[str, TenantQuota] | None = None,
+                 evict_after: float | None = None,
+                 adaptive_batch: bool = False,
+                 adaptive_min_items: int = 16,
+                 adaptive_max_items: int = 1024,
+                 adaptive_target_p99_ms: float = 250.0,
+                 clock: Callable[[], float] = time.monotonic) -> None:
+        if evict_after is not None and evict_after <= 0:
+            raise ValueError(f"evict_after must be positive, got {evict_after}")
         #: Optional service-wide :class:`~repro.faults.FaultInjector`:
         #: sink faults are injected inside every session's emit loop,
-        #: sever faults by the connection handler, worker faults by the
-        #: sharded engine of sessions opened with process workers.
+        #: sever faults by the transport, worker faults by the sharded
+        #: engine of sessions opened with process workers.
         self.fault_injector = fault_injector
         self.checkpoint_dir = Path(checkpoint_dir) if checkpoint_dir else None
         if self.checkpoint_dir is not None:
@@ -157,6 +254,30 @@ class JoinService:
         self.started_at = time.monotonic()
         self.requests_handled = 0
         self.shutting_down = False
+        #: Quota applied to tenants without an explicit entry in
+        #: ``tenant_quotas`` (the all-None default imposes no limits).
+        self.default_quota = default_quota or TenantQuota()
+        self.tenant_quotas = dict(tenant_quotas or {})
+        self._clock = clock
+        self.tenants: dict[str, TenantState] = {}
+        self.ready = DRRReadyQueue(quantum=drr_quantum)
+        self.batcher = (AdaptiveBatcher(
+            min_items=adaptive_min_items, max_items=adaptive_max_items,
+            target_p99_ms=adaptive_target_p99_ms)
+            if adaptive_batch else None)
+        #: Runs every session's quanta and is the sessions' scheduler
+        #: (``notify`` pushes a session onto the ready queue).
+        self.pool = WorkerPool(self.ready, workers=pool_workers,
+                               max_batches=quantum_batches,
+                               batcher=self.batcher)
+        #: Seconds of inactivity after which an idle checkpointable
+        #: session is evicted (None disables the sweeper).
+        self.evict_after = evict_after
+        self.evictions = 0
+        self.restores = 0
+        self._restore_locks: dict[str, threading.Lock] = {}
+        self._sweeper: threading.Thread | None = None
+        self._sweeper_stop = threading.Event()
         self._obs_requests = None
         self._obs_tracker = obs.DeltaTracker()
         if obs.enabled():
@@ -164,6 +285,12 @@ class JoinService:
                 "sssj_server_requests_total",
                 "Requests dispatched by op.", ("op",))
             obs.get_registry().add_collector(_collect_service, owner=self)
+        self.pool.start()
+        if evict_after is not None:
+            self._sweeper = threading.Thread(
+                target=self._sweep_loop, name="sssj-evict-sweeper",
+                daemon=True)
+            self._sweeper.start()
 
     # -- session management ----------------------------------------------------
 
@@ -171,6 +298,17 @@ class JoinService:
         if self.checkpoint_dir is None:
             return None
         return self.checkpoint_dir / f"{name}.ckpt"
+
+    def tenant_state(self, tenant: str) -> TenantState:
+        """The (lazily created) accounting state for a tenant."""
+        with self._lock:
+            state = self.tenants.get(tenant)
+            if state is None:
+                quota = self.tenant_quotas.get(tenant, self.default_quota)
+                state = self.tenants[tenant] = TenantState(
+                    tenant, quota, clock=self._clock)
+                self.ready.set_weight(tenant, quota.weight)
+            return state
 
     def recover_sessions(self) -> list[str]:
         """Resume every checkpointed session found in the checkpoint dir."""
@@ -182,22 +320,10 @@ class JoinService:
                 name = path.stem
                 if name in self.sessions:
                     continue
-                session = self._resume_session(path)
-                session.start()
-                self.sessions[name] = session
+                self.sessions[name] = JoinSession.resume(
+                    path, scheduler=self.pool)
                 recovered.append(name)
         return recovered
-
-    # Session construction hooks: the scheduler service overrides these
-    # to attach itself (pooled execution) to every session it serves.
-
-    def _build_session(self, config: SessionConfig, sinks: list,
-                       checkpoint_path: Path | None) -> JoinSession:
-        return JoinSession(config, sinks=sinks, checkpoint_path=checkpoint_path,
-                           fault_injector=self.fault_injector)
-
-    def _resume_session(self, path: Path) -> JoinSession:
-        return JoinSession.resume(path)
 
     def _config_from_request(self, name: str,
                              request: dict[str, Any]) -> SessionConfig:
@@ -227,7 +353,6 @@ class JoinService:
             approx=request.get("approx"),
             queue_max=int(request.get("queue_max", 4096)),
             batch_max_items=int(request.get("batch_max_items", 128)),
-            batch_max_delay=float(request.get("batch_max_delay_ms", 50.0)) / 1e3,
             backpressure=str(request.get("backpressure", "block")),
             normalize=bool(request.get("normalize", True)),
             results_capacity=int(request.get("results_capacity", 100_000)),
@@ -237,6 +362,24 @@ class JoinService:
 
     def open_session(self, request: dict[str, Any]) -> dict[str, Any]:
         name = _session_name(request)
+        with self._lock:
+            known = name in self.sessions
+        state = None
+        if not known:
+            # Only a new session is charged against its tenant's quota;
+            # re-opening an existing (possibly evicted) one answers from
+            # the registry.
+            state = self.tenant_state(str(request.get("tenant", "default")))
+            state.admit_session(name)  # QuotaError propagates to handle()
+        try:
+            return self._open_locked(name, request)
+        except BaseException:
+            if state is not None:
+                state.release_session(name)
+            raise
+
+    def _open_locked(self, name: str,
+                     request: dict[str, Any]) -> dict[str, Any]:
         with self._lock:
             existing = self.sessions.get(name)
             if existing is not None:
@@ -249,7 +392,8 @@ class JoinService:
             wants_checkpoint = bool(request.get("checkpoint", True))
             if checkpoint_path is not None and wants_checkpoint \
                     and checkpoint_path.exists():
-                session = self._resume_session(checkpoint_path)
+                session = JoinSession.resume(checkpoint_path,
+                                             scheduler=self.pool)
             else:
                 config = self._config_from_request(name, request)
                 sinks = [create_sink(spec) for spec in request.get("sinks", [])]
@@ -266,8 +410,10 @@ class JoinService:
                         "checkpoint_every_items": None,
                         "checkpoint_every_seconds": None,
                     })
-                session = self._build_session(config, sinks, path)
-            session.start()
+                session = JoinSession(config, sinks=sinks,
+                                      checkpoint_path=path,
+                                      fault_injector=self.fault_injector,
+                                      scheduler=self.pool)
             self.sessions[name] = session
             return {"ok": True, "session": name, "existing": False,
                     "resumed": session.resumed,
@@ -280,7 +426,34 @@ class JoinService:
             session = self.sessions.get(name)
         if session is None:
             raise SessionError(f"no session named {name!r}; open it first")
-        return session
+        if session.status not in ("evicted", "evicting"):
+            return session
+        # "evicting" routes here too: the restore gate is held by the
+        # in-flight evict, so this blocks until the envelope is final
+        # instead of reading a half-written checkpoint.
+        return self._restore_session(name)
+
+    def _restore_session(self, name: str) -> JoinSession:
+        """Swap an evicted placeholder for a live session (serialised)."""
+        with self._lock:
+            gate = self._restore_locks.setdefault(name, threading.Lock())
+        with gate:
+            with self._lock:
+                session = self.sessions.get(name)
+            if session is None:
+                raise SessionError(f"no session named {name!r}; open it first")
+            if session.status != "evicted":
+                return session  # another caller restored it first
+            path = session.checkpoint_path
+            if path is None:  # pragma: no cover - evict requires a path
+                raise SessionError(
+                    f"session {name!r} is evicted but has no checkpoint")
+            with obs.span("restore", session=name):
+                restored = JoinSession.resume(path, scheduler=self.pool)
+            with self._lock:
+                self.sessions[name] = restored
+            self.restores += 1
+            return restored
 
     # -- request dispatch ------------------------------------------------------
 
@@ -322,13 +495,15 @@ class JoinService:
         except BackpressureError as error:
             return error_response(str(error), backpressure=True)
         except (ServiceProtocolError, SessionError, SinkError,
-                SSSJError, ValueError, OSError) as error:
+                SSSJError, ValueError, TypeError, OSError) as error:
+            # TypeError: a wrong-typed field (``"cursor": {}``) is the
+            # client's error too, never a reason to drop the request.
             extra = {}
             worker_traceback = getattr(error, "worker_traceback", None)
             if worker_traceback:
                 extra["traceback"] = worker_traceback
-            # Quota rejections (scheduler service) carry a machine-readable
-            # code and, for rate limits, a precise back-off hint.
+            # Quota rejections carry a machine-readable code and, for
+            # rate limits, a precise back-off hint.
             code = getattr(error, "code", None)
             if code:
                 extra["code"] = code
@@ -347,27 +522,68 @@ class JoinService:
         """
         with self._lock:
             session = self.sessions.pop(name, None)
+            self._restore_locks.pop(name, None)
         if session is None:
             return {"ok": True, "session": name, "missing": True}
         session.close()
+        self.tenant_state(session.config.tenant).release_session(name)
+        if self.batcher is not None:
+            self.batcher.forget(name)
         return {"ok": True, "session": name}
 
     def _handle_ingest(self, request: dict[str, Any]) -> dict[str, Any]:
-        session = self._session(_session_name(request))
+        name = _session_name(request)
         payloads = request.get("vectors")
         if not isinstance(payloads, list):
             raise ServiceProtocolError("ingest needs a 'vectors' list")
-        vectors = [decode_vector(payload,
-                                 normalize=session.config.normalize)
-                   for payload in payloads]
         seq = request.get("seq")
-        deduped_before = session.deduped
-        accepted, dropped = session.ingest(
-            vectors, seq=None if seq is None else int(seq))
-        return {"ok": True, "accepted": accepted, "dropped": dropped,
-                "deduped": session.deduped - deduped_before,
-                "ingest_seq": session.ingest_seq,
-                "queued": session.queued}
+        seq = None if seq is None else int(seq)
+        for attempt in (0, 1):
+            session = self._session(name)
+            self._admit_ingest(session, seq, len(payloads))
+            vectors = [decode_vector(payload,
+                                     normalize=session.config.normalize)
+                       for payload in payloads]
+            deduped_before = session.deduped
+            try:
+                accepted, dropped = session.ingest(vectors, seq=seq)
+            except SessionError:
+                # The sweeper may evict between our lookup and the
+                # session's own status check; restore once and retry.
+                with self._lock:
+                    current = self.sessions.get(name)
+                if (attempt == 0 and current is not None
+                        and current.status in ("evicted", "evicting")):
+                    continue
+                raise
+            return {"ok": True, "accepted": accepted, "dropped": dropped,
+                    "deduped": session.deduped - deduped_before,
+                    "ingest_seq": session.ingest_seq,
+                    "queued": session.queued}
+        raise AssertionError("unreachable")  # pragma: no cover
+
+    def _admit_ingest(self, session: JoinSession, seq: int | None,
+                      count: int) -> None:
+        """Charge the batch's *fresh* vectors against the tenant's quotas.
+
+        Resends deduplicated by the sequence number are free — the
+        session already consumed them — so a client retrying a lost ack
+        is never double-charged (or spuriously rate-limited).
+        """
+        fresh = count
+        if seq is not None:
+            fresh = max(0, count - max(0, session.ingest_seq - seq))
+        if not fresh:
+            return
+        tenant = session.config.tenant
+        self.tenant_state(tenant).admit_vectors(fresh,
+                                                self._tenant_queued(tenant))
+
+    def _tenant_queued(self, tenant: str) -> int:
+        with self._lock:
+            sessions = list(self.sessions.values())
+        return sum(session.queued for session in sessions
+                   if session.config.tenant == tenant)
 
     def _handle_drain(self, request: dict[str, Any]) -> dict[str, Any]:
         session = self._session(_session_name(request))
@@ -391,7 +607,7 @@ class JoinService:
 
     def _handle_results(self, request: dict[str, Any]) -> dict[str, Any]:
         session = self._session(_session_name(request))
-        # A dead worker must surface on the next read, not as an
+        # A failed session must surface on the next read, not as an
         # indefinitely-quiet result stream.
         session.raise_if_failed()
         cursor = int(request.get("cursor", 0))
@@ -408,6 +624,92 @@ class JoinService:
             "queued": session.queued,
         }
 
+    # -- eviction --------------------------------------------------------------
+
+    def evict_session(self, name: str) -> Path | None:
+        """Checkpoint-and-evict one idle session; None when not possible.
+
+        The session is first *claimed* under the ready-queue lock (idle →
+        EVICTED), which fences out the pool; the barrier checkpoint then
+        only succeeds if the queue is still empty.  Any work racing in
+        aborts the eviction and reschedules the session.
+        """
+        with self._lock:
+            session = self.sessions.get(name)
+            if session is not None:
+                gate = self._restore_locks.setdefault(name, threading.Lock())
+        if (session is None or session.status != "active"
+                or session.checkpoint_path is None or session.join is None):
+            return None
+        if not self.ready.claim_for_evict(session):
+            return None
+        path = None
+        try:
+            # Hold the restore gate across the checkpoint write so a
+            # concurrent lazy restore serialises behind this eviction
+            # instead of reading a stale (or half-written) envelope.
+            with gate:
+                with obs.span("evict", session=name,
+                              tenant=session.config.tenant):
+                    path = session.try_evict()
+        finally:
+            if path is None:
+                self.ready.release_evict_claim(session)
+        if path is not None:
+            self.evictions += 1
+            if self.batcher is not None:
+                self.batcher.forget(name)
+        return path
+
+    def _handle_evict(self, request: dict[str, Any]) -> dict[str, Any]:
+        name = _session_name(request)
+        with self._lock:
+            session = self.sessions.get(name)
+        if session is None:
+            raise SessionError(f"no session named {name!r}; open it first")
+        if session.status in ("evicted", "evicting"):
+            return {"ok": True, "session": name, "already_evicted": True}
+        # Brief retry: a session whose queue just drained is still
+        # RUNNING until its worker calls finish() — an explicit evict
+        # request should ride out that window rather than bounce.
+        path = None
+        deadline = time.monotonic() + 1.0
+        while path is None:
+            path = self.evict_session(name)
+            if path is not None or time.monotonic() >= deadline:
+                break
+            with self._lock:
+                session = self.sessions.get(name)
+            if (session is None or session.status != "active"
+                    or session.queued or session.checkpoint_path is None):
+                break  # not transient — report the failure now
+            time.sleep(0.01)
+        if path is None:
+            raise SessionError(
+                f"session {name!r} cannot be evicted right now: it must be "
+                "active, idle, checkpointable, and have an empty queue")
+        return {"ok": True, "session": name, "evicted": True,
+                "checkpoint": str(path)}
+
+    def _sweep_loop(self) -> None:
+        interval = max(0.05, min(1.0, (self.evict_after or 1.0) / 4))
+        while not self._sweeper_stop.wait(interval):
+            now = time.monotonic()
+            with self._lock:
+                candidates = list(self.sessions.items())
+            for name, session in candidates:
+                if (session.status == "active"
+                        and session.join is not None
+                        and session.checkpoint_path is not None
+                        and session.queued == 0
+                        and now - session.last_activity >= self.evict_after):
+                    try:
+                        self.evict_session(name)
+                    except Exception:  # noqa: BLE001 - sweeping is best-effort
+                        pass  # a failed evict leaves the session live
+
+    # -- observability / lifecycle ---------------------------------------------
+
     def metrics_snapshot(self) -> dict[str, Any]:
         """Prometheus text over the wire (the ``metrics`` protocol op)."""
         return {"ok": True, "content_type": obs.CONTENT_TYPE,
@@ -417,6 +719,7 @@ class JoinService:
         """Live counters and latency percentiles (the ``stats`` endpoint)."""
         with self._lock:
             sessions = dict(self.sessions)
+            tenants = dict(self.tenants)
         if session is not None:
             target = sessions.get(session)
             if target is None:
@@ -432,6 +735,17 @@ class JoinService:
                                    if self.checkpoint_dir else None),
             },
             "sessions": {name: s.stats() for name, s in sessions.items()},
+            "scheduler": {
+                "pool": self.pool.stats(),
+                "ready": self.ready.stats(),
+                "evictions": self.evictions,
+                "restores": self.restores,
+                "evict_after_s": self.evict_after,
+                "adaptive": (self.batcher.stats()
+                             if self.batcher is not None else None),
+            },
+            "tenants": {name: state.stats()
+                        for name, state in sorted(tenants.items())},
         }
 
     def session_list(self, tenant: str | None = None) -> dict[str, Any]:
@@ -465,103 +779,26 @@ class JoinService:
             "p99_ms": latency["p99_ms"],
         }
 
-    def _handle_evict(self, request: dict[str, Any]) -> dict[str, Any]:
-        raise ServiceProtocolError(
-            "evict requires the pooled scheduler; start the server with "
-            "--pool-workers")
-
     def shutdown(self) -> dict[str, Any]:
-        """Checkpoint and close every session; idempotent."""
+        """Checkpoint and close every session, then stop the sweeper and
+        the pool; idempotent.
+
+        Ordering matters: sessions are closed *before* the pool stops,
+        because a pool worker executes each session's stop token.
+        """
         with self._lock:
             if self.shutting_down:
                 return {"ok": True, "closed": 0}
             self.shutting_down = True
             sessions = list(self.sessions.items())
             self.sessions.clear()
+        self._sweeper_stop.set()
         for _name, session in sessions:
             session.close()
+        self.pool.stop()
+        if self._sweeper is not None:
+            self._sweeper.join(timeout=5.0)
         return {"ok": True, "closed": len(sessions)}
-
-
-class _RequestHandler(socketserver.StreamRequestHandler):
-    """One client connection: NDJSON requests in, NDJSON responses out.
-
-    Each read is bounded by the server's ``read_timeout`` (when set): a
-    connection that goes quiet mid-stream is dropped instead of pinning
-    its handler thread forever — the client reconnects and resumes, with
-    sequence-numbered ingest guaranteeing no duplicates.
-    """
-
-    def setup(self) -> None:  # pragma: no cover - exercised via sockets
-        # StreamRequestHandler applies self.timeout as the socket timeout.
-        self.timeout = self.server.read_timeout  # type: ignore[attr-defined]
-        super().setup()
-
-    def handle(self) -> None:  # pragma: no cover - exercised via sockets
-        while True:
-            try:
-                line = self.rfile.readline()
-            except (TimeoutError, OSError):
-                return  # idle past the read deadline: drop the connection
-            if not line:
-                return
-            if not line.strip():
-                continue
-            try:
-                request = parse_line(line)
-            except ServiceProtocolError as error:
-                self.wfile.write(dump_line(error_response(str(error))))
-                self.wfile.flush()
-                continue
-            response = self.server.service.handle(request)  # type: ignore[attr-defined]
-            injector = self.server.service.fault_injector  # type: ignore[attr-defined]
-            if (injector is not None and request.get("op") == "ingest"
-                    and response.get("ok") and injector.client_sever_due()):
-                # Sever *after* the request was applied but before the ack
-                # — the harshest spot: the client must retry into the
-                # sequence-number dedup.
-                return
-            self.wfile.write(dump_line(response))
-            self.wfile.flush()
-            if request.get("op") == "shutdown" and response.get("ok"):
-                self.server.request_stop()  # type: ignore[attr-defined]
-                break
-
-
-class ServiceServer(socketserver.ThreadingTCPServer):
-    """Threaded TCP transport for a :class:`JoinService` on a local socket."""
-
-    allow_reuse_address = True
-    daemon_threads = True
-
-    def __init__(self, service: JoinService, host: str = "127.0.0.1",
-                 port: int = 0, *, read_timeout: float | None = None) -> None:
-        self.service = service
-        self.read_timeout = read_timeout
-        super().__init__((host, port), _RequestHandler)
-
-    @property
-    def address(self) -> tuple[str, int]:
-        """The bound ``(host, port)`` — port is resolved when 0 was asked."""
-        host, port = self.socket.getsockname()[:2]
-        return host, port
-
-    def request_stop(self) -> None:
-        """Stop ``serve_forever`` from a handler thread (non-blocking)."""
-        threading.Thread(target=self.shutdown, daemon=True).start()
-
-    def serve_until_shutdown(self) -> None:
-        """Serve requests until a ``shutdown`` op (or KeyboardInterrupt)."""
-        try:
-            self.serve_forever(poll_interval=0.1)
-        except KeyboardInterrupt:  # pragma: no cover - interactive only
-            pass
-        finally:
-            self.service.shutdown()
-            self.server_close()
-            metrics_server = getattr(self, "obs_metrics_server", None)
-            if metrics_server is not None:
-                metrics_server.close()
 
 
 def serve(*, host: str = "127.0.0.1", port: int = 0,
@@ -580,7 +817,7 @@ def serve(*, host: str = "127.0.0.1", port: int = 0,
           slow_batch_ms: float | None = None,
           trace_seed: int = 0,
           ):
-    """Build a service + TCP server and recover checkpointed sessions.
+    """Build a service + selector server and recover checkpointed sessions.
 
     Returns ``(server, recovered_session_names)``; the caller runs
     ``server.serve_until_shutdown()`` (blocking) or drives
@@ -589,14 +826,9 @@ def serve(*, host: str = "127.0.0.1", port: int = 0,
     injection; the injector is reachable as ``server.service.fault_injector``
     (e.g. to write its event log after shutdown).
 
-    ``pool_workers`` switches on the multi-tenant tier: a
-    :class:`~repro.service.scheduler.SchedulerService` running sessions
-    over a bounded worker pool behind the selector-based
-    :class:`~repro.service.scheduler.SelectorServiceServer` (one I/O
-    loop for every connection, instead of thread-per-connection).
-    ``scheduler_options`` passes extra :class:`SchedulerService` keyword
-    arguments (quotas, ``evict_after``, adaptive batching, ...).  Left
-    at ``None``, the legacy thread-per-session server is used.
+    ``pool_workers`` sizes the worker pool (default ``os.cpu_count()``);
+    ``scheduler_options`` passes extra :class:`JoinService` keyword
+    arguments (quotas, ``evict_after``, adaptive batching, ...).
 
     Observability: ``metrics_port`` exposes the process metrics registry
     as a plain-HTTP Prometheus endpoint (``GET /metrics``; port 0 picks
@@ -628,31 +860,16 @@ def serve(*, host: str = "127.0.0.1", port: int = 0,
 
         fault_injector = (fault_plan if isinstance(fault_plan, FaultInjector)
                           else FaultInjector(parse_fault_plan(fault_plan)))
-    if pool_workers is not None:
-        from repro.service.scheduler import (
-            SchedulerService,
-            SelectorServiceServer,
-        )
-
-        service = SchedulerService(
-            pool_workers=pool_workers,
-            checkpoint_dir=checkpoint_dir,
-            checkpoint_every_items=checkpoint_every_items,
-            checkpoint_every_seconds=checkpoint_every_seconds,
-            fault_injector=fault_injector,
-            **(scheduler_options or {}))
-        recovered = service.recover_sessions()
-        server = SelectorServiceServer(service, host=host, port=port,
-                                       read_timeout=read_timeout,
-                                       dispatch_workers=dispatch_workers)
-        server.obs_metrics_server = metrics_server
-        return server, recovered
-    service = JoinService(checkpoint_dir=checkpoint_dir,
-                          checkpoint_every_items=checkpoint_every_items,
-                          checkpoint_every_seconds=checkpoint_every_seconds,
-                          fault_injector=fault_injector)
+    service = JoinService(
+        pool_workers=pool_workers,
+        checkpoint_dir=checkpoint_dir,
+        checkpoint_every_items=checkpoint_every_items,
+        checkpoint_every_seconds=checkpoint_every_seconds,
+        fault_injector=fault_injector,
+        **(scheduler_options or {}))
     recovered = service.recover_sessions()
-    server = ServiceServer(service, host=host, port=port,
-                           read_timeout=read_timeout)
+    server = SelectorServiceServer(service, host=host, port=port,
+                                   read_timeout=read_timeout,
+                                   dispatch_workers=dispatch_workers)
     server.obs_metrics_server = metrics_server
     return server, recovered

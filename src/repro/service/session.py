@@ -11,11 +11,13 @@ a producer can feed indefinitely:
   items are discarded and counted) or ``"error"``
   (:class:`BackpressureError`) — so a fast producer cannot OOM the
   server,
-* a single worker thread drains the queue in **micro-batches** (flushed
-  at ``batch_max_items`` items or ``batch_max_delay`` seconds, whichever
-  comes first), feeds the join, and streams reported pairs to the
-  session's sinks (:mod:`repro.service.sinks`),
-* when a checkpoint path is configured, the worker writes **atomic
+* a worker pool (:mod:`repro.service.scheduler.pool`) drains the queue
+  in **quanta** of up to ``batch_max_items``-vector micro-batches
+  (:meth:`JoinSession.run_quantum`), feeds the join, and streams
+  reported pairs to the session's sinks (:mod:`repro.service.sinks`);
+  a session built without a scheduler runs on a process-wide default
+  pool, started on first use,
+* when a checkpoint path is configured, quanta write **atomic
   checkpoints** between batches via
   :class:`repro.core.checkpoint.PeriodicCheckpointer`; a crashed session
   is rebuilt by :meth:`JoinSession.resume`, which restores the join
@@ -23,10 +25,11 @@ a producer can feed indefinitely:
   reports how many vectors the checkpoint covers so the producer can
   re-feed from there.
 
-Because the queue is FIFO and a single worker feeds the join, the pairs a
-session emits are **identical** to :func:`repro.core.join.streaming_self_join`
-over the same vectors, whatever the batching or backpressure settings
-(pinned by a hypothesis test in ``tests/test_service.py``).
+Because the queue is FIFO and at most one pool worker runs a session at
+any time, the pairs a session emits are **identical** to
+:func:`repro.core.join.streaming_self_join` over the same vectors,
+whatever the batching or backpressure settings (pinned by a hypothesis
+test in ``tests/test_service.py``).
 """
 
 from __future__ import annotations
@@ -70,18 +73,16 @@ SERVICE_CHECKPOINT_VERSION = 1
 #: What ingestion does when the bounded queue is full.
 BACKPRESSURE_POLICIES = ("block", "drop", "error")
 
-#: Scheduler-visible run states of a pooled session.  ``"thread"`` marks
-#: the legacy mode where the session owns a dedicated worker thread and
-#: is never scheduled.
-RUN_STATES = ("idle", "ready", "running", "evicted", "thread")
+#: Scheduler-visible run states of a session.
+RUN_STATES = ("idle", "ready", "running", "evicted")
 
 
 class SessionError(SSSJError):
     """Raised when a session is used in a state that cannot serve the call.
 
-    When the session failed because its worker thread died,
+    When the session failed while processing a batch,
     ``worker_traceback`` carries the original traceback so the caller
-    sees *where* the worker blew up, not just that it did.
+    sees *where* the pool worker blew up, not just that it did.
     """
 
     def __init__(self, message: str, *,
@@ -101,10 +102,10 @@ class SessionConfig:
     name: str
     threshold: float
     decay: float
-    #: Owning tenant for quota accounting and fairness under the pooled
-    #: scheduler; sessions served by the legacy thread-per-session path
-    #: keep the default.  Travels in the checkpoint envelope, so an
-    #: evicted session resumes under the same tenant.
+    #: Owning tenant for quota accounting and fairness under the
+    #: scheduler; standalone sessions keep the default.  Travels in the
+    #: checkpoint envelope, so an evicted session resumes under the same
+    #: tenant.
     tenant: str = "default"
     algorithm: str = "STR-L2"
     backend: str | None = None
@@ -113,7 +114,6 @@ class SessionConfig:
     approx: str | None = None
     queue_max: int = 4096
     batch_max_items: int = 128
-    batch_max_delay: float = 0.05
     backpressure: str = "block"
     normalize: bool = True
     results_capacity: int = 100_000
@@ -140,9 +140,6 @@ class SessionConfig:
         if self.batch_max_items <= 0:
             raise SessionError(
                 f"batch_max_items must be positive, got {self.batch_max_items}")
-        if self.batch_max_delay < 0:
-            raise SessionError(
-                f"batch_max_delay must be >= 0, got {self.batch_max_delay}")
         parse_algorithm(self.algorithm)  # fail fast on unknown algorithms
 
     def as_dict(self) -> dict[str, Any]:
@@ -158,11 +155,12 @@ class SessionConfig:
 
 
 class JoinSession:
-    """One live streaming join fed through a bounded queue by one worker.
+    """One live streaming join fed through a bounded queue, run by a pool.
 
     Lifecycle: ``active`` → (``drain()``, briefly ``draining``) →
-    ``drained`` → (``close()``) → ``closed``; a worker exception moves it
-    to ``failed`` and a simulated crash (:meth:`kill`) to ``killed``.
+    ``drained`` → (``close()``) → ``closed``; an exception while
+    processing moves it to ``failed`` and a simulated crash
+    (:meth:`kill`) to ``killed``.
     All public methods are thread-safe; pairs stream out through
     ``session.results`` (the built-in :class:`MemorySink` cursor) and any
     extra sinks.
@@ -176,15 +174,20 @@ class JoinSession:
                  _join=None) -> None:
         self.config = config
         self._fault_injector = fault_injector
-        #: When set, the session is a *schedulable unit*: it never spawns
-        #: its own worker thread; a worker pool runs :meth:`run_quantum`
-        #: whenever the scheduler's ready queue hands the session out.
-        #: The scheduler only needs one method: ``notify(session)``,
-        #: called (outside the session lock) whenever work is enqueued.
+        #: The session is a *schedulable unit*: a worker pool runs
+        #: :meth:`run_quantum` whenever the scheduler's ready queue hands
+        #: it out.  The scheduler only needs one method:
+        #: ``notify(session)``, called (outside the session lock) whenever
+        #: work is enqueued.  Without one, the process-wide default pool
+        #: runs the session.
+        if scheduler is None:
+            from repro.service.scheduler.pool import default_pool
+
+            scheduler = default_pool()
         self._scheduler = scheduler
         #: Scheduler-owned run state; mutated only under the ready
         #: queue's lock (see ``repro.service.scheduler.ready``).
-        self.run_state = "thread" if scheduler is None else "idle"
+        self.run_state = "idle"
         framework_name, _ = parse_algorithm(config.algorithm)
         self.checkpoint_path = Path(checkpoint_path) if checkpoint_path else None
         if self.checkpoint_path and framework_name != "STR":
@@ -262,8 +265,11 @@ class JoinSession:
         self._last_processed_timestamp = float("-inf")
         self._lock = threading.Lock()
         self._not_full = threading.Condition(self._lock)
-        self._not_empty = threading.Condition(self._lock)
-        self._worker: threading.Thread | None = None
+        #: Held by the pool worker for the whole of :meth:`run_quantum`;
+        #: :meth:`kill` and :meth:`close` take it to wait out a running
+        #: quantum (re-entrant, so a quantum that kills its own session
+        #: does not deadlock).
+        self._quantum_lock = threading.RLock()
         self._stop = False
         self._checkpointer: PeriodicCheckpointer | None = None
         if self.checkpoint_path is not None:
@@ -277,7 +283,7 @@ class JoinSession:
 
     def _write_envelope(self, join, path: Path, *,
                         status: str | None = None) -> Path:
-        """Snapshot the join plus the session/sink state (worker thread only)."""
+        """Snapshot the join plus the session/sink state (inside a quantum)."""
         with obs.span("checkpoint", session=self.config.name,
                       tenant=self.config.tenant):
             return self._write_envelope_inner(join, path, status=status)
@@ -392,24 +398,6 @@ class JoinSession:
 
     # -- ingestion -------------------------------------------------------------
 
-    def start(self) -> None:
-        """Start the worker thread (idempotent; ingest() starts it lazily).
-
-        A scheduled session never owns a thread — the worker pool runs it
-        — so this is a no-op beyond nudging the scheduler in case work is
-        already queued (e.g. right after a restore).
-        """
-        if self._scheduler is not None:
-            if self.has_pending():
-                self._scheduler.notify(self)
-            return
-        with self._lock:
-            if self._worker is None and self.status == "active":
-                self._worker = threading.Thread(
-                    target=self._worker_loop,
-                    name=f"sssj-session-{self.config.name}", daemon=True)
-                self._worker.start()
-
     def has_pending(self) -> bool:
         """Whether any queued work (vectors or control tokens) awaits a run.
 
@@ -420,26 +408,6 @@ class JoinSession:
         with self._lock:
             return bool(self._queue) and not self._stop
 
-    def _check_worker(self) -> None:
-        """Surface a silently-dead worker thread as a failed session.
-
-        The worker loop reports its own exceptions, but a death it could
-        not report (e.g. the interpreter tore the thread down) would
-        otherwise leave the session "active" while nothing drains the
-        queue — producers would fill it to backpressure and stall
-        forever.  Detecting the dead thread here turns the very next op
-        into an immediate :class:`SessionError` instead.
-        """
-        worker = self._worker
-        if worker is None or worker.is_alive():
-            return
-        with self._lock:
-            if self.status == "active":
-                self.status = "failed"
-                self.error = (self.error
-                              or "worker thread died without reporting")
-                self._not_full.notify_all()
-
     def _state_error(self) -> SessionError:
         return SessionError(
             f"session {self.config.name!r} is {self.status}"
@@ -448,7 +416,6 @@ class JoinSession:
 
     def raise_if_failed(self) -> None:
         """Raise the session's failure (with the worker traceback) if any."""
-        self._check_worker()
         if self.status in ("failed", "killed"):
             raise self._state_error()
 
@@ -461,7 +428,7 @@ class JoinSession:
         the order they were accepted.  Timestamps must be non-decreasing
         across the whole session (:class:`StreamOrderError` otherwise) —
         enforced here, at the boundary, so a misbehaving producer is told
-        immediately instead of poisoning the worker.
+        immediately instead of poisoning the join.
 
         ``seq`` makes ingestion idempotent across reconnects: it states
         how many vectors the producer had already sent before this batch.
@@ -471,8 +438,6 @@ class JoinSession:
         ``deduped``); a ``seq`` beyond the session's counter means
         vectors were lost in between and raises immediately.
         """
-        self.start()
-        self._check_worker()
         accepted = dropped = 0
         if seq is not None:
             if seq < 0:
@@ -492,78 +457,81 @@ class JoinSession:
             if skip == len(vectors):
                 return 0, 0  # full duplicate: ack without re-processing
             vectors = vectors[skip:]
-        for vector in vectors:
-            enqueued_at = time.monotonic()
-            with self._not_full:
-                notified_block = False
-                while (self.config.backpressure == "block"
-                       and self._queued_vectors >= self.config.queue_max
-                       and self.status == "active"):
-                    if self._scheduler is not None and not notified_block:
-                        # The end-of-call notify below has not run yet, so
-                        # the scheduler may not know this burst exists —
-                        # nudge it before blocking, or nothing would ever
-                        # drain the queue.  The session lock is dropped
-                        # first (lock order is ready-queue → session,
-                        # never the reverse).
-                        self._not_full.release()
-                        try:
-                            self._scheduler.notify(self)
-                        finally:
-                            self._not_full.acquire()
-                        notified_block = True
-                        continue  # re-check the queue after the gap
-                    self._not_full.wait(0.05)
-                if self.status != "active":
-                    raise self._state_error()
-                # Checked and advanced under the lock, atomically with the
-                # append: concurrent producers cannot interleave an
-                # out-of-order pair of vectors into the queue — the slower
-                # producer is rejected here instead of failing the worker.
-                if vector.timestamp < self._last_timestamp:
-                    raise StreamOrderError(
-                        f"vector {vector.vector_id} arrived at "
-                        f"t={vector.timestamp} after t={self._last_timestamp}; "
-                        "session streams must have non-decreasing timestamps")
-                self._last_timestamp = vector.timestamp
-                if self._queued_vectors >= self.config.queue_max:
-                    if self.config.backpressure == "drop":
-                        dropped += 1
-                        self.dropped += 1
-                        self.ingest_seq += 1  # consumed, even if discarded
-                        continue
-                    raise BackpressureError(
-                        f"session {self.config.name!r} queue is full "
-                        f"({self.config.queue_max} vectors) and the policy is 'error'")
-                self._queue.append(("vec", vector, enqueued_at))
-                self._queued_vectors += 1
-                accepted += 1
-                self.accepted += 1
-                self.ingest_seq += 1
-                self._not_empty.notify()
-        if accepted or dropped:
-            self.last_activity = time.monotonic()
-        if accepted and self._scheduler is not None:
-            self._scheduler.notify(self)
+        try:
+            for vector in vectors:
+                enqueued_at = time.monotonic()
+                with self._not_full:
+                    notified_block = False
+                    while (self.config.backpressure == "block"
+                           and self._queued_vectors >= self.config.queue_max
+                           and self.status == "active"):
+                        if not notified_block:
+                            # The notify in ``finally`` has not run yet, so
+                            # the scheduler may not know this burst exists
+                            # — nudge it before blocking, or nothing would
+                            # ever drain the queue.  The session lock is
+                            # dropped first (lock order is ready-queue →
+                            # session, never the reverse).
+                            self._not_full.release()
+                            try:
+                                self._scheduler.notify(self)
+                            finally:
+                                self._not_full.acquire()
+                            notified_block = True
+                            continue  # re-check the queue after the gap
+                        self._not_full.wait(0.05)
+                    if self.status != "active":
+                        raise self._state_error()
+                    # Checked and advanced under the lock, atomically with
+                    # the append: concurrent producers cannot interleave an
+                    # out-of-order pair of vectors into the queue — the
+                    # slower producer is rejected here instead of failing
+                    # the join.
+                    if vector.timestamp < self._last_timestamp:
+                        raise StreamOrderError(
+                            f"vector {vector.vector_id} arrived at "
+                            f"t={vector.timestamp} after "
+                            f"t={self._last_timestamp}; session streams "
+                            "must have non-decreasing timestamps")
+                    self._last_timestamp = vector.timestamp
+                    if self._queued_vectors >= self.config.queue_max:
+                        if self.config.backpressure == "drop":
+                            dropped += 1
+                            self.dropped += 1
+                            self.ingest_seq += 1  # consumed, even if discarded
+                            continue
+                        raise BackpressureError(
+                            f"session {self.config.name!r} queue is full "
+                            f"({self.config.queue_max} vectors) and the "
+                            "policy is 'error'")
+                    self._queue.append(("vec", vector, enqueued_at))
+                    self._queued_vectors += 1
+                    accepted += 1
+                    self.accepted += 1
+                    self.ingest_seq += 1
+        finally:
+            # Also when a vector mid-batch was refused: the ones accepted
+            # before it are queued and must still be scheduled.
+            if accepted or dropped:
+                self.last_activity = time.monotonic()
+            if accepted:
+                self._scheduler.notify(self)
         return accepted, dropped
 
     def _enqueue_control(self, kind: str) -> tuple[dict, threading.Event]:
         reply: dict[str, Any] = {}
         done = threading.Event()
-        with self._not_empty:
+        with self._lock:
             if self.status != "active":
                 raise self._state_error()
             self._queue.append(("ctl", kind, reply, done))
-            self._not_empty.notify()
-        if self._scheduler is not None:
-            self._scheduler.notify(self)
+        self._scheduler.notify(self)
         return reply, done
 
     def _await_control(self, done: threading.Event, reply: dict,
                        timeout: float | None) -> dict:
         deadline = None if timeout is None else time.monotonic() + timeout
         while not done.wait(0.05):
-            self._check_worker()
             if self.status in ("failed", "killed"):
                 raise SessionError(
                     f"session {self.config.name!r} {self.status}"
@@ -576,44 +544,7 @@ class JoinSession:
             raise SessionError(reply["error"])
         return reply
 
-    # -- worker ----------------------------------------------------------------
-
-    def _collect_batch(self) -> list[tuple] | tuple | None:
-        """Next unit of work: a vector micro-batch, a control token, or None.
-
-        Returns ``None`` when the session was stopped; a 4-tuple for a
-        control token (which acts as a queue barrier — every vector ahead
-        of it has already been returned in earlier batches); otherwise a
-        list of ``("vec", vector, enqueued_at)`` entries, flushed at
-        ``batch_max_items`` items or ``batch_max_delay`` seconds after
-        the first item, whichever comes first.
-        """
-        with self._not_empty:
-            while not self._queue and not self._stop:
-                self._not_empty.wait(0.05)
-            if self._stop:
-                return None
-            head = self._queue.popleft()
-            if head[0] == "ctl":
-                return head
-            self._queued_vectors -= 1
-            self._not_full.notify()
-            batch = [head]
-            deadline = time.monotonic() + self.config.batch_max_delay
-            while len(batch) < self.config.batch_max_items:
-                while not self._queue and not self._stop:
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0:
-                        return batch
-                    self._not_empty.wait(min(remaining, 0.05))
-                if self._stop or not self._queue:
-                    return batch
-                if self._queue[0][0] == "ctl":
-                    return batch  # barrier: finish these vectors first
-                batch.append(self._queue.popleft())
-                self._queued_vectors -= 1
-                self._not_full.notify()
-            return batch
+    # -- processing (pool worker) -----------------------------------------------
 
     def _emit(self, pairs: list[SimilarPair]) -> None:
         if not pairs:
@@ -642,24 +573,6 @@ class JoinSession:
                 time.sleep(delay)
                 delay = min(delay * 2, 1.0)
 
-    def _worker_loop(self) -> None:
-        try:
-            while True:
-                work = self._collect_batch()
-                if work is None:
-                    break
-                if isinstance(work, tuple):  # control token
-                    if self._handle_control(work):
-                        break
-                    continue
-                self._process_vectors(work)
-                if self._checkpointer is not None:
-                    self._checkpointer.tick()
-        except BaseException as error:  # noqa: BLE001 - reported via status
-            self._fail(error)
-        finally:
-            self._flush_pending_controls()
-
     def _process_vectors(self, work: list[tuple]) -> None:
         """Feed one micro-batch of queued vectors through the join."""
         started = time.perf_counter()
@@ -681,7 +594,7 @@ class JoinSession:
             self._obs_batches.inc()
 
     def _flush_pending_controls(self) -> None:
-        """Answer control tokens that will never be handled (worker exiting)."""
+        """Answer control tokens that will never be handled (session stopping)."""
         with self._lock:
             for item in self._queue:
                 if item[0] == "ctl" and not item[3].is_set():
@@ -711,7 +624,7 @@ class JoinSession:
             self._process_vectors(leftovers)
 
     def _handle_control(self, token: tuple) -> bool:
-        """Run one control token; return True when the worker should exit."""
+        """Run one control token; return True when the session stops running."""
         _, kind, reply, done = token
         try:
             if kind == "checkpoint":
@@ -744,16 +657,16 @@ class JoinSession:
             done.set()
         return kind == "drain"
 
-    # -- scheduled (pooled) execution ------------------------------------------
-
     def _collect_ready(self, limit: int) -> list[tuple] | tuple | None:
-        """Non-blocking :meth:`_collect_batch`: whatever is queued, now.
+        """Next unit of work: whatever is queued, now.
 
         Pool workers must never sleep inside one session (that would
-        stall every other ready session behind them), so there is no
-        ``batch_max_delay`` wait here — the scheduler's visit cadence
-        plays that role.  Returns ``None`` when nothing is queued, a
-        control token 4-tuple, or up to ``limit`` vector entries.
+        stall every other ready session behind them), so nothing waits
+        for a batch to fill — the scheduler's visit cadence decides how
+        much has queued up.  Returns ``None`` when nothing is queued (or
+        the session was stopped), a control token 4-tuple (a queue
+        barrier: every vector ahead of it was returned earlier), or up to
+        ``limit`` vector entries.
         """
         with self._lock:
             if self._stop or not self._queue:
@@ -774,37 +687,38 @@ class JoinSession:
                     batch_items: int | None = None) -> tuple[bool, int]:
         """Run up to ``max_batches`` micro-batches on the caller's thread.
 
-        The scheduled-mode replacement for :meth:`_worker_loop`: a pool
-        worker calls this after popping the session from the ready queue
-        (which guarantees exclusive execution — at most one worker runs a
-        given session at any time, so the FIFO determinism contract holds
-        under any pool size).  Control tokens are executed in queue order
-        exactly as the dedicated worker would.  ``batch_items`` overrides
-        the configured micro-batch size (the adaptive batcher's lever).
+        The only code that runs a session: a pool worker calls this after
+        popping the session from the ready queue (which guarantees
+        exclusive execution — at most one worker runs a given session at
+        any time, so the FIFO determinism contract holds under any pool
+        size).  Control tokens are executed in queue order.
+        ``batch_items`` overrides the configured micro-batch size (the
+        adaptive batcher's lever).
 
         Returns ``(more_pending, vectors_processed)``; ``more_pending``
         is advisory — the pool re-checks under the ready-queue lock.
         """
         limit = batch_items if batch_items else self.config.batch_max_items
         processed = 0
-        try:
-            for _ in range(max_batches):
-                work = self._collect_ready(max(1, limit))
-                if work is None:
-                    break
-                if isinstance(work, tuple):  # control token
-                    if self._handle_control(work):
-                        self._flush_pending_controls()
-                        return False, processed
-                    continue
-                self._process_vectors(work)
-                processed += len(work)
-                if self._checkpointer is not None:
-                    self._checkpointer.tick()
-        except BaseException as error:  # noqa: BLE001 - reported via status
-            self._fail(error)
-            self._flush_pending_controls()
-            return False, processed
+        with self._quantum_lock:
+            try:
+                for _ in range(max_batches):
+                    work = self._collect_ready(max(1, limit))
+                    if work is None:
+                        break
+                    if isinstance(work, tuple):  # control token
+                        if self._handle_control(work):
+                            self._flush_pending_controls()
+                            return False, processed
+                        continue
+                    self._process_vectors(work)
+                    processed += len(work)
+                    if self._checkpointer is not None:
+                        self._checkpointer.tick()
+            except BaseException as error:  # noqa: BLE001 - reported via status
+                self._fail(error)
+                self._flush_pending_controls()
+                return False, processed
         if processed:
             self.last_activity = time.monotonic()
         with self._lock:
@@ -893,7 +807,6 @@ class JoinSession:
 
     def checkpoint_now(self, timeout: float | None = 30.0) -> Path:
         """Barrier checkpoint: covers every vector ingested before the call."""
-        self.start()
         reply, done = self._enqueue_control("checkpoint")
         self._await_control(done, reply, timeout)
         return Path(reply["path"])
@@ -905,21 +818,16 @@ class JoinSession:
         The session refuses further ingestion afterwards; results remain
         readable through the sinks.
         """
-        self.start()
         reply, done = self._enqueue_control("drain")
         return dict(self._await_control(done, reply, timeout))
 
     def close(self, timeout: float | None = 30.0) -> None:
         """Stop the session (final checkpoint if configured) and free sinks."""
         with self._lock:
-            worker = self._worker
             still_active = self.status == "active"
-        # A scheduled session has no thread of its own, but the pool will
-        # execute the stop token (the service keeps the pool running
-        # until every session is closed).
-        runnable = ((worker is not None and worker.is_alive())
-                    or self._scheduler is not None)
-        if runnable and still_active:
+        if still_active:
+            # The pool executes the stop token (a service keeps its pool
+            # running until every session is closed).
             try:
                 reply, done = self._enqueue_control("stop")
                 self._await_control(done, reply, timeout)
@@ -929,10 +837,9 @@ class JoinSession:
             self._stop = True
             if self.status in ("active", "drained", "evicting", "evicted"):
                 self.status = "closed"
-            self._not_empty.notify_all()
             self._not_full.notify_all()
-        if worker is not None and worker.is_alive():
-            worker.join(timeout=5.0)
+        with self._quantum_lock:  # a quantum still running must not emit
+            pass                  # into the sinks closed below
         for sink in self.sinks:
             sink.close()
         closer = getattr(self.join, "close", None)
@@ -943,15 +850,16 @@ class JoinSession:
         """Simulate a crash: stop immediately, no flush, no checkpoint.
 
         Used by the recovery tests — everything after the last checkpoint
-        is lost, exactly as in a real ``kill -9``.
+        is lost, exactly as in a real ``kill -9``.  Returns only once no
+        quantum of this session is running, so nothing (a checkpoint
+        write included) happens after the "crash".
         """
         with self._lock:
             self._stop = True
             self.status = "killed"
-            self._not_empty.notify_all()
             self._not_full.notify_all()
-        if self._worker is not None and self._worker.is_alive():
-            self._worker.join(timeout=5.0)
+        with self._quantum_lock:
+            pass
 
     # -- observability ---------------------------------------------------------
 

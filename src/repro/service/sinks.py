@@ -1,7 +1,7 @@
 """Result sinks: where a session's matched pairs stream out to.
 
 A :class:`JoinSession` owns a list of sinks and hands every batch of
-reported pairs to each of them, in report order, from its worker thread.
+reported pairs to each of them, in report order, from its running quantum.
 Three sinks cover the common shapes:
 
 * :class:`MemorySink` — an in-memory subscription cursor: readers poll
@@ -51,8 +51,8 @@ class SinkError(SSSJError):
 class ResultSink:
     """Base class of result sinks; subclasses override :meth:`emit`.
 
-    ``emit`` is always called from the session's single worker thread, so
-    sinks only need internal locking when they are *also* read from other
+    ``emit`` is only called from the session's running quantum (one pool
+    worker at a time), so sinks only need internal locking when they are *also* read from other
     threads (as :class:`MemorySink` is).
     """
 

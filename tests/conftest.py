@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 import pytest
 
@@ -56,6 +58,15 @@ def random_vectors(count: int, *, dimensions: int = 40, nnz: int = 6,
             entries = {int(d): float(rng.uniform(0.1, 1.0)) for d in dims}
         vectors.append(SparseVector(index, index * time_step, entries))
     return vectors
+
+
+def wait_until(predicate, *, timeout: float = 10.0) -> None:
+    """Poll ``predicate`` until it holds; fail the test after ``timeout``."""
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        if time.monotonic() > deadline:
+            raise AssertionError("condition not reached within the deadline")
+        time.sleep(0.01)
 
 
 @pytest.fixture

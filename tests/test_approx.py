@@ -215,7 +215,7 @@ class TestCheckpointRoundTrip:
         ckpt = tmp_path / "approx.ckpt"
         config = SessionConfig(name="approx", threshold=THETA, decay=DECAY,
                                algorithm="STR-L2AP", approx="minhash:8x2",
-                               batch_max_items=8, batch_max_delay=0.0)
+                               batch_max_items=8)
         session = JoinSession(config, checkpoint_path=ckpt)
         session.ingest(vectors[:45])
         session.checkpoint_now()

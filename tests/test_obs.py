@@ -38,7 +38,7 @@ from repro.obs import (
 )
 from repro.obs.top import TopView
 from repro.service.protocol import encode_vector
-from tests.conftest import random_vectors
+from tests.conftest import random_vectors, wait_until
 from tests.groundtruth import counters_without_time, engine_pairs
 
 THETA, DECAY = 0.6, 0.05
@@ -321,15 +321,6 @@ def test_pairs_and_counters_bitwise_identical_obs_on_off(seed, count):
 # service surface
 
 
-def _wait_until(predicate, timeout: float = 10.0):
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        if predicate():
-            return
-        time.sleep(0.01)
-    raise AssertionError("condition not reached within the deadline")
-
-
 class TestServiceSurface:
     def test_metrics_op_returns_prometheus_text(self, registry):
         from repro.service.server import JoinService
@@ -347,9 +338,9 @@ class TestServiceSurface:
 
     def test_scheduler_scrape_has_queue_depth_and_tenant_series(
             self, registry):
-        from repro.service import SchedulerService
+        from repro.service import JoinService
 
-        service = SchedulerService(pool_workers=2)
+        service = JoinService(pool_workers=2)
         try:
             vectors = random_vectors(30, seed=3)
             assert service.handle(
@@ -359,7 +350,7 @@ class TestServiceSurface:
             assert service.handle(
                 {"op": "ingest", "session": "s1", "seq": 0,
                  "vectors": [encode_vector(v) for v in vectors]})["ok"]
-            _wait_until(lambda: service.sessions["s1"].processed == 30)
+            wait_until(lambda: service.sessions["s1"].processed == 30)
             text = service.handle({"op": "metrics"})["metrics"]
             assert 'sssj_engine_vectors_processed_total{session="s1",' \
                    'tenant="acme",backend=' in text
@@ -374,9 +365,9 @@ class TestServiceSurface:
 
     def test_evicted_stats_carry_last_counters_and_evicted_at(
             self, registry, tmp_path):
-        from repro.service import SchedulerService
+        from repro.service import JoinService
 
-        service = SchedulerService(pool_workers=1, checkpoint_dir=tmp_path)
+        service = JoinService(pool_workers=1, checkpoint_dir=tmp_path)
         try:
             vectors = random_vectors(20, seed=5)
             assert service.handle(
@@ -385,7 +376,7 @@ class TestServiceSurface:
             assert service.handle(
                 {"op": "ingest", "session": "e", "seq": 0,
                  "vectors": [encode_vector(v) for v in vectors]})["ok"]
-            _wait_until(lambda: service.sessions["e"].processed == 20
+            wait_until(lambda: service.sessions["e"].processed == 20
                         and service.sessions["e"].run_state == "idle")
             before = time.time()
             assert service.handle({"op": "evict", "session": "e"})["ok"]

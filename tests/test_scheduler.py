@@ -1,8 +1,8 @@
 """Tests for the multi-tenant session scheduler (repro.service.scheduler).
 
-The load-bearing property is unchanged from the base service: for the
-vectors a session accepts, the pairs it emits are bitwise identical to
-:func:`repro.core.join.streaming_self_join` — now under any pool size,
+The load-bearing property: for the vectors a session accepts, the pairs
+it emits are bitwise identical to
+:func:`repro.core.join.streaming_self_join` — under any pool size,
 quota configuration and eviction timing (pinned by the hypothesis tests
 at the bottom).  On top of that, the scheduler's own contracts: quota
 rejections are machine-readable and consume nothing, DRR keeps tenant
@@ -25,8 +25,8 @@ from hypothesis import strategies as st
 from repro.bench.metrics import LatencyStats
 from repro.core.vector import SparseVector
 from repro.service import (
+    JoinService,
     QuotaError,
-    SchedulerService,
     ServiceClient,
     ServiceClientError,
     TenantQuota,
@@ -37,7 +37,7 @@ from repro.service.protocol import encode_vector, pair_from_wire
 from repro.service.scheduler.adaptive import AdaptiveBatcher
 from repro.service.scheduler.ready import DRRReadyQueue
 from repro.service.scheduler.tenants import TenantState
-from tests.conftest import random_vectors
+from tests.conftest import random_vectors, wait_until
 from tests.groundtruth import counters_without_time, engine_pairs
 
 THETA, DECAY = 0.6, 0.05
@@ -45,15 +45,6 @@ THETA, DECAY = 0.6, 0.05
 
 def expected_pairs(vectors):
     return engine_pairs(vectors, THETA, DECAY)
-
-
-def wait_until(predicate, *, timeout: float = 10.0, interval: float = 0.01):
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        if predicate():
-            return
-        time.sleep(interval)
-    raise AssertionError("condition not reached within the deadline")
 
 
 def open_request(name, *, tenant="default", **options):
@@ -294,7 +285,7 @@ class TestAdaptiveBatcher:
 
 
 # ---------------------------------------------------------------------------
-# SchedulerService end-to-end (no sockets)
+# JoinService scheduling end-to-end (no sockets)
 # ---------------------------------------------------------------------------
 
 
@@ -303,7 +294,7 @@ def scheduler_service(request):
     services = []
 
     def factory(**options):
-        service = SchedulerService(**options)
+        service = JoinService(**options)
         services.append(service)
         return service
 
@@ -528,7 +519,7 @@ class TestEvictRestore:
 
     def test_restart_after_evict_recovers_the_session(self, tmp_path):
         vectors = random_vectors(40, seed=10)
-        service = SchedulerService(pool_workers=1, checkpoint_dir=tmp_path)
+        service = JoinService(pool_workers=1, checkpoint_dir=tmp_path)
         try:
             ok(service.handle(open_request("z")))
             ok(service.handle(ingest_request("z", vectors[:25], seq=0)))
@@ -540,7 +531,7 @@ class TestEvictRestore:
             service.shutdown()
         # A brand-new service (a process restart) recovers the evicted
         # session from its envelope and the stream continues bitwise.
-        service = SchedulerService(pool_workers=2, checkpoint_dir=tmp_path)
+        service = JoinService(pool_workers=2, checkpoint_dir=tmp_path)
         try:
             assert service.recover_sessions() == ["z"]
             opened = ok(service.handle(open_request("z")))
@@ -573,7 +564,7 @@ class TestSchedulingDeterminism:
     def test_pairs_are_bitwise_under_any_pool_and_batching(
             self, pool_workers, batch_max_items, chunk, seed):
         vectors = random_vectors(30, seed=seed)
-        service = SchedulerService(pool_workers=pool_workers)
+        service = JoinService(pool_workers=pool_workers)
         try:
             ok(service.handle(open_request(
                 "h", checkpoint=False, batch_max_items=batch_max_items)))
@@ -601,8 +592,8 @@ class TestSchedulingDeterminism:
         vectors = random_vectors(30, seed=seed)
         tmp_path = tmp_path_factory.mktemp("evict")
         sink_path = tmp_path / "pairs.jsonl"
-        service = SchedulerService(pool_workers=pool_workers,
-                                   checkpoint_dir=tmp_path)
+        service = JoinService(pool_workers=pool_workers,
+                              checkpoint_dir=tmp_path)
         try:
             ok(service.handle(open_request(
                 "h", batch_max_items=5,
@@ -717,33 +708,16 @@ class TestSelectorServer:
             thread.join(timeout=10)
         assert not thread.is_alive()
 
-    def test_shutdown_op_stops_the_loop(self, tmp_path):
-        server, _ = serve(port=0, pool_workers=1)
-        thread = threading.Thread(target=server.serve_until_shutdown,
-                                  daemon=True)
-        thread.start()
-        host, port = server.address
-        with ServiceClient(host, port) as client:
-            assert client.shutdown()["ok"]
-        thread.join(timeout=10)
-        assert not thread.is_alive()
-
-    def test_idle_connection_is_dropped_after_read_timeout(self, tmp_path):
-        server, _ = serve(port=0, pool_workers=1, read_timeout=0.3)
-        thread = threading.Thread(target=server.serve_until_shutdown,
-                                  daemon=True)
-        thread.start()
-        try:
-            host, port = server.address
-            with socket.create_connection((host, port), timeout=10) as sock:
-                sock.sendall(b'{"op": "ping"}\n')
-                stream = sock.makefile("rb")
-                assert json.loads(stream.readline())["pong"]
-                # Go quiet: the server must close the connection, not pin
-                # its loop slot forever.
-                sock.settimeout(5.0)
-                assert stream.readline() == b""
-        finally:
-            server.service.shutdown()
-            server.request_stop()
-            thread.join(timeout=10)
+    def test_wrong_typed_field_gets_an_error_and_the_connection_lives(
+            self, selector_server):
+        host, port = selector_server.address
+        with socket.create_connection((host, port), timeout=10) as sock:
+            sock.sendall(b'{"op": "open", "session": "s", "theta": 0.6, '
+                         b'"decay": 0.05, "checkpoint": false}\n'
+                         b'{"op": "results", "session": "s", "cursor": {}}\n'
+                         b'{"op": "ping"}\n')
+            stream = sock.makefile("rb")
+            assert json.loads(stream.readline())["ok"]
+            bad = json.loads(stream.readline())
+            assert bad["ok"] is False and bad["error"]
+            assert json.loads(stream.readline())["pong"]

@@ -10,7 +10,10 @@ included.  That property is pinned by hypothesis tests at the bottom.
 from __future__ import annotations
 
 import json
+import socket
 import threading
+import time
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -41,7 +44,8 @@ from repro.service.protocol import (
     pair_from_wire,
     pair_to_wire,
 )
-from tests.conftest import random_vectors
+from repro.service.scheduler import DRRReadyQueue, WorkerPool, default_pool
+from tests.conftest import random_vectors, wait_until
 from tests.groundtruth import counters_without_time, engine_pairs
 
 THETA, DECAY = 0.6, 0.05
@@ -52,10 +56,39 @@ def expected_pairs(vectors, *, algorithm="STR-L2", backend=None):
                         backend=backend)
 
 
-def make_session(name="s", *, vectors_cfg=None, **overrides) -> JoinSession:
+def make_session(name="s", *, scheduler=None, **overrides) -> JoinSession:
     config = SessionConfig(name=name, threshold=THETA, decay=DECAY,
-                           **(vectors_cfg or {}), **overrides)
-    return JoinSession(config)
+                           **overrides)
+    return JoinSession(config, scheduler=scheduler)
+
+
+class HeldScheduler:
+    """Stub scheduler: holds a session's wakeups back until :meth:`release`,
+    then hands it to the default pool — so a bounded queue can fill."""
+
+    def __init__(self) -> None:
+        self.released = False
+        self.session = None
+
+    def notify(self, session) -> None:
+        self.session = session
+        if self.released:
+            default_pool().notify(session)
+
+    def release(self) -> None:
+        self.released = True
+        if self.session is not None:
+            default_pool().notify(self.session)
+
+
+@pytest.fixture
+def one_worker():
+    """A private one-worker pool, as a scheduler for ``scheduler=``."""
+    ready = DRRReadyQueue()
+    pool = WorkerPool(ready, workers=1)
+    pool.start()
+    yield SimpleNamespace(notify=ready.push)
+    pool.stop()
 
 
 class TestSessionConfig:
@@ -65,7 +98,7 @@ class TestSessionConfig:
                           backpressure="panic")
 
     @pytest.mark.parametrize("field,value", [
-        ("queue_max", 0), ("batch_max_items", 0), ("batch_max_delay", -1.0),
+        ("queue_max", 0), ("batch_max_items", 0),
     ])
     def test_rejects_nonpositive_limits(self, field, value):
         with pytest.raises(SessionError):
@@ -210,15 +243,12 @@ class TestSinks:
 
 
 class TestJoinSession:
-    @pytest.mark.parametrize("batch_max_items,batch_max_delay", [
-        (1, 0.0), (7, 0.0), (128, 0.01),
-    ])
-    def test_session_output_matches_streaming_self_join(
-            self, batch_max_items, batch_max_delay):
+    @pytest.mark.parametrize("batch_max_items", [1, 7, 128])
+    def test_session_output_matches_streaming_self_join(self,
+                                                        batch_max_items):
         vectors = random_vectors(80, seed=23)
         expected, expected_stats = expected_pairs(vectors)
-        session = make_session(batch_max_items=batch_max_items,
-                               batch_max_delay=batch_max_delay)
+        session = make_session(batch_max_items=batch_max_items)
         session.ingest(vectors)
         summary = session.drain()
         pairs, _, _ = session.results.read(0)
@@ -266,17 +296,17 @@ class TestJoinSession:
 
     def test_drop_policy_drops_newest_and_stays_deterministic(self):
         vectors = random_vectors(30, seed=41)
-        session = make_session(queue_max=10, backpressure="drop")
-        # Hold the worker back so the bounded queue actually fills.
-        session.start = lambda: None  # type: ignore[method-assign]
+        # Hold the session back so the bounded queue actually fills.
+        scheduler = HeldScheduler()
+        session = make_session(queue_max=10, backpressure="drop",
+                               scheduler=scheduler)
         accepted_vectors = []
         for vector in vectors:
             accepted, dropped = session.ingest([vector])
             if accepted:
                 accepted_vectors.append(vector)
         assert session.dropped == len(vectors) - 10
-        del session.start  # restore the real method
-        session.start()
+        scheduler.release()
         session.drain()
         pairs, _, _ = session.results.read(0)
         expected, _ = expected_pairs(accepted_vectors)
@@ -285,12 +315,37 @@ class TestJoinSession:
 
     def test_error_policy_raises_backpressure_error(self):
         vectors = random_vectors(12, seed=43)
-        session = make_session(queue_max=4, backpressure="error")
-        session.start = lambda: None  # type: ignore[method-assign]
+        scheduler = HeldScheduler()
+        session = make_session(queue_max=4, backpressure="error",
+                               scheduler=scheduler)
         with pytest.raises(BackpressureError):
             session.ingest(vectors)
         assert session.accepted == 4
-        del session.start
+        scheduler.release()
+        session.close()
+
+    def test_vectors_accepted_before_a_refusal_are_still_scheduled(
+            self, one_worker):
+        """An ingest that raises mid-batch still wakes the scheduler for
+        the vectors it accepted before the refusal — under the "error"
+        policy a lost wakeup would wedge the session for good."""
+        from repro.exceptions import StreamOrderError
+
+        vectors = random_vectors(8, seed=43)
+        session = make_session(queue_max=4, backpressure="error",
+                               scheduler=one_worker)
+        with pytest.raises(BackpressureError):
+            session.ingest(vectors)
+        assert session.accepted == 4
+        wait_until(lambda: session.processed == 4)
+        late = SparseVector(99, vectors[4].timestamp - 1.0, {1: 1.0})
+        with pytest.raises(StreamOrderError):
+            session.ingest([vectors[4], late])
+        wait_until(lambda: session.processed == 5)
+        session.ingest(vectors[5:])
+        session.drain()
+        pairs, _, _ = session.results.read(0)
+        assert pairs == expected_pairs(vectors)[0]
         session.close()
 
     def test_block_policy_blocks_until_the_worker_catches_up(self):
@@ -322,10 +377,10 @@ class TestJoinSession:
             raise RuntimeError("sink disk full")
 
         config = SessionConfig(name="s", threshold=THETA, decay=DECAY,
-                               batch_max_items=1, batch_max_delay=0.0)
+                               batch_max_items=1)
         session = JoinSession(config, sinks=[CallbackSink(explode)])
         # Two identical simultaneous vectors force a pair, which makes the
-        # sink blow up inside the worker thread.
+        # sink blow up inside the quantum.
         session.ingest([SparseVector(0, 0.0, {1: 1.0}),
                         SparseVector(1, 0.0, {1: 1.0})])
         with pytest.raises(SessionError):
@@ -338,18 +393,17 @@ class TestJoinSession:
 
     def test_vectors_accepted_behind_a_drain_token_are_still_processed(self):
         """A producer can race drain(): its status check passes before the
-        worker flips the state, leaving accepted vectors queued *behind*
+        quantum flips the state, leaving accepted vectors queued *behind*
         the drain token.  They were acknowledged, so drain must process
         them rather than silently drop them."""
         vectors = random_vectors(30, seed=107)
         expected, _ = expected_pairs(vectors)
-        session = make_session()
-        session.start = lambda: None  # type: ignore[method-assign]
+        scheduler = HeldScheduler()
+        session = make_session(scheduler=scheduler)
         session.ingest(vectors[:20])
         reply, done = session._enqueue_control("drain")
         session.ingest(vectors[20:])  # accepted behind the drain barrier
-        del session.start
-        session.start()
+        scheduler.release()
         session._await_control(done, reply, 30.0)
         assert reply["processed"] == 30
         pairs, _, _ = session.results.read(0)
@@ -408,8 +462,7 @@ class TestRecovery:
         expected, expected_stats = expected_pairs(vectors, backend=backend)
         ckpt = tmp_path / "s.ckpt"
         config = SessionConfig(name="s", threshold=THETA, decay=DECAY,
-                               backend=backend, batch_max_items=8,
-                               batch_max_delay=0.0)
+                               backend=backend, batch_max_items=8)
         session = JoinSession(config, sinks=[JsonlSink(tmp_path / "p.jsonl")],
                               checkpoint_path=ckpt)
         session.ingest(vectors[:50])
@@ -447,8 +500,7 @@ class TestRecovery:
     def test_periodic_checkpoints_fire_between_batches(self, tmp_path):
         ckpt = tmp_path / "s.ckpt"
         config = SessionConfig(name="s", threshold=THETA, decay=DECAY,
-                               batch_max_items=5, batch_max_delay=0.0,
-                               checkpoint_every_items=10)
+                               batch_max_items=5, checkpoint_every_items=10)
         session = JoinSession(config, checkpoint_path=ckpt)
         session.ingest(random_vectors(40, seed=71))
         session.drain()
@@ -484,6 +536,38 @@ class TestRecovery:
         assert resumed.results.count == emitted_before
         assert resumed.results.first_retained == emitted_before
         resumed.close()
+
+    def test_kill_waits_out_the_running_quantum(self, tmp_path, one_worker):
+        """kill() returns only once the quantum in flight has finished:
+        nothing — a periodic checkpoint included — happens after it."""
+        entered, release = threading.Event(), threading.Event()
+
+        def slow(_pair):
+            entered.set()
+            release.wait(10.0)
+
+        config = SessionConfig(name="s", threshold=THETA, decay=DECAY,
+                               batch_max_items=1, checkpoint_every_items=1)
+        session = JoinSession(config, sinks=[CallbackSink(slow)],
+                              checkpoint_path=tmp_path / "s.ckpt",
+                              scheduler=one_worker)
+        session.ingest([SparseVector(0, 0.0, {1: 1.0}),
+                        SparseVector(1, 0.0, {1: 1.0})])
+        assert entered.wait(10.0)  # the quantum is blocked in the sink
+        written_at_kill = []
+
+        def crash():
+            session.kill()
+            written_at_kill.append(session._checkpointer.checkpoints_written)
+
+        killer = threading.Thread(target=crash)
+        killer.start()
+        time.sleep(0.1)
+        release.set()
+        killer.join(10.0)
+        assert written_at_kill and session.status == "killed"
+        time.sleep(0.2)
+        assert session._checkpointer.checkpoints_written == written_at_kill[0]
 
 
 class TestJoinServiceDispatch:
@@ -550,6 +634,8 @@ class TestJoinServiceDispatch:
         for session in service.sessions.values():
             session.kill()
 
+        service.shutdown()
+
         reborn = JoinService(checkpoint_dir=tmp_path)
         assert reborn.recover_sessions() == ["s1"]
         resumed = reborn.sessions["s1"]
@@ -590,7 +676,7 @@ class TestServiceOverSockets:
             assert client.results("s1")["pairs"] == expected
             stats = client.stats("s1")
             assert stats["sessions"]["s1"]["pairs_emitted"] == len(expected)
-            client.shutdown()
+            assert client.shutdown()["ok"]
         thread.join(timeout=10)
         assert not thread.is_alive()
         assert read_jsonl_pairs(tmp_path / "p.jsonl") == expected
@@ -653,8 +739,7 @@ class TestFaultTolerantService:
             raise RuntimeError("sink disk full")
 
         config = SessionConfig(name="s", threshold=THETA, decay=DECAY,
-                               batch_max_items=1, batch_max_delay=0.0,
-                               sink_retries=0)
+                               batch_max_items=1, sink_retries=0)
         session = JoinSession(config, sinks=[CallbackSink(explode)])
         session.ingest([SparseVector(0, 0.0, {1: 1.0}),
                         SparseVector(1, 0.0, {1: 1.0})])
@@ -668,7 +753,7 @@ class TestFaultTolerantService:
         response = service.handle({"op": "results", "session": "s"})
         assert not response["ok"]
         assert "sink disk full" in response.get("traceback", "")
-        session.close()
+        service.shutdown()
 
     def test_injected_sink_failure_is_retried_without_loss(self):
         from repro.faults import FaultInjector
@@ -747,6 +832,34 @@ class TestFaultTolerantService:
         injector = server.service.fault_injector
         assert [e["kind"] for e in injector.fired] == ["sever-client"]
 
+    @pytest.mark.skipif("numpy" not in available_backends(),
+                        reason="sharded engine needs the NumPy backend")
+    def test_sever_reaches_the_client_while_shard_workers_live(self):
+        """Forked shard workers inherit the client socket, so closing it
+        alone sends no FIN: the client must still see the sever at once,
+        not after its own read timeout."""
+        vectors = random_vectors(40, seed=235)
+        expected, _ = expected_pairs(vectors, backend="numpy")
+        server, _ = serve(port=0, pool_workers=2,
+                          fault_plan="sever-client:after=1")
+        thread = threading.Thread(target=server.serve_until_shutdown,
+                                  daemon=True)
+        thread.start()
+        host, port = server.address
+        with ServiceClient(host, port, timeout=20.0,
+                           backoff_base=0.01) as client:
+            client.open_session("s", theta=THETA, decay=DECAY,
+                                normalize=False, backend="numpy", workers=2,
+                                shard_executor="process")
+            start = time.monotonic()
+            totals = client.ingest("s", vectors, chunk_size=10)
+            assert time.monotonic() - start < 5.0
+            assert client.reconnects >= 1 and totals["deduped"] == 10
+            client.drain("s")
+            assert client.results("s")["pairs"] == expected
+            client.shutdown()
+        thread.join(timeout=10)
+
     def test_drain_and_close_are_idempotent_over_the_protocol(self):
         vectors = random_vectors(20, seed=239)
         service = JoinService()
@@ -763,25 +876,28 @@ class TestFaultTolerantService:
         missing = service.handle({"op": "close", "session": "s"})
         assert closed["ok"] and missing["ok"]
         assert missing.get("missing") is True
+        service.shutdown()
 
     def test_server_read_deadline_disconnects_wedged_clients(self):
-        import socket as socket_module
-        import time as time_module
-
         server, _ = serve(port=0, read_timeout=0.3)
         thread = threading.Thread(target=server.serve_until_shutdown,
                                   daemon=True)
         thread.start()
         host, port = server.address
         try:
-            with socket_module.create_connection((host, port),
-                                                 timeout=5.0) as wedged:
-                # Send nothing: the handler's read deadline must close the
-                # connection instead of pinning its thread forever.
+            with socket.create_connection((host, port), timeout=5.0) as wedged:
+                # Send nothing: the read deadline must close the
+                # connection instead of holding its slot forever.
                 wedged.settimeout(5.0)
-                start = time_module.monotonic()
+                start = time.monotonic()
                 assert wedged.recv(1) == b""
-                assert time_module.monotonic() - start < 4.0
+                assert time.monotonic() - start < 4.0
+            with socket.create_connection((host, port), timeout=5.0) as quiet:
+                # Same for a client that was served once, then went quiet.
+                quiet.sendall(b'{"op": "ping"}\n')
+                stream = quiet.makefile("rb")
+                assert json.loads(stream.readline())["pong"]
+                assert stream.readline() == b""
             # A well-behaved client still works afterwards.
             with ServiceClient(host, port) as client:
                 assert client.ping()["pong"]
@@ -848,13 +964,11 @@ class TestFaultTolerantService:
     seed=st.integers(0, 10_000),
     count=st.integers(10, 60),
     batch_max_items=st.integers(1, 16),
-    batch_max_delay=st.sampled_from([0.0, 0.002]),
     queue_max=st.integers(8, 64),
     backpressure=st.sampled_from(["block", "drop", "error"]),
 )
 def test_service_is_deterministic_for_any_policy(seed, count, batch_max_items,
-                                                 batch_max_delay, queue_max,
-                                                 backpressure):
+                                                 queue_max, backpressure):
     """Any batching/backpressure configuration emits exactly the
     ``streaming_self_join`` pairs (the queue never overflows here, so the
     drop/error policies accept the whole stream)."""
@@ -862,7 +976,7 @@ def test_service_is_deterministic_for_any_policy(seed, count, batch_max_items,
     expected, expected_stats = expected_pairs(vectors)
     config = SessionConfig(
         name="h", threshold=THETA, decay=DECAY,
-        batch_max_items=batch_max_items, batch_max_delay=batch_max_delay,
+        batch_max_items=batch_max_items,
         queue_max=max(queue_max, count if backpressure != "block" else queue_max),
         backpressure=backpressure)
     session = JoinSession(config)
@@ -893,8 +1007,7 @@ def test_service_recovery_is_deterministic(tmp_path_factory, seed, count,
     split_at = max(1, int(count * split))
     ckpt = tmp_path / "h.ckpt"
     config = SessionConfig(name="h", threshold=THETA, decay=DECAY,
-                           batch_max_items=batch_max_items,
-                           batch_max_delay=0.0)
+                           batch_max_items=batch_max_items)
     session = JoinSession(config, sinks=[JsonlSink(tmp_path / "p.jsonl")],
                           checkpoint_path=ckpt)
     session.ingest(vectors[:split_at])
