@@ -708,6 +708,37 @@ class TestSelectorServer:
             thread.join(timeout=10)
         assert not thread.is_alive()
 
+    def test_shutdown_op_stops_the_loop(self, tmp_path):
+        server, _ = serve(port=0, pool_workers=1)
+        thread = threading.Thread(target=server.serve_until_shutdown,
+                                  daemon=True)
+        thread.start()
+        host, port = server.address
+        with ServiceClient(host, port) as client:
+            assert client.shutdown()["ok"]
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+
+    def test_idle_connection_is_dropped_after_read_timeout(self, tmp_path):
+        server, _ = serve(port=0, pool_workers=1, read_timeout=0.3)
+        thread = threading.Thread(target=server.serve_until_shutdown,
+                                  daemon=True)
+        thread.start()
+        try:
+            host, port = server.address
+            with socket.create_connection((host, port), timeout=10) as sock:
+                sock.sendall(b'{"op": "ping"}\n')
+                stream = sock.makefile("rb")
+                assert json.loads(stream.readline())["pong"]
+                # Go quiet: the server must close the connection, not pin
+                # its loop slot forever.
+                sock.settimeout(5.0)
+                assert stream.readline() == b""
+        finally:
+            server.service.shutdown()
+            server.request_stop()
+            thread.join(timeout=10)
+
     def test_wrong_typed_field_gets_an_error_and_the_connection_lives(
             self, selector_server):
         host, port = selector_server.address
