@@ -160,16 +160,16 @@ class ScoreAccumulator(ABC):
     """Per-query score table ``C`` filled in by the scan kernels.
 
     Create one per candidate-generation pass via
-    :meth:`SimilarityKernel.new_accumulator`, feed it to the ``scan_*``
-    kernels, then hand the result to verification with :meth:`finalize`.
+    :meth:`SimilarityKernel.new_accumulator`, feed it to a ``scan_query_*``
+    call, then hand the result to verification with :meth:`finalize`.
     """
 
     @abstractmethod
     def finalize(self) -> CandidateSet:
         """Freeze the accumulated scores into a :class:`CandidateSet`.
 
-        Must be called exactly once, after the last ``scan_*`` call of the
-        pass; the accumulator must not be fed to a scan kernel afterwards.
+        Must be called exactly once, after the last scan call of the pass;
+        the accumulator must not be fed to a scan afterwards.
         """
 
 
@@ -225,8 +225,7 @@ class SimilarityKernel(ABC):
         Backends with one-time setup that would otherwise pollute the
         first query's timings — the compiled tier's JIT compilation —
         perform it here and return the seconds spent, so drivers
-        (profiling wrapper, benchmark gates, shard-worker factory) can
-        report it separately.  Idempotent; the default is a no-op.
+        (profiling wrapper, benchmark gates) can report it separately.  Idempotent; the default is a no-op.
         """
         return 0.0
 
@@ -241,7 +240,7 @@ class SimilarityKernel(ABC):
 
     #: Active :class:`repro.approx.SignatureScheme`, ``None`` in exact mode.
     _sketch_scheme: Any = None
-    #: Current query's signature, installed per fused ``scan_query_*`` call.
+    #: Current query's signature, installed per ``scan_query_*`` call.
     _sketch_query: Any = None
 
     def configure_approx(self, config: Any) -> None:
@@ -264,7 +263,7 @@ class SimilarityKernel(ABC):
         self._sketch_fail: set[int] = set()
 
     def _install_query_sketch(self, vector: "SparseVector") -> None:
-        """Compute the signature of the query one fused scan is about to run.
+        """Compute the signature of the query one scan is about to run.
 
         The vector itself is remembered so the ``note_vector_indexed`` hook
         — which in the streaming frameworks fires for the very same vector
@@ -406,69 +405,16 @@ class SimilarityKernel(ABC):
         return stop - start
 
     # -- candidate generation ------------------------------------------------
-
-    @abstractmethod
-    def scan_inv_batch(self, plist: Any, value: float,
-                       acc: ScoreAccumulator) -> int:
-        """INV batch scan: exact accumulation, no filters.
-
-        Adds ``value * entry.value`` to every posting's candidate and
-        returns the number of entries traversed.
-        """
-
-    @abstractmethod
-    def scan_inv_stream(self, plist: Any, value: float, cutoff: float,
-                        acc: ScoreAccumulator) -> tuple[int, int]:
-        """STR-INV scan with lazy time filtering on a time-ordered list.
-
-        Accumulates over the postings with ``timestamp >= cutoff``, records
-        candidate arrival times, truncates the expired head, and returns
-        ``(entries_traversed, entries_removed)``.
-        """
-
-    @abstractmethod
-    def scan_prefix_batch(self, plist: Any, value: float,
-                          query_prefix_norm: float, admit_new: bool,
-                          threshold: float, use_ap: bool, use_l2: bool,
-                          sz1: float, size_filter: SizeFilterMap,
-                          acc: ScoreAccumulator) -> int:
-        """Batch prefix-filter scan (Algorithm 3 inner loop).
-
-        Applies the remaining-score admission (``admit_new``), the sz1 size
-        filter (when ``use_ap``) and the l2bound early pruning (when
-        ``use_l2``).  Returns the number of entries traversed.
-        """
-
-    @abstractmethod
-    def scan_prefix_stream(self, plist: Any, value: float,
-                           query_prefix_norm: float, now: float,
-                           cutoff: float, decay: float, rs1: float,
-                           rs2: float, sz1: float, threshold: float,
-                           use_ap: bool, use_l2: bool, time_ordered: bool,
-                           size_filter: SizeFilterMap,
-                           acc: ScoreAccumulator) -> tuple[int, int]:
-        """Streaming prefix-filter scan (Algorithm 7 inner loop).
-
-        Combines time filtering (backward truncation when ``time_ordered``,
-        masked/amortised compaction otherwise) with the decayed admission
-        and pruning bounds.  Returns ``(entries_traversed, entries_removed)``
-        where both counts are *logical*: a backend may defer the physical
-        removal of expired postings, but must report them exactly once.
-        """
-
-    # -- fused whole-query candidate generation ------------------------------
     #
-    # The index drivers issue one ``scan_query_*`` call per query instead
-    # of one ``scan_*`` call per query term.  The default implementations
-    # below are the verbatim per-term driver loops (bound maintenance
-    # across query positions included), so backends that only implement
-    # the per-term kernels — the reference backend among them — behave
-    # exactly as before; a backend may override them to fuse the whole
-    # query into one pass over its storage (see the NumPy backend's
-    # posting arena).  Overrides must be observationally identical to
-    # these loops: same candidates in the same order, same operation
-    # counts, bit-for-bit equal accumulated scores.
+    # The index drivers issue one ``scan_query_*`` call per query; each
+    # backend implements the whole query's scan in one place.  The
+    # reference backend runs the paper's per-term loops (bound maintenance
+    # across query positions included); the NumPy backend fuses the query
+    # into one pass over its posting arena.  Implementations must be
+    # observationally identical: same candidates in the same order, same
+    # operation counts, bit-for-bit equal accumulated scores.
 
+    @abstractmethod
     def scan_query_batch(self, vector: "SparseVector", index: Any, *,
                          threshold: float, rs1: float,
                          maxima: Sequence[float] | None, sz1: float,
@@ -480,32 +426,14 @@ class SimilarityKernel(ABC):
         Scans the query's dimensions from the highest position down,
         maintaining the remaining-score bounds ``rs1`` (AP, seeded by the
         caller with ``m̂ · x`` and decremented with ``maxima``, the
-        per-position maxima of the indexed data) and ``rs2`` (ℓ₂).
-        Returns the number of posting entries traversed.
+        per-position maxima of the indexed data) and ``rs2`` (ℓ₂); a
+        posting list admits new candidates only while ``min(rs1, rs2) ≥ θ``,
+        applies the sz1 size filter (when ``use_ap``) and the l2bound early
+        pruning (when ``use_l2``).  Returns the number of posting entries
+        traversed.
         """
-        self._install_query_sketch(vector)
-        dims = vector.dims
-        values = vector.values
-        rst = vector.norm * vector.norm
-        rs2 = math.sqrt(rst) if use_l2 else math.inf
-        traversed = 0
-        for position in range(len(dims) - 1, -1, -1):
-            value = values[position]
-            posting_list = index.get(dims[position])
-            if posting_list is not None:
-                admit_new = min(rs1, rs2) >= threshold
-                traversed += self.scan_prefix_batch(
-                    posting_list, value, vector.prefix_norm_before(position),
-                    admit_new, threshold, use_ap, use_l2,
-                    sz1, size_filter, acc,
-                )
-            if use_ap:
-                rs1 -= value * maxima[position]  # type: ignore[index]
-            rst -= value * value
-            if use_l2:
-                rs2 = math.sqrt(max(rst, 0.0))
-        return traversed
 
+    @abstractmethod
     def scan_query_stream(self, vector: "SparseVector", index: Any, *,
                           now: float, cutoff: float, decay: float,
                           rs1: float,
@@ -516,195 +444,34 @@ class SimilarityKernel(ABC):
                           acc: ScoreAccumulator) -> tuple[int, int]:
         """Streaming prefix-filter candidate generation (Algorithm 7).
 
-        Like :meth:`scan_query_batch` with time filtering and decayed
-        bounds; ``decayed_maxima`` holds ``m̂^λ`` evaluated at ``now`` for
-        each query position (when ``use_ap``).  Returns
+        Like :meth:`scan_query_batch` with time filtering (backward
+        truncation when ``time_ordered``, masked removal otherwise) and
+        decayed bounds; ``decayed_maxima`` holds ``m̂^λ`` evaluated at
+        ``now`` for each query position (when ``use_ap``).  Returns
         ``(entries_traversed, entries_removed)`` totals across the query's
-        posting lists.
+        posting lists; both counts are *logical*: a backend may defer the
+        physical removal of expired postings, but must report them exactly
+        once.
         """
-        self._install_query_sketch(vector)
-        dims = vector.dims
-        values = vector.values
-        prefix_norms = vector._prefix_norms
-        rst = vector.norm * vector.norm
-        rs2 = math.sqrt(rst) if use_l2 else math.inf
-        index_get = index.get
-        scan = self.scan_prefix_stream
-        traversed = 0
-        removed = 0
-        for position in range(len(dims) - 1, -1, -1):
-            value = values[position]
-            posting_list = index_get(dims[position])
-            if posting_list is not None and len(posting_list):
-                scanned, pruned = scan(
-                    posting_list, value, prefix_norms[position],
-                    now, cutoff, decay, rs1, rs2, sz1, threshold,
-                    use_ap, use_l2, time_ordered, size_filter, acc,
-                )
-                traversed += scanned
-                removed += pruned
-            if use_ap:
-                rs1 -= value * decayed_maxima[position]  # type: ignore[index]
-            rst -= value * value
-            if use_l2:
-                rs2 = math.sqrt(max(rst, 0.0))
-        return traversed, removed
 
+    @abstractmethod
     def scan_query_inv_batch(self, vector: "SparseVector", index: Any,
                              acc: ScoreAccumulator) -> int:
-        """Batch INV candidate generation: exact accumulation, no filters."""
-        traversed = 0
-        for dim, value in vector:
-            posting_list = index.get(dim)
-            if posting_list is None:
-                continue
-            traversed += self.scan_inv_batch(posting_list, value, acc)
-        return traversed
+        """Batch INV candidate generation: exact accumulation, no filters.
 
+        Returns the number of posting entries traversed.
+        """
+
+    @abstractmethod
     def scan_query_inv_stream(self, vector: "SparseVector", index: Any,
                               cutoff: float,
                               acc: ScoreAccumulator) -> tuple[int, int]:
         """STR-INV candidate generation with lazy time filtering.
 
-        Returns ``(entries_traversed, entries_removed)`` totals.
+        Accumulates over the postings with ``timestamp >= cutoff``, records
+        candidate arrival times, truncates the expired heads, and returns
+        ``(entries_traversed, entries_removed)`` totals.
         """
-        traversed = 0
-        removed = 0
-        for dim, value in vector:
-            posting_list = index.get(dim)
-            if posting_list is None:
-                continue
-            scanned, pruned = self.scan_inv_stream(posting_list, value,
-                                                   cutoff, acc)
-            traversed += scanned
-            removed += pruned
-        return traversed, removed
-
-    # -- partial accumulation (sharded candidate generation) ------------------
-    #
-    # The sharded join splits each streaming scan into a per-shard *gather*
-    # (time filtering + per-posting products, no global admission) and a
-    # coordinator-side *replay* of the admission/pruning/accumulation
-    # sequence.  ``gather_*_partials`` is the worker half; it must report
-    # exactly the logical ``traversed``/``removed`` counts the fused
-    # single-process scan would, and leave the posting lists in an
-    # equivalent logical state.  The defaults below are per-entry loops
-    # over the generic posting-list interface (matching the reference
-    # backend's eager-compaction bookkeeping); the NumPy backend overrides
-    # them with vectorised arena gathers.  The replay half lives on the
-    # NumPy kernel (``apply_scan_partials``/``apply_inv_partials``), which
-    # the coordinator requires.
-
-    def begin_maintenance_cycle(self) -> None:
-        """Start one query's worth of amortised index maintenance.
-
-        Called once per scan step by the sharded workers (the single-process
-        drivers reach the same code through ``new_accumulator``).  Backends
-        with deferred physical maintenance (the NumPy arena) replenish
-        their per-query compaction budget here; the default is a no-op.
-        """
-
-    def gather_scan_partials(self, segments: Sequence[tuple[int, float, float, Any]],
-                             *, now: float, cutoff: float, decay: float,
-                             use_l2: bool, time_ordered: bool,
-                             ) -> tuple[list[SegmentPartial], int, int]:
-        """Gather streaming prefix-scan partials for ``segments``.
-
-        ``segments`` holds ``(position, value, query_prefix_norm,
-        posting_list)`` for the query terms owned by this worker, in scan
-        order (descending position) and restricted to non-empty lists.
-        Returns ``(partials, entries_traversed, entries_removed)``.
-        """
-        import numpy as np
-
-        partials: list[SegmentPartial] = []
-        traversed_total = 0
-        removed_total = 0
-        for position, value, query_prefix_norm, plist in segments:
-            live: list[Any] = []
-            if time_ordered:
-                alive = 0
-                for entry in plist.iter_newest_first():
-                    if entry.timestamp < cutoff:
-                        break
-                    alive += 1
-                    live.append(entry)
-                removed = plist.keep_newest(alive)
-                traversed = alive
-            else:
-                traversed = 0
-                kept = []
-                for entry in plist:
-                    traversed += 1
-                    if entry.timestamp < cutoff:
-                        continue
-                    kept.append(entry)
-                    live.append(entry)
-                removed = traversed - len(kept)
-                if removed:
-                    plist.replace_all_entries(kept)
-            timestamps = np.asarray([entry.timestamp for entry in live],
-                                    dtype=np.float64)
-            contrib = value * np.asarray([entry.value for entry in live],
-                                         dtype=np.float64)
-            decay_factors = np.exp(-decay * (now - timestamps))
-            if use_l2:
-                tails = query_prefix_norm * np.asarray(
-                    [entry.prefix_norm for entry in live], dtype=np.float64)
-                tails *= decay_factors
-            else:
-                tails = None
-            partials.append(SegmentPartial(
-                position=position, value=value,
-                query_prefix_norm=query_prefix_norm,
-                slots=np.asarray([entry.vector_id for entry in live],
-                                 dtype=np.int64),
-                contrib=contrib, tails=tails, decay_factors=decay_factors,
-                min_ts=float(timestamps.min()) if len(live) else math.inf,
-                max_ts=float(timestamps.max()) if len(live) else -math.inf,
-                traversed=traversed, removed=removed,
-            ))
-            traversed_total += traversed
-            removed_total += removed
-        return partials, traversed_total, removed_total
-
-    def gather_inv_partials(self, segments: Sequence[tuple[int, float, Any]],
-                            *, cutoff: float,
-                            ) -> tuple[list[SegmentPartial], int, int]:
-        """Gather STR-INV scan partials (newest-first, lazy head truncation).
-
-        ``segments`` holds ``(position, value, posting_list)`` in query
-        order for the non-empty lists this worker owns.  Returns
-        ``(partials, entries_traversed, entries_removed)``.
-        """
-        import numpy as np
-
-        partials: list[SegmentPartial] = []
-        traversed_total = 0
-        removed_total = 0
-        for position, value, plist in segments:
-            live: list[Any] = []
-            for entry in plist.iter_newest_first():
-                if entry.timestamp < cutoff:
-                    break
-                live.append(entry)
-            removed = plist.keep_newest(len(live))
-            timestamps = np.asarray([entry.timestamp for entry in live],
-                                    dtype=np.float64)
-            partials.append(SegmentPartial(
-                position=position, value=value, query_prefix_norm=0.0,
-                slots=np.asarray([entry.vector_id for entry in live],
-                                 dtype=np.int64),
-                contrib=value * np.asarray([entry.value for entry in live],
-                                           dtype=np.float64),
-                timestamps=timestamps,
-                min_ts=float(timestamps.min()) if len(live) else math.inf,
-                max_ts=float(timestamps.max()) if len(live) else -math.inf,
-                traversed=len(live), removed=removed,
-            ))
-            traversed_total += len(live)
-            removed_total += removed
-        return partials, traversed_total, removed_total
 
     # -- candidate verification ----------------------------------------------
 

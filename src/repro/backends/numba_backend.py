@@ -36,10 +36,10 @@ without numba.
 
 Warm-up: the first call into each compiled function pays its JIT
 compilation.  Call :meth:`NumbaKernel.warmup` before timing anything —
-the profiling wrapper, the benchmark gates and the shard-worker factory
-all do — so the one-time cost is reported separately and never pollutes
-stage timings.  The compiled functions are module-level, so one warm-up
-covers every kernel instance in the process.
+the profiling wrapper and the benchmark gates do — so the one-time cost
+is reported separately and never pollutes stage timings.  The compiled
+functions are module-level, so one warm-up covers every kernel instance
+in the process.
 """
 
 from __future__ import annotations
@@ -70,9 +70,9 @@ class NumbaKernel(NumpyKernel):
     def availability_reason(cls) -> str | None:
         return kernels.NUMBA_UNAVAILABLE_REASON
 
-    def __init__(self, *, fused: bool = True, arena_allocator=None,
+    def __init__(self, *, arena_allocator=None,
                  use_kernels: bool | None = None) -> None:
-        super().__init__(fused=fused, arena_allocator=arena_allocator)
+        super().__init__(arena_allocator=arena_allocator)
         # True → route through the kernel functions (compiled under
         # numba, plain Python otherwise); False → pure NumPy behaviour.
         self._use_kernels = (kernels.NUMBA_AVAILABLE if use_kernels is None

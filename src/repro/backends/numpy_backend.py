@@ -9,9 +9,7 @@ extent table.  The three hot loops then become array kernels:
 * **candidate accumulation** — the fused ``scan_query_*`` kernels gather
   every matched dimension's live range out of the arena in one pass and
   accumulate the whole query's candidates with a handful of array
-  operations, instead of one Python→NumPy round trip per query term (the
-  per-term ``scan_*`` kernels remain as the building blocks of the
-  fallback path and of other backends),
+  operations, instead of one Python→NumPy round trip per query term,
 * **decay and time filtering** — head truncation for time-ordered lists;
   unordered lists are filtered by a boolean *expiry mask* whose physical
   compaction is amortised (see below),
@@ -86,9 +84,8 @@ different treatments:
   candidates inside the band, so verification decisions and counters are
   exactly equal by construction;
 * **candidate-generation scans** — the per-entry decayed admission and
-  ``l2bound`` pruning (inherited unchanged from the first vectorised
-  backend) still compare ``np.exp``-damped *conservative filter bounds*
-  directly; a pair would have to sit within one ulp of such a bound for
+  ``l2bound`` pruning still compare ``np.exp``-damped *conservative
+  filter bounds* directly; a pair would have to sit within one ulp of such a bound for
   any count or output to differ, which the equivalence suite checks never
   happens on the paper's profiles.  (The whole-scan admission shortcut
   uses ``math.exp`` and is exact.)
@@ -113,7 +110,6 @@ from repro.backends.base import (
 )
 from repro.core.results import JoinStatistics, SimilarPair
 from repro.core.vector import SparseVector
-from repro.exceptions import InvalidParameterError
 from repro.indexes.bounds import IndexingSplit, compute_indexing_split
 from repro.indexes.maxvector import MaxVector
 from repro.indexes.residual import ResidualEntry, ResidualIndex
@@ -126,10 +122,10 @@ _INF = math.inf
 #: Dimensions above this threshold fall back to dict-based dot products
 #: instead of growing the dense scratch vector (2**24 floats = 128 MiB).
 _DENSE_DIM_LIMIT = 1 << 24
-#: Posting lists at or below this length are scanned by a scalar loop over
-#: the same slot state: per-call ufunc dispatch overhead beats the loop on
-#: short lists (the regime of short horizons / small indexes), while long
-#: lists — the actual hot path — go through the vectorised kernels.
+#: Scan segments at or below this length are processed by a scalar loop
+#: over the same slot state: per-call ufunc dispatch overhead beats the loop
+#: on short lists (the regime of short horizons / small indexes), while
+#: long lists — the actual hot path — go through the vectorised kernels.
 _SCALAR_SCAN_CUTOFF = 12
 #: Vectors at or below this length run the pure-Python indexing-split loop.
 _SCALAR_SPLIT_CUTOFF = 8
@@ -259,18 +255,46 @@ class NumpySizeFilter(SizeFilterMap):
         return self._kernel._slot_sf[slots]
 
 
+class _LiveGather:
+    """The live postings of one query's posting lists (see ``_gather_live``).
+
+    ``idx`` holds their arena offsets in scan order and ``timestamps``
+    their arrival times (``None`` unless gathered); ``counts``/``offsets``
+    delimit each list's segment inside ``idx``.  ``seg_min``/``seg_max``
+    are each segment's extreme live timestamps (``±inf`` when empty) and
+    ``seg_traversed``/``seg_removed`` its logical operation counts, with
+    ``traversed``/``removed`` their totals.  ``drops`` and ``lazy`` are
+    the deferred head truncations and lazy-expiry updates.
+    """
+
+    __slots__ = ("idx", "timestamps", "counts", "offsets", "seg_min",
+                 "seg_max", "seg_traversed", "seg_removed", "traversed",
+                 "removed", "drops", "lazy")
+
+    def __init__(self, idx, timestamps, counts, offsets, seg_min, seg_max,
+                 seg_traversed, seg_removed, traversed, removed, drops,
+                 lazy) -> None:
+        self.idx = idx
+        self.timestamps = timestamps
+        self.counts = counts
+        self.offsets = offsets
+        self.seg_min = seg_min
+        self.seg_max = seg_max
+        self.seg_traversed = seg_traversed
+        self.seg_removed = seg_removed
+        self.traversed = traversed
+        self.removed = removed
+        self.drops = drops
+        self.lazy = lazy
+
+
 class NumpyKernel(SimilarityKernel):
     """Vectorised array kernels over slot-interned candidate state."""
 
     name = "numpy"
     description = "vectorised contiguous-array kernels (requires numpy)"
 
-    def __init__(self, *, fused: bool = True, arena_allocator=None) -> None:
-        #: Whether the fused ``scan_query_*`` kernels are enabled.  With
-        #: ``fused=False`` the kernel falls back to the base class's
-        #: per-term driver loop over the ``scan_*`` kernels — the path the
-        #: fused implementations are parity-tested against.
-        self._fused = fused
+    def __init__(self, *, arena_allocator=None) -> None:
         # ``arena_allocator`` lets a caller place the posting arena's
         # backing buffers wherever it likes — the sharded workers pass a
         # multiprocessing.shared_memory-backed allocator (see
@@ -479,13 +503,8 @@ class NumpyKernel(SimilarityKernel):
         boolean lookup.  The fused scans drop rejected candidates'
         postings right after the time filter and before admission, so
         bounds resolved from the pre-sketch live extremes stay
-        conservative.  The per-term fallback path would silently bypass
-        the filter, so non-fused kernels reject the configuration.
+        conservative.
         """
-        if not self._fused:
-            raise InvalidParameterError(
-                "approx mode requires the fused NumPy kernels; "
-                "NumpyKernel(fused=False) cannot host the sketch prefilter")
         super().configure_approx(config)
         capacity = len(self._slot_ids)
         self._slot_bands = np.zeros((config.bands, capacity), dtype=np.uint64)
@@ -720,213 +739,7 @@ class NumpyKernel(SimilarityKernel):
         return IndexingSplit(boundary=position,
                              pscore=min(b1_bound, b2_bound))
 
-    # -- INV scans -----------------------------------------------------------
-
-    def _accumulate(self, slots: np.ndarray, contributions: np.ndarray,
-                    acc: NumpyAccumulator) -> None:
-        """Unfiltered scatter-accumulate (each slot appears at most once)."""
-        state = self._slot_state
-        scores = self._slot_score
-        started = state[slots] == self._epoch
-        # Scores of untouched slots are zero (the finalize invariant), so a
-        # buffered in-place add accumulates newcomers and started alike.
-        scores[slots] += contributions
-        state[slots] = self._epoch
-        fresh = slots[~started]
-        if len(fresh):
-            acc._touched.append(fresh)
-
-    def _accumulate_scalar(self, slots: list[int], values: list[float],
-                           value: float, acc: NumpyAccumulator,
-                           timestamps: list[float] | None = None) -> None:
-        """Short-list scalar twin of :meth:`_accumulate` on the same state."""
-        epoch = self._epoch
-        state = self._slot_state
-        scores = self._slot_score
-        arrivals = self._slot_arrival
-        touched: list[int] = []
-        for position, slot in enumerate(slots):
-            contribution = value * values[position]
-            if state[slot] == epoch:
-                scores[slot] += contribution
-            else:
-                scores[slot] = contribution
-                state[slot] = epoch
-                touched.append(slot)
-            if timestamps is not None:
-                arrivals[slot] = timestamps[position]
-        if touched:
-            acc._touched.append(np.asarray(touched, dtype=np.int64))
-
-    def scan_inv_batch(self, plist: Any, value: float,
-                       acc: ScoreAccumulator) -> int:
-        slots, values, _, _ = plist.arrays()
-        count = len(slots)
-        if count == 0:
-            return 0
-        if count <= _SCALAR_SCAN_CUTOFF:
-            self._accumulate_scalar(slots.tolist(), values.tolist(), value, acc)
-        else:
-            self._accumulate(slots.copy(), value * values, acc)
-        return count
-
-    def scan_inv_stream(self, plist: Any, value: float, cutoff: float,
-                        acc: ScoreAccumulator) -> tuple[int, int]:
-        slots, values, _, timestamps = plist.arrays()
-        expired = int(np.searchsorted(timestamps, cutoff, side="left"))
-        if expired:
-            slots = slots[expired:]
-            values = values[expired:]
-            timestamps = timestamps[expired:]
-        alive = len(slots)
-        # Newest-first, matching the reference backward scan's candidate
-        # insertion order.
-        if 0 < alive <= _SCALAR_SCAN_CUTOFF:
-            self._accumulate_scalar(slots[::-1].tolist(), values[::-1].tolist(),
-                                    value, acc, timestamps[::-1].tolist())
-        elif alive:
-            slots = slots[::-1].copy()
-            self._slot_arrival[slots] = timestamps[::-1]
-            self._accumulate(slots, value * values[::-1], acc)
-        removed = plist.drop_oldest(expired)
-        return alive, removed
-
-    # -- prefix-filter scans -------------------------------------------------
-
-    def scan_prefix_batch(self, plist: Any, value: float,
-                          query_prefix_norm: float, admit_new: bool,
-                          threshold: float, use_ap: bool, use_l2: bool,
-                          sz1: float, size_filter: SizeFilterMap,
-                          acc: ScoreAccumulator) -> int:
-        slots, values, prefix_norms, _ = plist.arrays()
-        traversed = len(slots)
-        if traversed == 0:
-            return 0
-        if traversed <= _SCALAR_SCAN_CUTOFF:
-            self._scan_prefix_scalar(
-                slots.tolist(), values.tolist(), prefix_norms.tolist(), None,
-                value, query_prefix_norm, admit_new, 0.0, math.inf, math.inf,
-                0.0, sz1, threshold, use_ap, use_l2, acc)
-        else:
-            self._scan_prefix(
-                slots, values, prefix_norms, None, 0.0, 0.0, value,
-                query_prefix_norm, _ADMIT_ALL if admit_new else _ADMIT_NONE,
-                None, None, sz1, threshold, use_ap, use_l2, size_filter, acc)
-        return traversed
-
-    def scan_prefix_stream(self, plist: Any, value: float,
-                           query_prefix_norm: float, now: float,
-                           cutoff: float, decay: float, rs1: float,
-                           rs2: float, sz1: float, threshold: float,
-                           use_ap: bool, use_l2: bool, time_ordered: bool,
-                           size_filter: SizeFilterMap,
-                           acc: ScoreAccumulator) -> tuple[int, int]:
-        if time_ordered:
-            return self._scan_prefix_stream_ordered(
-                plist, value, query_prefix_norm, now, cutoff, decay, rs1,
-                rs2, sz1, threshold, use_ap, use_l2, acc, size_filter)
-        return self._scan_prefix_stream_unordered(
-            plist, value, query_prefix_norm, now, cutoff, decay, rs1, rs2,
-            sz1, threshold, use_ap, use_l2, acc, size_filter)
-
-    def _scan_prefix_stream_ordered(self, plist: Any, value: float,
-                                    query_prefix_norm: float, now: float,
-                                    cutoff: float, decay: float, rs1: float,
-                                    rs2: float, sz1: float, threshold: float,
-                                    use_ap: bool, use_l2: bool,
-                                    acc: NumpyAccumulator,
-                                    size_filter: SizeFilterMap) -> tuple[int, int]:
-        slots, values, prefix_norms, timestamps = plist.arrays()
-        expired = int(np.searchsorted(timestamps, cutoff, side="left"))
-        if expired:
-            slots = slots[expired:]
-            values = values[expired:]
-            prefix_norms = prefix_norms[expired:]
-            timestamps = timestamps[expired:]
-        traversed = len(slots)
-        removed = plist.drop_oldest(expired)
-        if traversed == 0:
-            return 0, removed
-        # Newest-first, for insertion-order parity with the reference
-        # backward scan.
-        if traversed <= _SCALAR_SCAN_CUTOFF:
-            self._scan_prefix_scalar(
-                slots[::-1].tolist(), values[::-1].tolist(),
-                prefix_norms[::-1].tolist(), timestamps[::-1].tolist(),
-                value, query_prefix_norm, True, now, decay, rs1, rs2,
-                sz1, threshold, use_ap, use_l2, acc)
-        else:
-            admit = self._resolve_admission(rs1, rs2, threshold, decay, now,
-                                            float(timestamps[0]),
-                                            float(timestamps[-1]))
-            self._scan_prefix(
-                slots[::-1], values[::-1], prefix_norms[::-1],
-                timestamps[::-1], now, decay, value, query_prefix_norm,
-                admit, rs1, rs2, sz1, threshold, use_ap, use_l2,
-                size_filter, acc)
-        return traversed, removed
-
-    def _scan_prefix_stream_unordered(self, plist: Any, value: float,
-                                      query_prefix_norm: float, now: float,
-                                      cutoff: float, decay: float, rs1: float,
-                                      rs2: float, sz1: float, threshold: float,
-                                      use_ap: bool, use_l2: bool,
-                                      acc: NumpyAccumulator,
-                                      size_filter: SizeFilterMap) -> tuple[int, int]:
-        physical = plist.physical_size
-        if physical == 0:
-            return 0, 0
-        slots, values, prefix_norms, timestamps = plist.arrays()
-        if plist.dirty == 0 and plist.min_live_timestamp >= cutoff:
-            # Nothing can be expired: scan the whole physical region and
-            # skip the mask entirely.
-            if physical <= _SCALAR_SCAN_CUTOFF:
-                self._scan_prefix_scalar(
-                    slots.tolist(), values.tolist(), prefix_norms.tolist(),
-                    timestamps.tolist(), value, query_prefix_norm, True, now,
-                    decay, rs1, rs2, sz1, threshold, use_ap, use_l2, acc)
-            else:
-                admit = self._resolve_admission(rs1, rs2, threshold, decay,
-                                                now, plist._min_ts,
-                                                plist._max_ts)
-                self._scan_prefix(
-                    slots, values, prefix_norms, timestamps, now, decay,
-                    value, query_prefix_norm, admit, rs1, rs2, sz1,
-                    threshold, use_ap, use_l2, size_filter, acc)
-            return physical, 0
-        # Amortised expiry: mask the expired postings out of this scan and
-        # report them removed, but defer the physical rewrite.
-        traversed = physical - plist._dirty
-        cutoff_eff = max(cutoff, plist._expired_cutoff)
-        alive_mask = timestamps >= cutoff_eff
-        alive = int(np.count_nonzero(alive_mask))
-        removed = traversed - alive
-        if alive:
-            slots = slots[alive_mask]
-            values = values[alive_mask]
-            prefix_norms = prefix_norms[alive_mask]
-            timestamps = timestamps[alive_mask]
-            min_live = float(timestamps.min())
-            max_live = float(timestamps.max())
-        else:
-            min_live = _INF
-            max_live = -_INF
-        plist.note_lazy_expiry(cutoff_eff, physical - alive, min_live, max_live)
-        self._maybe_compact(plist, alive_mask)
-        if alive:
-            if alive <= _SCALAR_SCAN_CUTOFF:
-                self._scan_prefix_scalar(
-                    slots.tolist(), values.tolist(), prefix_norms.tolist(),
-                    timestamps.tolist(), value, query_prefix_norm, True, now,
-                    decay, rs1, rs2, sz1, threshold, use_ap, use_l2, acc)
-            else:
-                admit = self._resolve_admission(rs1, rs2, threshold, decay,
-                                                now, min_live, max_live)
-                self._scan_prefix(
-                    slots, values, prefix_norms, timestamps, now, decay,
-                    value, query_prefix_norm, admit, rs1, rs2, sz1,
-                    threshold, use_ap, use_l2, size_filter, acc)
-        return traversed, removed
+    # -- fused whole-query scans ---------------------------------------------
 
     @staticmethod
     def _resolve_admission(rs1: float, rs2: float, threshold: float,
@@ -972,167 +785,12 @@ class NumpyKernel(SimilarityKernel):
             self._maintenance_budget -= size
             plist.compress(alive_mask)
 
-    def _scan_prefix_scalar(self, slots: list[int], values: list[float],
-                            prefix_norms: list[float],
-                            timestamps: list[float] | None, value: float,
-                            query_prefix_norm: float, admit_new: bool,
-                            now: float, decay: float, rs1: float, rs2: float,
-                            sz1: float, threshold: float, use_ap: bool,
-                            use_l2: bool, acc: NumpyAccumulator) -> None:
-        """Short-list scalar twin of :meth:`_scan_prefix` on the same state.
-
-        ``timestamps`` distinguishes the streaming case (decayed bounds,
-        ``math.exp`` exactly like the reference backend) from the batch case
-        (``None``: the caller folded the remaining-score admission into the
-        scalar ``admit_new`` flag).
-        """
-        epoch = self._epoch
-        state = self._slot_state
-        scores = self._slot_score
-        size_values = self._slot_sf
-        touched: list[int] = []
-        for position, slot in enumerate(slots):
-            mark = state[slot]
-            if mark == -epoch:
-                continue
-            if timestamps is None:
-                decay_factor = 1.0
-            else:
-                decay_factor = math.exp(-decay * (now - timestamps[position]))
-            started = mark == epoch
-            if not started:
-                if timestamps is None:
-                    if not admit_new:
-                        continue
-                elif min(rs1, rs2 * decay_factor) < threshold:
-                    continue
-                if use_ap and size_values[slot] < sz1:
-                    continue
-            accumulated = (scores[slot] if started else 0.0) + value * values[position]
-            if use_l2:
-                l2bound = accumulated + query_prefix_norm * prefix_norms[position] * decay_factor
-                if l2bound < threshold:
-                    state[slot] = -epoch
-                    continue
-            scores[slot] = accumulated
-            if not started:
-                state[slot] = epoch
-                touched.append(slot)
-        if touched:
-            acc._touched.append(np.asarray(touched, dtype=np.int64))
-
-    def _scan_prefix(self, slots: np.ndarray, values: np.ndarray,
-                     prefix_norms: np.ndarray,
-                     timestamps: np.ndarray | None, now: float, decay: float,
-                     value: float, query_prefix_norm: float, admit: int,
-                     rs1: float | None, rs2: float | None,
-                     sz1: float, threshold: float,
-                     use_ap: bool, use_l2: bool,
-                     size_filter: SizeFilterMap,
-                     acc: ScoreAccumulator) -> None:
-        """Shared filtered accumulation of the batch and streaming scans.
-
-        ``admit`` is the tri-state remaining-score admission: the callers
-        resolve it to ``_ADMIT_ALL``/``_ADMIT_NONE`` whenever the bound
-        clears (or fails) uniformly over the scanned region, which skips
-        the per-entry ``min(rs1, rs2·e^{-λΔt})`` evaluation;
-        ``_ADMIT_PER_ENTRY`` keeps it.  ``timestamps`` is ``None`` in the
-        batch case (no decay).  When no newcomer can be admitted the scan
-        compresses to the already-started candidates before touching the
-        long arrays — in that regime the whole list contributes at most a
-        handful of score updates, and the ``exp`` over the full region is
-        skipped entirely.
-        """
-        epoch = self._epoch
-        state = self._slot_state
-        scores = self._slot_score
-
-        marks = state[slots]
-        started = marks == epoch
-        if admit == _ADMIT_NONE:
-            # Started candidates are by construction not pruned; compress
-            # the scan to them (typically a tiny fraction of a long list).
-            index = np.nonzero(started)[0]
-            if not len(index):
-                return
-            sub_slots = slots[index]
-            accumulated = scores[sub_slots] + value * values[index]
-            if use_l2:
-                bound_tail = query_prefix_norm * prefix_norms[index]
-                if timestamps is not None:
-                    bound_tail = bound_tail * np.exp(
-                        -decay * (now - timestamps[index]))
-                keep = (accumulated + bound_tail) >= threshold
-                pruned_slots = sub_slots[~keep]
-                if len(pruned_slots):
-                    state[pruned_slots] = -epoch
-                kept_slots = sub_slots[keep]
-                if len(kept_slots):
-                    scores[kept_slots] = accumulated[keep]
-            else:
-                scores[sub_slots] = accumulated
-            return
-
-        decay_factors = (None if timestamps is None
-                         else np.exp(-decay * (now - timestamps)))
-        active = marks != -epoch
-        if admit == _ADMIT_ALL:
-            if use_ap:
-                process = active & (started
-                                    | (size_filter.values_at(slots) >= sz1))
-            else:
-                process = active
-        else:
-            newcomer_ok = np.minimum(rs1, rs2 * decay_factors) >= threshold
-            if use_ap:
-                newcomer_ok &= size_filter.values_at(slots) >= sz1
-            process = active & (started | newcomer_ok)
-
-        # In-place where possible: these temporaries dominate the scan's
-        # allocation traffic.  The arithmetic is exactly the reference
-        # backend's ``score + value·y_j`` and ``(… ) + (qpn·‖y'‖)·e^{-λΔt}``;
-        # scores of untouched slots are zero (the finalize invariant), so
-        # the gather needs no ``started`` select.
-        accumulated = value * values
-        accumulated += scores[slots]
-        if use_l2:
-            # Reference parity: the reference groups the bound product as
-            # ((qpn * prefix_norm) * decay_factor).
-            bound_tail = query_prefix_norm * prefix_norms
-            if decay_factors is not None:
-                bound_tail *= decay_factors
-            bound_tail += accumulated
-            prune = bound_tail < threshold
-            prune &= process
-            pruned_slots = slots[prune]
-            if len(pruned_slots):
-                state[pruned_slots] = -epoch
-            np.logical_not(prune, out=prune)
-            keep = prune
-            keep &= process
-        else:
-            keep = process
-        kept_slots = slots[keep]
-        if len(kept_slots):
-            scores[kept_slots] = accumulated[keep]
-            state[kept_slots] = epoch
-            fresh_slots = slots[keep & ~started]
-            if len(fresh_slots):
-                acc._touched.append(fresh_slots)
-
-    # -- fused whole-query scans ---------------------------------------------
-
     def scan_query_batch(self, vector: SparseVector, index: Any, *,
                          threshold: float, rs1: float,
                          maxima: Sequence[float] | None, sz1: float,
                          use_ap: bool, use_l2: bool,
                          size_filter: SizeFilterMap,
                          acc: ScoreAccumulator) -> int:
-        if not self._fused:
-            return super().scan_query_batch(
-                vector, index, threshold=threshold, rs1=rs1, maxima=maxima,
-                sz1=sz1, use_ap=use_ap, use_l2=use_l2,
-                size_filter=size_filter, acc=acc)
         self._install_query_sketch(vector)
         dims = vector.dims
         values = vector.values
@@ -1213,12 +871,6 @@ class NumpyKernel(SimilarityKernel):
                           use_ap: bool, use_l2: bool, time_ordered: bool,
                           size_filter: SizeFilterMap,
                           acc: ScoreAccumulator) -> tuple[int, int]:
-        if not self._fused:
-            return super().scan_query_stream(
-                vector, index, now=now, cutoff=cutoff, decay=decay, rs1=rs1,
-                decayed_maxima=decayed_maxima, sz1=sz1, threshold=threshold,
-                use_ap=use_ap, use_l2=use_l2, time_ordered=time_ordered,
-                size_filter=size_filter, acc=acc)
         self._install_query_sketch(vector)
         dims = vector.dims
         values = vector.values
@@ -1248,91 +900,26 @@ class NumpyKernel(SimilarityKernel):
         if not seg_lists:
             return 0, 0
         arena = self._arena
-        idx, lengths, offsets = self._gather_indices(seg_lists,
-                                                     reverse=time_ordered)
-        segments = len(seg_lists)
-        seg_min: list[float] = [0.0] * segments
-        seg_max: list[float] = [0.0] * segments
         # -- time filtering over the whole gather -------------------------
-        # Expired postings are masked out of the gather; the physical
-        # bookkeeping (head truncation, lazy-expiry state, amortised
-        # compaction) is deferred until the very end of the call so every
-        # arena read below sees a stable layout.  NOTE: gather_scan_partials
-        # carries a lockstep copy of this filter phase (and the bound loop
-        # above is mirrored by the sharded coordinator's _segment_bounds);
-        # changes here must be mirrored there, or sharded runs silently
-        # lose bitwise parity.
-        needs_mask = any(plist._dirty or plist._min_ts < cutoff
-                         for plist in seg_lists)
-        ordered_drops: list[tuple[Any, int]] = []
-        lazy_updates: list[tuple[Any, float, int, np.ndarray, int]] = []
-        timestamps: np.ndarray | None = None
-        if not needs_mask:
-            alive_counts = lengths
-            alive_offsets = offsets
-            traversed = len(idx)
-            removed = 0
-            for j, plist in enumerate(seg_lists):
-                seg_min[j] = plist._min_ts
-                seg_max[j] = plist._max_ts
-        else:
-            timestamps = arena.ts[idx]
-            cuts = [max(cutoff, plist._expired_cutoff) if plist._dirty
-                    else cutoff for plist in seg_lists]
-            alive = timestamps >= np.repeat(np.asarray(cuts), lengths)
-            alive_counts = np.add.reduceat(alive, offsets[:-1])
-            traversed = 0
-            removed = 0
-            for j, plist in enumerate(seg_lists):
-                length = int(lengths[j])
-                live = int(alive_counts[j])
-                lo = int(offsets[j])
-                if time_ordered:
-                    # Ordered lists: within-list timestamps are sorted, so
-                    # the live postings form a prefix of the (newest-first)
-                    # segment; the reference counts only them as traversed
-                    # and truncates the expired head.
-                    traversed += live
-                    removed += length - live
-                    if live:
-                        seg_min[j] = float(timestamps[lo + live - 1])
-                        seg_max[j] = float(timestamps[lo])
-                    if length > live:
-                        ordered_drops.append((plist, length - live))
-                else:
-                    # Unordered lists: the reference traverses every
-                    # physically present posting it has not yet removed;
-                    # lazily expired (dirty) ones were reported before.
-                    seg_traversed = length - plist._dirty
-                    traversed += seg_traversed
-                    removed += seg_traversed - live
-                    if live == length:
-                        seg_min[j] = plist._min_ts
-                        seg_max[j] = plist._max_ts
-                    elif live:
-                        live_ts = timestamps[lo:lo + length][alive[lo:lo + length]]
-                        seg_min[j] = float(live_ts.min())
-                        seg_max[j] = float(live_ts.max())
-                    else:
-                        seg_min[j] = _INF
-                        seg_max[j] = -_INF
-                    if live < length:
-                        lazy_updates.append((plist, cuts[j], live,
-                                             alive[lo:lo + length], j))
-            if bool((alive_counts != lengths).any()):
-                idx = idx[alive]
-                timestamps = timestamps[alive]
-            alive_offsets = np.empty(segments + 1, dtype=np.int64)
-            alive_offsets[0] = 0
-            np.cumsum(alive_counts, out=alive_offsets[1:])
+        # The bound loop above is mirrored by the sharded coordinator's
+        # _segment_bounds; the filter itself is shared with the shard
+        # workers' gather_scan_partials.
+        live = self._gather_live(seg_lists, cutoff, time_ordered,
+                                 with_timestamps=False)
+        traversed, removed = live.traversed, live.removed
+        idx = live.idx
+        timestamps = live.timestamps
+        alive_counts = live.counts
+        alive_offsets = live.offsets
+        segments = len(seg_lists)
         try:
             if len(idx) == 0:
                 return traversed, removed
-            scan_min, scan_max = seg_min, seg_max
+            scan_min, scan_max = live.seg_min, live.seg_max
             if self._sketch_query is not None:
                 # Drop postings of sketch-rejected candidates between the
-                # time filter and admission.  seg_min/seg_max keep their
-                # pre-sketch extremes: the admission bound is monotone in
+                # time filter and admission.  The segment extremes stay the
+                # pre-sketch ones: the admission bound is monotone in
                 # the timestamp, so extremes over a superset of the live
                 # postings resolve the tri-state conservatively.  The
                 # deferred physical bookkeeping in ``finally`` never sees
@@ -1345,17 +932,17 @@ class NumpyKernel(SimilarityKernel):
                 # Compress away segments the sketch emptied: a zero-count
                 # segment would resolve to _ADMIT_NONE and cut the hoisted
                 # leading run short, pushing the surviving postings onto
-                # the slow per-segment scalar path.  The originals
-                # (seg_lists, seg_min/seg_max) stay untouched for the
-                # deferred bookkeeping in ``finally``.
+                # the slow per-segment scalar path.  The filter's own
+                # per-segment state stays untouched for the deferred
+                # bookkeeping in ``finally``.
                 if bool((alive_counts == 0).any()):
                     keep = (alive_counts > 0).tolist()
                     seg_values = [v for v, k in zip(seg_values, keep) if k]
                     seg_qpns = [v for v, k in zip(seg_qpns, keep) if k]
                     seg_rs1 = [v for v, k in zip(seg_rs1, keep) if k]
                     seg_rs2 = [v for v, k in zip(seg_rs2, keep) if k]
-                    scan_min = [v for v, k in zip(seg_min, keep) if k]
-                    scan_max = [v for v, k in zip(seg_max, keep) if k]
+                    scan_min = [v for v, k in zip(scan_min, keep) if k]
+                    scan_max = [v for v, k in zip(scan_max, keep) if k]
                     alive_counts = alive_counts[alive_counts > 0]
                     segments = len(seg_values)
                     alive_offsets = np.empty(segments + 1, dtype=np.int64)
@@ -1406,29 +993,10 @@ class NumpyKernel(SimilarityKernel):
                                         sz1, use_ap, use_l2, threshold, acc)
             return traversed, removed
         finally:
-            # Deferred physical bookkeeping: truncations and compactions
-            # may rewrite chunks in place or replace the arena arrays, so
-            # they run only after every gather above is done.
-            for plist, count in ordered_drops:
-                plist.drop_oldest(count)
-            for plist, cut_eff, live, alive_mask, j in lazy_updates:
-                plist.note_lazy_expiry(cut_eff, plist.physical_size - live,
-                                       seg_min[j], seg_max[j])
-                if len(alive_mask) != plist.physical_size:
-                    # An earlier list's compress triggered a whole-arena
-                    # compaction, which already dropped this list's
-                    # previously dirty postings and shrank its region;
-                    # rebuild the mask over the surviving postings (the
-                    # live count is unaffected — only already-reported
-                    # dirty entries were removed).
-                    lo, hi = plist.region
-                    alive_mask = arena.ts[lo:hi] >= cut_eff
-                self._maybe_compact(plist, alive_mask)
+            self._settle_expiry(live)
 
     def scan_query_inv_batch(self, vector: SparseVector, index: Any,
                              acc: ScoreAccumulator) -> int:
-        if not self._fused:
-            return super().scan_query_inv_batch(vector, index, acc)
         seg_lists = []
         seg_values = []
         for dim, value in vector:
@@ -1449,8 +1017,6 @@ class NumpyKernel(SimilarityKernel):
     def scan_query_inv_stream(self, vector: SparseVector, index: Any,
                               cutoff: float,
                               acc: ScoreAccumulator) -> tuple[int, int]:
-        if not self._fused:
-            return super().scan_query_inv_stream(vector, index, cutoff, acc)
         seg_lists = []
         seg_values = []
         for dim, value in vector:
@@ -1461,31 +1027,19 @@ class NumpyKernel(SimilarityKernel):
         if not seg_lists:
             return 0, 0
         arena = self._arena
-        idx, lengths, offsets = self._gather_indices(seg_lists, reverse=True)
-        timestamps = arena.ts[idx]
-        removed = 0
-        expired: list[tuple[Any, int]] = []
-        if any(plist._min_ts < cutoff for plist in seg_lists):
-            alive = timestamps >= cutoff
-            alive_counts = np.add.reduceat(alive, offsets[:-1])
-            expired = [(seg_lists[j], int(lengths[j]) - int(alive_counts[j]))
-                       for j in range(len(seg_lists))
-                       if alive_counts[j] < lengths[j]]
-            if expired:
-                idx = idx[alive]
-                timestamps = timestamps[alive]
-        else:
-            alive_counts = lengths
-        slots = arena.slots[idx]
-        contrib = np.repeat(np.asarray(seg_values), alive_counts)
-        contrib *= arena.values[idx]
-        # Truncations happen only after every arena gather above.
-        for plist, count in expired:
-            removed += plist.drop_oldest(count)
-        traversed = len(idx)
-        if traversed:
-            self._fused_inv_pass(slots, contrib, timestamps, acc)
-        return traversed, removed
+        live = self._gather_live(seg_lists, cutoff, True, with_timestamps=True)
+        try:
+            idx = live.idx
+            if len(idx):
+                # Newest first, the reference backward scan's insertion
+                # order.
+                slots = arena.slots[idx]
+                contrib = np.repeat(np.asarray(seg_values), live.counts)
+                contrib *= arena.values[idx]
+                self._fused_inv_pass(slots, contrib, live.timestamps, acc)
+            return live.traversed, live.removed
+        finally:
+            self._settle_expiry(live)
 
     def _gather_indices(self, seg_lists: list,
                         reverse: bool) -> tuple[np.ndarray, np.ndarray,
@@ -1517,12 +1071,119 @@ class NumpyKernel(SimilarityKernel):
             idx += within
         return idx, lengths, offsets
 
+    # -- the time filter -----------------------------------------------------
+    #
+    # One filter phase serves every streaming gather: the single-process
+    # scans (scan_query_stream, scan_query_inv_stream) and the shard
+    # workers' partial gathers (gather_scan_partials, gather_inv_partials),
+    # so the sharded run's logical counts and list states cannot drift
+    # from the single-process run's.
+
+    def _gather_live(self, seg_lists: list, cutoff: float,
+                     time_ordered: bool, *,
+                     with_timestamps: bool) -> _LiveGather:
+        """Gather the live postings of ``seg_lists`` in scan order.
+
+        Expired postings are masked out of the whole-query gather and
+        reported exactly as the reference backend's per-list loops report
+        them.  Their physical removal — head truncation, lazy-expiry state,
+        amortised compaction — is only recorded: every arena read from
+        the returned ``idx`` must happen before :meth:`_settle_expiry`
+        applies it.  ``timestamps`` is gathered when ``with_timestamps``
+        or whenever the mask needs it, else left ``None``.
+        """
+        arena = self._arena
+        idx, lengths, offsets = self._gather_indices(seg_lists,
+                                                     reverse=time_ordered)
+        segments = len(seg_lists)
+        if not any(plist._dirty or plist._min_ts < cutoff
+                   for plist in seg_lists):
+            # Nothing can be expired: every physical posting is live.
+            return _LiveGather(
+                idx, arena.ts[idx] if with_timestamps else None, lengths,
+                offsets, [plist._min_ts for plist in seg_lists],
+                [plist._max_ts for plist in seg_lists], lengths.tolist(),
+                [0] * segments, len(idx), 0, [], [])
+        timestamps = arena.ts[idx]
+        cuts = [max(cutoff, plist._expired_cutoff) if plist._dirty
+                else cutoff for plist in seg_lists]
+        alive = timestamps >= np.repeat(np.asarray(cuts), lengths)
+        alive_counts = np.add.reduceat(alive, offsets[:-1])
+        seg_min = [_INF] * segments
+        seg_max = [-_INF] * segments
+        seg_traversed = [0] * segments
+        seg_removed = [0] * segments
+        drops: list[tuple[Any, int]] = []
+        lazy: list[tuple[Any, float, int, np.ndarray, int]] = []
+        for j, (plist, length, live, lo) in enumerate(zip(
+                seg_lists, lengths.tolist(), alive_counts.tolist(),
+                offsets.tolist())):
+            if time_ordered:
+                # Ordered lists: within-list timestamps are sorted, so the
+                # live postings form a prefix of the (newest-first)
+                # segment; the reference counts only them as traversed
+                # and truncates the expired head.
+                seg_traversed[j] = live
+                seg_removed[j] = length - live
+                if live:
+                    seg_min[j] = float(timestamps[lo + live - 1])
+                    seg_max[j] = float(timestamps[lo])
+                if length > live:
+                    drops.append((plist, length - live))
+            else:
+                # Unordered lists: the reference traverses every
+                # physically present posting it has not yet removed;
+                # lazily expired (dirty) ones were reported before.
+                seg_traversed[j] = length - plist._dirty
+                seg_removed[j] = seg_traversed[j] - live
+                if live == length:
+                    seg_min[j] = plist._min_ts
+                    seg_max[j] = plist._max_ts
+                elif live:
+                    live_ts = timestamps[lo:lo + length][alive[lo:lo + length]]
+                    seg_min[j] = float(live_ts.min())
+                    seg_max[j] = float(live_ts.max())
+                if live < length:
+                    lazy.append((plist, cuts[j], live,
+                                 alive[lo:lo + length], j))
+        if bool((alive_counts != lengths).any()):
+            idx = idx[alive]
+            timestamps = timestamps[alive]
+        alive_offsets = np.empty(segments + 1, dtype=np.int64)
+        alive_offsets[0] = 0
+        np.cumsum(alive_counts, out=alive_offsets[1:])
+        return _LiveGather(idx, timestamps, alive_counts, alive_offsets,
+                           seg_min, seg_max, seg_traversed, seg_removed,
+                           sum(seg_traversed), sum(seg_removed), drops, lazy)
+
+    def _settle_expiry(self, live: _LiveGather) -> None:
+        """Apply the physical bookkeeping :meth:`_gather_live` deferred.
+
+        Truncations and compactions may rewrite chunks in place or replace
+        the arena arrays, so they run only after every gather is done.
+        """
+        for plist, count in live.drops:
+            plist.drop_oldest(count)
+        for plist, cut_eff, alive, alive_mask, j in live.lazy:
+            plist.note_lazy_expiry(cut_eff, plist.physical_size - alive,
+                                   live.seg_min[j], live.seg_max[j])
+            if len(alive_mask) != plist.physical_size:
+                # An earlier list's compress triggered a whole-arena
+                # compaction, which already dropped this list's previously
+                # dirty postings and shrank its region; rebuild the mask
+                # over the surviving postings (the live count is
+                # unaffected — only already-reported dirty entries were
+                # removed).
+                lo, hi = plist.region
+                alive_mask = self._arena.ts[lo:hi] >= cut_eff
+            self._maybe_compact(plist, alive_mask)
+
     # -- partial accumulation (sharded candidate generation) -----------------
     #
-    # The worker half (gather_*_partials) is the fused scans' gather/time-
-    # filter phase — everything up to but excluding global admission — with
-    # the per-posting products precomputed so the coordinator never touches
-    # this arena.  The coordinator half (apply_*_partials) replays the
+    # The worker half (gather_*_partials) runs the streaming scans' shared
+    # time filter (_gather_live) — everything up to but excluding global
+    # admission — and precomputes the per-posting products so the
+    # coordinator never touches this arena.  The coordinator half (apply_*_partials) replays the
     # per-segment admission/pruning/accumulation sequence over the merged
     # partials through the *same* _fused_prefix_segments/_fused_inv_pass
     # code the single-process kernel uses, with every segment pre-gathered
@@ -1535,169 +1196,90 @@ class NumpyKernel(SimilarityKernel):
                              *, now: float, cutoff: float, decay: float,
                              use_l2: bool, time_ordered: bool,
                              ) -> tuple[list[SegmentPartial], int, int]:
+        """Gather streaming prefix-scan partials for ``segments``.
+
+        ``segments`` holds ``(position, value, query_prefix_norm,
+        posting_list)`` for the query terms owned by this worker, in scan
+        order (descending position) and restricted to non-empty lists.
+        Returns ``(partials, entries_traversed, entries_removed)``.
+        """
         if not segments:
             return [], 0, 0
         arena = self._arena
-        seg_lists = [segment[3] for segment in segments]
-        idx, lengths, offsets = self._gather_indices(seg_lists,
-                                                     reverse=time_ordered)
-        nseg = len(seg_lists)
-        seg_min = [0.0] * nseg
-        seg_max = [0.0] * nseg
-        seg_traversed = [0] * nseg
-        seg_removed = [0] * nseg
-        ordered_drops: list[tuple[Any, int]] = []
-        lazy_updates: list[tuple[Any, float, int, np.ndarray, int]] = []
-        # -- time filtering: LOCKSTEP COPY of the fused scan_query_stream's
-        # filter phase (see there for the case-by-case rationale).  The
-        # sharded bitwise-parity contract depends on the two staying
-        # identical: any change to either — mask computation, the
-        # traversed/removed case analysis, the deferred drop/lazy-expiry
-        # bookkeeping, the alive-mask rebuild after a whole-arena
-        # compaction — must be mirrored in the other.
-        needs_mask = any(plist._dirty or plist._min_ts < cutoff
-                         for plist in seg_lists)
-        timestamps = arena.ts[idx]
-        if not needs_mask:
-            alive_counts = lengths
-            alive_offsets = offsets
-            for j, plist in enumerate(seg_lists):
-                seg_min[j] = plist._min_ts
-                seg_max[j] = plist._max_ts
-                seg_traversed[j] = int(lengths[j])
-        else:
-            cuts = [max(cutoff, plist._expired_cutoff) if plist._dirty
-                    else cutoff for plist in seg_lists]
-            alive = timestamps >= np.repeat(np.asarray(cuts), lengths)
-            alive_counts = np.add.reduceat(alive, offsets[:-1])
-            for j, plist in enumerate(seg_lists):
-                length = int(lengths[j])
-                live = int(alive_counts[j])
-                lo = int(offsets[j])
-                if time_ordered:
-                    seg_traversed[j] = live
-                    seg_removed[j] = length - live
-                    if live:
-                        seg_min[j] = float(timestamps[lo + live - 1])
-                        seg_max[j] = float(timestamps[lo])
-                    else:
-                        seg_min[j] = _INF
-                        seg_max[j] = -_INF
-                    if length > live:
-                        ordered_drops.append((plist, length - live))
-                else:
-                    seg_traversed[j] = length - plist._dirty
-                    seg_removed[j] = seg_traversed[j] - live
-                    if live == length:
-                        seg_min[j] = plist._min_ts
-                        seg_max[j] = plist._max_ts
-                    elif live:
-                        live_ts = timestamps[lo:lo + length][alive[lo:lo + length]]
-                        seg_min[j] = float(live_ts.min())
-                        seg_max[j] = float(live_ts.max())
-                    else:
-                        seg_min[j] = _INF
-                        seg_max[j] = -_INF
-                    if live < length:
-                        lazy_updates.append((plist, cuts[j], live,
-                                             alive[lo:lo + length], j))
-            if bool((alive_counts != lengths).any()):
-                idx = idx[alive]
-                timestamps = timestamps[alive]
-            alive_offsets = np.empty(nseg + 1, dtype=np.int64)
-            alive_offsets[0] = 0
-            np.cumsum(alive_counts, out=alive_offsets[1:])
+        live = self._gather_live([segment[3] for segment in segments],
+                                 cutoff, time_ordered, with_timestamps=True)
         try:
-            # -- per-posting products over the whole gather (fancy-index
-            # reads copy, so the partials stay valid across the deferred
-            # physical bookkeeping below and across future arena mutation).
+            # Per-posting products over the whole gather (fancy-index reads
+            # copy, so the partials stay valid across the deferred physical
+            # bookkeeping and across future arena mutation).
+            idx = live.idx
+            counts = live.counts
             slots = arena.slots[idx]
             contrib = np.repeat(np.asarray([segment[1] for segment in segments]),
-                                alive_counts)
+                                counts)
             contrib *= arena.values[idx]
-            decay_factors = np.exp(-decay * (now - timestamps))
+            decay_factors = np.exp(-decay * (now - live.timestamps))
             if use_l2:
                 tails = np.repeat(np.asarray([segment[2] for segment in segments]),
-                                  alive_counts)
+                                  counts)
                 tails *= arena.pnorms[idx]
                 tails *= decay_factors
             else:
                 tails = None
+            bounds = live.offsets.tolist()
             partials: list[SegmentPartial] = []
             for j, (position, value, query_prefix_norm, _plist) in enumerate(segments):
-                lo, hi = int(alive_offsets[j]), int(alive_offsets[j + 1])
+                lo, hi = bounds[j], bounds[j + 1]
                 partials.append(SegmentPartial(
                     position=position, value=value,
                     query_prefix_norm=query_prefix_norm,
                     slots=slots[lo:hi], contrib=contrib[lo:hi],
                     tails=tails[lo:hi] if use_l2 else None,
                     decay_factors=decay_factors[lo:hi],
-                    min_ts=seg_min[j], max_ts=seg_max[j],
-                    traversed=seg_traversed[j], removed=seg_removed[j],
+                    min_ts=live.seg_min[j], max_ts=live.seg_max[j],
+                    traversed=live.seg_traversed[j],
+                    removed=live.seg_removed[j],
                 ))
-            return partials, sum(seg_traversed), sum(seg_removed)
+            return partials, live.traversed, live.removed
         finally:
-            # Deferred physical bookkeeping, exactly as in the fused scan:
-            # truncations and compactions may rewrite chunks in place or
-            # replace the arena arrays, so they run after every gather.
-            for plist, count in ordered_drops:
-                plist.drop_oldest(count)
-            for plist, cut_eff, live, alive_mask, j in lazy_updates:
-                plist.note_lazy_expiry(cut_eff, plist.physical_size - live,
-                                       seg_min[j], seg_max[j])
-                if len(alive_mask) != plist.physical_size:
-                    lo, hi = plist.region
-                    alive_mask = arena.ts[lo:hi] >= cut_eff
-                self._maybe_compact(plist, alive_mask)
+            self._settle_expiry(live)
 
     def gather_inv_partials(self, segments: Sequence[tuple[int, float, Any]],
                             *, cutoff: float,
                             ) -> tuple[list[SegmentPartial], int, int]:
+        """Gather STR-INV scan partials (newest-first, lazy head truncation).
+
+        ``segments`` holds ``(position, value, posting_list)`` in query
+        order for the non-empty lists this worker owns.  Returns
+        ``(partials, entries_traversed, entries_removed)``.
+        """
         if not segments:
             return [], 0, 0
         arena = self._arena
-        seg_lists = [segment[2] for segment in segments]
-        nseg = len(seg_lists)
-        idx, lengths, offsets = self._gather_indices(seg_lists, reverse=True)
-        timestamps = arena.ts[idx]
-        seg_removed = [0] * nseg
-        expired: list[tuple[Any, int]] = []
-        if any(plist._min_ts < cutoff for plist in seg_lists):
-            alive = timestamps >= cutoff
-            alive_counts = np.add.reduceat(alive, offsets[:-1])
-            for j in range(nseg):
-                if alive_counts[j] < lengths[j]:
-                    seg_removed[j] = int(lengths[j]) - int(alive_counts[j])
-                    expired.append((seg_lists[j], seg_removed[j]))
-            if expired:
-                idx = idx[alive]
-                timestamps = timestamps[alive]
-        else:
-            alive_counts = lengths
-        slots = arena.slots[idx]
-        contrib = np.repeat(np.asarray([segment[1] for segment in segments]),
-                            alive_counts)
-        contrib *= arena.values[idx]
-        # Truncations happen only after every arena gather above.
-        removed = 0
-        for plist, count in expired:
-            removed += plist.drop_oldest(count)
-        alive_offsets = np.empty(nseg + 1, dtype=np.int64)
-        alive_offsets[0] = 0
-        np.cumsum(alive_counts, out=alive_offsets[1:])
-        partials: list[SegmentPartial] = []
-        for j, (position, value, _plist) in enumerate(segments):
-            lo, hi = int(alive_offsets[j]), int(alive_offsets[j + 1])
-            seg_ts = timestamps[lo:hi]
-            partials.append(SegmentPartial(
-                position=position, value=value, query_prefix_norm=0.0,
-                slots=slots[lo:hi], contrib=contrib[lo:hi],
-                timestamps=seg_ts,
-                min_ts=float(seg_ts[-1]) if hi > lo else _INF,
-                max_ts=float(seg_ts[0]) if hi > lo else -_INF,
-                traversed=hi - lo, removed=seg_removed[j],
-            ))
-        return partials, len(idx), removed
+        live = self._gather_live([segment[2] for segment in segments],
+                                 cutoff, True, with_timestamps=True)
+        try:
+            idx = live.idx
+            slots = arena.slots[idx]
+            contrib = np.repeat(np.asarray([segment[1] for segment in segments]),
+                                live.counts)
+            contrib *= arena.values[idx]
+            timestamps = live.timestamps
+            bounds = live.offsets.tolist()
+            partials: list[SegmentPartial] = []
+            for j, (position, value, _plist) in enumerate(segments):
+                lo, hi = bounds[j], bounds[j + 1]
+                partials.append(SegmentPartial(
+                    position=position, value=value, query_prefix_norm=0.0,
+                    slots=slots[lo:hi], contrib=contrib[lo:hi],
+                    timestamps=timestamps[lo:hi],
+                    min_ts=live.seg_min[j], max_ts=live.seg_max[j],
+                    traversed=live.seg_traversed[j],
+                    removed=live.seg_removed[j],
+                ))
+            return partials, live.traversed, live.removed
+        finally:
+            self._settle_expiry(live)
 
     @staticmethod
     def _concat_partials(arrays: list[np.ndarray]) -> np.ndarray:
@@ -1791,10 +1373,10 @@ class NumpyKernel(SimilarityKernel):
         a scalar loop over the hoisted slices — the ufunc-dispatch
         overhead of a dozen array ops dwarfs a dozen Python iterations.
 
-        Decision-for-decision this is the per-term kernel sequence: same
-        masks, same accumulation order, same prune marks on the shared
-        slot state.  What the fusion removes is the per-term Python
-        driver, and the per-segment gathers, products and ``exp`` calls.
+        Decision-for-decision this is the reference backend's per-term
+        scan sequence: same admissions, same accumulation order, same
+        prunes.  What the fusion removes is the per-term Python driver,
+        and the per-segment gathers, products and ``exp`` calls.
         """
         epoch = self._epoch
         state = self._slot_state

@@ -169,29 +169,6 @@ class ProfilingKernel(SimilarityKernel):
         return self._timed("maintenance", self._inner.index_vector_postings,
                            index, vector, start, end)
 
-    def scan_inv_batch(self, plist, value, acc) -> int:
-        return self._timed("scan", self._inner.scan_inv_batch,
-                           plist, value, self._unwrap(acc))
-
-    def scan_inv_stream(self, plist, value, cutoff, acc):
-        return self._timed("scan", self._inner.scan_inv_stream,
-                           plist, value, cutoff, self._unwrap(acc))
-
-    def scan_prefix_batch(self, plist, value, query_prefix_norm, admit_new,
-                          threshold, use_ap, use_l2, sz1, size_filter, acc) -> int:
-        return self._timed("scan", self._inner.scan_prefix_batch,
-                           plist, value, query_prefix_norm, admit_new,
-                           threshold, use_ap, use_l2, sz1, size_filter,
-                           self._unwrap(acc))
-
-    def scan_prefix_stream(self, plist, value, query_prefix_norm, now,
-                           cutoff, decay, rs1, rs2, sz1, threshold, use_ap,
-                           use_l2, time_ordered, size_filter, acc):
-        return self._timed("scan", self._inner.scan_prefix_stream,
-                           plist, value, query_prefix_norm, now, cutoff,
-                           decay, rs1, rs2, sz1, threshold, use_ap, use_l2,
-                           time_ordered, size_filter, self._unwrap(acc))
-
     def scan_query_batch(self, vector, index, *, threshold, rs1, maxima,
                          sz1, use_ap, use_l2, size_filter, acc) -> int:
         return self._timed("scan", self._inner.scan_query_batch,

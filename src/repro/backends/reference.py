@@ -106,10 +106,107 @@ class ReferenceKernel(SimilarityKernel):
     def new_size_filter(self) -> ReferenceSizeFilter:
         return ReferenceSizeFilter()
 
+    # -- candidate generation ------------------------------------------------
+    #
+    # One scan_query_* call per query: the per-term driver loops maintain
+    # the remaining-score bounds across query positions and hand each
+    # posting list to the per-entry loop of its scheme.
+
+    def scan_query_batch(self, vector: SparseVector, index: Any, *,
+                         threshold: float, rs1: float,
+                         maxima: Sequence[float] | None, sz1: float,
+                         use_ap: bool, use_l2: bool,
+                         size_filter: SizeFilterMap,
+                         acc: ScoreAccumulator) -> int:
+        self._install_query_sketch(vector)
+        dims = vector.dims
+        values = vector.values
+        rst = vector.norm * vector.norm
+        rs2 = math.sqrt(rst) if use_l2 else math.inf
+        traversed = 0
+        for position in range(len(dims) - 1, -1, -1):
+            value = values[position]
+            posting_list = index.get(dims[position])
+            if posting_list is not None:
+                admit_new = min(rs1, rs2) >= threshold
+                traversed += self._scan_prefix_batch(
+                    posting_list, value, vector.prefix_norm_before(position),
+                    admit_new, threshold, use_ap, use_l2,
+                    sz1, size_filter, acc,
+                )
+            if use_ap:
+                rs1 -= value * maxima[position]  # type: ignore[index]
+            rst -= value * value
+            if use_l2:
+                rs2 = math.sqrt(max(rst, 0.0))
+        return traversed
+
+    def scan_query_stream(self, vector: SparseVector, index: Any, *,
+                          now: float, cutoff: float, decay: float,
+                          rs1: float,
+                          decayed_maxima: Sequence[float] | None,
+                          sz1: float, threshold: float,
+                          use_ap: bool, use_l2: bool, time_ordered: bool,
+                          size_filter: SizeFilterMap,
+                          acc: ScoreAccumulator) -> tuple[int, int]:
+        self._install_query_sketch(vector)
+        dims = vector.dims
+        values = vector.values
+        prefix_norms = vector._prefix_norms
+        rst = vector.norm * vector.norm
+        rs2 = math.sqrt(rst) if use_l2 else math.inf
+        index_get = index.get
+        scan = self._scan_prefix_stream
+        traversed = 0
+        removed = 0
+        for position in range(len(dims) - 1, -1, -1):
+            value = values[position]
+            posting_list = index_get(dims[position])
+            if posting_list is not None and len(posting_list):
+                scanned, pruned = scan(
+                    posting_list, value, prefix_norms[position],
+                    now, cutoff, decay, rs1, rs2, sz1, threshold,
+                    use_ap, use_l2, time_ordered, size_filter, acc,
+                )
+                traversed += scanned
+                removed += pruned
+            if use_ap:
+                rs1 -= value * decayed_maxima[position]  # type: ignore[index]
+            rst -= value * value
+            if use_l2:
+                rs2 = math.sqrt(max(rst, 0.0))
+        return traversed, removed
+
+    def scan_query_inv_batch(self, vector: SparseVector, index: Any,
+                             acc: ScoreAccumulator) -> int:
+        traversed = 0
+        for dim, value in vector:
+            posting_list = index.get(dim)
+            if posting_list is None:
+                continue
+            traversed += self._scan_inv_batch(posting_list, value, acc)
+        return traversed
+
+    def scan_query_inv_stream(self, vector: SparseVector, index: Any,
+                              cutoff: float,
+                              acc: ScoreAccumulator) -> tuple[int, int]:
+        traversed = 0
+        removed = 0
+        for dim, value in vector:
+            posting_list = index.get(dim)
+            if posting_list is None:
+                continue
+            scanned, pruned = self._scan_inv_stream(posting_list, value,
+                                                    cutoff, acc)
+            traversed += scanned
+            removed += pruned
+        return traversed, removed
+
     # -- INV scans -----------------------------------------------------------
 
-    def scan_inv_batch(self, plist: Any, value: float,
-                       acc: ScoreAccumulator) -> int:
+    def _scan_inv_batch(self, plist: Any, value: float,
+                        acc: ScoreAccumulator) -> int:
+        """INV batch scan: adds ``value * x_j`` for every posting."""
         scores = acc.scores
         traversed = 0
         for entry in plist:
@@ -118,8 +215,9 @@ class ReferenceKernel(SimilarityKernel):
             scores[candidate_id] = scores.get(candidate_id, 0.0) + value * entry.value
         return traversed
 
-    def scan_inv_stream(self, plist: Any, value: float, cutoff: float,
-                        acc: ScoreAccumulator) -> tuple[int, int]:
+    def _scan_inv_stream(self, plist: Any, value: float, cutoff: float,
+                         acc: ScoreAccumulator) -> tuple[int, int]:
+        """STR-INV scan: backward over the live postings, truncating the head."""
         scores = acc.scores
         arrival = acc.arrival
         alive = 0
@@ -137,11 +235,12 @@ class ReferenceKernel(SimilarityKernel):
 
     # -- prefix-filter scans -------------------------------------------------
 
-    def scan_prefix_batch(self, plist: Any, value: float,
-                          query_prefix_norm: float, admit_new: bool,
-                          threshold: float, use_ap: bool, use_l2: bool,
-                          sz1: float, size_filter: SizeFilterMap,
-                          acc: ScoreAccumulator) -> int:
+    def _scan_prefix_batch(self, plist: Any, value: float,
+                           query_prefix_norm: float, admit_new: bool,
+                           threshold: float, use_ap: bool, use_l2: bool,
+                           sz1: float, size_filter: SizeFilterMap,
+                           acc: ScoreAccumulator) -> int:
+        """Algorithm 3 inner loop over one posting list."""
         scores = acc.scores
         pruned = acc.pruned
         sketch = self._sketch_query is not None
@@ -170,13 +269,18 @@ class ReferenceKernel(SimilarityKernel):
             scores[candidate_id] = accumulated
         return traversed
 
-    def scan_prefix_stream(self, plist: Any, value: float,
-                           query_prefix_norm: float, now: float,
-                           cutoff: float, decay: float, rs1: float,
-                           rs2: float, sz1: float, threshold: float,
-                           use_ap: bool, use_l2: bool, time_ordered: bool,
-                           size_filter: SizeFilterMap,
-                           acc: ScoreAccumulator) -> tuple[int, int]:
+    def _scan_prefix_stream(self, plist: Any, value: float,
+                            query_prefix_norm: float, now: float,
+                            cutoff: float, decay: float, rs1: float,
+                            rs2: float, sz1: float, threshold: float,
+                            use_ap: bool, use_l2: bool, time_ordered: bool,
+                            size_filter: SizeFilterMap,
+                            acc: ScoreAccumulator) -> tuple[int, int]:
+        """Algorithm 7 inner loop over one posting list.
+
+        Time-ordered lists are scanned backwards and truncated at the
+        first expired posting; unordered lists are compacted eagerly.
+        """
         if time_ordered:
             # Backward scan: stop at the first expired posting and truncate
             # the head.  Only live postings count as traversed — the expired

@@ -8,6 +8,7 @@ from dataclasses import dataclass, field
 
 from repro.core.results import JoinStatistics
 from repro.core.similarity import time_horizon
+from repro.obs import percentile
 
 __all__ = ["LatencyStats", "RunMetrics"]
 
@@ -22,11 +23,9 @@ class LatencyStats:
     forever with bounded memory; ``count`` still tracks the lifetime
     total and ``window_dropped`` how many samples aged out of the
     window, so a saturated window is visible rather than silently
-    biased.  Percentiles use the nearest-rank method on the retained
-    window — deterministic and dependency-free — except below three
-    samples, where nearest-rank collapses every percentile onto one
-    sample (p50 of two samples was the *smaller* one); tiny windows
-    interpolate linearly instead.
+    biased.  Percentiles of the retained window follow
+    :func:`repro.obs.percentile`, the rule the metrics registry's
+    histograms use too.
 
     Thread-safe: the service records from a pool worker while the
     ``stats`` endpoint summarises from server dispatch threads.
@@ -55,22 +54,6 @@ class LatencyStats:
         with self._lock:
             return len(self._samples)
 
-    @staticmethod
-    def _rank(ordered: list[float], p: float) -> float:
-        if not 0 < p <= 100:
-            raise ValueError(f"percentile must be in (0, 100], got {p}")
-        n = len(ordered)
-        if n < 3:
-            # Nearest-rank degenerates at tiny n (p50 of two samples is
-            # the smaller one); interpolate linearly instead.
-            position = (n - 1) * p / 100.0
-            low = int(position)
-            high = min(low + 1, n - 1)
-            fraction = position - low
-            return ordered[low] + (ordered[high] - ordered[low]) * fraction
-        rank = max(1, -(-n * p // 100))  # ceil without floats
-        return ordered[int(rank) - 1]
-
     def percentile(self, p: float) -> float:
         """``p``-th percentile (in seconds) of the retained window.
 
@@ -79,9 +62,7 @@ class LatencyStats:
         """
         with self._lock:
             ordered = sorted(self._samples)
-        if not ordered:
-            return 0.0
-        return self._rank(ordered, p)
+        return percentile(ordered, p)
 
     def summary(self) -> dict[str, float]:
         """The p50/p95/p99 row (milliseconds) shared by every consumer."""
@@ -95,9 +76,9 @@ class LatencyStats:
             "count": count,
             "window_dropped": window_dropped,
             "mean_ms": round(mean_s * 1e3, 4),
-            "p50_ms": round(self._rank(ordered, 50) * 1e3, 4) if ordered else 0.0,
-            "p95_ms": round(self._rank(ordered, 95) * 1e3, 4) if ordered else 0.0,
-            "p99_ms": round(self._rank(ordered, 99) * 1e3, 4) if ordered else 0.0,
+            "p50_ms": round(percentile(ordered, 50) * 1e3, 4),
+            "p95_ms": round(percentile(ordered, 95) * 1e3, 4),
+            "p99_ms": round(percentile(ordered, 99) * 1e3, 4),
             "max_ms": round(ordered[-1] * 1e3, 4) if ordered else 0.0,
         }
 

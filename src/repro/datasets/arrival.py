@@ -57,7 +57,9 @@ def bursty_timestamps(count: int, rng: np.random.Generator, *, rate: float = 1.0
 
     Items arrive in bursts: the burst *anchors* follow a Poisson process of
     the given rate divided by the mean burst size, and each burst contains a
-    geometric number of items spread over ``burst_spread`` time units.
+    geometric number of items spread over ``burst_spread`` time units.  A
+    burst whose anchor falls inside the previous burst's spread starts at
+    that burst's last item instead, so timestamps never decrease.
     """
     if rate <= 0 or burst_size < 1:
         raise InvalidParameterError(
@@ -65,14 +67,17 @@ def bursty_timestamps(count: int, rng: np.random.Generator, *, rate: float = 1.0
         )
     produced = 0
     anchor = start
+    last = start
     anchor_rate = rate / burst_size
     while produced < count:
         anchor += float(rng.exponential(1.0 / anchor_rate))
         size = 1 + int(rng.geometric(1.0 / burst_size))
         size = min(size, count - produced)
         offsets = np.sort(rng.uniform(0.0, burst_spread, size=size))
+        burst_start = max(anchor, last)
         for offset in offsets:
-            yield anchor + float(offset)
+            last = burst_start + float(offset)
+            yield last
             produced += 1
 
 

@@ -26,15 +26,16 @@ from repro.obs.export import (CONTENT_TYPE, MetricsHTTPServer,
                               render_prometheus, start_metrics_server)
 from repro.obs.registry import (DEFAULT_BUCKETS, Counter, DeltaTracker,
                                 Gauge, Histogram, MetricsRegistry,
-                                OVERFLOW_LABEL)
+                                OVERFLOW_LABEL, percentile)
 from repro.obs.tracing import NULL_SPAN, Span, SpanWriter, Tracer
 
 __all__ = [
     "CONTENT_TYPE", "Counter", "DEFAULT_BUCKETS", "DeltaTracker", "Gauge",
     "Histogram", "MetricsHTTPServer", "MetricsRegistry", "NULL_SPAN",
     "OVERFLOW_LABEL", "Span", "SpanWriter", "Tracer", "configure",
-    "enabled", "get_registry", "get_tracer", "render", "set_enabled",
-    "set_registry", "set_tracer", "span", "start_metrics_server",
+    "enabled", "get_registry", "get_tracer", "percentile", "render",
+    "set_enabled", "set_registry", "set_tracer", "span",
+    "start_metrics_server",
 ]
 
 _enabled = os.environ.get("SSSJ_OBS", "1").strip().lower() not in (

@@ -154,10 +154,10 @@ class Histogram:
             self._window.append(value)
 
     def percentile(self, p: float) -> float:
-        """Percentile over the bounded window (interpolated below n=3)."""
+        """Percentile over the bounded window (see :func:`percentile`)."""
         with self._lock:
             ordered = sorted(self._window)
-        return _window_percentile(ordered, p)
+        return percentile(ordered, p)
 
     def snapshot(self) -> dict:
         with self._lock:
@@ -175,19 +175,26 @@ class Histogram:
             }
 
 
-def _window_percentile(ordered: list[float], p: float) -> float:
-    """Shared percentile rule: linear interpolation on tiny samples
-    (nearest-rank is badly biased at n < 3), nearest-rank above."""
-    if not ordered:
-        return 0.0
+def percentile(ordered: list[float], p: float) -> float:
+    """The ``p``-th percentile, ``0 < p <= 100``, of sorted samples.
+
+    The one percentile rule of the code base: nearest-rank (deterministic,
+    dependency-free), except below three samples, where nearest-rank
+    collapses every percentile onto one sample (p50 of two samples would
+    be the smaller one) and linear interpolation is used instead.  Returns
+    0.0 for no samples.
+    """
+    if not 0 < p <= 100:
+        raise ValueError(f"percentile must be in (0, 100], got {p}")
     n = len(ordered)
+    if n == 0:
+        return 0.0
     if n < 3:
         position = (n - 1) * p / 100.0
         low = int(position)
-        frac = position - low
         high = min(low + 1, n - 1)
-        return ordered[low] + (ordered[high] - ordered[low]) * frac
-    rank = max(1, -(-n * p // 100))
+        return ordered[low] + (ordered[high] - ordered[low]) * (position - low)
+    rank = max(1, -(-n * p // 100))  # ceil without floats
     return ordered[int(rank) - 1]
 
 

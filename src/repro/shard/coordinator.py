@@ -392,7 +392,7 @@ class ShardedStreamingJoin(JoinFramework):
         faults = _coerce_injector(fault_plan)
         self.fault_injector = faults
         self._executor = create_executor(
-            plan, executor, backend="numpy",
+            plan, executor,
             use_shared_memory=use_shared_memory, start_method=start_method,
             recv_timeout=recv_timeout, max_respawns=max_respawns,
             recovery=recovery, faults=faults)

@@ -79,9 +79,9 @@ class SerialShardExecutor:
 
     kind = "serial"
 
-    def __init__(self, plan: ShardPlan, *, backend: str = "numpy") -> None:
+    def __init__(self, plan: ShardPlan) -> None:
         self.plan = plan
-        self.workers = [ShardWorker(shard, make_worker_kernel(backend))
+        self.workers = [ShardWorker(shard, make_worker_kernel())
                         for shard in range(plan.workers)]
         self._pending: list[list[tuple]] = [[] for _ in range(plan.workers)]
 
@@ -135,7 +135,7 @@ class ProcessShardExecutor:
     #: within ``recv_timeout``).
     _REPLAY_CHUNK = 128
 
-    def __init__(self, plan: ShardPlan, *, backend: str = "numpy",
+    def __init__(self, plan: ShardPlan, *,
                  use_shared_memory: bool = True,
                  start_method: str | None = None,
                  recv_timeout: float = 10.0,
@@ -143,7 +143,6 @@ class ProcessShardExecutor:
                  recovery: bool = True,
                  faults=None) -> None:
         self.plan = plan
-        self.backend = backend
         self.use_shared_memory = use_shared_memory
         if start_method is None:
             methods = multiprocessing.get_all_start_methods()
@@ -195,8 +194,7 @@ class ProcessShardExecutor:
             worker_faults = self.faults.worker_events_for(shard) or None
         process = self._context.Process(
             target=shard_worker_main,
-            args=(child_conn, shard, self.use_shared_memory, self.backend,
-                  worker_faults),
+            args=(child_conn, shard, self.use_shared_memory, worker_faults),
             name=f"sssj-shard-{shard}", daemon=True)
         process.start()
         child_conn.close()
@@ -453,7 +451,7 @@ class ProcessShardExecutor:
         started = time.monotonic()
         workers = []
         for shard in range(self.plan.workers):
-            worker = ShardWorker(shard, make_worker_kernel(self.backend))
+            worker = ShardWorker(shard, make_worker_kernel())
             for message in self._history[shard]:
                 apply_step(worker, message)
             workers.append(worker)
@@ -476,7 +474,7 @@ class ProcessShardExecutor:
 
 
 def create_executor(plan: ShardPlan, kind: str = "process", *,
-                    backend: str = "numpy", use_shared_memory: bool = True,
+                    use_shared_memory: bool = True,
                     start_method: str | None = None,
                     recv_timeout: float = 10.0, max_respawns: int = 3,
                     recovery: bool = True, faults=None):
@@ -487,10 +485,9 @@ def create_executor(plan: ShardPlan, kind: str = "process", *,
                 "worker fault injection (kill-worker/exit-in-*/drop-reply/"
                 "delay-reply) requires the process executor; the serial "
                 "executor has no worker processes to break")
-        return SerialShardExecutor(plan, backend=backend)
+        return SerialShardExecutor(plan)
     if kind == "process":
-        return ProcessShardExecutor(plan, backend=backend,
-                                    use_shared_memory=use_shared_memory,
+        return ProcessShardExecutor(plan, use_shared_memory=use_shared_memory,
                                     start_method=start_method,
                                     recv_timeout=recv_timeout,
                                     max_respawns=max_respawns,

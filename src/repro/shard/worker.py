@@ -28,10 +28,9 @@ from __future__ import annotations
 from typing import Any
 
 from repro import obs
-from repro.backends import get_backend
 from repro.backends.base import SegmentPartial
 from repro.core.results import ShardCounters
-from repro.indexes.posting import InvertedIndex, PostingEntry
+from repro.indexes.posting import InvertedIndex
 
 __all__ = ["ShardWorker", "apply_step", "make_worker_kernel",
            "shard_worker_main", "pack_partials", "unpack_partials"]
@@ -92,21 +91,15 @@ def unpack_partials(packed) -> list[SegmentPartial]:
     return partials
 
 
-def make_worker_kernel(backend: str = "numpy", *, allocator=None):
-    """Build a worker's compute kernel, shared-memory backed if requested.
+def make_worker_kernel(*, allocator=None):
+    """Build a worker's NumPy kernel, shared-memory backed if requested.
 
-    The kernel is warmed before use: the compiled tier's one-time JIT
-    compilation must happen here, not inside the first ``scan`` — a
-    multi-second compile during a step would trip the coordinator's
-    recv timeout and look like a crashed worker.
+    Workers always run the NumPy kernel: the partial gathers
+    (``gather_*_partials``) live on its posting arena.
     """
-    kernel_cls = get_backend(backend)
-    if allocator is not None:
-        kernel = kernel_cls(arena_allocator=allocator)
-    else:
-        kernel = kernel_cls()
-    kernel.warmup()
-    return kernel
+    from repro.backends.numpy_backend import NumpyKernel
+
+    return NumpyKernel(arena_allocator=allocator)
 
 
 class ShardWorker:
@@ -131,14 +124,8 @@ class ShardWorker:
         appended = 0
         for slot, dims, values, prefix_norms, timestamp in appends:
             for offset, dim in enumerate(dims):
-                plist = index.list_for(dim)
-                fast = getattr(plist, "_append_fast", None)
-                if fast is not None:
-                    fast(slot, values[offset], prefix_norms[offset], timestamp)
-                else:  # generic posting-list layout (reference backend)
-                    plist.append(PostingEntry(
-                        vector_id=slot, value=values[offset],
-                        prefix_norm=prefix_norms[offset], timestamp=timestamp))
+                index.list_for(dim)._append_fast(
+                    slot, values[offset], prefix_norms[offset], timestamp)
             index.note_added(len(dims))
             appended += len(dims)
         self.counters.entries_indexed += appended
@@ -240,7 +227,7 @@ def apply_step(worker: ShardWorker, message: tuple):
 
 
 def shard_worker_main(conn, shard: int, use_shared_memory: bool = True,
-                      backend: str = "numpy", faults=None) -> None:
+                      faults=None) -> None:
     """Child-process message loop of one shard (multiprocess executor).
 
     Protocol (requests over ``conn``):
@@ -262,13 +249,11 @@ def shard_worker_main(conn, shard: int, use_shared_memory: bool = True,
     workers are started fault-free.
     """
     allocator = None
-    # The numba backend shares the numpy arena layout, so both can place
-    # their postings in shared memory.
-    if use_shared_memory and backend in ("numpy", "numba"):
+    if use_shared_memory:
         from repro.shard.shm import SharedMemoryAllocator
 
         allocator = SharedMemoryAllocator(name_prefix=f"sssj-shard{shard}")
-    worker = ShardWorker(shard, make_worker_kernel(backend, allocator=allocator))
+    worker = ShardWorker(shard, make_worker_kernel(allocator=allocator))
     fault_map: dict[int, list[tuple[str, float]]] = {}
     for kind, after, ms in faults or ():
         fault_map.setdefault(after, []).append((kind, ms))

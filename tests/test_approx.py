@@ -273,15 +273,6 @@ class TestConfiguration:
         with pytest.raises(InvalidParameterError):
             create_join("STR-L2AP", THETA, DECAY, approx="minhash", workers=2)
 
-    @pytest.mark.skipif("numpy" not in available_backends(),
-                        reason="NumPy backend unavailable")
-    def test_non_fused_numpy_kernel_rejects_approx(self):
-        from repro.backends.numpy_backend import NumpyKernel
-
-        kernel = NumpyKernel(fused=False)
-        with pytest.raises(InvalidParameterError):
-            kernel.configure_approx(ApproxConfig())
-
 
 class TestSignatureScheme:
     @pytest.mark.parametrize("method", ["minhash", "wminhash", "simhash"])

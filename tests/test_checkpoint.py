@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import random
+from pathlib import Path
 
 import pytest
 
@@ -19,8 +21,10 @@ from repro.core.checkpoint import (
 )
 from repro.core.frameworks.minibatch import MiniBatchFramework
 from repro.core.frameworks.streaming import StreamingFramework
+from repro.core.vector import SparseVector
 from repro.datasets.generator import generate_profile_corpus
 from tests.conftest import random_vectors
+from tests.groundtruth import counters_without_time, engine_pairs
 
 BACKENDS = [
     "python",
@@ -220,3 +224,96 @@ class TestCheckpointErrors:
         state["algorithm"] = "MB-L2"
         with pytest.raises(CheckpointError):
             restore_join(state)
+
+
+# -- golden checkpoint envelope ------------------------------------------------------
+
+GOLDEN = Path(__file__).parent / "fixtures" / "checkpoint_str_l2ap_numpy.json"
+GOLDEN_THRESHOLD = 0.6
+GOLDEN_DECAY = 0.05
+GOLDEN_PREFIX = 40
+
+
+def golden_stream() -> list[SparseVector]:
+    """The golden fixture's 60-vector stream (its first 40 are checkpointed).
+
+    Drawn from :class:`random.Random` only, whose ``random()`` sequence is
+    stable across Python versions: near-duplicates of recent vectors make
+    pairs, a horizon of about 20 arrivals makes postings expire, and
+    growing maxima re-index.
+    """
+    rng = random.Random(14)
+    vectors: list[SparseVector] = []
+    for index in range(60):
+        if vectors and rng.random() < 0.4:
+            recent = vectors[-8:]
+            entries = dict(recent[int(rng.random() * len(recent))])
+            dim = int(rng.random() * 30)
+            entries[dim] = entries.get(dim, 0.0) + 0.05 + 0.25 * rng.random()
+        else:
+            entries = {}
+            while len(entries) < 5:
+                entries[int(rng.random() * 30)] = 0.1 + 0.9 * rng.random()
+        vectors.append(SparseVector(index, index * 0.5, entries))
+    return vectors
+
+
+def golden_prefix_snapshot() -> dict:
+    """The STR-L2AP/numpy envelope after the golden prefix, as JSON reads it."""
+    join = StreamingFramework(GOLDEN_THRESHOLD, GOLDEN_DECAY, index="L2AP",
+                              backend="numpy")
+    for vector in golden_stream()[:GOLDEN_PREFIX]:
+        join.process(vector)
+    return json.loads(json.dumps(snapshot_join(join)))
+
+
+def pair_rows(pairs) -> list[tuple]:
+    """Every field of each pair (``SimilarPair`` equality compares ids only)."""
+    return [(pair.id_a, pair.id_b, pair.similarity, pair.dot,
+             pair.time_delta, pair.reported_at) for pair in pairs]
+
+
+class TestGoldenCheckpoint:
+    """A committed envelope pins the checkpoint format and the restore path.
+
+    A change to what ``snapshot_join`` writes, or to how ``restore_join``
+    reads it, fails here unless ``_FORMAT_VERSION`` is bumped and the
+    fixture regenerated with ``PYTHONPATH=src python -m tests.test_checkpoint``.
+    """
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_restored_golden_continues_like_an_uninterrupted_run(self, backend):
+        state = json.loads(GOLDEN.read_text(encoding="utf-8"))
+        state["backend"] = backend
+        resumed = restore_join(state)
+        vectors = golden_stream()
+        got = [pair for vector in vectors[GOLDEN_PREFIX:]
+               for pair in resumed.process(vector)]
+        expected, stats = engine_pairs(vectors, GOLDEN_THRESHOLD, GOLDEN_DECAY,
+                                       algorithm="STR-L2AP", backend=backend)
+        resumed_at = vectors[GOLDEN_PREFIX].timestamp
+        assert got
+        assert pair_rows(got) == pair_rows(
+            pair for pair in expected if pair.reported_at >= resumed_at)
+        assert (counters_without_time(resumed.stats.as_dict())
+                == counters_without_time(stats.as_dict()))
+
+    @pytest.mark.skipif("numpy" not in available_backends(),
+                        reason="NumPy backend unavailable")
+    def test_fresh_snapshot_matches_the_golden_envelope(self):
+        golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+        fresh = golden_prefix_snapshot()
+        for state in (golden, fresh):
+            state["stats"].pop("elapsed_seconds")
+        assert sorted(fresh) == sorted(golden)
+        for field in golden:
+            assert fresh[field] == golden[field], field
+
+
+if __name__ == "__main__":
+    envelope = golden_prefix_snapshot()
+    envelope["stats"]["elapsed_seconds"] = 0.0
+    GOLDEN.parent.mkdir(exist_ok=True)
+    GOLDEN.write_text(json.dumps(envelope, indent=1, sort_keys=True) + "\n",
+                      encoding="utf-8")
+    print(f"wrote {GOLDEN}")

@@ -82,9 +82,19 @@ class TestArrivalProcesses:
             list(poisson_timestamps(3, np.random.default_rng(0), rate=0.0))
 
     def test_bursty_is_non_decreasing_and_complete(self):
-        rng = np.random.default_rng(1)
-        times = list(bursty_timestamps(150, rng, rate=2.0, burst_size=6.0))
-        assert len(times) == 150
+        # A burst anchored inside the previous burst's spread used to emit
+        # earlier timestamps than that burst's last items (seeds 0, 2, 11,
+        # 14, 17 and 19 of these did).
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            times = list(bursty_timestamps(150, rng, rate=2.0, burst_size=6.0))
+            assert len(times) == 150, seed
+            assert all(a <= b for a, b in zip(times, times[1:])), seed
+
+    @pytest.mark.parametrize("profile", ["tweets", "blogs"])
+    def test_bursty_profiles_are_time_ordered(self, profile):
+        corpus = generate_profile_corpus(profile, num_vectors=1000, seed=7)
+        times = [vector.timestamp for vector in corpus]
         assert all(a <= b for a, b in zip(times, times[1:]))
 
     def test_bursty_rejects_bad_parameters(self):

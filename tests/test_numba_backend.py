@@ -40,16 +40,15 @@ if "numpy" in available_backends():
         """Test-only registration: the kernel-function path, always forced.
 
         Registering this under its own name lets string-based entry points
-        (the sharded engine's worker factory, ``create_join``) build fresh
+        (``create_join``, the sharded engine's coordinator) build fresh
         interpreted instances per index, respecting the one-kernel-per-index
         contract that sharing a single instance would break.
         """
 
         name = "numba-interpreted"
 
-        def __init__(self, *, fused=True, arena_allocator=None,
-                     use_kernels=None):
-            super().__init__(fused=fused, arena_allocator=arena_allocator,
+        def __init__(self, *, arena_allocator=None, use_kernels=None):
+            super().__init__(arena_allocator=arena_allocator,
                              use_kernels=True)
 
     numba_missing = not NumbaKernel.available()
@@ -265,14 +264,6 @@ class TestFallbackSelection:
         assert result.returncode == 0, result.stderr
         expected = "numpy" if numba_missing else "numba"
         assert result.stdout.strip() == expected
-
-    def test_worker_factory_accepts_numba(self):
-        from repro.shard.worker import make_worker_kernel
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            kernel = make_worker_kernel("numba")
-        assert kernel.name in ("numba", "numpy")
 
 
 class TestWarmupContract:

@@ -416,6 +416,34 @@ class TestLatencyStats:
         stats.record(0.020)  # n = 3 → nearest-rank again
         assert stats.percentile(50) == pytest.approx(0.020)
 
+    def test_histogram_and_latency_stats_share_one_percentile_rule(self):
+        import random
+
+        rng = random.Random(5)
+        for n in (1, 2, 3, 100):
+            samples = [rng.uniform(0.001, 0.5) for _ in range(n)]
+            stats = LatencyStats()
+            histogram = obs.Histogram(window=n)
+            for sample in samples:
+                stats.record(sample)
+                histogram.observe(sample)
+            for p in (1, 25, 50, 90, 95, 99, 100):
+                assert histogram.percentile(p) == stats.percentile(p), (n, p)
+                assert (obs.percentile(sorted(samples), p)
+                        == stats.percentile(p)), (n, p)
+
+    @pytest.mark.parametrize("p", [0, -5, 100.5, 150])
+    def test_out_of_range_percentiles_are_rejected(self, p):
+        histogram = obs.Histogram()
+        stats = LatencyStats()
+        for sample in (0.1, 0.2, 0.3):
+            histogram.observe(sample)
+            stats.record(sample)
+        with pytest.raises(ValueError):
+            histogram.percentile(p)
+        with pytest.raises(ValueError):
+            stats.percentile(p)
+
     def test_window_is_configurable_and_drops_are_counted(self):
         stats = LatencyStats(window=4)
         for value in (1, 2, 3, 4, 5, 6):

@@ -146,54 +146,6 @@ class TestShardedParity:
                                    backend=backend)
 
 
-class TestGenericWorkerGather:
-    def test_reference_backend_workers_keep_parity(self):
-        # The base-class gather_*_partials defaults (per-entry loops over
-        # the generic posting-list interface) must produce the same
-        # partials as the vectorised arena gather: run the coordinator
-        # over workers whose kernels are the pure-Python reference.
-        import random
-
-        from repro.shard.coordinator import (
-            ShardedInvStreamingIndex,
-            ShardedL2APStreamingIndex,
-            ShardedL2StreamingIndex,
-        )
-        from repro.shard.executor import SerialShardExecutor
-
-        random.seed(5)
-        vectors = []
-        timestamp = 0.0
-        for index in range(100):
-            timestamp += random.random() * 0.3
-            vectors.append(SparseVector(
-                index, timestamp,
-                {random.randrange(15): random.uniform(0.1, 1.0)
-                 for _ in range(random.randrange(1, 5))}))
-        for index_cls, algorithm in (
-                (ShardedL2StreamingIndex, "STR-L2"),
-                (ShardedL2APStreamingIndex, "STR-L2AP"),
-                (ShardedInvStreamingIndex, "STR-INV")):
-            expected, expected_stats = run_single_process(
-                algorithm, vectors, 0.5, 0.05)
-            stats = JoinStatistics()
-            sharded = index_cls(0.5, 0.05, stats=stats, backend="numpy")
-            plan = ShardPlan(2)
-            sharded.attach_executor(plan,
-                                    SerialShardExecutor(plan, backend="python"))
-            actual = {}
-            for vector in vectors:
-                for pair in sharded.process(vector):
-                    actual[pair.key] = pair
-            assert set(actual) == set(expected), algorithm
-            for key, pair in expected.items():
-                assert actual[key].similarity == pair.similarity, algorithm
-            for counter in PARITY_COUNTERS:
-                assert (getattr(stats, counter)
-                        == getattr(expected_stats, counter)), (algorithm,
-                                                               counter)
-
-
 class TestProcessExecutor:
     def test_multiprocess_parity_two_workers(self):
         import random

@@ -10,6 +10,10 @@ randomised streams: the same pairs with the same similarities, and the same
 acceptance gate does not reach: ``θ = 1``, aggressive decay (so postings
 expire and the amortised lazy compaction runs), and re-indexing-heavy
 streams whose unordered lists mix lazy and physical removal.
+
+The fused whole-query arena scan is the NumPy backend's only
+candidate-generation path, so parity with the reference backend's per-term
+loops is checked directly here, counter for counter.
 """
 
 from __future__ import annotations
@@ -26,9 +30,6 @@ from tests.conftest import accelerated_backends
 
 pytestmark = pytest.mark.skipif("numpy" not in available_backends(),
                                 reason="NumPy backend unavailable")
-
-if "numpy" in available_backends():
-    from repro.backends.numpy_backend import NumpyKernel
 
 PARITY_COUNTERS = ("candidates_generated", "full_similarities",
                    "entries_traversed", "entries_pruned", "entries_indexed",
@@ -156,70 +157,6 @@ class TestSlotSpaceParity:
         assert kernel.stage_calls["scan"] == len(vectors)
 
 
-class TestFusedVersusPerTermParity:
-    """The fused arena scans against the per-term kernel fallback.
-
-    ``NumpyKernel(fused=False)`` routes candidate generation through the
-    base class's per-term driver loop over the same vectorised ``scan_*``
-    kernels — the code path the fused ``scan_query_*`` implementations
-    must replicate decision for decision.
-    """
-
-    @settings(max_examples=25, deadline=None)
-    @given(entries=sparse_streams,
-           threshold=st.floats(min_value=0.3, max_value=0.99),
-           decay=st.floats(min_value=0.05, max_value=2.0))
-    def test_expiring_streams(self, entries, threshold, decay):
-        vectors = [SparseVector(index, float(index), coords)
-                   for index, coords in enumerate(entries)]
-        for algorithm in ("STR-L2AP", "STR-L2", "STR-INV", "STR-AP"):
-            assert_backends_agree(algorithm, vectors, threshold, decay,
-                                  NumpyKernel(fused=False),
-                                  NumpyKernel(fused=True))
-
-    @settings(max_examples=15, deadline=None)
-    @given(entries=sparse_streams)
-    def test_theta_one(self, entries):
-        vectors = [SparseVector(index, float(index // 3), coords)
-                   for index, coords in enumerate(entries)]
-        for algorithm in ("STR-L2AP", "STR-L2", "STR-INV"):
-            assert_backends_agree(algorithm, vectors, 1.0, 0.5,
-                                  NumpyKernel(fused=False),
-                                  NumpyKernel(fused=True))
-
-    def test_reindexing_with_expiry(self):
-        vectors = [
-            SparseVector(index, float(index),
-                         {dim: 1.0 + 0.06 * index
-                          for dim in range(index % 5, index % 5 + 4)})
-            for index in range(150)
-        ]
-        assert_backends_agree("STR-L2AP", vectors, 0.6, 0.08,
-                              NumpyKernel(fused=False),
-                              NumpyKernel(fused=True))
-
-    def test_batch_prefix_parity(self):
-        from repro.indexes.base import create_batch_index
-
-        vectors = [SparseVector(index, 0.0,
-                                {dim: 1.0 + 0.1 * (index % 4)
-                                 for dim in range(index % 4, index % 4 + 3)})
-                   for index in range(25)]
-        for algorithm in ("L2AP", "AP", "L2", "INV"):
-            per_term = create_batch_index(algorithm, 0.5,
-                                          backend=NumpyKernel(fused=False))
-            fused = create_batch_index(algorithm, 0.5,
-                                       backend=NumpyKernel(fused=True))
-            for vector in vectors[:-1]:
-                per_term.index_vector(vector)
-                fused.index_vector(vector)
-            query = vectors[-1]
-            reference_set = per_term.candidate_generation(query)
-            fused_set = fused.candidate_generation(query)
-            assert fused_set.to_dict() == reference_set.to_dict()
-            assert list(fused_set.to_dict()) == list(reference_set.to_dict())
-
-
 class TestCandidateSetViews:
     def test_batch_candidate_set_views(self):
         # The CandidateSet compatibility views must agree with the
@@ -242,3 +179,26 @@ class TestCandidateSetViews:
         assert (list(vectorized_set.to_dict())
                 == list(reference_set.to_dict()))  # insertion order
         assert vectorized_set.above(0.5) == reference_set.above(0.5)
+
+    def test_batch_prefix_parity(self):
+        # The batch candidate generation of every scheme, fused NumPy scan
+        # against the reference per-term loops: same candidates, scores and
+        # insertion order.
+        from repro.indexes.base import create_batch_index
+
+        vectors = [SparseVector(index, 0.0,
+                                {dim: 1.0 + 0.1 * (index % 4)
+                                 for dim in range(index % 4, index % 4 + 3)})
+                   for index in range(25)]
+        for algorithm in ("L2AP", "AP", "L2", "INV"):
+            reference = create_batch_index(algorithm, 0.5, backend="python")
+            vectorized = create_batch_index(algorithm, 0.5, backend="numpy")
+            for vector in vectors[:-1]:
+                reference.index_vector(vector)
+                vectorized.index_vector(vector)
+            query = vectors[-1]
+            reference_set = reference.candidate_generation(query)
+            vectorized_set = vectorized.candidate_generation(query)
+            assert vectorized_set.to_dict() == reference_set.to_dict(), algorithm
+            assert (list(vectorized_set.to_dict())
+                    == list(reference_set.to_dict())), algorithm
