@@ -71,9 +71,6 @@ class SegmentPartial:
     ``position``
         The query position this segment belongs to (global scan order is
         descending position for the prefix schemes, ascending for INV).
-    ``value`` / ``query_prefix_norm``
-        The query-side term weight ``y_j`` and prefix magnitude ``‖y'‖``
-        the per-posting products were computed with.
     ``slots``
         ``int64`` array of candidate identifiers in scan order.  In the
         sharded engine these are the *coordinator's* interned slots (the
@@ -99,8 +96,6 @@ class SegmentPartial:
     """
 
     position: int
-    value: float
-    query_prefix_norm: float
     slots: Any
     contrib: Any
     tails: Any = None

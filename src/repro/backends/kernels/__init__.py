@@ -1,11 +1,14 @@
 """Compiled (numba) twins of the NumPy backend's fused hot loops.
 
 The functions in :mod:`repro.backends.kernels.scan` are the sequential,
-loop-form replicas of the NumPy backend's per-segment scan machinery —
-the accumulate → bound-filter → prune → admit tri-state chain of
-``_fused_prefix_segments``, the INV accumulation pass, the banded-sketch
-posting drop and the batched residual-dot reduction.  They are written as
-*free functions over plain arrays* for two reasons:
+loop-form versions of the NumPy backend's scan machinery — the
+accumulate → bound-filter → prune → admit tri-state chain of
+``_fused_prefix_segments`` (the NumPy backend's own scalar loop
+:func:`repro.backends.numpy_backend.prefix_segments`, compiled here and
+run over every segment of a query in one call), the INV accumulation
+pass, the banded-sketch posting drop and the batched residual-dot
+reduction.  They are written as *free functions over plain arrays* for
+two reasons:
 
 * **numba compiles free functions, not methods** — every argument is a
   contiguous ``int64``/``float64``/``bool`` array (the very buffers the

@@ -2,10 +2,11 @@
 
 Each function here is the sequential twin of one fused NumPy-backend
 routine; the docstrings name the exact counterpart whose decisions it
-replays.  All of them mutate the caller's slot-indexed mirrors in place
-and communicate variable-length results through preallocated ``*_out``
-buffers (numba cannot return freshly grown Python lists cheaply, and the
-NumPy backend reuses scratch the same way).
+replays.  ``prefix_segments`` is not a twin: it is the NumPy backend's own
+scalar replay loop, compiled.  All of them mutate the caller's
+slot-indexed mirrors in place and communicate variable-length results
+through preallocated ``*_out`` buffers (numba cannot return freshly grown
+Python lists cheaply, and the NumPy backend reuses scratch the same way).
 
 Bitwise-parity rules observed throughout (see the NumPy backend's module
 docstring for the full contract):
@@ -27,6 +28,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.backends import numpy_backend as _numpy_backend
 from repro.backends.arena import SLOT_DTYPE, VALUE_DTYPE
 from repro.backends.kernels import jit
 
@@ -38,69 +40,11 @@ __all__ = [
     "sketch_filter",
 ]
 
-# Tri-state admission outcomes — numeric twins of the NumPy backend's
-# _ADMIT_ALL / _ADMIT_NONE / _ADMIT_PER_ENTRY constants.  Kept literal in
-# the loops below (numba folds them) but named here for the reader.
-_ADMIT_ALL = 1
-_ADMIT_NONE = 0
-_ADMIT_PER_ENTRY = -1
-
-
-@jit
-def prefix_segments(slots, contrib, tails, decay_factors, tri, seg_rs1,
-                    seg_rs2, offsets, nseg, state, scores, sf, epoch, sz1,
-                    use_ap, use_l2, threshold, fresh_out):
-    """Replay the hoisted leading run of ``_fused_prefix_segments``.
-
-    Processes segments ``0..nseg-1`` of the whole-query gather: for each
-    posting, the prune-mark check, the tri-state admission (``tri[j]``
-    with the per-entry decayed bound from ``seg_rs1``/``seg_rs2`` and
-    ``decay_factors``), the sz1 size filter (``use_ap``), the score
-    accumulation and the l2bound early prune (``use_l2``) — the exact
-    decision sequence of the NumPy backend's scalar twin
-    ``_scan_segment_scalar``, which is itself decision-identical to the
-    vectorised masks.  ``tails`` is read only when ``use_l2``,
-    ``decay_factors`` only for ``_ADMIT_PER_ENTRY`` segments; callers
-    pass empty placeholders otherwise.
-
-    First-touched slots are appended to ``fresh_out`` in accumulation
-    order (the candidate insertion order); returns their count.
-    """
-    fresh_count = 0
-    for j in range(nseg):
-        admit = tri[j]
-        rs1 = seg_rs1[j]
-        rs2 = seg_rs2[j]
-        for p in range(offsets[j], offsets[j + 1]):
-            slot = slots[p]
-            mark = state[slot]
-            if mark == -epoch:
-                continue
-            started = mark == epoch
-            if not started:
-                if admit == 0:  # _ADMIT_NONE: only running candidates
-                    continue
-                if admit == -1:  # _ADMIT_PER_ENTRY: decayed bound check
-                    bound = rs2 * decay_factors[p]
-                    if rs1 < bound:
-                        bound = rs1
-                    if bound < threshold:
-                        continue
-                if use_ap and sf[slot] < sz1:
-                    continue
-            if started:
-                accumulated = scores[slot] + contrib[p]
-            else:
-                accumulated = 0.0 + contrib[p]
-            if use_l2 and accumulated + tails[p] < threshold:
-                state[slot] = -epoch
-                continue
-            scores[slot] = accumulated
-            if not started:
-                state[slot] = epoch
-                fresh_out[fresh_count] = slot
-                fresh_count += 1
-    return fresh_count
+#: The scalar prefix-scan replay, compiled.  The function itself lives in
+#: the NumPy backend, which runs it uncompiled on small gathers, so the
+#: decision sequence is written once and the NumPy backend never imports
+#: numba.
+prefix_segments = jit(_numpy_backend.prefix_segments)
 
 
 @jit
@@ -198,7 +142,7 @@ def exercise_kernels() -> None:
     scores = np.zeros(4, dtype=VALUE_DTYPE)
     sf = np.full(4, np.inf, dtype=VALUE_DTYPE)
     out = np.empty(4, dtype=SLOT_DTYPE)
-    prefix_segments(slots, contrib, tails, factors, tri, rs, rs, offsets, 2,
+    prefix_segments(slots, contrib, tails, factors, tri, rs, rs, offsets,
                     state, scores, sf, 1, 0.0, True, True, 0.1, out)
     mark = np.zeros(4, dtype=SLOT_DTYPE)
     arrival = np.zeros(4, dtype=VALUE_DTYPE)

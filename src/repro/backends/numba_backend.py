@@ -6,9 +6,11 @@ functions from :mod:`repro.backends.kernels.scan`, all reading the very
 same contiguous buffers (the posting-arena gathers and the slot-indexed
 score/state/size-filter mirrors):
 
-* the hoisted leading run of ``_fused_prefix_segments`` — the per-segment
-  accumulate → bound-filter → prune → admit tri-state chain, inherently
-  sequential and therefore the part vectorisation cannot touch;
+* the whole-query replay of ``_fused_prefix_segments`` — the
+  accumulate → bound-filter → prune → admit tri-state chain, compiled
+  from the very loop the NumPy backend runs uncompiled on small gathers
+  (:func:`repro.backends.numpy_backend.prefix_segments`), over every
+  segment in one call;
 * ``_fused_inv_pass`` — the sequential INV accumulation with first-touch
   detection;
 * the banded-sketch posting drop (``_sketch_drop``) — the per-posting
@@ -128,50 +130,28 @@ class NumbaKernel(NumpyKernel):
 
     # -- compiled hot loops ---------------------------------------------------
 
-    def _fused_prefix_segments(self, arena, idx, slots, contrib, tails,
-                               decay_factors, tri, seg_values, seg_qpns,
-                               seg_rs1, seg_rs2, offsets, hoisted, decay,
-                               now, sz1, use_ap, use_l2, threshold,
+    def _fused_prefix_segments(self, slots, contrib, tails, decay_factors,
+                               tri, seg_rs1, seg_rs2, offsets, sz1, use_ap,
+                               use_l2, threshold,
                                acc: NumpyAccumulator) -> None:
         if not self._use_kernels:
             super()._fused_prefix_segments(
-                arena, idx, slots, contrib, tails, decay_factors, tri,
-                seg_values, seg_qpns, seg_rs1, seg_rs2, offsets, hoisted,
-                decay, now, sz1, use_ap, use_l2, threshold, acc)
+                slots, contrib, tails, decay_factors, tri, seg_rs1, seg_rs2,
+                offsets, sz1, use_ap, use_l2, threshold, acc)
             return
-        # The leading run — every segment whose entries live inside the
-        # hoisted gather (its contrib/tails/decay factors are
-        # precomputed) — goes through the compiled loop in one call; the
-        # lazy tail segments keep the NumPy path, whose per-segment
-        # ``np.exp`` re-gather is already minimal (they touch only
-        # already-started candidates).
-        nseg = len(tri)
-        leading = 0
-        while leading < nseg and int(offsets[leading]) < hoisted:
-            leading += 1
-        if leading:
-            tri_arr = np.asarray(tri[:leading], dtype=np.int64)
-            if seg_rs1:
-                rs1_arr = np.asarray(seg_rs1[:leading], dtype=np.float64)
-                rs2_arr = np.asarray(seg_rs2[:leading], dtype=np.float64)
-            else:  # batch path: tri is ALL/NONE only, bounds never read
-                rs1_arr = rs2_arr = np.zeros(leading, dtype=np.float64)
-            fresh_out = self._touched_buffer(hoisted)
-            fresh_count = _scan.prefix_segments(
-                slots, contrib,
-                tails if use_l2 else _EMPTY_FLOAT,
-                decay_factors if decay_factors is not None else _EMPTY_FLOAT,
-                tri_arr, rs1_arr, rs2_arr, offsets, leading,
-                self._slot_state, self._slot_score, self._slot_sf,
-                self._epoch, sz1, use_ap, use_l2, threshold, fresh_out)
-            if fresh_count:
-                acc._touched.append(fresh_out[:fresh_count].copy())
-        if leading < nseg:
-            super()._fused_prefix_segments(
-                arena, idx, slots, contrib, tails, decay_factors,
-                tri[leading:], seg_values[leading:], seg_qpns[leading:],
-                seg_rs1[leading:], seg_rs2[leading:], offsets[leading:],
-                hoisted, decay, now, sz1, use_ap, use_l2, threshold, acc)
+        # Every segment of the whole-query gather in one compiled call.
+        fresh_out = self._touched_buffer(len(slots))
+        fresh_count = _scan.prefix_segments(
+            slots, contrib,
+            tails if use_l2 else _EMPTY_FLOAT,
+            decay_factors if decay_factors is not None else _EMPTY_FLOAT,
+            np.asarray(tri, dtype=np.int64),
+            np.asarray(seg_rs1, dtype=np.float64),
+            np.asarray(seg_rs2, dtype=np.float64), offsets,
+            self._slot_state, self._slot_score, self._slot_sf,
+            self._epoch, sz1, use_ap, use_l2, threshold, fresh_out)
+        if fresh_count:
+            acc._touched.append(fresh_out[:fresh_count].copy())
 
     def _fused_inv_pass(self, slots: np.ndarray, contrib: np.ndarray,
                         timestamps: np.ndarray | None,

@@ -31,17 +31,23 @@ backend's per-entry loops while processing the whole query at once:
   ``min(rs1, rs2·e^{-λΔt}) ≥ θ`` is monotone across the scan — a
   candidate is admitted if and only if its *first* appearance passes;
 * scores and the ``l2bound`` prune decisions only couple postings of the
-  *same* candidate, so after a stable sort by slot the scan is replayed
-  in **rounds over the appearance rank**: round ``r`` processes every
-  candidate's ``r``-th posting with one gather/add/compare/scatter.
-  Within a round each slot appears exactly once, and the rounds run in
-  ascending rank order, so every partial sum is accumulated in exactly
-  the reference order (bit-for-bit).
+  *same* candidate, so the scan is replayed **grouped by slot**: one sort
+  of packed ``slot << b | position`` keys groups the gather by candidate
+  in scan order, each candidate's chain starts at its first admitting
+  posting, and one row-wise ``np.cumsum`` over a zero-padded
+  (candidates × longest chain) matrix yields every partial sum.
+  ``add.accumulate`` adds strictly left to right, so each partial sum is
+  bit for bit the reference's ``score + contribution`` chain; a candidate
+  is pruned iff any of its partial sums plus its ``l2bound`` tail falls
+  below θ.
 
-The number of rounds equals the largest number of query terms a single
-candidate shares with the query — typically a small fraction of the
-number of terms — and all per-entry work (decay, bound tails, admission)
-is vectorised once over the whole gather.
+All per-entry work (products, decay, bound tails, admission) is
+vectorised once over the whole gather.  Gathers of at most
+``_GROUPED_REPLAY_CUTOFF`` live postings skip the grouping and run the
+scalar loop :func:`prefix_segments` instead — the same loop the compiled
+tier compiles — because the grouped pass's fixed cost of a few dozen
+NumPy calls dwarfs a short loop.  The size of the gather is the only
+input to that choice.
 
 Candidates never round-trip through ``dict[int, float]``: the scan kernels
 accumulate into epoch-stamped dense per-slot arrays, :class:`NumpyAccumulator`
@@ -110,11 +116,15 @@ from repro.backends.base import (
 )
 from repro.core.results import JoinStatistics, SimilarPair
 from repro.core.vector import SparseVector
-from repro.indexes.bounds import IndexingSplit, compute_indexing_split
+from repro.indexes.bounds import (
+    IndexingSplit,
+    compute_indexing_split,
+    remaining_score_bounds,
+)
 from repro.indexes.maxvector import MaxVector
 from repro.indexes.residual import ResidualEntry, ResidualIndex
 
-__all__ = ["NumpyKernel", "ArenaPostingList", "PostingArena"]
+__all__ = ["NumpyKernel", "ArenaPostingList", "PostingArena", "prefix_segments"]
 
 _INITIAL_SLOTS = 64
 _INITIAL_DENSE = 1024
@@ -122,11 +132,11 @@ _INF = math.inf
 #: Dimensions above this threshold fall back to dict-based dot products
 #: instead of growing the dense scratch vector (2**24 floats = 128 MiB).
 _DENSE_DIM_LIMIT = 1 << 24
-#: Scan segments at or below this length are processed by a scalar loop
-#: over the same slot state: per-call ufunc dispatch overhead beats the loop
-#: on short lists (the regime of short horizons / small indexes), while
-#: long lists — the actual hot path — go through the vectorised kernels.
-_SCALAR_SCAN_CUTOFF = 12
+#: Whole-query gathers of at most this many live postings replay through
+#: the scalar loop, larger ones through the slot-grouped pass (see
+#: ``NumpyKernel._fused_prefix_segments``).  Set at the measured
+#: per-replay crossover of the two paths (docs/PERFORMANCE.md).
+_GROUPED_REPLAY_CUTOFF = 192
 #: Vectors at or below this length run the pure-Python indexing-split loop.
 _SCALAR_SPLIT_CUTOFF = 8
 #: Bulk appends at or below this many postings take the scalar field-write
@@ -794,27 +804,25 @@ class NumpyKernel(SimilarityKernel):
         self._install_query_sketch(vector)
         dims = vector.dims
         values = vector.values
-        rst = vector.norm * vector.norm
-        rs2 = math.sqrt(rst) if use_l2 else _INF
+        rs1_at, rs2_at = remaining_score_bounds(vector, rs1, maxima,
+                                                use_ap=use_ap, use_l2=use_l2)
         seg_lists: list[Any] = []
         seg_values: list[float] = []
         seg_qpns: list[float] = []
-        seg_admit: list[bool] = []
+        seg_rs1: list[float] = []
+        seg_rs2: list[float] = []
         for position in range(len(dims) - 1, -1, -1):
-            value = values[position]
             plist = index.get(dims[position])
             if plist is not None and plist.physical_size:
                 seg_lists.append(plist)
-                seg_values.append(value)
+                seg_values.append(values[position])
                 seg_qpns.append(vector.prefix_norm_before(position))
-                seg_admit.append(min(rs1, rs2) >= threshold)
-            if use_ap:
-                rs1 -= value * maxima[position]  # type: ignore[index]
-            rst -= value * value
-            if use_l2:
-                rs2 = math.sqrt(max(rst, 0.0))
+                seg_rs1.append(rs1_at[position])
+                seg_rs2.append(rs2_at[position])
         if not seg_lists:
             return 0
+        tri = [_ADMIT_ALL if min(bound1, bound2) >= threshold
+               else _ADMIT_NONE for bound1, bound2 in zip(seg_rs1, seg_rs2)]
         arena = self._arena
         idx, lengths, offsets = self._gather_indices(seg_lists, reverse=False)
         total = len(idx)
@@ -823,44 +831,20 @@ class NumpyKernel(SimilarityKernel):
             # runs ahead of admission, so the reject counters must too.
             idx, lengths, offsets, _ = self._sketch_drop(idx, lengths,
                                                          offsets, acc)
-            if bool((lengths == 0).any()) and len(idx):
-                # Keep the hoisted leading run long: segments the sketch
-                # emptied would otherwise split it via _ADMIT_NONE.
-                keep = (lengths > 0).tolist()
-                seg_values = [v for v, k in zip(seg_values, keep) if k]
-                seg_qpns = [v for v, k in zip(seg_qpns, keep) if k]
-                seg_admit = [v for v, k in zip(seg_admit, keep) if k]
-                lengths = lengths[lengths > 0]
-                offsets = np.empty(len(lengths) + 1, dtype=np.int64)
-                offsets[0] = 0
-                np.cumsum(lengths, out=offsets[1:])
-        if not any(seg_admit) or not len(idx):
+        if _ADMIT_ALL not in tri or not len(idx):
             # No segment admits newcomers and (within one fused pass)
             # nothing can have started earlier, so no candidate can form.
             return total
-        tri = [_ADMIT_ALL if admitted else _ADMIT_NONE
-               for admitted in seg_admit]
-        leading = len(tri)
-        for j, outcome in enumerate(tri):
-            if outcome == _ADMIT_NONE:
-                leading = j
-                break
-        hoisted = int(offsets[leading])
-        slots = arena.slots[idx]
-        head = idx[:hoisted]
-        contrib = np.repeat(np.asarray(seg_values[:leading]),
-                            lengths[:leading])
-        contrib *= arena.values[head]
+        contrib = np.repeat(np.asarray(seg_values), lengths)
+        contrib *= arena.values[idx]
         if use_l2:
-            tails = np.repeat(np.asarray(seg_qpns[:leading]),
-                              lengths[:leading])
-            tails *= arena.pnorms[head]
+            tails = np.repeat(np.asarray(seg_qpns), lengths)
+            tails *= arena.pnorms[idx]
         else:
             tails = None
-        self._fused_prefix_segments(arena, idx, slots, contrib, tails, None,
-                                    tri, seg_values, seg_qpns, [], [],
-                                    offsets, hoisted, 0.0, 0.0, sz1, use_ap,
-                                    use_l2, threshold, acc)
+        self._fused_prefix_segments(arena.slots[idx], contrib, tails, None,
+                                    tri, seg_rs1, seg_rs2, offsets, sz1,
+                                    use_ap, use_l2, threshold, acc)
         return total
 
     def scan_query_stream(self, vector: SparseVector, index: Any, *,
@@ -875,8 +859,8 @@ class NumpyKernel(SimilarityKernel):
         dims = vector.dims
         values = vector.values
         prefix_norms = vector._prefix_norms
-        rst = vector.norm * vector.norm
-        rs2 = math.sqrt(rst) if use_l2 else _INF
+        rs1_at, rs2_at = remaining_score_bounds(vector, rs1, decayed_maxima,
+                                                use_ap=use_ap, use_l2=use_l2)
         index_get = index.get
         seg_lists: list[Any] = []
         seg_values: list[float] = []
@@ -884,39 +868,26 @@ class NumpyKernel(SimilarityKernel):
         seg_rs1: list[float] = []
         seg_rs2: list[float] = []
         for position in range(len(dims) - 1, -1, -1):
-            value = values[position]
             plist = index_get(dims[position])
             if plist is not None and len(plist):
                 seg_lists.append(plist)
-                seg_values.append(value)
+                seg_values.append(values[position])
                 seg_qpns.append(prefix_norms[position])
-                seg_rs1.append(rs1)
-                seg_rs2.append(rs2)
-            if use_ap:
-                rs1 -= value * decayed_maxima[position]  # type: ignore[index]
-            rst -= value * value
-            if use_l2:
-                rs2 = math.sqrt(max(rst, 0.0))
+                seg_rs1.append(rs1_at[position])
+                seg_rs2.append(rs2_at[position])
         if not seg_lists:
             return 0, 0
         arena = self._arena
-        # -- time filtering over the whole gather -------------------------
-        # The bound loop above is mirrored by the sharded coordinator's
-        # _segment_bounds; the filter itself is shared with the shard
-        # workers' gather_scan_partials.
+        # The time filter is shared with the shard workers'
+        # gather_scan_partials.
         live = self._gather_live(seg_lists, cutoff, time_ordered,
                                  with_timestamps=False)
-        traversed, removed = live.traversed, live.removed
-        idx = live.idx
-        timestamps = live.timestamps
-        alive_counts = live.counts
-        alive_offsets = live.offsets
-        segments = len(seg_lists)
         try:
-            if len(idx) == 0:
-                return traversed, removed
-            scan_min, scan_max = live.seg_min, live.seg_max
-            if self._sketch_query is not None:
+            idx = live.idx
+            counts = live.counts
+            offsets = live.offsets
+            timestamps = live.timestamps
+            if self._sketch_query is not None and len(idx):
                 # Drop postings of sketch-rejected candidates between the
                 # time filter and admission.  The segment extremes stay the
                 # pre-sketch ones: the admission bound is monotone in
@@ -924,74 +895,39 @@ class NumpyKernel(SimilarityKernel):
                 # postings resolve the tri-state conservatively.  The
                 # deferred physical bookkeeping in ``finally`` never sees
                 # these drops — sketch rejection is per-query, not expiry.
-                idx, alive_counts, alive_offsets, timestamps = (
-                    self._sketch_drop(idx, alive_counts, alive_offsets,
-                                      acc, timestamps))
-                if len(idx) == 0:
-                    return traversed, removed
-                # Compress away segments the sketch emptied: a zero-count
-                # segment would resolve to _ADMIT_NONE and cut the hoisted
-                # leading run short, pushing the surviving postings onto
-                # the slow per-segment scalar path.  The filter's own
-                # per-segment state stays untouched for the deferred
-                # bookkeeping in ``finally``.
-                if bool((alive_counts == 0).any()):
-                    keep = (alive_counts > 0).tolist()
-                    seg_values = [v for v, k in zip(seg_values, keep) if k]
-                    seg_qpns = [v for v, k in zip(seg_qpns, keep) if k]
-                    seg_rs1 = [v for v, k in zip(seg_rs1, keep) if k]
-                    seg_rs2 = [v for v, k in zip(seg_rs2, keep) if k]
-                    scan_min = [v for v, k in zip(scan_min, keep) if k]
-                    scan_max = [v for v, k in zip(scan_max, keep) if k]
-                    alive_counts = alive_counts[alive_counts > 0]
-                    segments = len(seg_values)
-                    alive_offsets = np.empty(segments + 1, dtype=np.int64)
-                    alive_offsets[0] = 0
-                    np.cumsum(alive_counts, out=alive_offsets[1:])
-            # -- admission ------------------------------------------------
+                idx, counts, offsets, timestamps = self._sketch_drop(
+                    idx, counts, offsets, acc, timestamps)
+            if not len(idx):
+                return live.traversed, live.removed
             # Per-segment tri-state via exact math.exp at the live extremes
             # (the bound is monotone in the timestamp); only segments the
             # bound straddles pay a per-entry evaluation.
             resolve = self._resolve_admission
-            tri = [resolve(seg_rs1[j], seg_rs2[j], threshold, decay, now,
-                           scan_min[j], scan_max[j])
-                   if alive_counts[j] else _ADMIT_NONE
-                   for j in range(segments)]
-            if all(outcome == _ADMIT_NONE for outcome in tri):
-                return traversed, removed
-            # Hoist the contributions, decay factors and l2bound tails
-            # over the leading run of segments that can admit newcomers;
-            # the _ADMIT_NONE tail of the scan is gathered lazily, per
-            # segment, for the few already-started candidates only.
-            leading = segments
-            for j, outcome in enumerate(tri):
-                if outcome == _ADMIT_NONE:
-                    leading = j
-                    break
-            hoisted = int(alive_offsets[leading])
-            slots = arena.slots[idx]
-            head = idx[:hoisted]
-            contrib = np.repeat(np.asarray(seg_values[:leading]),
-                                alive_counts[:leading])
-            contrib *= arena.values[head]
+            tri = [resolve(bound1, bound2, threshold, decay, now, lo, hi)
+                   if count else _ADMIT_NONE
+                   for bound1, bound2, lo, hi, count in zip(
+                       seg_rs1, seg_rs2, live.seg_min, live.seg_max,
+                       counts.tolist())]
+            if _ADMIT_ALL not in tri and _ADMIT_PER_ENTRY not in tri:
+                return live.traversed, live.removed
+            contrib = np.repeat(np.asarray(seg_values), counts)
+            contrib *= arena.values[idx]
             decay_factors = None
-            if use_l2 or _ADMIT_PER_ENTRY in tri[:leading]:
-                head_ts = (timestamps[:hoisted] if timestamps is not None
-                           else arena.ts[head])
-                decay_factors = np.exp(-decay * (now - head_ts))
+            if use_l2 or _ADMIT_PER_ENTRY in tri:
+                if timestamps is None:
+                    timestamps = arena.ts[idx]
+                decay_factors = np.exp(-decay * (now - timestamps))
             if use_l2:
-                tails = np.repeat(np.asarray(seg_qpns[:leading]),
-                                  alive_counts[:leading])
-                tails *= arena.pnorms[head]
+                tails = np.repeat(np.asarray(seg_qpns), counts)
+                tails *= arena.pnorms[idx]
                 tails *= decay_factors
             else:
                 tails = None
-            self._fused_prefix_segments(arena, idx, slots, contrib, tails,
-                                        decay_factors, tri, seg_values,
-                                        seg_qpns, seg_rs1, seg_rs2,
-                                        alive_offsets, hoisted, decay, now,
-                                        sz1, use_ap, use_l2, threshold, acc)
-            return traversed, removed
+            self._fused_prefix_segments(arena.slots[idx], contrib, tails,
+                                        decay_factors, tri, seg_rs1, seg_rs2,
+                                        offsets, sz1, use_ap, use_l2,
+                                        threshold, acc)
+            return live.traversed, live.removed
         finally:
             self._settle_expiry(live)
 
@@ -1183,11 +1119,11 @@ class NumpyKernel(SimilarityKernel):
     # The worker half (gather_*_partials) runs the streaming scans' shared
     # time filter (_gather_live) — everything up to but excluding global
     # admission — and precomputes the per-posting products so the
-    # coordinator never touches this arena.  The coordinator half (apply_*_partials) replays the
-    # per-segment admission/pruning/accumulation sequence over the merged
-    # partials through the *same* _fused_prefix_segments/_fused_inv_pass
-    # code the single-process kernel uses, with every segment pre-gathered
-    # (hoisted == total).  Both halves are elementwise identical to the
+    # coordinator never touches this arena.  The coordinator half
+    # (apply_*_partials) replays the admission/pruning/accumulation
+    # sequence over the merged partials through the *same*
+    # _fused_prefix_segments/_fused_inv_pass code the single-process kernel
+    # uses.  Both halves are elementwise identical to the
     # single-process fused pass, so scores, prune marks, candidate order
     # and operation counts stay bitwise equal regardless of how dimensions
     # are split across workers (tests/test_shard.py pins this down).
@@ -1228,11 +1164,10 @@ class NumpyKernel(SimilarityKernel):
                 tails = None
             bounds = live.offsets.tolist()
             partials: list[SegmentPartial] = []
-            for j, (position, value, query_prefix_norm, _plist) in enumerate(segments):
+            for j, (position, _value, _norm, _plist) in enumerate(segments):
                 lo, hi = bounds[j], bounds[j + 1]
                 partials.append(SegmentPartial(
-                    position=position, value=value,
-                    query_prefix_norm=query_prefix_norm,
+                    position=position,
                     slots=slots[lo:hi], contrib=contrib[lo:hi],
                     tails=tails[lo:hi] if use_l2 else None,
                     decay_factors=decay_factors[lo:hi],
@@ -1267,10 +1202,10 @@ class NumpyKernel(SimilarityKernel):
             timestamps = live.timestamps
             bounds = live.offsets.tolist()
             partials: list[SegmentPartial] = []
-            for j, (position, value, _plist) in enumerate(segments):
+            for j, (position, _value, _plist) in enumerate(segments):
                 lo, hi = bounds[j], bounds[j + 1]
                 partials.append(SegmentPartial(
-                    position=position, value=value, query_prefix_norm=0.0,
+                    position=position,
                     slots=slots[lo:hi], contrib=contrib[lo:hi],
                     timestamps=timestamps[lo:hi],
                     min_ts=live.seg_min[j], max_ts=live.seg_max[j],
@@ -1286,50 +1221,40 @@ class NumpyKernel(SimilarityKernel):
         return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
 
     def apply_scan_partials(self, partials: Sequence[SegmentPartial],
-                            seg_bounds: Sequence[tuple[float, float]], *,
+                            seg_rs1: list[float], seg_rs2: list[float], *,
                             sz1: float, threshold: float, decay: float,
                             now: float, use_ap: bool, use_l2: bool,
                             acc: ScoreAccumulator) -> None:
         """Replay the global admission sequence over merged scan partials.
 
         ``partials`` must be in global scan order (descending query
-        position) with ``seg_bounds[j] = (rs1, rs2)`` holding the
+        position) with ``seg_rs1[j]``/``seg_rs2[j]`` holding the
         remaining-score bounds at each segment's position.  Runs the exact
-        per-segment pass of the fused single-process kernel — same
-        tri-state admission (``math.exp`` at the live extremes), same
-        masks, same accumulation order — over the pre-gathered arrays.
+        replay of the fused single-process kernel — same tri-state
+        admission (``math.exp`` at the live extremes), same accumulation
+        order, same prunes — over the pre-gathered arrays.
         """
         resolve = self._resolve_admission
         tri = [resolve(rs1, rs2, threshold, decay, now, partial.min_ts,
                        partial.max_ts) if len(partial.slots) else _ADMIT_NONE
-               for partial, (rs1, rs2) in zip(partials, seg_bounds)]
-        if all(outcome == _ADMIT_NONE for outcome in tri):
+               for partial, rs1, rs2 in zip(partials, seg_rs1, seg_rs2)]
+        if _ADMIT_ALL not in tri and _ADMIT_PER_ENTRY not in tri:
             # Within one pass nothing can have started earlier, so no
             # candidate can form (the fused kernel's early exit).
             return
-        nseg = len(partials)
         counts = np.asarray([len(partial.slots) for partial in partials],
                             dtype=np.int64)
-        offsets = np.empty(nseg + 1, dtype=np.int64)
-        offsets[0] = 0
+        offsets = np.zeros(len(partials) + 1, dtype=np.int64)
         np.cumsum(counts, out=offsets[1:])
-        total = int(offsets[-1])
-        if total == 0:
-            return
         slots = self._concat_partials([partial.slots for partial in partials])
         contrib = self._concat_partials([partial.contrib for partial in partials])
-        decay_factors = (self._concat_partials(
+        decay_factors = self._concat_partials(
             [partial.decay_factors for partial in partials])
-            if partials[0].decay_factors is not None else None)
         tails = (self._concat_partials([partial.tails for partial in partials])
                  if use_l2 else None)
-        self._fused_prefix_segments(
-            self._arena, None, slots, contrib, tails, decay_factors, tri,
-            [partial.value for partial in partials],
-            [partial.query_prefix_norm for partial in partials],
-            [bound[0] for bound in seg_bounds],
-            [bound[1] for bound in seg_bounds],
-            offsets, total, decay, now, sz1, use_ap, use_l2, threshold, acc)
+        self._fused_prefix_segments(slots, contrib, tails, decay_factors,
+                                    tri, seg_rs1, seg_rs2, offsets, sz1,
+                                    use_ap, use_l2, threshold, acc)
 
     def apply_inv_partials(self, partials: Sequence[SegmentPartial],
                            acc: ScoreAccumulator) -> None:
@@ -1349,186 +1274,112 @@ class NumpyKernel(SimilarityKernel):
             [partial.timestamps for partial in partials])
         self._fused_inv_pass(slots, contrib, timestamps, acc)
 
-    def _fused_prefix_segments(self, arena: PostingArena, idx: np.ndarray,
-                               slots: np.ndarray, contrib: np.ndarray | None,
+    def _fused_prefix_segments(self, slots: np.ndarray, contrib: np.ndarray,
                                tails: np.ndarray | None,
                                decay_factors: np.ndarray | None,
-                               tri: list[int], seg_values: list[float],
-                               seg_qpns: list[float], seg_rs1: list[float],
+                               tri: list[int], seg_rs1: list[float],
                                seg_rs2: list[float], offsets: np.ndarray,
-                               hoisted: int, decay: float, now: float,
                                sz1: float, use_ap: bool, use_l2: bool,
                                threshold: float,
                                acc: NumpyAccumulator) -> None:
-        """Replay the per-segment scans over the hoisted whole-query gather.
+        """Replay the reference's per-entry scan over a whole-query gather.
 
-        Entries of every segment sit back to back (in scan order) behind
-        ``idx``/``slots``; contributions ``x_j·y_j``, decayed l2bound
-        tails and decay factors are precomputed once over the first
-        ``hoisted`` entries — the leading run of segments that can admit
-        newcomers.  Segments past that run (``_ADMIT_NONE``, the common
-        tail of the scan once the remaining score drops below θ) only
-        touch already-started candidates, so their values/tails are
-        gathered lazily for just those few entries.  Small segments take
-        a scalar loop over the hoisted slices — the ufunc-dispatch
-        overhead of a dozen array ops dwarfs a dozen Python iterations.
+        Every segment's live postings sit back to back in scan order, with
+        ``offsets`` delimiting segment ``j``; ``contrib`` (``x_j·y_j``),
+        ``tails`` (decayed ``l2bound`` tails, ``use_l2`` only) and
+        ``decay_factors`` (read only by ``_ADMIT_PER_ENTRY`` segments) are
+        per posting, ``tri``/``seg_rs1``/``seg_rs2`` per segment.  Runs
+        at most once per accumulator: no slot carries this epoch's mark on
+        entry.
 
-        Decision-for-decision this is the reference backend's per-term
-        scan sequence: same admissions, same accumulation order, same
-        prunes.  What the fusion removes is the per-term Python driver,
-        and the per-segment gathers, products and ``exp`` calls.
+        Decision for decision this is the reference backend's per-term
+        scan: same admissions, same accumulation order, same prunes, same
+        candidate order.  Gathers of at most ``_GROUPED_REPLAY_CUTOFF``
+        postings run the scalar loop :func:`prefix_segments`; larger ones
+        the slot-grouped pass below.
         """
-        epoch = self._epoch
         state = self._slot_state
         scores = self._slot_score
-        sf = self._slot_sf
-        touched = acc._touched
-        for j, admit in enumerate(tri):
-            lo, hi = int(offsets[j]), int(offsets[j + 1])
-            count = hi - lo
-            if count == 0:
-                continue
-            seg_slots = slots[lo:hi]
-            if lo >= hoisted:
-                # Lazy segment (normally _ADMIT_NONE): compress to the
-                # started candidates before gathering anything heavy.
-                marks = state[seg_slots]
-                started = marks == epoch
-                if admit == _ADMIT_NONE:
-                    index = np.nonzero(started)[0]
-                    if not len(index):
-                        continue
-                    sub_idx = idx[lo:hi][index]
-                    sub_slots = seg_slots[index]
-                    accumulated = scores[sub_slots]
-                    accumulated = accumulated + seg_values[j] * arena.values[sub_idx]
-                    if use_l2:
-                        sub_tails = seg_qpns[j] * arena.pnorms[sub_idx]
-                        sub_tails *= np.exp(-decay * (now - arena.ts[sub_idx]))
-                        keep = (accumulated + sub_tails) >= threshold
-                        pruned_slots = sub_slots[~keep]
-                        if len(pruned_slots):
-                            state[pruned_slots] = -epoch
-                        kept_slots = sub_slots[keep]
-                        if len(kept_slots):
-                            scores[kept_slots] = accumulated[keep]
-                    else:
-                        scores[sub_slots] = accumulated
-                    continue
-                # Rare: an admitting segment after the hoisted run (the
-                # ℓ₂ remaining-score bound is not strictly monotone in
-                # the per-segment timestamp extremes).  Gather it now and
-                # fall through to the shared processing below.
-                seg_idx = idx[lo:hi]
-                seg_contrib = seg_values[j] * arena.values[seg_idx]
-                if use_l2 or admit == _ADMIT_PER_ENTRY:
-                    seg_df = np.exp(-decay * (now - arena.ts[seg_idx]))
-                else:
-                    seg_df = None
-                if use_l2:
-                    seg_tails = seg_qpns[j] * arena.pnorms[seg_idx]
-                    seg_tails *= seg_df
-                else:
-                    seg_tails = None
-            else:
-                seg_contrib = contrib[lo:hi]
-                seg_tails = tails[lo:hi] if use_l2 else None
-                seg_df = decay_factors[lo:hi] if decay_factors is not None else None
-                if count <= _SCALAR_SCAN_CUTOFF:
-                    self._scan_segment_scalar(
-                        seg_slots.tolist(), seg_contrib.tolist(),
-                        seg_tails.tolist() if use_l2 else None,
-                        seg_df.tolist() if admit == _ADMIT_PER_ENTRY else None,
-                        admit, seg_rs1[j] if seg_rs1 else 0.0,
-                        seg_rs2[j] if seg_rs2 else 0.0, sz1, use_ap, use_l2,
-                        threshold, acc)
-                    continue
-                marks = state[seg_slots]
-                started = marks == epoch
-                if admit == _ADMIT_NONE:
-                    index = np.nonzero(started)[0]
-                    if not len(index):
-                        continue
-                    sub_slots = seg_slots[index]
-                    accumulated = scores[sub_slots] + seg_contrib[index]
-                    if use_l2:
-                        keep = (accumulated + seg_tails[index]) >= threshold
-                        pruned_slots = sub_slots[~keep]
-                        if len(pruned_slots):
-                            state[pruned_slots] = -epoch
-                        kept_slots = sub_slots[keep]
-                        if len(kept_slots):
-                            scores[kept_slots] = accumulated[keep]
-                    else:
-                        scores[sub_slots] = accumulated
-                    continue
-            active = marks != -epoch
-            if admit == _ADMIT_ALL:
-                if use_ap:
-                    process = active & (started | (sf[seg_slots] >= sz1))
-                else:
-                    process = active
-            else:
-                newcomer_ok = np.minimum(
-                    seg_rs1[j], seg_rs2[j] * seg_df) >= threshold
-                if use_ap:
-                    newcomer_ok &= sf[seg_slots] >= sz1
-                process = active & (started | newcomer_ok)
-            accumulated = scores[seg_slots] + seg_contrib
-            if use_l2:
-                prune = (accumulated + seg_tails) < threshold
-                prune &= process
-                pruned_slots = seg_slots[prune]
-                if len(pruned_slots):
-                    state[pruned_slots] = -epoch
-                keep = ~prune
-                keep &= process
-            else:
-                keep = process
-            kept_slots = seg_slots[keep]
-            if len(kept_slots):
-                scores[kept_slots] = accumulated[keep]
-                state[kept_slots] = epoch
-                fresh = seg_slots[keep & ~started]
-                if len(fresh):
-                    touched.append(fresh)
-
-    def _scan_segment_scalar(self, seg_slots: list[int],
-                             seg_contrib: list[float],
-                             seg_tails: list[float] | None,
-                             seg_df: list[float] | None, admit: int,
-                             rs1: float, rs2: float, sz1: float,
-                             use_ap: bool, use_l2: bool, threshold: float,
-                             acc: NumpyAccumulator) -> None:
-        """Scalar twin of the hoisted segment processing for short lists."""
         epoch = self._epoch
-        state = self._slot_state
-        scores = self._slot_score
-        sf = self._slot_sf
-        fresh: list[int] = []
-        for position, slot in enumerate(seg_slots):
-            mark = state[slot]
-            if mark == -epoch:
-                continue
-            started = mark == epoch
-            if not started:
-                if admit == _ADMIT_NONE:
-                    continue
-                if admit == _ADMIT_PER_ENTRY and min(
-                        rs1, rs2 * seg_df[position]) < threshold:
-                    continue
-                if use_ap and sf[slot] < sz1:
-                    continue
-            accumulated = (scores[slot] if started else 0.0) + seg_contrib[position]
-            if use_l2 and accumulated + seg_tails[position] < threshold:
-                state[slot] = -epoch
-                continue
-            scores[slot] = accumulated
-            if not started:
-                state[slot] = epoch
-                fresh.append(slot)
-        if fresh:
-            acc._touched.append(np.asarray(fresh, dtype=np.int64))
+        n = len(slots)
+        if n <= _GROUPED_REPLAY_CUTOFF:
+            fresh = np.empty(n, dtype=np.int64)
+            fresh_count = prefix_segments(
+                slots.tolist(), contrib.tolist(),
+                tails.tolist() if use_l2 else None,
+                (decay_factors.tolist() if _ADMIT_PER_ENTRY in tri
+                 else None),
+                tri, seg_rs1, seg_rs2, offsets.tolist(), state, scores,
+                self._slot_sf, epoch, sz1, use_ap, use_l2, threshold, fresh)
+            if fresh_count:
+                acc._touched.append(fresh[:fresh_count])
+            return
+        # -- admission: may this posting start its candidate? -------------
+        counts = np.diff(offsets)
+        tri_arr = np.asarray(tri)
+        admits = np.repeat(tri_arr == _ADMIT_ALL, counts)
+        if _ADMIT_PER_ENTRY in tri:
+            # One decayed bound per posting; -inf keeps _ADMIT_NONE
+            # segments out and _ADMIT_ALL ones are admitted above.
+            rs1 = np.array(seg_rs1, dtype=np.float64)
+            rs1[tri_arr == _ADMIT_NONE] = -_INF
+            bound = np.repeat(np.asarray(seg_rs2), counts)
+            bound *= decay_factors
+            np.minimum(np.repeat(rs1, counts), bound, out=bound)
+            admits |= bound >= threshold
+        if use_ap:
+            admits &= self._slot_sf[slots] >= sz1
+        first = np.flatnonzero(admits)
+        if not len(first):
+            return
+        # -- each candidate's chain: its postings from its first admitting
+        # one on (the reversed scatter leaves each slot's first position) --
+        mark = self._slot_mark
+        mark[slots] = n
+        mark[slots[first[::-1]]] = first[::-1]
+        chain = np.flatnonzero(np.arange(n) >= mark[slots])
+        # -- group the chains by slot, scan order inside each group -------
+        bits = n.bit_length()
+        keys = slots[chain] << bits
+        keys |= chain
+        keys.sort()
+        chain = keys & ((1 << bits) - 1)
+        chain_slots = keys >> bits
+        size = len(keys)
+        head = np.empty(size, dtype=bool)
+        head[0] = True
+        np.not_equal(chain_slots[1:], chain_slots[:-1], out=head[1:])
+        heads = np.flatnonzero(head)
+        lengths = np.diff(heads, append=size)
+        groups = len(heads)
+        width = int(lengths.max())
+        # -- partial sums: posting r of group k sits in cell k·width + r of
+        # a zero-padded (groups × width) grid; cumsum adds left to right
+        # along each row, so every cell is the reference's running score
+        # (contributions are non-negative: its leading ``0.0 + c`` is
+        # ``c``, and the padding keeps each row's total in its last cell).
+        cells = np.repeat(np.arange(0, groups * width, width) - heads,
+                          lengths)
+        cells += np.arange(size)
+        grid = np.zeros(groups * width)
+        grid[cells] = contrib[chain]
+        grid = grid.reshape(groups, width).cumsum(axis=1)
+        group_slots = chain_slots[heads]
+        scores[group_slots] = grid[:, -1]
+        if use_l2:
+            # Pruned iff some partial sum plus its tail falls below θ.
+            below = grid.ravel()[cells]
+            below += tails[chain]
+            pruned = np.logical_or.reduceat(below < threshold, heads)
+            state[group_slots] = np.where(pruned, -epoch, epoch)
+        else:
+            state[group_slots] = epoch
+        # -- candidate order: the scan position of each chain's start.
+        # Pruned candidates ride along (finalize drops them and resets
+        # their scores) ----------------------------------------------------
+        first_mask = np.zeros(n, dtype=bool)
+        first_mask[chain[heads]] = True
+        acc._touched.append(slots[first_mask])
 
     def _fused_inv_pass(self, slots: np.ndarray, contrib: np.ndarray,
                         timestamps: np.ndarray | None,
@@ -1875,3 +1726,62 @@ def _sequential_sum(products: np.ndarray) -> float:
     little and buys exact output parity.
     """
     return sum(products.tolist())
+
+
+def prefix_segments(slots, contrib, tails, decay_factors, tri, seg_rs1,
+                    seg_rs2, offsets, state, scores, sf, epoch, sz1, use_ap,
+                    use_l2, threshold, fresh_out):
+    """Replay a whole-query prefix scan one posting at a time.
+
+    The scalar form of :meth:`NumpyKernel._fused_prefix_segments`: for
+    every posting of every segment ``j`` (``offsets[j]`` to
+    ``offsets[j + 1]``), the prune-mark check, the tri-state admission
+    (``tri[j]``, with the per-entry decayed bound from
+    ``seg_rs1``/``seg_rs2`` and ``decay_factors``), the ``sz1`` size
+    filter (``use_ap``), the score accumulation and the ``l2bound``
+    early prune (``use_l2``), exactly as the reference backend takes
+    them.  ``tails`` is read only when ``use_l2``, ``decay_factors`` only
+    for ``_ADMIT_PER_ENTRY`` segments.  ``state``/``scores``/``sf`` are
+    the kernel's slot arrays, updated in place.
+
+    First-touched slots go to ``fresh_out`` in accumulation order (the
+    candidate insertion order); returns their count.  The NumPy backend
+    runs this as plain Python over lists for small gathers; the compiled
+    tier (:mod:`repro.backends.kernels.scan`) compiles this same function
+    and runs it over arrays for every gather.
+    """
+    fresh_count = 0
+    for j in range(len(tri)):
+        admit = tri[j]
+        rs1 = seg_rs1[j]
+        rs2 = seg_rs2[j]
+        for p in range(offsets[j], offsets[j + 1]):
+            slot = slots[p]
+            mark = state[slot]
+            if mark == -epoch:
+                continue
+            started = mark == epoch
+            if not started:
+                if admit == _ADMIT_NONE:
+                    continue
+                if admit == _ADMIT_PER_ENTRY:
+                    bound = rs2 * decay_factors[p]
+                    if rs1 < bound:
+                        bound = rs1
+                    if bound < threshold:
+                        continue
+                if use_ap and sf[slot] < sz1:
+                    continue
+            if started:
+                accumulated = scores[slot] + contrib[p]
+            else:
+                accumulated = 0.0 + contrib[p]
+            if use_l2 and accumulated + tails[p] < threshold:
+                state[slot] = -epoch
+                continue
+            scores[slot] = accumulated
+            if not started:
+                state[slot] = epoch
+                fresh_out[fresh_count] = slot
+                fresh_count += 1
+    return fresh_count

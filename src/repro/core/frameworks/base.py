@@ -16,12 +16,14 @@ underlying indexing scheme, but they share the same driver interface:
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
 from collections.abc import Iterable, Iterator
 
 from repro.core.results import JoinStatistics, SimilarPair
 from repro.core.similarity import time_horizon, validate_decay, validate_threshold
 from repro.core.vector import SparseVector
+from repro.exceptions import StreamOrderError
 
 __all__ = ["JoinFramework"]
 
@@ -47,6 +49,8 @@ class JoinFramework(ABC):
         self.index_name = index.upper()
         self.backend = backend
         self.stats = stats if stats is not None else JoinStatistics()
+        # Arrival time of the last vector _check_order accepted.
+        self._last_timestamp = -math.inf
         # Canonical approx spec string (or None when the join is exact):
         # a stable form that checkpoints embed and restore_join replays.
         if approx is not None:
@@ -70,6 +74,23 @@ class JoinFramework(ABC):
     @abstractmethod
     def process(self, vector: SparseVector) -> list[SimilarPair]:
         """Feed one vector; return the pairs that became reportable."""
+
+    def _check_order(self, vector: SparseVector) -> None:
+        """Raise :class:`StreamOrderError` if ``vector`` is older than the
+        last vector accepted, before any state changes; else accept it.
+
+        The STR indexes assume non-decreasing arrival times: their time
+        filters truncate time-ordered lists from the head, and an older
+        vector would be scored against postings from its future (decay
+        factors above 1, similarities above 1).  Equal timestamps are
+        legal.  Checkpoints do not carry the last timestamp, so a restored
+        join is re-armed by its first vector.
+        """
+        if vector.timestamp < self._last_timestamp:
+            raise StreamOrderError(
+                f"vector {vector.vector_id} arrived at t={vector.timestamp} "
+                f"after an item at t={self._last_timestamp}")
+        self._last_timestamp = vector.timestamp
 
     def flush(self) -> list[SimilarPair]:
         """Signal end-of-stream; return any pairs still buffered."""

@@ -49,4 +49,5 @@ class StreamingFramework(JoinFramework):
         return self._index.size
 
     def process(self, vector: SparseVector) -> list[SimilarPair]:
+        self._check_order(vector)
         return self._index.process(vector)

@@ -13,14 +13,16 @@ The paper (Section 5) combines two families of bounds:
 
 This module holds the pieces that are naturally expressed as standalone
 functions: the index-construction split (which coordinates go to the
-residual and which are indexed, together with the stored ``pscore``) and
-the candidate-verification bounds.  The candidate-generation bounds are
-interleaved with the posting-list scan and live in the index classes.
+residual and which are indexed, together with the stored ``pscore``), the
+remaining-score bounds the accelerated scans admit candidates with, and
+the candidate-verification bounds.  The reference backend keeps its
+candidate-generation bounds interleaved with its per-term scan.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from repro.core.vector import SparseVector
@@ -30,6 +32,7 @@ from repro.indexes.residual import ResidualEntry
 __all__ = [
     "IndexingSplit",
     "compute_indexing_split",
+    "remaining_score_bounds",
     "size_filter_threshold",
     "verification_bounds",
 ]
@@ -119,6 +122,37 @@ def compute_indexing_split(
             return IndexingSplit(boundary=position, pscore=pscore)
     return IndexingSplit(boundary=end, pscore=min(b1 if use_ap else _INF,
                                                   math.sqrt(bt) if use_l2 else _INF))
+
+
+def remaining_score_bounds(vector: SparseVector, rs1: float,
+                           maxima: Sequence[float] | None, *, use_ap: bool,
+                           use_l2: bool) -> tuple[list[float], list[float]]:
+    """``(rs1, rs2)`` by query position, as the backward scan reaches it.
+
+    Entry ``j`` of each list holds the bound in force while position
+    ``j``'s posting list is scanned: ``rs1`` has lost ``x_k · maxima[k]``
+    and ``rs2`` is ``sqrt(‖x‖² − Σ x_k²)``, both over the positions
+    ``k > j`` scanned before it.  ``maxima`` is ``m`` for batch scans and
+    ``m̂^λ`` for streaming ones; a disabled family stays at its seed
+    (``rs2 = inf``).  The subtractions run one position at a time, in the
+    reference backend's order, so the values are bitwise the ones its
+    per-term loop uses, whichever posting lists the caller scans.
+    """
+    values = vector.values
+    rst = vector.norm * vector.norm
+    rs2 = math.sqrt(rst) if use_l2 else _INF
+    rs1_at = [rs1] * len(values)
+    rs2_at = [rs2] * len(values)
+    for position in range(len(values) - 1, -1, -1):
+        rs1_at[position] = rs1
+        rs2_at[position] = rs2
+        value = values[position]
+        if use_ap:
+            rs1 -= value * maxima[position]  # type: ignore[index]
+        rst -= value * value
+        if use_l2:
+            rs2 = math.sqrt(max(rst, 0.0))
+    return rs1_at, rs2_at
 
 
 def size_filter_threshold(threshold: float, query_max_value: float) -> float:

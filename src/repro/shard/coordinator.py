@@ -41,7 +41,6 @@ similarities — is taken by the coordinator in the single-process order.
 
 from __future__ import annotations
 
-import math
 import time
 
 from repro import obs
@@ -49,6 +48,7 @@ from repro.core.frameworks.base import JoinFramework
 from repro.core.results import JoinStatistics, ShardCounters, SimilarPair
 from repro.core.vector import SparseVector
 from repro.exceptions import InvalidParameterError, UnknownAlgorithmError
+from repro.indexes.bounds import remaining_score_bounds
 from repro.indexes.inverted import InvertedStreamingIndex
 from repro.indexes.l2 import L2StreamingIndex
 from repro.indexes.l2ap import L2APStreamingIndex
@@ -64,8 +64,6 @@ __all__ = [
     "ShardedAPStreamingIndex",
     "ShardedInvStreamingIndex",
 ]
-
-_INF = math.inf
 
 
 def _collect_shard_join(join: "ShardedStreamingJoin") -> None:
@@ -229,42 +227,17 @@ class ShardedPrefixScanMixin(_ShardedMixinBase):
         # Global scan order: descending query position (positions are
         # unique, so the sort fully determines the merge).
         partials.sort(key=lambda partial: -partial.position)
-        seg_bounds = self._segment_bounds(
-            vector, rs1, decayed_maxima,
-            frozenset(partial.position for partial in partials))
+        rs1_at, rs2_at = remaining_score_bounds(
+            vector, rs1, decayed_maxima, use_ap=self.use_ap,
+            use_l2=self.use_l2)
         self.kernel.apply_scan_partials(
-            partials, seg_bounds, sz1=sz1, threshold=self.threshold,
+            partials, [rs1_at[partial.position] for partial in partials],
+            [rs2_at[partial.position] for partial in partials],
+            sz1=sz1, threshold=self.threshold,
             decay=self.decay, now=now, use_ap=self.use_ap,
             use_l2=self.use_l2, acc=accumulator)
         stage["replay"] += time.perf_counter() - started
         return traversed, removed
-
-    def _segment_bounds(self, vector: SparseVector, rs1: float,
-                        decayed_maxima: list[float] | None,
-                        positions: frozenset[int]) -> list[tuple[float, float]]:
-        """``(rs1, rs2)`` at each segment position, in descending order.
-
-        Replays exactly the bound-maintenance loop of the fused
-        single-process scan (one decrement per query position, whether or
-        not the position has postings), so the recorded bounds are
-        bitwise the values the single-process kernel would have used.
-        """
-        values = vector.values
-        use_ap = self.use_ap
-        use_l2 = self.use_l2
-        rst = vector.norm * vector.norm
-        rs2 = math.sqrt(rst) if use_l2 else _INF
-        bounds: list[tuple[float, float]] = []
-        for position in range(len(values) - 1, -1, -1):
-            value = values[position]
-            if position in positions:
-                bounds.append((rs1, rs2))
-            if use_ap:
-                rs1 -= value * decayed_maxima[position]  # type: ignore[index]
-            rst -= value * value
-            if use_l2:
-                rs2 = math.sqrt(max(rst, 0.0))
-        return bounds
 
     def _candidate_verification(self, vector: SparseVector,
                                 candidates) -> list[SimilarPair]:
@@ -444,6 +417,7 @@ class ShardedStreamingJoin(JoinFramework):
     # -- driving ---------------------------------------------------------------
 
     def process(self, vector: SparseVector) -> list[SimilarPair]:
+        self._check_order(vector)
         return self._index.process(vector)
 
     def flush(self) -> list[SimilarPair]:

@@ -49,9 +49,8 @@ def pack_partials(partials: list[SegmentPartial]):
         return None
     import numpy as np
 
-    metadata = [(partial.position, partial.value, partial.query_prefix_norm,
-                 partial.min_ts, partial.max_ts, partial.traversed,
-                 partial.removed, len(partial.slots))
+    metadata = [(partial.position, partial.min_ts, partial.max_ts,
+                 partial.traversed, partial.removed, len(partial.slots))
                 for partial in partials]
 
     def concatenate(field: str):
@@ -72,12 +71,10 @@ def unpack_partials(packed) -> list[SegmentPartial]:
     metadata, slots, contrib, tails, decay_factors, timestamps = packed
     partials: list[SegmentPartial] = []
     offset = 0
-    for (position, value, query_prefix_norm, min_ts, max_ts, traversed,
-         removed, count) in metadata:
+    for position, min_ts, max_ts, traversed, removed, count in metadata:
         upper = offset + count
         partials.append(SegmentPartial(
-            position=position, value=value,
-            query_prefix_norm=query_prefix_norm,
+            position=position,
             slots=slots[offset:upper], contrib=contrib[offset:upper],
             tails=tails[offset:upper] if tails is not None else None,
             decay_factors=(decay_factors[offset:upper]

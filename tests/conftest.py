@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import time
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -35,6 +36,22 @@ def accelerated_backends() -> list:
             reason=f"{name} backend unavailable"))
         for name in ("numpy", "numba")
     ]
+
+
+#: ``_GROUPED_REPLAY_CUTOFF`` values that force the NumPy backend's
+#: prefix-scan replay onto one path for every gather.
+REPLAY_PATHS = {"grouped": 0, "scalar": 1 << 62}
+
+
+@contextmanager
+def forced_replay_path(path: str):
+    """Run the enclosed joins with every NumPy replay on ``path``."""
+    from repro.backends import numpy_backend
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(numpy_backend, "_GROUPED_REPLAY_CUTOFF",
+                      REPLAY_PATHS[path])
+        yield
 
 
 def random_vectors(count: int, *, dimensions: int = 40, nnz: int = 6,

@@ -138,8 +138,8 @@ class TestInterpretedParity:
            threshold=st.floats(min_value=0.3, max_value=0.99),
            decay=st.floats(min_value=0.05, max_value=2.0))
     def test_expiring_streams(self, entries, threshold, decay):
-        # Fast decay → constant expiry: the compiled leading run must
-        # coexist with the lazy tail segments the NumPy path keeps.
+        # Fast decay → constant expiry: the compiled loop replays every
+        # segment, including the ones that only extend started candidates.
         vectors = [SparseVector(index, float(index), coords)
                    for index, coords in enumerate(entries)]
         for algorithm in ("STR-L2AP", "STR-L2", "STR-INV"):

@@ -27,7 +27,11 @@ from hypothesis import strategies as st
 from repro import SparseVector, available_backends
 from repro.core.results import JoinStatistics, ShardCounters, merge_shard_counters
 from repro.shard.plan import ShardPlan, plan_report
-from tests.conftest import accelerated_backends
+from tests.conftest import (
+    REPLAY_PATHS,
+    accelerated_backends,
+    forced_replay_path,
+)
 from tests.groundtruth import engine_pair_map
 
 pytestmark = pytest.mark.skipif("numpy" not in available_backends(),
@@ -63,21 +67,27 @@ def run_sharded(algorithm, vectors, threshold, decay, workers,
 def assert_sharded_matches(algorithm, vectors, threshold, decay,
                            worker_counts=WORKER_COUNTS, executor="serial",
                            backend="numpy"):
+    """Sharded runs against the default single-process run, with the
+    coordinator's replay forced onto each path in turn."""
     expected, expected_stats = run_single_process(algorithm, vectors,
                                                   threshold, decay, backend)
-    for workers in worker_counts:
-        actual, actual_stats = run_sharded(algorithm, vectors, threshold,
-                                           decay, workers, executor, backend)
-        assert set(actual) == set(expected), (algorithm, workers)
-        for key, pair in expected.items():
-            other = actual[key]
-            assert other.similarity == pair.similarity, (algorithm, workers, key)
-            assert other.dot == pair.dot, (algorithm, workers, key)
-            assert other.time_delta == pair.time_delta, (algorithm, workers, key)
-        for counter in PARITY_COUNTERS:
-            assert (getattr(actual_stats, counter)
-                    == getattr(expected_stats, counter)), (algorithm, workers,
-                                                           counter)
+    for path in REPLAY_PATHS:
+        for workers in worker_counts:
+            with forced_replay_path(path):
+                actual, actual_stats = run_sharded(
+                    algorithm, vectors, threshold, decay, workers, executor,
+                    backend)
+            where = (algorithm, path, workers)
+            assert set(actual) == set(expected), where
+            assert list(actual) == list(expected), where  # report order
+            for key, pair in expected.items():
+                other = actual[key]
+                assert other.similarity == pair.similarity, (*where, key)
+                assert other.dot == pair.dot, (*where, key)
+                assert other.time_delta == pair.time_delta, (*where, key)
+            for counter in PARITY_COUNTERS:
+                assert (getattr(actual_stats, counter)
+                        == getattr(expected_stats, counter)), (*where, counter)
 
 
 sparse_streams = st.lists(

@@ -13,7 +13,11 @@ streams whose unordered lists mix lazy and physical removal.
 
 The fused whole-query arena scan is the NumPy backend's only
 candidate-generation path, so parity with the reference backend's per-term
-loops is checked directly here, counter for counter.
+loops is checked directly here, counter for counter.  Its replay has two
+implementations chosen by gather size (the slot-grouped pass and the
+scalar loop); every parity check runs once with each forced, and compares
+the pairs of every ``process()`` call in order, since candidate order is
+what the grouped pass rebuilds.
 """
 
 from __future__ import annotations
@@ -26,7 +30,11 @@ from hypothesis import strategies as st
 
 from repro import SparseVector, available_backends, create_join
 from repro.core.results import JoinStatistics
-from tests.conftest import accelerated_backends
+from tests.conftest import (
+    REPLAY_PATHS,
+    accelerated_backends,
+    forced_replay_path,
+)
 
 pytestmark = pytest.mark.skipif("numpy" not in available_backends(),
                                 reason="NumPy backend unavailable")
@@ -38,28 +46,35 @@ PARITY_COUNTERS = ("candidates_generated", "full_similarities",
 
 
 def run_backend(algorithm, vectors, threshold, decay, backend):
+    """Pairs by key, the stats, and each ``process()`` result's key order."""
     stats = JoinStatistics()
     join = create_join(algorithm, threshold, decay, stats=stats,
                        backend=backend)
-    pairs = {pair.key: pair for pair in join.run(vectors)}
-    return pairs, stats
+    batches = [join.process(vector) for vector in vectors] + [join.flush()]
+    pairs = {pair.key: pair for batch in batches for pair in batch}
+    return pairs, stats, [[pair.key for pair in batch] for batch in batches]
 
 
 def assert_backends_agree(algorithm, vectors, threshold, decay,
                           reference_backend, other_backend):
-    reference, reference_stats = run_backend(algorithm, vectors, threshold,
-                                             decay, reference_backend)
-    vectorized, vectorized_stats = run_backend(algorithm, vectors, threshold,
-                                               decay, other_backend)
-    assert set(vectorized) == set(reference)
-    for key, pair in reference.items():
-        other = vectorized[key]
-        assert other.similarity == pair.similarity, key
-        assert other.dot == pair.dot, key
-        assert other.time_delta == pair.time_delta, key
-    for counter in PARITY_COUNTERS:
-        assert (getattr(vectorized_stats, counter)
-                == getattr(reference_stats, counter)), counter
+    """``other_backend`` against the reference, with every NumPy replay
+    forced onto each path in turn: same pairs in the same order, same
+    similarities, same counters."""
+    reference, reference_stats, reference_order = run_backend(
+        algorithm, vectors, threshold, decay, reference_backend)
+    for path in REPLAY_PATHS:
+        with forced_replay_path(path):
+            vectorized, vectorized_stats, order = run_backend(
+                algorithm, vectors, threshold, decay, other_backend)
+        assert order == reference_order, path
+        for key, pair in reference.items():
+            other = vectorized[key]
+            assert other.similarity == pair.similarity, (path, key)
+            assert other.dot == pair.dot, (path, key)
+            assert other.time_delta == pair.time_delta, (path, key)
+        for counter in PARITY_COUNTERS:
+            assert (getattr(vectorized_stats, counter)
+                    == getattr(reference_stats, counter)), (path, counter)
 
 
 def assert_dict_and_array_paths_agree(algorithm, vectors, threshold, decay,
@@ -132,11 +147,44 @@ class TestSlotSpaceParity:
         assert_dict_and_array_paths_agree("STR-L2AP", vectors, 0.6, 0.08,
                                           backend)
 
+    def test_replay_edge_shapes(self, backend):
+        # Candidates that share every query term with the later queries,
+        # among many one-term and a few mid-size ones, over ~1.3 horizons.
+        # At seed 0 the replays meet an l2bound prune at a candidate's
+        # first, a middle and its last posting, _ADMIT_PER_ENTRY lists
+        # that admit some newcomers and refuse others, and (STR-L2AP,
+        # STR-AP) the sz1 size filter refusing one-term newcomers.
+        import random
+
+        rng = random.Random(0)
+        query_dims = list(range(12))
+        vectors = []
+        timestamp = 0.0
+        for index in range(63):
+            kind = rng.random() if index < 60 else 1.5
+            if kind < 0.6:
+                entries = {rng.choice(query_dims): rng.uniform(0.2, 1.0)}
+                for dim in rng.sample(range(100, 140), rng.choice((0, 2))):
+                    entries[dim] = rng.uniform(0.1, 1.0)
+            elif kind < 0.85:
+                entries = {dim: rng.uniform(0.2, 1.0) for dim in
+                           rng.sample(query_dims, rng.randint(3, 8))}
+                entries[rng.randrange(100, 140)] = rng.uniform(0.1, 0.6)
+            elif kind < 1.0:
+                entries = {dim: rng.uniform(0.5, 1.0) for dim in query_dims}
+            else:  # the closing queries
+                entries = {dim: 1.0 for dim in query_dims}
+            timestamp += rng.uniform(0.0, 0.6)
+            vectors.append(SparseVector(index, round(timestamp, 3), entries))
+        for algorithm in ("STR-L2", "STR-L2AP", "STR-AP"):
+            assert_dict_and_array_paths_agree(algorithm, vectors, 0.5, 0.08,
+                                              backend)
+
     def test_identical_vectors_at_threshold_one(self, backend):
         coords = {1: 2.0, 5: 1.0, 9: 3.0}
         vectors = [SparseVector(index, 0.0, coords) for index in range(4)]
-        reference, _ = run_backend("STR-L2AP", vectors, 1.0, 0.7, "python")
-        vectorized, _ = run_backend("STR-L2AP", vectors, 1.0, 0.7, backend)
+        reference, _, _ = run_backend("STR-L2AP", vectors, 1.0, 0.7, "python")
+        vectorized, _, _ = run_backend("STR-L2AP", vectors, 1.0, 0.7, backend)
         assert set(vectorized) == set(reference)
         assert len(vectorized) == 6  # all pairs of the 4 identical vectors
 
@@ -192,13 +240,64 @@ class TestCandidateSetViews:
                    for index in range(25)]
         for algorithm in ("L2AP", "AP", "L2", "INV"):
             reference = create_batch_index(algorithm, 0.5, backend="python")
-            vectorized = create_batch_index(algorithm, 0.5, backend="numpy")
             for vector in vectors[:-1]:
                 reference.index_vector(vector)
-                vectorized.index_vector(vector)
-            query = vectors[-1]
-            reference_set = reference.candidate_generation(query)
-            vectorized_set = vectorized.candidate_generation(query)
-            assert vectorized_set.to_dict() == reference_set.to_dict(), algorithm
-            assert (list(vectorized_set.to_dict())
-                    == list(reference_set.to_dict())), algorithm
+            expected = reference.candidate_generation(vectors[-1]).to_dict()
+            for path in REPLAY_PATHS:
+                vectorized = create_batch_index(algorithm, 0.5,
+                                                backend="numpy")
+                for vector in vectors[:-1]:
+                    vectorized.index_vector(vector)
+                with forced_replay_path(path):
+                    found = vectorized.candidate_generation(
+                        vectors[-1]).to_dict()
+                assert found == expected, (algorithm, path)
+                assert list(found) == list(expected), (algorithm, path)
+
+
+class TestReplayPaths:
+    def test_grouped_pass_matches_scalar_loop(self):
+        # The two replay implementations on synthetic gathers.  Unlike
+        # real scans, the tri-states here follow no order (a refused
+        # posting may precede an admitting one), so each candidate's chain
+        # start, the size filter and every prune position get exercised.
+        import numpy as np
+
+        from repro.backends.numpy_backend import NumpyKernel
+
+        rng = np.random.default_rng(5)
+        for case in range(300):
+            candidates = int(rng.integers(1, 25))
+            segment_slots = [
+                rng.permutation(candidates)[:int(rng.integers(0, candidates + 1))]
+                for _ in range(int(rng.integers(1, 10)))]
+            slots = np.concatenate(segment_slots).astype(np.int64)
+            offsets = np.cumsum([0] + [len(seg) for seg in segment_slots])
+            segments = len(segment_slots)
+            size = len(slots)
+            tri = rng.choice([1, 0, -1], size=segments).tolist()
+            seg_rs1 = rng.uniform(0.2, 1.5, segments).tolist()
+            seg_rs2 = rng.uniform(0.2, 1.5, segments).tolist()
+            contrib = rng.uniform(0.0, 0.4, size)
+            tails = rng.uniform(0.0, 0.8, size)
+            decay_factors = rng.uniform(0.3, 1.0, size)
+            sizes = rng.uniform(0.0, 2.0, candidates)
+            use_ap, use_l2 = (bool(flag) for flag in rng.integers(0, 2, 2))
+            sz1 = float(rng.uniform(0.0, 1.5))
+            threshold = float(rng.uniform(0.2, 0.9))
+            outcomes = []
+            for path in REPLAY_PATHS:
+                kernel = NumpyKernel()
+                for vector_id in range(candidates):
+                    kernel._intern(vector_id)
+                kernel._slot_sf[:candidates] = sizes
+                acc = kernel.new_accumulator()
+                with forced_replay_path(path):
+                    kernel._fused_prefix_segments(
+                        slots, contrib, tails if use_l2 else None,
+                        decay_factors, tri, seg_rs1, seg_rs2, offsets, sz1,
+                        use_ap, use_l2, threshold, acc)
+                found = acc.finalize()
+                outcomes.append((found.slots.tolist(), found.scores.tolist(),
+                                 kernel._slot_state[:candidates].tolist()))
+            assert outcomes[0] == outcomes[1], case

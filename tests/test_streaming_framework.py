@@ -6,11 +6,12 @@ import math
 
 import pytest
 
+from repro import available_backends, create_join
 from repro.baselines.brute_force import brute_force_time_dependent
 from repro.core.frameworks.streaming import StreamingFramework
 from repro.core.similarity import time_horizon
 from repro.core.vector import SparseVector
-from repro.exceptions import UnknownAlgorithmError
+from repro.exceptions import StreamOrderError, UnknownAlgorithmError
 from tests.conftest import random_vectors
 
 
@@ -88,3 +89,83 @@ class TestCorrectness:
         framework = StreamingFramework(threshold, decay, index=index)
         got = {p.key for p in framework.run(vectors)}
         assert got == expected
+
+
+STR_ALGORITHMS = ("STR-INV", "STR-L2", "STR-AP", "STR-L2AP")
+
+
+def order_backends() -> list:
+    return ["python", pytest.param("numpy", marks=pytest.mark.skipif(
+        "numpy" not in available_backends(), reason="NumPy backend unavailable"))]
+
+
+def emitted(join, vectors) -> list[list[tuple]]:
+    """Every pair field of every ``process()`` result, in order."""
+    return [[(pair.key, pair.similarity, pair.dot, pair.time_delta)
+             for pair in join.process(vector)] for vector in vectors]
+
+
+def counters(join) -> dict:
+    state = join.stats.as_dict()
+    state.pop("elapsed_seconds", None)
+    return state
+
+
+class TestStreamOrder:
+    """A vector older than its predecessor is refused before any state
+    changes, so the join goes on exactly as if it never arrived."""
+
+    def test_older_duplicate_does_not_pair_above_one(self):
+        for algorithm in STR_ALGORITHMS:
+            join = create_join(algorithm, 0.6, 0.1, backend="python")
+            assert join.process(vec(1, 5.0, {1: 0.6, 2: 0.8})) == []
+            with pytest.raises(StreamOrderError):
+                join.process(vec(2, 4.0, {1: 0.6, 2: 0.8}))
+            pairs = join.process(vec(3, 5.0, {1: 0.6, 2: 0.8}))
+            assert [pair.key for pair in pairs] == [(1, 3)], algorithm
+            assert pairs[0].similarity <= 1.0
+
+    @pytest.mark.parametrize("backend", order_backends())
+    @pytest.mark.parametrize("algorithm", STR_ALGORITHMS)
+    def test_rejected_vector_leaves_no_trace(self, algorithm, backend):
+        self._assert_rejection_is_invisible(
+            lambda: create_join(algorithm, 0.5, 0.05, backend=backend))
+
+    @pytest.mark.parametrize("algorithm", STR_ALGORITHMS)
+    def test_sharded_join_rejects_too(self, algorithm):
+        if "numpy" not in available_backends():
+            pytest.skip("the sharded coordinator needs the NumPy backend")
+        from repro.shard import create_sharded_join
+
+        joins = []
+
+        def build():
+            join = create_sharded_join(algorithm, 0.5, 0.05, workers=2,
+                                       executor="serial")
+            joins.append(join)
+            return join
+
+        try:
+            self._assert_rejection_is_invisible(build)
+        finally:
+            for join in joins:
+                join.close()
+
+    @staticmethod
+    def _assert_rejection_is_invisible(build) -> None:
+        vectors = random_vectors(60, seed=23)
+        last = vectors[29]
+        # Equal timestamps stay legal: the vector after the rejected one
+        # shares the last accepted vector's time.
+        vectors[30] = SparseVector(vectors[30].vector_id, last.timestamp,
+                                   dict(vectors[30]))
+        clean = build()
+        expected = emitted(clean, vectors)
+        join = build()
+        got = emitted(join, vectors[:30])
+        with pytest.raises(StreamOrderError):
+            join.process(SparseVector(10_000, last.timestamp - 0.5,
+                                      dict(last)))
+        got += emitted(join, vectors[30:])
+        assert got == expected
+        assert counters(join) == counters(clean)
