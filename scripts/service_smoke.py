@@ -16,8 +16,8 @@ streamed pairs are bitwise identical to the direct engine:
     session resumed at the checkpoint barrier, re-feed with
     ``sssj ingest --resume`` and compare the JSONL sink.
 ``multitenant``
-    20 sessions over 3 tenants on a 4-worker pool with a session quota
-    and adaptive batching: one tenant bounces off its quota
+    20 sessions over 3 tenants on a 4-worker pool with a session
+    quota: one tenant bounces off its quota
     (machine-readable, consumes nothing), one session is
     checkpoint-evicted via ``sssj sessions --evict`` and resumed lazily
     by ``sssj ingest --resume``; every JSONL sink is then compared.
@@ -218,7 +218,7 @@ def scenario_multitenant(workdir: Path, args) -> None:
 
     server = Server("--checkpoint-dir", str(workdir / "checkpoints"),
                     "--checkpoint-every", "50", "--pool-workers", "4",
-                    "--quota-sessions", str(quota), "--adaptive-batch")
+                    "--quota-sessions", str(quota))
     try:
         print(f"[1] ingest {len(names)} sessions through the CLI")
         for name in names:

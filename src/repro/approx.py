@@ -8,7 +8,7 @@ candidate generation and verification: every indexed vector carries a
 compact **sketch signature**, and a candidate whose signature shares no
 band with the query's is rejected before it can start accumulating.
 
-Three signature families are provided:
+Two signature families are provided:
 
 * ``minhash`` (the default) — classic MinHash over the vector's
   *dimension set* (weights ignored): lane ``i`` holds the minimum of a
@@ -24,13 +24,8 @@ Three signature families are provided:
   squared-weight distributions, which for unit-norm vectors is a much
   sharper function of the dot product than the set-Jaccard ``minhash``
   uses — this is the family the benchmark recall gate runs.
-* ``simhash`` — random-hyperplane signs: each lane packs ``4`` sign bits
-  of Rademacher projections of the weighted vector, so lane agreement
-  tracks the angular (cosine) similarity.  Included as the
-  cosine-sensitive alternative; at moderate thresholds its S-curve is
-  flatter than MinHash's, which is why MinHash is the default.
 
-All three are built on the splitmix64 mixer, evaluated in exact 64-bit wrap
+Both are built on the splitmix64 mixer, evaluated in exact 64-bit wrap
 arithmetic, so a signature is a pure function of ``(vector dims/values,
 config)`` — the reference and NumPy backends share one
 :class:`SignatureScheme` implementation and therefore take bit-identical
@@ -64,7 +59,7 @@ __all__ = [
 ]
 
 #: Supported sketch families.
-APPROX_METHODS = ("minhash", "wminhash", "simhash")
+APPROX_METHODS = ("minhash", "wminhash")
 
 #: Environment variable consulted by the CLI when ``--approx`` is absent.
 APPROX_ENV_VAR = "SSSJ_APPROX"
@@ -74,8 +69,6 @@ _DEFAULT_ROWS = 2
 _DEFAULT_SEED = 0x53535341  # "SSSA"
 
 _MASK64 = (1 << 64) - 1
-#: Sign bits packed per simhash lane (lane match prob = p_bit ** this).
-_SIMHASH_BITS_PER_LANE = 4
 
 
 def _splitmix64(value: int) -> int:
@@ -149,7 +142,7 @@ def parse_approx(value: "str | ApproxConfig | None", *,
 
     Accepts ``None`` (approximation disabled), an existing config, or a
     spec string ``"method[:BANDSxROWS[:SEED]]"`` (e.g. ``"minhash"``,
-    ``"minhash:16x2"``, ``"simhash:8x4:7"``).  The keyword overrides let
+    ``"minhash:16x2"``, ``"wminhash:8x4:7"``).  The keyword overrides let
     the CLI's separate ``--approx-bands`` / ``--approx-rows`` flags
     refine a bare method name.
     """
@@ -245,9 +238,7 @@ class SignatureScheme:
         """The vector's sketch signature (a tuple of 64-bit lane values)."""
         if self.config.method == "minhash":
             return self._minhash(vector)
-        if self.config.method == "wminhash":
-            return self._wminhash(vector)
-        return self._simhash(vector)
+        return self._wminhash(vector)
 
     def _minhash(self, vector: SparseVector) -> tuple[int, ...]:
         np = self._np
@@ -304,44 +295,6 @@ class SignatureScheme:
                     best_key = key
                     best_hash = mixed
             signature.append(best_hash)
-        return tuple(signature)
-
-    def _simhash(self, vector: SparseVector) -> tuple[int, ...]:
-        np = self._np
-        bits = _SIMHASH_BITS_PER_LANE
-        if np is not None:
-            dims = np.asarray(vector.dims, dtype=np.uint64)
-            values = np.asarray(vector.values, dtype=np.float64)
-            salts = self._salts_np
-            with np.errstate(over="ignore"):
-                mixed = self._splitmix64_np(np, dims)
-                lane_hash = self._splitmix64_np(
-                    np, mixed[:, None] ^ salts[None, :])  # (nnz, L)
-            lanes = []
-            for bit in range(bits):
-                # Rademacher sign from one hash bit per (dim, lane).
-                signs = np.where(
-                    (lane_hash >> np.uint64(bit)) & np.uint64(1), 1.0, -1.0)
-                projections = (values[:, None] * signs).sum(axis=0)
-                lanes.append((projections >= 0.0).astype(np.uint64)
-                             << np.uint64(bit))
-            packed = lanes[0]
-            for lane in lanes[1:]:
-                packed = packed | lane
-            return tuple(packed.tolist())
-        signature = []
-        pairs = list(zip(vector.dims, vector.values))
-        for salt in self._lane_salts:
-            packed = 0
-            hashes = [(_splitmix64(_splitmix64(dim & _MASK64) ^ salt), value)
-                      for dim, value in pairs]
-            for bit in range(bits):
-                projection = sum(
-                    value if (lane_hash >> bit) & 1 else -value
-                    for lane_hash, value in hashes)
-                if projection >= 0.0:
-                    packed |= 1 << bit
-            signature.append(packed)
         return tuple(signature)
 
     @staticmethod

@@ -17,12 +17,6 @@ whole query's candidate-generation pass gathers the matched dimensions'
 live ranges with a handful of fancy-index reads instead of one
 Python→NumPy round trip per query term.
 
-The arena's backing buffers come from a pluggable **allocator** — a
-``(length, dtype) -> np.ndarray`` factory.  The default allocates private
-heap arrays; the sharded join's worker processes (:mod:`repro.shard`)
-supply a ``multiprocessing.shared_memory``-backed allocator so each
-shard-local arena lives in a shared segment.
-
 Memory management
 -----------------
 * **Chunks** grow by doubling: when a list's region hits its chunk
@@ -60,8 +54,7 @@ from repro.indexes.posting import PostingEntry
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.backends.numpy_backend import NumpyKernel
 
-__all__ = ["PostingArena", "ArenaPostingList", "ArenaAllocator",
-           "SLOT_DTYPE", "VALUE_DTYPE"]
+__all__ = ["PostingArena", "ArenaPostingList", "SLOT_DTYPE", "VALUE_DTYPE"]
 
 #: Dtypes of the arena's parallel arrays: ``SLOT_DTYPE`` for the interned
 #: vector slots, ``VALUE_DTYPE`` for values, prefix magnitudes and
@@ -87,26 +80,6 @@ def _next_pow2(value: int) -> int:
     return power
 
 
-def _heap_alloc(length: int, dtype) -> np.ndarray:
-    """Default arena allocator: a private, uninitialised heap array."""
-    return np.empty(length, dtype=dtype)
-
-
-class ArenaAllocator:
-    """Interface of a caller-provided arena buffer factory.
-
-    Implementations are callables ``(length, dtype) -> np.ndarray`` that
-    return a writable one-dimensional array of exactly ``length`` elements.
-    The arena never frees buffers explicitly — it simply drops its
-    references on growth/compaction — so allocators owning external
-    resources (shared-memory segments) should tie their release to the
-    array's lifetime (see :class:`repro.shard.shm.SharedMemoryAllocator`).
-    """
-
-    def __call__(self, length: int, dtype) -> np.ndarray:  # pragma: no cover
-        raise NotImplementedError
-
-
 class PostingArena:
     """The shared posting store: four parallel arrays plus chunk accounting.
 
@@ -116,29 +89,18 @@ class PostingArena:
     ``InvertedIndex.clear``) are reclaimed at the next compaction.
     """
 
-    __slots__ = ("kernel", "allocator", "slots", "values", "pnorms", "ts",
-                 "tail", "live_entries", "dead_entries", "_lists",
-                 "compactions")
+    __slots__ = ("kernel", "slots", "values", "pnorms", "ts", "tail",
+                 "live_entries", "dead_entries", "_lists", "compactions")
 
-    def __init__(self, kernel: "NumpyKernel",
-                 allocator: "ArenaAllocator | None" = None) -> None:
+    def __init__(self, kernel: "NumpyKernel") -> None:
         # Reference cycle with the kernel (kernel._arena → arena.kernel);
         # collected by the cycle GC.  The strong reference keeps detached
         # posting lists iterable (they translate slots via the kernel).
         self.kernel = kernel
-        #: Backing-buffer factory ``(length, dtype) -> np.ndarray``.  The
-        #: default allocates private heap arrays; the sharded worker
-        #: processes pass :class:`repro.shard.shm.SharedMemoryAllocator`
-        #: so their arenas live in ``multiprocessing.shared_memory``
-        #: segments.  Every buffer the arena ever uses — the initial
-        #: arrays, growth reallocations and compaction targets — comes
-        #: from this factory, so an arena is shared-memory backed for its
-        #: whole lifetime, not only at construction.
-        self.allocator = allocator if allocator is not None else _heap_alloc
-        self.slots = self.allocator(_INITIAL_ARENA, SLOT_DTYPE)
-        self.values = self.allocator(_INITIAL_ARENA, VALUE_DTYPE)
-        self.pnorms = self.allocator(_INITIAL_ARENA, VALUE_DTYPE)
-        self.ts = self.allocator(_INITIAL_ARENA, VALUE_DTYPE)
+        self.slots = np.empty(_INITIAL_ARENA, dtype=SLOT_DTYPE)
+        self.values = np.empty(_INITIAL_ARENA, dtype=VALUE_DTYPE)
+        self.pnorms = np.empty(_INITIAL_ARENA, dtype=VALUE_DTYPE)
+        self.ts = np.empty(_INITIAL_ARENA, dtype=VALUE_DTYPE)
         #: Next free offset; everything at or beyond it is unallocated.
         self.tail = 0
         #: Physically stored postings across all live lists (incl. dirty).
@@ -174,7 +136,7 @@ class PostingArena:
         capacity = _next_pow2(max(needed, _INITIAL_ARENA))
         for name in ("slots", "values", "pnorms", "ts"):
             old = getattr(self, name)
-            fresh = self.allocator(capacity, old.dtype)
+            fresh = np.empty(capacity, dtype=old.dtype)
             fresh[:self.tail] = old[:self.tail]
             setattr(self, name, fresh)
 
@@ -236,7 +198,7 @@ class PostingArena:
             total += _next_pow2(max(2 * kept, _MIN_CAPACITY)) if kept else 0
 
         capacity = _next_pow2(max(total, _INITIAL_ARENA))
-        fresh = {name: self.allocator(capacity, getattr(self, name).dtype)
+        fresh = {name: np.empty(capacity, dtype=getattr(self, name).dtype)
                  for name in ("slots", "values", "pnorms", "ts")}
         cursor = 0
         live = 0

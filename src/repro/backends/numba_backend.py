@@ -72,9 +72,8 @@ class NumbaKernel(NumpyKernel):
     def availability_reason(cls) -> str | None:
         return kernels.NUMBA_UNAVAILABLE_REASON
 
-    def __init__(self, *, arena_allocator=None,
-                 use_kernels: bool | None = None) -> None:
-        super().__init__(arena_allocator=arena_allocator)
+    def __init__(self, *, use_kernels: bool | None = None) -> None:
+        super().__init__()
         # True → route through the kernel functions (compiled under
         # numba, plain Python otherwise); False → pure NumPy behaviour.
         self._use_kernels = (kernels.NUMBA_AVAILABLE if use_kernels is None

@@ -304,12 +304,8 @@ class NumpyKernel(SimilarityKernel):
     name = "numpy"
     description = "vectorised contiguous-array kernels (requires numpy)"
 
-    def __init__(self, *, arena_allocator=None) -> None:
-        # ``arena_allocator`` lets a caller place the posting arena's
-        # backing buffers wherever it likes — the sharded workers pass a
-        # multiprocessing.shared_memory-backed allocator (see
-        # repro.shard.shm); None keeps private heap arrays.
-        self._arena = PostingArena(self, arena_allocator)
+    def __init__(self) -> None:
+        self._arena = PostingArena(self)
         self._slot_of: dict[int, int] = {}
         self._slot_ids = np.empty(_INITIAL_SLOTS, dtype=np.int64)
         self._slot_score = np.zeros(_INITIAL_SLOTS, dtype=np.float64)

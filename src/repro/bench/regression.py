@@ -15,7 +15,11 @@
    on different hardware than the baseline remain comparable.  Both the
    single-benchmark schema-1 records and the schema-2 multi-benchmark
    artifacts (one entry per gate) are understood; every benchmark present
-   in *both* records is compared.  Runnable as
+   in *both* records is compared.  :func:`stage_mismatches` also rejects a
+   current record whose ``stages`` block cannot split its ``elapsed_s``
+   (it does not add up, or its timed stages exceed the wall time) —
+   stages taken from another run.
+   Runnable as
    ``python -m repro.bench.regression CURRENT BASELINE [--tolerance 0.2]``.
 """
 
@@ -32,7 +36,8 @@ from typing import Any
 import numpy as np
 
 __all__ = ["LinearFit", "fit_line", "MetricCheck", "RegressionReport",
-           "check_regression", "config_mismatches", "main"]
+           "check_regression", "config_mismatches", "stage_mismatches",
+           "main"]
 
 
 @dataclass(frozen=True)
@@ -196,9 +201,54 @@ def config_mismatches(current: dict[str, Any],
     return mismatches
 
 
+#: Largest gap allowed, as a share of ``elapsed_s``, between a backend's
+#: wall time and the sum of its ``stages`` (``unattributed`` included) —
+#: and the furthest its ``unattributed`` remainder may fall below zero.
+STAGE_TOLERANCE = 0.02
+
+
+def stage_mismatches(record: dict[str, Any]) -> list[tuple[str, str]]:
+    """Backends whose ``stages`` cannot be a split of their ``elapsed_s``.
+
+    A ``stages`` block must split the wall time of the run it sits next
+    to.  It is rejected when, ``unattributed`` included, it misses
+    ``elapsed_s`` by more than :data:`STAGE_TOLERANCE`, or when its
+    ``unattributed`` remainder is below ``-STAGE_TOLERANCE · elapsed_s``:
+    the stage timers run only inside the timed window, so timed stages
+    that add up to more than the wall time were measured on a longer
+    run.  Returns ``(benchmark: backend, reason)`` per offender.
+    """
+    from repro.bench.export import bench_micro_benchmarks
+
+    mismatches: list[tuple[str, str]] = []
+    for name, entry in sorted(bench_micro_benchmarks(record).items()):
+        backends = entry.get("backends")
+        if not isinstance(backends, dict):
+            continue
+        for backend, block in sorted(backends.items()):
+            stages = block.get("stages") if isinstance(block, dict) else None
+            elapsed = block.get("elapsed_s") if stages else None
+            if not isinstance(elapsed, (int, float)) or elapsed <= 0:
+                continue
+            total = float(sum(stages.values()))
+            unattributed = float(stages.get("unattributed", 0.0))
+            slack = STAGE_TOLERANCE * elapsed
+            if abs(total - elapsed) > slack:
+                reason = (f"stages sum to {total:.4f}s but elapsed_s is "
+                          f"{elapsed:.4f}s")
+            elif unattributed < -slack:
+                reason = (f"timed stages sum to {total - unattributed:.4f}s, "
+                          f"more than elapsed_s {elapsed:.4f}s")
+            else:
+                continue
+            mismatches.append((f"{name}: {backend}", reason))
+    return mismatches
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    """CLI: exit 0 when within tolerance, 1 on regression, 2 when the two
-    records describe different workloads (used by the CI smoke job)."""
+    """CLI: exit 0 when within tolerance, 1 on regression or on stages that
+    do not add up to their run's wall time, 2 when the two records
+    describe different workloads (used by the CI smoke job)."""
     parser = argparse.ArgumentParser(
         prog="python -m repro.bench.regression",
         description="Compare a BENCH_micro.json against a committed baseline.",
@@ -208,12 +258,18 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser.add_argument("--tolerance", type=float, default=0.2,
                         help="allowed fractional degradation (default 0.2)")
     args = parser.parse_args(argv)
+    with open(args.current, "r", encoding="utf-8") as handle:
+        current = json.load(handle)
+    unsplit = stage_mismatches(current)
+    for where, reason in unsplit:
+        print(f"{where}: {reason} (more than {STAGE_TOLERANCE:.0%} apart)")
+    if unsplit:
+        print("rejecting a record whose stages come from another run")
+        return 1
     baseline_path = Path(args.baseline)
     if not baseline_path.exists():
         print(f"no baseline at {baseline_path}; skipping regression check")
         return 0
-    with open(args.current, "r", encoding="utf-8") as handle:
-        current = json.load(handle)
     with open(baseline_path, "r", encoding="utf-8") as handle:
         baseline = json.load(handle)
     mismatched = config_mismatches(current, baseline)

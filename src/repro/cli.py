@@ -74,8 +74,8 @@ __all__ = ["main", "build_parser"]
 def _add_approx_args(sub: argparse.ArgumentParser) -> None:
     """The approximate-tier flags shared by ``run``, ``profile``, ``ingest``."""
     sub.add_argument("--approx", default=None, metavar="SPEC",
-                     help="enable the approximate prefilter tier: 'minhash', "
-                          "'wminhash' or 'simhash', optionally with geometry as "
+                     help="enable the approximate prefilter tier: 'minhash' "
+                          "or 'wminhash', optionally with geometry as "
                           "'method:BANDSxROWS[:SEED]' (default: exact join, "
                           "or the SSSJ_APPROX environment variable)")
     sub.add_argument("--approx-bands", type=int, default=None, metavar="B",
@@ -243,17 +243,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--quota-rate", type=float, default=None, metavar="R",
                        help="per-tenant sustained ingest rate in vectors/s "
                             "(token bucket)")
-    serve.add_argument("--adaptive-batch", action="store_true",
-                       help="size each session's micro-batches from its live "
-                            "latency and queue depth")
-    serve.add_argument("--adaptive-min", type=int, default=16, metavar="N",
-                       help="adaptive batching floor (default 16)")
-    serve.add_argument("--adaptive-max", type=int, default=1024, metavar="N",
-                       help="adaptive batching ceiling (default 1024)")
-    serve.add_argument("--adaptive-target-p99-ms", type=float, default=250.0,
-                       metavar="MS",
-                       help="p99 per-item latency the adaptive batcher "
-                            "steers toward (default 250)")
     serve.add_argument("--metrics-port", type=int, default=None, metavar="P",
                        help="serve Prometheus text on this HTTP port "
                             "(0 picks a free port; default: off)")
@@ -652,47 +641,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _profile_rows(kernel, total_elapsed: float) -> list[dict]:
-    """Stage rows for ``sssj profile``, read back from the metrics registry.
-
-    The profiling kernel exports its accumulators onto the shared
-    :mod:`repro.obs` registry; reading the table from there (one scrape,
-    same ``sssj_stage_seconds_total`` series Prometheus sees) keeps the
-    CLI view and the metrics endpoint telling one story.  Falls back to
-    the kernel's own accumulators when observability is disabled.
-    """
-    from repro import obs
-    from repro.backends.profiling import STAGES
-
-    if not obs.enabled():
-        return kernel.report_rows(total_elapsed)
-    registry = obs.get_registry()
-    registry.run_collectors()
-    rows = []
-    attributed = 0.0
-    for stage in STAGES:
-        seconds = registry.get_value("sssj_stage_seconds_total",
-                                     stage=stage, backend=kernel.name) or 0.0
-        calls = registry.get_value("sssj_stage_calls_total",
-                                   stage=stage, backend=kernel.name) or 0
-        attributed += seconds
-        rows.append({
-            "stage": stage,
-            "seconds": round(seconds, 4),
-            "share": (f"{seconds / total_elapsed:.1%}"
-                      if total_elapsed else "-"),
-            "calls": int(calls),
-        })
-    other = max(total_elapsed - attributed, 0.0)
-    rows.append({
-        "stage": "other (driver)",
-        "seconds": round(other, 4),
-        "share": f"{other / total_elapsed:.1%}" if total_elapsed else "-",
-        "calls": "",
-    })
-    return rows
-
-
 def _cmd_profile(args: argparse.Namespace) -> int:
     import time
 
@@ -731,7 +679,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     pairs += len(join.flush())
     elapsed = time.perf_counter() - start
     print(render_table(
-        _profile_rows(kernel, elapsed),
+        kernel.report_rows(elapsed),
         title=(f"Per-stage breakdown: {args.algorithm} on {name} "
                f"({kernel.name}, θ={args.theta}, λ={args.decay})"),
     ))
@@ -842,10 +790,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             max_queued=args.quota_queued,
             rate=args.quota_rate),
         "evict_after": args.evict_after,
-        "adaptive_batch": args.adaptive_batch,
-        "adaptive_min_items": args.adaptive_min,
-        "adaptive_max_items": args.adaptive_max,
-        "adaptive_target_p99_ms": args.adaptive_target_p99_ms,
     }
     server, recovered = serve(
         host=args.host, port=args.port,
@@ -873,8 +817,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     knobs = f"pool={server.service.pool.workers}"
     if args.evict_after is not None:
         knobs += f" evict_after={args.evict_after:g}s"
-    if args.adaptive_batch:
-        knobs += " adaptive_batch"
     print(f"multi-tenant scheduler enabled ({knobs})", flush=True)
     if recovered:
         print(f"recovered sessions from {args.checkpoint_dir}: "

@@ -89,7 +89,7 @@ def create_join(algorithm: str, threshold: float, decay: float, *,
 
     ``approx`` opts into the approximate sketch-prefilter tier
     (:mod:`repro.approx`): a spec string such as ``"minhash"`` or
-    ``"simhash:16x2"`` (or a ready :class:`~repro.approx.ApproxConfig`).
+    ``"wminhash:24x3"`` (or a ready :class:`~repro.approx.ApproxConfig`).
     Prefix-filter schemes only, incompatible with ``workers``.
 
     ``fault_plan`` injects worker-process faults into the sharded engine

@@ -109,7 +109,7 @@ class JoinParameters:
         one; see :mod:`repro.backends`).
     approx:
         Optional approximate-tier spec (:mod:`repro.approx`), e.g.
-        ``"minhash"`` or ``"simhash:16x2"``; normalised to its canonical
+        ``"minhash"`` or ``"wminhash:24x3"``; normalised to its canonical
         spec string.  ``None`` keeps the join exact.
     """
 

@@ -18,8 +18,8 @@ existing engine without changing it:
 * :class:`ServiceClient` — the protocol client behind ``sssj ingest`` /
   ``sssj results`` / ``sssj drain``;
 * :mod:`repro.service.scheduler` — the pieces the service schedules
-  with: worker pool, DRR ready queue, tenant quotas, adaptive batching
-  and the selector transport.
+  with: worker pool, DRR ready queue, tenant quotas and the selector
+  transport.
 
 Determinism contract: for the same accepted vectors, a session emits
 exactly the pairs of :func:`repro.core.join.streaming_self_join` — in

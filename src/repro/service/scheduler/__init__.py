@@ -3,8 +3,7 @@
 N sessions share M pool workers (:mod:`~repro.service.scheduler.pool`)
 scheduled by weighted deficit round robin over tenants
 (:mod:`~repro.service.scheduler.ready`), with per-tenant quotas
-(:mod:`~repro.service.scheduler.tenants`) and adaptive micro-batching
-(:mod:`~repro.service.scheduler.adaptive`), all behind a single-loop
+(:mod:`~repro.service.scheduler.tenants`), all behind a single-loop
 selector transport (:mod:`~repro.service.scheduler.aserver`).
 :class:`~repro.service.server.JoinService` owns one of each, plus idle
 checkpoint-evict / lazy restore.
@@ -14,7 +13,6 @@ Size the pool with ``sssj serve --pool-workers N`` or
 worker per CPU.
 """
 
-from repro.service.scheduler.adaptive import AdaptiveBatcher
 from repro.service.scheduler.aserver import SelectorServiceServer
 from repro.service.scheduler.pool import WorkerPool, default_pool
 from repro.service.scheduler.ready import DRRReadyQueue
@@ -26,7 +24,6 @@ from repro.service.scheduler.tenants import (
 )
 
 __all__ = [
-    "AdaptiveBatcher",
     "DRRReadyQueue",
     "QUOTA_CODES",
     "QuotaError",

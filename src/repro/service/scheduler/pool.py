@@ -13,10 +13,6 @@ session cannot hold up the rest), not CPU parallelism.
 The pool is also the sessions' scheduler: :meth:`WorkerPool.notify` is
 the one callback a session makes when work is enqueued.  Sessions built
 without a scheduler share :func:`default_pool`, started on first use.
-
-An optional :class:`~repro.service.scheduler.adaptive.AdaptiveBatcher`
-chooses each quantum's micro-batch size from the session's live latency
-and queue depth.
 """
 
 from __future__ import annotations
@@ -34,21 +30,14 @@ __all__ = ["WorkerPool", "default_pool"]
 class WorkerPool:
     """Fixed-size thread pool draining a DRR ready queue of sessions."""
 
-    def __init__(self, ready: DRRReadyQueue, *, workers: int | None = None,
-                 max_batches: int = 4, batcher=None) -> None:
+    def __init__(self, ready: DRRReadyQueue, *,
+                 workers: int | None = None) -> None:
         if workers is None:
             workers = os.cpu_count() or 1
         if workers <= 0:
             raise ValueError(f"workers must be positive, got {workers}")
-        if max_batches <= 0:
-            raise ValueError(f"max_batches must be positive, got {max_batches}")
         self._ready = ready
         self.workers = workers
-        #: Micro-batches one quantum may run before the session goes back
-        #: to the queue — the knob trading per-session burst throughput
-        #: against cross-session latency.
-        self.max_batches = max_batches
-        self._batcher = batcher
         self._threads: list[threading.Thread] = []
         self._stop = threading.Event()
         self._lock = threading.Lock()
@@ -73,13 +62,10 @@ class WorkerPool:
             session = self._ready.pop(timeout=0.1)
             if session is None:
                 continue
-            batch_items = (self._batcher.suggest(session)
-                           if self._batcher is not None else None)
             with obs.span("dispatch", session=session.config.name,
                           tenant=session.config.tenant) as span:
                 try:
-                    _more, processed = session.run_quantum(
-                        max_batches=self.max_batches, batch_items=batch_items)
+                    _more, processed = session.run_quantum()
                 except BaseException:  # pragma: no cover - run_quantum reports
                     processed = 0      # its own failures; never kill the worker
                 span.note(processed=processed)
@@ -101,10 +87,8 @@ class WorkerPool:
         with self._lock:
             return {
                 "workers": self.workers,
-                "max_batches": self.max_batches,
                 "quanta_run": self.quanta_run,
                 "vectors_processed": self.vectors_processed,
-                "adaptive": self._batcher is not None,
             }
 
 

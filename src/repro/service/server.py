@@ -19,9 +19,7 @@ sessions over M threads:
   retained pairs are dropped, leaving a placeholder whose memory cost is
   a config and a handful of counters; the next ingest (or results read)
   **lazily restores** the session from its envelope, transparently to
-  the client (sequence numbers continue exactly);
-* an optional :class:`~repro.service.scheduler.adaptive.AdaptiveBatcher`
-  sizes each quantum's micro-batch from the session's live latency.
+  the client (sequence numbers continue exactly).
 
 :func:`serve` puts the service behind the single-loop selector transport
 (:class:`~repro.service.scheduler.aserver.SelectorServiceServer`), which
@@ -61,7 +59,6 @@ from repro.service.protocol import (
     error_response,
     pair_to_wire,
 )
-from repro.service.scheduler.adaptive import AdaptiveBatcher
 from repro.service.scheduler.aserver import SelectorServiceServer
 from repro.service.scheduler.pool import WorkerPool
 from repro.service.scheduler.ready import DRRReadyQueue
@@ -225,15 +222,9 @@ class JoinService:
                  checkpoint_every_seconds: float | None = None,
                  fault_injector=None,
                  pool_workers: int | None = None,
-                 quantum_batches: int = 4,
-                 drr_quantum: int = 256,
                  default_quota: TenantQuota | None = None,
                  tenant_quotas: dict[str, TenantQuota] | None = None,
                  evict_after: float | None = None,
-                 adaptive_batch: bool = False,
-                 adaptive_min_items: int = 16,
-                 adaptive_max_items: int = 1024,
-                 adaptive_target_p99_ms: float = 250.0,
                  clock: Callable[[], float] = time.monotonic) -> None:
         if evict_after is not None and evict_after <= 0:
             raise ValueError(f"evict_after must be positive, got {evict_after}")
@@ -260,16 +251,10 @@ class JoinService:
         self.tenant_quotas = dict(tenant_quotas or {})
         self._clock = clock
         self.tenants: dict[str, TenantState] = {}
-        self.ready = DRRReadyQueue(quantum=drr_quantum)
-        self.batcher = (AdaptiveBatcher(
-            min_items=adaptive_min_items, max_items=adaptive_max_items,
-            target_p99_ms=adaptive_target_p99_ms)
-            if adaptive_batch else None)
+        self.ready = DRRReadyQueue()
         #: Runs every session's quanta and is the sessions' scheduler
         #: (``notify`` pushes a session onto the ready queue).
-        self.pool = WorkerPool(self.ready, workers=pool_workers,
-                               max_batches=quantum_batches,
-                               batcher=self.batcher)
+        self.pool = WorkerPool(self.ready, workers=pool_workers)
         #: Seconds of inactivity after which an idle checkpointable
         #: session is evicted (None disables the sweeper).
         self.evict_after = evict_after
@@ -527,8 +512,6 @@ class JoinService:
             return {"ok": True, "session": name, "missing": True}
         session.close()
         self.tenant_state(session.config.tenant).release_session(name)
-        if self.batcher is not None:
-            self.batcher.forget(name)
         return {"ok": True, "session": name}
 
     def _handle_ingest(self, request: dict[str, Any]) -> dict[str, Any]:
@@ -657,8 +640,6 @@ class JoinService:
                 self.ready.release_evict_claim(session)
         if path is not None:
             self.evictions += 1
-            if self.batcher is not None:
-                self.batcher.forget(name)
         return path
 
     def _handle_evict(self, request: dict[str, Any]) -> dict[str, Any]:
@@ -741,8 +722,6 @@ class JoinService:
                 "evictions": self.evictions,
                 "restores": self.restores,
                 "evict_after_s": self.evict_after,
-                "adaptive": (self.batcher.stats()
-                             if self.batcher is not None else None),
             },
             "tenants": {name: state.stats()
                         for name, state in sorted(tenants.items())},
@@ -828,7 +807,7 @@ def serve(*, host: str = "127.0.0.1", port: int = 0,
 
     ``pool_workers`` sizes the worker pool (default ``os.cpu_count()``);
     ``scheduler_options`` passes extra :class:`JoinService` keyword
-    arguments (quotas, ``evict_after``, adaptive batching, ...).
+    arguments (quotas, ``evict_after``, ...).
 
     Observability: ``metrics_port`` exposes the process metrics registry
     as a plain-HTTP Prometheus endpoint (``GET /metrics``; port 0 picks

@@ -76,6 +76,11 @@ BACKPRESSURE_POLICIES = ("block", "drop", "error")
 #: Scheduler-visible run states of a session.
 RUN_STATES = ("idle", "ready", "running", "evicted")
 
+#: Micro-batches one quantum may run before the session goes back to the
+#: ready queue — trades per-session burst throughput against
+#: cross-session latency.
+QUANTUM_BATCHES = 4
+
 
 class SessionError(SSSJError):
     """Raised when a session is used in a state that cannot serve the call.
@@ -683,27 +688,24 @@ class JoinSession:
             self._not_full.notify_all()
             return batch
 
-    def run_quantum(self, *, max_batches: int = 4,
-                    batch_items: int | None = None) -> tuple[bool, int]:
-        """Run up to ``max_batches`` micro-batches on the caller's thread.
+    def run_quantum(self) -> tuple[bool, int]:
+        """Run up to ``QUANTUM_BATCHES`` micro-batches on the caller's thread.
 
         The only code that runs a session: a pool worker calls this after
         popping the session from the ready queue (which guarantees
         exclusive execution — at most one worker runs a given session at
         any time, so the FIFO determinism contract holds under any pool
         size).  Control tokens are executed in queue order.
-        ``batch_items`` overrides the configured micro-batch size (the
-        adaptive batcher's lever).
 
         Returns ``(more_pending, vectors_processed)``; ``more_pending``
         is advisory — the pool re-checks under the ready-queue lock.
         """
-        limit = batch_items if batch_items else self.config.batch_max_items
+        limit = max(1, self.config.batch_max_items)
         processed = 0
         with self._quantum_lock:
             try:
-                for _ in range(max_batches):
-                    work = self._collect_ready(max(1, limit))
+                for _ in range(QUANTUM_BATCHES):
+                    work = self._collect_ready(limit)
                     if work is None:
                         break
                     if isinstance(work, tuple):  # control token

@@ -15,8 +15,8 @@ Entry points:
 * :class:`ShardPlan` / :func:`plan_report` — the dimension partition and
   its posting-mass balance report (``sssj shards``);
 * :class:`SerialShardExecutor` / :class:`ProcessShardExecutor` — the
-  in-process (CI-safe, deterministic) and multiprocess (parallel,
-  shared-memory arenas) execution backends.
+  in-process (CI-safe, deterministic) and multiprocess (parallel)
+  execution backends.
 
 Sharded runs are bitwise identical to single-process NumPy runs — same
 pairs, similarities and operation counters — at every worker count; see

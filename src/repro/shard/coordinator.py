@@ -314,9 +314,8 @@ class ShardedStreamingJoin(JoinFramework):
         Number of shards.  ``1`` is the degenerate single-shard
         configuration (useful as the parity anchor).
     executor:
-        ``"process"`` (one child process per shard, shared-memory arenas)
-        or ``"serial"`` (all shards in-process — deterministic, CI-safe,
-        no parallelism).
+        ``"process"`` (one child process per shard) or ``"serial"``
+        (all shards in-process — deterministic, CI-safe, no parallelism).
     fault_plan:
         Optional :class:`~repro.faults.FaultPlan` (or spec string, or an
         already-built :class:`~repro.faults.FaultInjector`) injecting
@@ -334,8 +333,6 @@ class ShardedStreamingJoin(JoinFramework):
                  executor: str = "process",
                  stats: JoinStatistics | None = None,
                  backend: str | None = None,
-                 use_shared_memory: bool = True,
-                 start_method: str | None = None,
                  fault_plan=None,
                  recv_timeout: float = 10.0,
                  max_respawns: int = 3,
@@ -358,17 +355,14 @@ class ShardedStreamingJoin(JoinFramework):
         self._index = index_cls(threshold, decay, stats=self.stats,
                                 backend=backend)
         # Validate the coordinator kernel and the plan BEFORE spawning
-        # anything: a failed construction must not leak worker processes
-        # or their shared-memory segments.
+        # anything: a failed construction must not leak worker processes.
         self._index.check_coordinator_kernel()
         plan = ShardPlan(workers)
         faults = _coerce_injector(fault_plan)
         self.fault_injector = faults
         self._executor = create_executor(
-            plan, executor,
-            use_shared_memory=use_shared_memory, start_method=start_method,
-            recv_timeout=recv_timeout, max_respawns=max_respawns,
-            recovery=recovery, faults=faults)
+            plan, executor, recv_timeout=recv_timeout,
+            max_respawns=max_respawns, recovery=recovery, faults=faults)
         try:
             self._index.attach_executor(plan, self._executor)
         except BaseException:  # pragma: no cover - defensive
@@ -452,8 +446,6 @@ def create_sharded_join(algorithm: str, threshold: float, decay: float, *,
                         workers: int, stats: JoinStatistics | None = None,
                         backend: str | None = None,
                         executor: str = "process",
-                        use_shared_memory: bool = True,
-                        start_method: str | None = None,
                         fault_plan=None,
                         recv_timeout: float = 10.0,
                         max_respawns: int = 3,
@@ -472,8 +464,6 @@ def create_sharded_join(algorithm: str, threshold: float, decay: float, *,
             f"got {algorithm!r}")
     return ShardedStreamingJoin(threshold, decay, index=index, workers=workers,
                                 executor=executor, stats=stats, backend=backend,
-                                use_shared_memory=use_shared_memory,
-                                start_method=start_method,
                                 fault_plan=fault_plan,
                                 recv_timeout=recv_timeout,
                                 max_respawns=max_respawns, recovery=recovery)

@@ -19,9 +19,9 @@ Both executors present the same tiny interface to the coordinator:
 synchronously — no processes, no pickling — which makes the whole
 subsystem testable and CI-safe; it is also the natural ``workers=1``
 configuration.  :class:`ProcessShardExecutor` spawns one child process
-per shard (fork server where available), ships requests over pipes and
-keeps each worker's posting arena in shared memory; all shards scan
-concurrently, which is where the parallel speedup comes from.
+per shard (forked where available, else spawned) and ships requests
+over pipes; all shards scan concurrently, which is where the parallel
+speedup comes from.
 
 Fault tolerance
 ---------------
@@ -57,7 +57,6 @@ from repro.shard.plan import ShardPlan
 from repro.shard.worker import (
     ShardWorker,
     apply_step,
-    make_worker_kernel,
     shard_worker_main,
     unpack_partials,
 )
@@ -81,8 +80,7 @@ class SerialShardExecutor:
 
     def __init__(self, plan: ShardPlan) -> None:
         self.plan = plan
-        self.workers = [ShardWorker(shard, make_worker_kernel())
-                        for shard in range(plan.workers)]
+        self.workers = [ShardWorker(shard) for shard in range(plan.workers)]
         self._pending: list[list[tuple]] = [[] for _ in range(plan.workers)]
 
     def queue_append(self, shard: int, slot: int, dims, values, prefix_norms,
@@ -136,19 +134,14 @@ class ProcessShardExecutor:
     _REPLAY_CHUNK = 128
 
     def __init__(self, plan: ShardPlan, *,
-                 use_shared_memory: bool = True,
-                 start_method: str | None = None,
                  recv_timeout: float = 10.0,
                  max_respawns: int = 3,
                  recovery: bool = True,
                  faults=None) -> None:
         self.plan = plan
-        self.use_shared_memory = use_shared_memory
-        if start_method is None:
-            methods = multiprocessing.get_all_start_methods()
-            start_method = "fork" if "fork" in methods else "spawn"
-        self._context = multiprocessing.get_context(start_method)
-        self.start_method = start_method
+        methods = multiprocessing.get_all_start_methods()
+        self._context = multiprocessing.get_context(
+            "fork" if "fork" in methods else "spawn")
         if recv_timeout <= 0:
             raise InvalidParameterError(
                 f"recv_timeout must be > 0, got {recv_timeout}")
@@ -194,7 +187,7 @@ class ProcessShardExecutor:
             worker_faults = self.faults.worker_events_for(shard) or None
         process = self._context.Process(
             target=shard_worker_main,
-            args=(child_conn, shard, self.use_shared_memory, worker_faults),
+            args=(child_conn, shard, worker_faults),
             name=f"sssj-shard-{shard}", daemon=True)
         process.start()
         child_conn.close()
@@ -441,8 +434,7 @@ class ProcessShardExecutor:
         """Last rung of the ladder: continue the run in-process.
 
         Every shard's history is replayed into a local
-        :class:`ShardWorker` (regular heap arenas — shared memory serves
-        no purpose in-process), the child processes are reaped, and all
+        :class:`ShardWorker`, the child processes are reaped, and all
         subsequent steps run serially.  Slower, but the stream — and the
         bitwise determinism contract — survive.
         """
@@ -451,7 +443,7 @@ class ProcessShardExecutor:
         started = time.monotonic()
         workers = []
         for shard in range(self.plan.workers):
-            worker = ShardWorker(shard, make_worker_kernel())
+            worker = ShardWorker(shard)
             for message in self._history[shard]:
                 apply_step(worker, message)
             workers.append(worker)
@@ -474,8 +466,6 @@ class ProcessShardExecutor:
 
 
 def create_executor(plan: ShardPlan, kind: str = "process", *,
-                    use_shared_memory: bool = True,
-                    start_method: str | None = None,
                     recv_timeout: float = 10.0, max_respawns: int = 3,
                     recovery: bool = True, faults=None):
     """Build the executor named by ``kind`` (``"serial"`` or ``"process"``)."""
@@ -487,9 +477,7 @@ def create_executor(plan: ShardPlan, kind: str = "process", *,
                 "executor has no worker processes to break")
         return SerialShardExecutor(plan)
     if kind == "process":
-        return ProcessShardExecutor(plan, use_shared_memory=use_shared_memory,
-                                    start_method=start_method,
-                                    recv_timeout=recv_timeout,
+        return ProcessShardExecutor(plan, recv_timeout=recv_timeout,
                                     max_respawns=max_respawns,
                                     recovery=recovery, faults=faults)
     raise ValueError(f"unknown shard executor {kind!r}; "

@@ -19,8 +19,7 @@ coordinator in a strict per-shard order:
 The same class backs both execution modes: the serial in-process executor
 calls it directly (making the whole subsystem testable without spawning
 anything), and :func:`shard_worker_main` wraps it in a child-process
-message loop for the multiprocess executor, with the arena allocated from
-``multiprocessing.shared_memory`` segments.
+message loop for the multiprocess executor.
 """
 
 from __future__ import annotations
@@ -32,8 +31,8 @@ from repro.backends.base import SegmentPartial
 from repro.core.results import ShardCounters
 from repro.indexes.posting import InvertedIndex
 
-__all__ = ["ShardWorker", "apply_step", "make_worker_kernel",
-           "shard_worker_main", "pack_partials", "unpack_partials"]
+__all__ = ["ShardWorker", "apply_step", "shard_worker_main",
+           "pack_partials", "unpack_partials"]
 
 
 def pack_partials(partials: list[SegmentPartial]):
@@ -88,24 +87,19 @@ def unpack_partials(packed) -> list[SegmentPartial]:
     return partials
 
 
-def make_worker_kernel(*, allocator=None):
-    """Build a worker's NumPy kernel, shared-memory backed if requested.
+class ShardWorker:
+    """One shard's posting state plus the gather half of the scans.
 
     Workers always run the NumPy kernel: the partial gathers
     (``gather_*_partials``) live on its posting arena.
     """
-    from repro.backends.numpy_backend import NumpyKernel
 
-    return NumpyKernel(arena_allocator=allocator)
+    def __init__(self, shard: int) -> None:
+        from repro.backends.numpy_backend import NumpyKernel
 
-
-class ShardWorker:
-    """One shard's posting state plus the gather half of the scans."""
-
-    def __init__(self, shard: int, kernel) -> None:
         self.shard = shard
-        self.kernel = kernel
-        self.index = InvertedIndex(kernel.new_posting_list)
+        self.kernel = NumpyKernel()
+        self.index = InvertedIndex(self.kernel.new_posting_list)
         self.counters = ShardCounters(shard=shard)
 
     # -- index construction ---------------------------------------------------
@@ -223,8 +217,7 @@ def apply_step(worker: ShardWorker, message: tuple):
     return worker.scan(scan_terms, scan_params)
 
 
-def shard_worker_main(conn, shard: int, use_shared_memory: bool = True,
-                      faults=None) -> None:
+def shard_worker_main(conn, shard: int, faults=None) -> None:
     """Child-process message loop of one shard (multiprocess executor).
 
     Protocol (requests over ``conn``):
@@ -245,12 +238,7 @@ def shard_worker_main(conn, shard: int, use_shared_memory: bool = True,
     Replay messages do not advance the fault step counter, and respawned
     workers are started fault-free.
     """
-    allocator = None
-    if use_shared_memory:
-        from repro.shard.shm import SharedMemoryAllocator
-
-        allocator = SharedMemoryAllocator(name_prefix=f"sssj-shard{shard}")
-    worker = ShardWorker(shard, make_worker_kernel(allocator=allocator))
+    worker = ShardWorker(shard)
     fault_map: dict[int, list[tuple[str, float]]] = {}
     for kind, after, ms in faults or ():
         fault_map.setdefault(after, []).append((kind, ms))
@@ -302,14 +290,4 @@ def shard_worker_main(conn, shard: int, use_shared_memory: bool = True,
     except (EOFError, BrokenPipeError, KeyboardInterrupt):
         pass  # coordinator went away; shut down quietly
     finally:
-        if allocator is not None:
-            # Release the arena (and the kernel↔arena reference cycle) so
-            # no view into the shared segments survives, then close them —
-            # otherwise SharedMemory.__del__ noisily fails to unmap
-            # buffers that numpy still points at.
-            import gc
-
-            del worker
-            gc.collect()
-            allocator.close()
         conn.close()

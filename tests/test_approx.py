@@ -46,8 +46,7 @@ RECALL_FLOOR = 0.95
 BACKENDS = [name for name in ("python", "numpy")
             if name in available_backends()]
 
-APPROX_SPECS = ("minhash", "minhash:8x2", "wminhash:8x2", "wminhash:24x3",
-                "simhash:8x2")
+APPROX_SPECS = ("minhash", "minhash:8x2", "wminhash:8x2", "wminhash:24x3")
 
 sparse_streams = st.lists(
     st.dictionaries(st.integers(min_value=0, max_value=30),
@@ -243,8 +242,8 @@ class TestConfiguration:
         assert parse_approx(config.spec()) == config
         assert parse_approx(None) is None
         assert parse_approx("") is None
-        assert parse_approx("simhash", bands=4, rows=4) \
-            == ApproxConfig(method="simhash", bands=4, rows=4)
+        assert parse_approx("wminhash", bands=4, rows=4) \
+            == ApproxConfig(method="wminhash", bands=4, rows=4)
 
     @pytest.mark.parametrize("bad", [
         "bogus", "minhash:2", "minhash:axb", "minhash:8x2:zz",
@@ -253,6 +252,19 @@ class TestConfiguration:
     def test_parse_approx_rejects_malformed_specs(self, bad):
         with pytest.raises(InvalidParameterError):
             parse_approx(bad)
+
+    def test_simhash_spec_is_rejected(self):
+        for spec in ("simhash", "simhash:16x2"):
+            with pytest.raises(InvalidParameterError,
+                               match="'minhash', 'wminhash'"):
+                parse_approx(spec)
+        join = create_join("STR-L2AP", THETA, DECAY, backend="python",
+                           approx="minhash:8x2")
+        join.feed(random_vectors(10, seed=5))
+        state = snapshot_join(join)
+        state["approx"] = "simhash:8x2"
+        with pytest.raises(InvalidParameterError):
+            restore_join(state)
 
     def test_geometry_overrides_require_a_method(self):
         with pytest.raises(InvalidParameterError):
@@ -275,7 +287,7 @@ class TestConfiguration:
 
 
 class TestSignatureScheme:
-    @pytest.mark.parametrize("method", ["minhash", "wminhash", "simhash"])
+    @pytest.mark.parametrize("method", ["minhash", "wminhash"])
     def test_vectorised_and_pure_python_paths_agree(self, method):
         pytest.importorskip("numpy")
         config = ApproxConfig(method=method, bands=8, rows=2)

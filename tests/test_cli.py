@@ -90,6 +90,20 @@ class TestCommands:
         assert "Per-stage breakdown" in output
         assert "vectors/s" in output
 
+    def test_profile_twice_reports_only_its_own_run(self, capsys):
+        # Every ProfilingKernel of one backend feeds the same registry
+        # series; the table must come from this run's kernel alone.
+        args = ["profile", "--profile", "hashtags", "--num-vectors", "300",
+                "--algorithm", "STR-L2AP", "--theta", "0.6",
+                "--decay", "0.0001", "--backend", "numpy"]
+        assert main(args) == 0
+        capsys.readouterr()
+        assert main(args) == 0
+        output = capsys.readouterr().out
+        scan_row = next(line for line in output.splitlines()
+                        if line.startswith("scan "))
+        assert scan_row.split("|")[3].strip() == "300"
+
     def test_profile_with_explicit_backend(self, capsys):
         assert main(["profile", "--profile", "tweets", "--num-vectors", "40",
                      "--algorithm", "STR-INV", "--backend", "python"]) == 0

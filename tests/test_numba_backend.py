@@ -47,9 +47,8 @@ if "numpy" in available_backends():
 
         name = "numba-interpreted"
 
-        def __init__(self, *, arena_allocator=None, use_kernels=None):
-            super().__init__(arena_allocator=arena_allocator,
-                             use_kernels=True)
+        def __init__(self, *, use_kernels=None):
+            super().__init__(use_kernels=True)
 
     numba_missing = not NumbaKernel.available()
 else:  # pragma: no cover - the module-level skip hides everything below

@@ -118,6 +118,49 @@ class TestCheckRegression:
         assert main([str(current), str(baseline)]) == 2
         assert "config mismatch" in capsys.readouterr().out
 
+    def test_stages_from_another_run_are_rejected(self, tmp_path, capsys):
+        from repro.bench.regression import stage_mismatches
+
+        def record(elapsed, stages):
+            entry = {"backends": {"numpy": {"elapsed_s": elapsed,
+                                            "stages": stages}},
+                     "derived": {"speedup": 4.0}}
+            return {"schema": BENCH_MICRO_SCHEMA,
+                    "benchmarks": {"l2ap_streaming_hot_path": entry}}
+
+        def staged(elapsed, **timers):
+            # As bench_micro writes a leg: the stage timers plus the
+            # ``unattributed`` remainder, so the block sums to elapsed_s.
+            remainder = round(elapsed - sum(timers.values()), 4)
+            return record(elapsed, dict(timers, unattributed=remainder))
+
+        offenders = ["l2ap_streaming_hot_path: numpy"]
+        # The timed run's own timers: the remainder is what they missed.
+        same_run = staged(17.5, scan=11.4, verify=3.1, maintenance=1.2,
+                          filter=0.35)
+        assert stage_mismatches(same_run) == []
+        # Timer rounding may push the remainder slightly below zero.
+        assert stage_mismatches(staged(17.5, scan=17.6)) == []
+        # Timers of a longer, separately profiled run (18.3 s) beside the
+        # timed 17.5 s: the block still sums to elapsed_s, but only with a
+        # negative remainder no single run can produce.
+        other_run = staged(17.5, scan=12.9, verify=3.5, maintenance=1.5,
+                           filter=0.4)
+        assert [where for where, _ in stage_mismatches(other_run)] == offenders
+        # A block without a remainder that misses elapsed_s (a shorter
+        # profiled run's 16.08 s beside a 17.48 s timed leg).
+        unsplit = record(17.48, {"scan": 11.44, "verify": 3.08,
+                                 "maintenance": 1.21, "filter": 0.35})
+        assert [where for where, _ in stage_mismatches(unsplit)] == offenders
+        current = tmp_path / "current.json"
+        baseline = tmp_path / "baseline.json"
+        baseline.write_text(json.dumps(same_run))
+        current.write_text(json.dumps(other_run))
+        assert main([str(current), str(baseline)]) == 1
+        assert "another run" in capsys.readouterr().out
+        current.write_text(json.dumps(same_run))
+        assert main([str(current), str(baseline)]) == 0
+
     def test_config_subset_comparison_ignores_new_keys(self):
         from repro.bench.regression import config_mismatches
 

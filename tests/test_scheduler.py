@@ -22,7 +22,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.bench.metrics import LatencyStats
 from repro.core.vector import SparseVector
 from repro.service import (
     JoinService,
@@ -34,7 +33,6 @@ from repro.service import (
     serve,
 )
 from repro.service.protocol import encode_vector, pair_from_wire
-from repro.service.scheduler.adaptive import AdaptiveBatcher
 from repro.service.scheduler.ready import DRRReadyQueue
 from repro.service.scheduler.tenants import TenantState
 from tests.conftest import random_vectors, wait_until
@@ -233,58 +231,6 @@ class TestDRRReadyQueue:
 
 
 # ---------------------------------------------------------------------------
-# Adaptive batcher (unit)
-# ---------------------------------------------------------------------------
-
-
-def batcher_session(name="s", base=64, queued=0, latencies_ms=()):
-    latency = LatencyStats()
-    for value in latencies_ms:
-        latency.record(value / 1e3)
-    return SimpleNamespace(
-        config=SimpleNamespace(name=name, batch_max_items=base),
-        queued=queued, latency=latency)
-
-
-class TestAdaptiveBatcher:
-    def test_deep_backlog_grows_geometrically(self):
-        batcher = AdaptiveBatcher(max_items=512)
-        session = batcher_session(base=64, queued=10_000)
-        sizes = [batcher.suggest(session) for _ in range(5)]
-        assert sizes == [128, 256, 512, 512, 512]
-
-    def test_high_p99_shrinks_toward_floor(self):
-        batcher = AdaptiveBatcher(min_items=16, target_p99_ms=10.0)
-        session = batcher_session(base=128, queued=0,
-                                  latencies_ms=[50.0] * 20)
-        sizes = [batcher.suggest(session) for _ in range(5)]
-        assert sizes == [64, 32, 16, 16, 16]
-
-    def test_decays_back_to_configured_size_when_load_clears(self):
-        batcher = AdaptiveBatcher(max_items=1024)
-        session = batcher_session(base=64, queued=10_000)
-        for _ in range(4):
-            batcher.suggest(session)
-        session.queued = 0  # fast latencies, shallow queue
-        sizes = [batcher.suggest(session) for _ in range(6)]
-        assert sizes[-1] == 64 and sizes == sorted(sizes, reverse=True)
-
-    def test_forget_drops_state(self):
-        batcher = AdaptiveBatcher()
-        batcher.suggest(batcher_session(name="gone", queued=10_000))
-        batcher.forget("gone")
-        assert batcher.stats()["sessions_tracked"] == 0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            AdaptiveBatcher(min_items=0)
-        with pytest.raises(ValueError):
-            AdaptiveBatcher(min_items=64, max_items=32)
-        with pytest.raises(ValueError):
-            AdaptiveBatcher(target_p99_ms=0)
-
-
-# ---------------------------------------------------------------------------
 # JoinService scheduling end-to-end (no sockets)
 # ---------------------------------------------------------------------------
 
@@ -333,7 +279,7 @@ class TestSchedulerServiceParity:
                 counters_without_time(stats.as_dict())
 
     def test_scheduler_stats_and_session_rows(self, scheduler_service):
-        service = scheduler_service(pool_workers=2, adaptive_batch=True)
+        service = scheduler_service(pool_workers=2)
         vectors = random_vectors(30, seed=3)
         ok(service.handle(open_request("a", tenant="acme", checkpoint=False)))
         ok(service.handle(open_request("b", tenant="zeta", checkpoint=False)))
@@ -351,7 +297,6 @@ class TestSchedulerServiceParity:
         stats = ok(service.handle({"op": "stats"}))
         assert stats["scheduler"]["pool"]["workers"] == 2
         assert stats["scheduler"]["pool"]["vectors_processed"] >= len(vectors)
-        assert stats["scheduler"]["adaptive"] is not None
         assert set(stats["tenants"]) == {"acme", "zeta"}
         assert stats["tenants"]["acme"]["admitted"] == len(vectors)
 

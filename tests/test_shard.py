@@ -198,6 +198,33 @@ class TestProcessExecutor:
         join.close()
         join.close()
 
+    def test_workers_leave_dev_shm_untouched(self):
+        # Worker arenas are private heap arrays: a process join creates no
+        # shared-memory segment while it runs, and leaves none behind.
+        # Only Python's unnamed SharedMemory segments (``psm_*``) are
+        # compared, so other processes' segments cannot fail the test.
+        import os
+
+        from repro.shard import create_sharded_join
+        from tests.conftest import random_vectors
+
+        if not os.path.isdir("/dev/shm"):
+            pytest.skip("no /dev/shm on this platform")
+
+        def segments():
+            return {name for name in os.listdir("/dev/shm")
+                    if name.startswith("psm_")}
+
+        before = segments()
+        join = create_sharded_join("STR-L2AP", 0.6, 0.05, workers=2,
+                                   executor="process")
+        try:
+            join.run_to_list(random_vectors(300, seed=11))
+            assert segments() - before == set()
+        finally:
+            join.close()
+        assert segments() - before == set()
+
 
 class TestShardPlan:
     def test_deterministic_and_in_range(self):
@@ -283,41 +310,3 @@ class TestShardCLI:
 
         assert main(["run", "--profile", "tweets", "--num-vectors", "10",
                      "--algorithm", "MB-L2", "--workers", "2"]) == 2
-
-
-class TestSharedMemoryAllocator:
-    def test_alloc_and_release(self):
-        import gc
-
-        import numpy as np
-
-        from repro.shard.shm import SharedMemoryAllocator
-
-        allocator = SharedMemoryAllocator()
-        array = allocator(1024, np.float64)
-        array[:] = 1.5
-        assert array.sum() == 1536.0
-        assert allocator.live_segments == 1
-        del array
-        gc.collect()
-        allocator.close()
-        assert allocator.live_segments == 0
-        assert not allocator._retired
-
-    def test_arena_on_shared_memory(self):
-        import gc
-
-        from repro.backends.numpy_backend import NumpyKernel
-        from repro.shard.shm import SharedMemoryAllocator
-
-        allocator = SharedMemoryAllocator()
-        kernel = NumpyKernel(arena_allocator=allocator)
-        plist = kernel.new_posting_list()
-        for index in range(5000):  # force several growth reallocations
-            plist._append_fast(index, 0.5, 0.1, float(index))
-        assert kernel._arena.capacity >= 5000
-        assert allocator.bytes_allocated > 0
-        del plist, kernel
-        gc.collect()
-        allocator.close()
-        assert allocator.live_segments == 0
