@@ -10,8 +10,10 @@ and figure of the evaluation.
 The filtering hot loops run on a pluggable compute backend
 (:mod:`repro.backends`): a pure-Python reference implementation or
 NumPy-vectorised array kernels, selected per join via ``backend=`` /
-``--backend`` / ``SSSJ_BACKEND`` and auto-detected by default.  Both
-produce identical output, pair for pair.
+``--backend`` / ``SSSJ_BACKEND``.  By default a STR join starts on the
+reference kernel and moves to NumPy once its queries gather enough
+postings for the vectorised scan to pay.  Both produce identical output,
+pair for pair.
 
 Quickstart
 ----------

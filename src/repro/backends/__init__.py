@@ -27,10 +27,20 @@ The backend is chosen per join via ``backend=`` on the public entry points
 (:func:`repro.create_join`, :func:`repro.streaming_self_join`,
 :func:`repro.all_pairs`, the index constructors, the ``sssj`` CLI) or the
 ``backend`` field of :class:`repro.JoinParameters`.  ``None`` or ``"auto"``
-resolves to the fastest available backend — ``numpy`` when present,
-``python`` otherwise — overridable with the ``SSSJ_BACKEND`` environment
-variable.  ``numba`` is opt-in even when installed: its one-time JIT
-warm-up only amortises on long streams, so ``auto`` never picks it.
+means one of two things:
+
+* for a single-process STR join, an *adaptive* kernel: the join starts on
+  ``python`` and moves once, mid-stream, to :func:`default_backend`'s
+  kernel when its queries' mean gather size reaches the measured
+  crossover (:mod:`repro.core.frameworks.streaming`);
+* for everything else — MiniBatch joins, sharded joins, indexes built
+  directly — :func:`default_backend`: ``numpy`` when present, ``python``
+  otherwise.
+
+Setting the ``SSSJ_BACKEND`` environment variable to a backend name pins
+every ``auto`` join to it, STR joins included (:func:`auto_is_adaptive`).
+``numba`` is opt-in even when installed: its one-time JIT warm-up only
+amortises on long streams, so ``auto`` never picks it.
 
 >>> from repro.backends import available_backends, resolve_kernel
 >>> "python" in available_backends()
@@ -59,6 +69,7 @@ __all__ = [
     "SimilarityKernel",
     "SizeFilterMap",
     "ReferenceKernel",
+    "auto_is_adaptive",
     "available_backends",
     "backend_availability",
     "default_backend",
@@ -173,12 +184,25 @@ def _fallback_for(name: str) -> type[SimilarityKernel]:
     return _BACKENDS[target]
 
 
+def auto_is_adaptive() -> bool:
+    """Whether ``"auto"`` STR joins choose their kernel adaptively.
+
+    True unless ``SSSJ_BACKEND`` names a concrete backend, which pins
+    every ``auto`` join to :func:`default_backend`.
+    """
+    return os.environ.get(BACKEND_ENV_VAR, "").strip().lower() in ("", "auto")
+
+
 def default_backend() -> str:
-    """The backend ``"auto"`` resolves to.
+    """The backend ``"auto"`` resolves to when it resolves to one kernel.
 
     The ``SSSJ_BACKEND`` environment variable wins when set to a registered
-    backend name; otherwise the fastest available backend is picked
-    (``numpy`` when importable, else ``python``).  Setting it to a known
+    backend name; otherwise the vectorised backend is picked (``numpy``
+    when importable, else ``python``).  That is what MiniBatch joins,
+    sharded joins and directly built indexes run, and the kernel an
+    adaptive STR join moves to once its gathers grow past the measured
+    crossover; below it the ``python`` kernel is faster
+    (:mod:`repro.core.frameworks.streaming`).  Setting it to a known
     but unavailable backend (``numba`` without numba installed) degrades
     to the normal default with a warning instead of failing, so one
     environment file can serve heterogeneous machines.
@@ -198,6 +222,10 @@ def default_backend() -> str:
 
 def get_backend(name: str | None = None) -> type[SimilarityKernel]:
     """Kernel class registered under ``name`` (``None``/``"auto"`` → default).
+
+    ``None``/``"auto"`` resolve to :func:`default_backend`; the adaptive
+    STR rule is the framework's, not this function's, so a caller that
+    needs one kernel class always gets one.
 
     A *known* backend that cannot run on this machine (``numba`` without
     numba installed) resolves to the best available backend with a

@@ -17,8 +17,7 @@ from repro.bench.export import (
     rows_to_json,
     write_markdown_report,
 )
-from repro.bench.metrics import RunMetrics
-from repro.bench.regression import LinearFit, fit_line
+from repro.bench.metrics import LinearFit, RunMetrics, fit_line
 from repro.bench.runner import clear_corpus_cache, corpus_for, run_algorithm, sweep
 from repro.bench.tables import pivot, render_table, series_by
 

@@ -33,8 +33,7 @@ from typing import Any
 
 from repro.baselines.sliding_window import SlidingWindowJoin
 from repro.bench.config import DATASETS, INDEXES, ExperimentScale, default_scale
-from repro.bench.metrics import RunMetrics
-from repro.bench.regression import fit_line
+from repro.bench.metrics import RunMetrics, fit_line
 from repro.bench.runner import corpus_for, run_algorithm, sweep
 from repro.bench.tables import render_table
 from repro.core.similarity import time_horizon

@@ -1,16 +1,23 @@
-"""Per-run metrics collected by the benchmark harness."""
+"""Per-run metrics collected by the benchmark harness.
+
+Also the least-squares line of Figure 9: the paper closes its evaluation
+by showing that the running time of STR-L2 is roughly a linear function
+of the time horizon ``τ = λ⁻¹ ln θ⁻¹``, with WebSpam as an outlier
+because of its much higher density; :func:`fit_line` is that fit.
+"""
 
 from __future__ import annotations
 
 import threading
 from collections import deque
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from repro.core.results import JoinStatistics
 from repro.core.similarity import time_horizon
 from repro.obs import percentile
 
-__all__ = ["LatencyStats", "RunMetrics"]
+__all__ = ["LatencyStats", "LinearFit", "RunMetrics", "fit_line"]
 
 
 class LatencyStats:
@@ -156,3 +163,39 @@ class RunMetrics:
             "full_sims": self.full_similarities,
             "completed": self.completed,
         }
+
+
+@dataclass(frozen=True)
+class LinearFit:
+    """Least-squares line ``y = slope·x + intercept`` with its fit quality."""
+
+    slope: float
+    intercept: float
+    r_squared: float
+    num_points: int
+
+    def predict(self, x: float) -> float:
+        """Value of the fitted line at ``x``."""
+        return self.slope * x + self.intercept
+
+
+def fit_line(xs: Sequence[float], ys: Sequence[float]) -> LinearFit:
+    """Ordinary least-squares fit of ``ys`` on ``xs``.
+
+    Raises ``ValueError`` with fewer than two points (no line is defined).
+    """
+    import numpy as np  # the service imports this module; numpy stays optional
+
+    if len(xs) != len(ys):
+        raise ValueError(f"mismatched lengths: {len(xs)} vs {len(ys)}")
+    if len(xs) < 2:
+        raise ValueError("need at least two points to fit a line")
+    x = np.asarray(xs, dtype=float)
+    y = np.asarray(ys, dtype=float)
+    slope, intercept = np.polyfit(x, y, deg=1)
+    predictions = slope * x + intercept
+    total = float(np.sum((y - y.mean()) ** 2))
+    residual = float(np.sum((y - predictions) ** 2))
+    r_squared = 1.0 if total == 0 else 1.0 - residual / total
+    return LinearFit(slope=float(slope), intercept=float(intercept),
+                     r_squared=r_squared, num_points=len(xs))

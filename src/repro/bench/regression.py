@@ -1,26 +1,21 @@
-"""Regression, in both senses.
+"""Performance-regression checking of ``BENCH_micro.json`` artifacts.
 
-1. Linear regression of running time on the horizon τ (Figure 9): the
-   paper closes its evaluation by showing that the running time of STR-L2
-   is roughly a linear function of the time horizon ``τ = λ⁻¹ ln θ⁻¹``,
-   with WebSpam as an outlier because of its much higher density.
-   :func:`fit_line` provides the least-squares fit used to reproduce that
-   figure.
+The artifacts are written by ``benchmarks/bench_micro.py``.
+:func:`check_regression` compares a current record against a committed
+baseline and fails when a tracked metric degrades beyond the tolerance.
+The primary metric is the numpy-over-python *speedup*, which divides out
+the machine, so CI runs on different hardware than the baseline remain
+comparable.  Both the single-benchmark schema-1 records and the schema-2
+multi-benchmark artifacts (one entry per gate) are understood; every
+benchmark present in *both* records is compared.  :func:`stage_mismatches`
+also rejects a current record whose ``stages`` block cannot split its
+``elapsed_s`` (it does not add up, or its timed stages exceed the wall
+time) — stages taken from another run.  Runnable as
+``python -m repro.bench.regression CURRENT BASELINE [--tolerance 0.2]``.
 
-2. Performance-regression checking of the ``BENCH_micro.json`` artifacts
-   written by ``benchmarks/bench_micro.py``: :func:`check_regression`
-   compares a current record against a committed baseline and fails when a
-   tracked metric degrades beyond the tolerance.  The primary metric is the
-   numpy-over-python *speedup*, which divides out the machine, so CI runs
-   on different hardware than the baseline remain comparable.  Both the
-   single-benchmark schema-1 records and the schema-2 multi-benchmark
-   artifacts (one entry per gate) are understood; every benchmark present
-   in *both* records is compared.  :func:`stage_mismatches` also rejects a
-   current record whose ``stages`` block cannot split its ``elapsed_s``
-   (it does not add up, or its timed stages exceed the wall time) —
-   stages taken from another run.
-   Runnable as
-   ``python -m repro.bench.regression CURRENT BASELINE [--tolerance 0.2]``.
+Nothing in the :mod:`repro.bench` package imports this module, so
+``python -m`` runs it without a ``found in sys.modules`` warning.  The
+least-squares fit of Figure 9 lives in :mod:`repro.bench.metrics`.
 """
 
 from __future__ import annotations
@@ -33,45 +28,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
-import numpy as np
-
-__all__ = ["LinearFit", "fit_line", "MetricCheck", "RegressionReport",
-           "check_regression", "config_mismatches", "stage_mismatches",
-           "main"]
-
-
-@dataclass(frozen=True)
-class LinearFit:
-    """Least-squares line ``y = slope·x + intercept`` with its fit quality."""
-
-    slope: float
-    intercept: float
-    r_squared: float
-    num_points: int
-
-    def predict(self, x: float) -> float:
-        """Value of the fitted line at ``x``."""
-        return self.slope * x + self.intercept
-
-
-def fit_line(xs: Sequence[float], ys: Sequence[float]) -> LinearFit:
-    """Ordinary least-squares fit of ``ys`` on ``xs``.
-
-    Raises ``ValueError`` with fewer than two points (no line is defined).
-    """
-    if len(xs) != len(ys):
-        raise ValueError(f"mismatched lengths: {len(xs)} vs {len(ys)}")
-    if len(xs) < 2:
-        raise ValueError("need at least two points to fit a line")
-    x = np.asarray(xs, dtype=float)
-    y = np.asarray(ys, dtype=float)
-    slope, intercept = np.polyfit(x, y, deg=1)
-    predictions = slope * x + intercept
-    total = float(np.sum((y - y.mean()) ** 2))
-    residual = float(np.sum((y - predictions) ** 2))
-    r_squared = 1.0 if total == 0 else 1.0 - residual / total
-    return LinearFit(slope=float(slope), intercept=float(intercept),
-                     r_squared=r_squared, num_points=len(xs))
+__all__ = ["MetricCheck", "RegressionReport", "check_regression",
+           "config_mismatches", "stage_mismatches", "main"]
 
 
 # ---------------------------------------------------------------------------

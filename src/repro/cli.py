@@ -54,6 +54,7 @@ import sys
 from collections.abc import Sequence
 
 from repro.backends import (
+    auto_is_adaptive,
     backend_availability,
     default_backend,
     known_backends,
@@ -403,6 +404,12 @@ def _cmd_backends(_args: argparse.Namespace) -> int:
         })
     print(render_table(rows, title="Compute backends (select with --backend "
                                    "or the SSSJ_BACKEND environment variable)"))
+    if auto_is_adaptive() and default != "python":
+        from repro.core.frameworks.streaming import AUTO_SWITCH_POSTINGS
+
+        print(f"auto: STR joins start on python and move to {default} once "
+              f"their queries average {AUTO_SWITCH_POSTINGS} postings; "
+              f"MiniBatch and sharded joins run {default}")
     return 0
 
 

@@ -14,6 +14,15 @@ framework buffers whole windows and rebuilds throw-away indexes, so
 checkpointing it is intentionally unsupported (checkpoint at a window
 boundary and replay the current window instead).
 
+The payload names the kernel the way the join was configured.  A pinned
+join records its backend (``"backend": "numpy"``) and restores pinned to
+it.  An adaptive ``auto`` join records ``"backend": "auto"``, the kernel
+it runs now (``"kernel"``) and, until it has switched, its rule's window
+(``"auto_window"``); it restores adaptive, on that kernel, and switches at
+the same query an uninterrupted join would.  Only kernel-agnostic state is
+stored; :meth:`~repro.indexes.base.StreamingIndex.rebuild_kernel_state`
+derives the rest on whichever kernel the restored join runs.
+
 The serialised layout is versioned; :func:`restore_join` refuses payloads
 with an unknown version rather than guessing.
 """
@@ -76,26 +85,23 @@ def _vector_from_state(state: dict[str, Any]) -> SparseVector:
 
 
 def _posting_lists_to_state(index) -> dict[str, list[list[float]]]:
-    lists: dict[str, list[list[float]]] = {}
-    for dim in index.dimensions():
-        posting_list = index.get(dim)
-        if not posting_list:
-            continue
-        lists[str(dim)] = [
-            [entry.vector_id, entry.value, entry.prefix_norm, entry.timestamp]
-            for entry in posting_list
-        ]
-    return lists
+    return {
+        str(dim): [[entry.vector_id, entry.value, entry.prefix_norm,
+                    entry.timestamp] for entry in entries]
+        for dim, entries in index.posting_entries().items()
+    }
 
 
-def _restore_posting_lists(index, state: dict[str, list[list[float]]]) -> None:
-    for dim_text, entries in state.items():
-        dim = int(dim_text)
-        for vector_id, value, prefix_norm, timestamp in entries:
-            index.add(dim, PostingEntry(
-                vector_id=int(vector_id), value=value,
-                prefix_norm=prefix_norm, timestamp=timestamp,
-            ))
+def _posting_entries_from_state(
+        state: dict[str, list[list[float]]]) -> dict[int, list[PostingEntry]]:
+    return {
+        int(dim_text): [PostingEntry(vector_id=int(vector_id), value=value,
+                                     prefix_norm=prefix_norm,
+                                     timestamp=timestamp)
+                        for vector_id, value, prefix_norm, timestamp
+                        in entries]
+        for dim_text, entries in state.items()
+    }
 
 
 def _residual_to_state(residual) -> list[dict[str, Any]]:
@@ -168,11 +174,11 @@ def snapshot_join(join: StreamingFramework) -> dict[str, Any]:
     state: dict[str, Any] = {
         "version": _FORMAT_VERSION,
         "algorithm": join.algorithm,
-        "backend": index.backend_name,
+        **join.kernel_state(),
         "threshold": join.threshold,
         "decay": join.decay,
         "stats": join.stats.as_dict(),
-        "postings": _posting_lists_to_state(index._index),
+        "postings": _posting_lists_to_state(index),
     }
     if join.approx is not None:
         # Canonical spec string only: signatures are a pure function of
@@ -199,35 +205,35 @@ def restore_join(state: dict[str, Any]) -> StreamingFramework:
     framework_name, index_name = state["algorithm"].split("-", maxsplit=1)
     if framework_name != "STR":
         raise CheckpointError(f"cannot restore framework {framework_name!r}")
-    try:
-        backend = get_backend(state.get("backend")).name
-    except UnknownBackendError:
-        # The checkpoint was written with a backend that is unavailable
-        # here (e.g. NumPy missing); fall back to the default — backends
-        # are output-equivalent, so the restored join behaves identically.
-        backend = None
+    backend = state.get("backend")
+    if backend != "auto":
+        try:
+            backend = get_backend(backend).name
+        except UnknownBackendError:
+            # The checkpoint was written with a backend that is unavailable
+            # here (e.g. NumPy missing); fall back to the default — backends
+            # are output-equivalent, so the restored join behaves identically.
+            backend = None
     join = StreamingFramework(state["threshold"], state["decay"],
                               index=index_name, backend=backend,
                               approx=state.get("approx"))
     index = join.index
-    _restore_posting_lists(index._index, state["postings"])
     if state["kind"] == "prefix":
         if not isinstance(index, PrefixFilterStreamingIndex):
             raise CheckpointError(
                 f"checkpoint holds prefix-filter state but index {index_name!r} is not one"
             )
         _restore_residual(index._residual, state["residual"])
-        # The kernel's sz1 size-filter map and its verification-metadata
-        # mirrors are populated at indexing time, which restore bypasses;
-        # rebuild both so the restored join filters exactly like — and
-        # counts exactly the same operations as — an uninterrupted one.
-        for entry in index._residual.entries():
-            index._size_filter.set(entry.vector_id, entry.size_filter_value)
-            index.kernel.note_vector_indexed(entry)
         if index.use_ap:
             index._max_query = _restore_max_vector(state["max_query"]) or MaxVector()
             index._max_decayed = (_restore_decayed_max(state["max_decayed"], join.decay)
                                   or DecayedMaxVector(join.decay))
+    # The kernel-owned state (posting store, size-filter map, slot mirrors,
+    # sketch tables) is rebuilt from the postings and the residual store by
+    # the same path a live kernel switch takes, so the restored join
+    # filters and counts exactly like an uninterrupted one.
+    join.restore_kernel_state(
+        state, _posting_entries_from_state(state["postings"]))
     stats_state = state.get("stats", {})
     restored_stats = JoinStatistics(**{
         key: (int(value) if key != "elapsed_seconds" else float(value))

@@ -33,8 +33,9 @@ class JoinFramework(ABC):
 
     ``backend`` selects the compute backend the underlying index(es) run
     their hot loops on — a name from
-    :func:`repro.backends.available_backends` or ``None``/``"auto"`` for
-    the fastest available one.
+    :func:`repro.backends.available_backends` or ``None``/``"auto"``
+    (adaptive for STR joins, :func:`repro.backends.default_backend` for
+    MiniBatch ones; see :func:`repro.core.join.create_join`).
     """
 
     #: Framework name used in algorithm strings ("MB", "STR").

@@ -78,8 +78,13 @@ def create_join(algorithm: str, threshold: float, decay: float, *,
     ``"MB-L2AP"``, ``"MB-INV"``, ...
 
     ``backend`` selects the compute backend for the hot loops (``"python"``,
-    ``"numpy"``, ``"numba"``; ``None``/``"auto"`` picks the fastest
-    available one — see :mod:`repro.backends`).
+    ``"numpy"``, ``"numba"``, or a kernel instance).  ``None``/``"auto"``
+    depends on the framework: a single-process STR join starts on
+    ``"python"`` and moves once to the vectorised kernel when its
+    queries' gathers grow past the measured crossover
+    (:mod:`repro.core.frameworks.streaming`); MiniBatch and sharded joins
+    run :func:`~repro.backends.default_backend` throughout.  A concrete
+    ``SSSJ_BACKEND`` pins every ``auto`` join to that backend.
 
     ``workers`` switches construction to the sharded parallel engine
     (:mod:`repro.shard`) with that many shard workers — STR only, and the

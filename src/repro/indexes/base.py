@@ -24,13 +24,15 @@ of the public API (``"STR-L2"``, ``"MB-INV"``, ...).
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from collections.abc import Iterable
+from collections.abc import Iterable, Mapping
 
+from repro import obs
 from repro.backends import CandidateSet, SimilarityKernel, resolve_kernel
 from repro.core.results import JoinStatistics, SimilarPair
 from repro.core.similarity import validate_decay, validate_threshold
 from repro.core.vector import SparseVector
 from repro.exceptions import UnknownAlgorithmError
+from repro.indexes.posting import InvertedIndex, PostingEntry
 
 __all__ = [
     "BatchIndex",
@@ -122,7 +124,16 @@ class BatchIndex(ABC):
 
 
 class StreamingIndex(ABC):
-    """Index driven by the STR framework; applies time filtering internally."""
+    """Index driven by the STR framework; applies time filtering internally.
+
+    The index splits its state in two.  The *kernel-agnostic* part — the
+    live postings as :class:`~repro.indexes.posting.PostingEntry` lists,
+    the residual/Q store, the max vectors, the statistics — is what a
+    checkpoint carries.  The *kernel-owned* part — the posting store's
+    layout, the size-filter map, the kernel's slot mirrors and sketch
+    tables — is derived from it by :meth:`rebuild_kernel_state`, the one
+    path both a checkpoint restore and a live :meth:`switch_kernel` take.
+    """
 
     name: str = "abstract"
     #: Whether posting lists stay sorted by time (enables backward-scan truncation).
@@ -151,6 +162,66 @@ class StreamingIndex(ABC):
     @abstractmethod
     def size(self) -> int:
         """Number of postings currently stored."""
+
+    # -- kernel-owned state ---------------------------------------------------
+
+    def _make_index(self) -> InvertedIndex:
+        """The posting store; anything with the ``InvertedIndex`` counting
+        interface (``__len__`` / ``note_added`` / ``note_removed``)."""
+        return InvertedIndex(self.kernel.new_posting_list)
+
+    def posting_entries(self) -> dict[int, list[PostingEntry]]:
+        """The live postings of every non-empty list, in list (scan) order.
+
+        The kernel-agnostic form of the posting store: every backend's
+        lists iterate exactly the postings it has not yet reported
+        removed, so rebuilding from this on any kernel scans, prunes and
+        counts like the original store.
+        """
+        store = self._index
+        entries = {}
+        for dim in store.dimensions():
+            postings = store.get(dim).to_list()
+            if postings:
+                entries[dim] = postings
+        return entries
+
+    def rebuild_kernel_state(
+            self, kernel: SimilarityKernel,
+            postings: Mapping[int, Iterable[PostingEntry]]) -> None:
+        """Install ``kernel`` and rebuild everything it owns.
+
+        ``postings`` (dimension → entries in list order, as
+        :meth:`posting_entries` returns them) refills a fresh posting
+        store; :meth:`_announce_vectors` then replays the stored vectors
+        into the kernel's metadata hooks.  The residual store, the max
+        vectors and the statistics are kernel-agnostic and stay as they
+        are.  ``kernel`` must not have indexed anything yet.
+        """
+        self.kernel = kernel
+        self.approx = _configure_approx(kernel, self.approx)
+        store = self._make_index()
+        for dim, entries in postings.items():
+            for entry in entries:
+                store.add(dim, entry)
+        self._index = store
+        self._announce_vectors()
+
+    def _announce_vectors(self) -> None:
+        """Feed the stored vectors to a fresh kernel's metadata hooks.
+
+        Nothing to do for schemes without a residual store (INV).
+        """
+
+    def switch_kernel(self, kernel: SimilarityKernel) -> None:
+        """Move the index onto ``kernel`` in memory, mid-stream.
+
+        Pairs and counters continue exactly as on the old kernel (the
+        backends are bitwise equivalent); only speed and memory change.
+        """
+        with obs.span("kernel_switch", size=len(self._index),
+                      kernel=kernel.name):
+            self.rebuild_kernel_state(kernel, self.posting_entries())
 
 
 def _configure_approx(kernel: SimilarityKernel, approx):

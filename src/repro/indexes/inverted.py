@@ -110,9 +110,6 @@ class InvertedStreamingIndex(StreamingIndex):
 
     # -- storage / scan hooks (see PrefixFilterStreamingIndex) ----------------
 
-    def _make_index(self) -> InvertedIndex:
-        return InvertedIndex(self.kernel.new_posting_list)
-
     def _scan_query(self, vector: SparseVector, cutoff: float,
                     accumulator) -> tuple[int, int]:
         return self.kernel.scan_query_inv_stream(

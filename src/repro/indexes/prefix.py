@@ -237,14 +237,19 @@ class PrefixFilterStreamingIndex(StreamingIndex):
     #
     # Subclasses that farm the posting-list state out to other owners — the
     # sharded coordinator of :mod:`repro.shard` keeps its postings in
-    # per-worker shards — override these three hooks; everything else (time
-    # filtering of the residual store, bound maintenance, re-indexing,
-    # verification) runs unchanged on top of them.
+    # per-worker shards — override these two hooks and ``_make_index``;
+    # everything else (time filtering of the residual store, bound
+    # maintenance, re-indexing, verification) runs unchanged on top of them.
 
-    def _make_index(self) -> InvertedIndex:
-        """The posting store; anything with the ``InvertedIndex`` counting
-        interface (``__len__`` / ``note_added`` / ``note_removed``)."""
-        return InvertedIndex(self.kernel.new_posting_list)
+    def _announce_vectors(self) -> None:
+        # The sz1 size-filter map and the kernel's verification mirrors
+        # (and sketch signatures) are filled at indexing time; a fresh
+        # kernel gets both from the residual store, so it filters and
+        # counts exactly like the kernel that indexed the vectors.
+        self._size_filter = self.kernel.new_size_filter()
+        for entry in self._residual.entries():
+            self._size_filter.set(entry.vector_id, entry.size_filter_value)
+            self.kernel.note_vector_indexed(entry)
 
     def _scan_query(self, vector: SparseVector, now: float, cutoff: float,
                     rs1: float, decayed_maxima: list[float] | None,

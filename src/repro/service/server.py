@@ -115,12 +115,9 @@ def _collect_service(service: "JoinService") -> None:
         join = session.join
         if join is not None:
             counters = join.stats.as_dict()
-            backend = getattr(join, "backend_name", config.backend)
         else:  # evicted placeholder: last-known snapshot
-            cached = session._evicted_stats or {}
-            counters = cached.get("counters", {})
-            backend = cached.get("backend", config.backend)
-        backend = backend or "default"
+            counters = (session._evicted_stats or {}).get("counters", {})
+        backend = session.backend or "default"
         labels = {"session": name, "tenant": config.tenant,
                   "backend": backend}
         for key in _ENGINE_MONOTONE:
@@ -749,6 +746,7 @@ class JoinService:
             "tenant": session.config.tenant,
             "status": session.status,
             "run_state": session.run_state,
+            "kernel": session.kernel,
             "queued": session.queued,
             "processed": session.processed,
             "pairs_emitted": session.pairs_emitted,

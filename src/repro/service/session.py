@@ -767,8 +767,8 @@ class JoinSession:
             raise
         self._evicted_stats = {
             "counters": self.join.stats.as_dict(),
-            "backend": getattr(self.join, "backend_name",
-                               self.config.backend),
+            "backend": self.backend,
+            "kernel": self.kernel,
             "approx": getattr(self.join, "approx", self.config.approx),
             # Wall-clock eviction time: stats() for the placeholder must
             # say *when* the engine was dropped, not pretend it's live.
@@ -866,6 +866,31 @@ class JoinSession:
     # -- observability ---------------------------------------------------------
 
     @property
+    def backend(self) -> str | None:
+        """The backend as configured: ``"auto"`` for an adaptive join.
+
+        A pinned join reports its kernel.  This labels the session's
+        ``sssj_engine_*`` series, so an adaptive join's counters stay one
+        series across its kernel switch.
+        """
+        join = self.join
+        if join is None:  # evicted placeholder: last-known snapshot
+            return (self._evicted_stats or {}).get("backend",
+                                                   self.config.backend)
+        if getattr(join, "adaptive", False):
+            return "auto"
+        return getattr(join, "backend_name", self.config.backend)
+
+    @property
+    def kernel(self) -> str | None:
+        """Name of the compute kernel the session's join runs now."""
+        join = self.join
+        if join is None:
+            return (self._evicted_stats or {}).get("kernel",
+                                                   self.config.backend)
+        return getattr(join, "backend_name", self.config.backend)
+
+    @property
     def queued(self) -> int:
         """Vectors currently waiting in the bounded queue."""
         with self._lock:
@@ -881,16 +906,16 @@ class JoinSession:
         with self._lock:
             queued = self._queued_vectors
         evicted_at = None
-        if self.join is None:
+        backend, kernel = self.backend, self.kernel
+        join = self.join
+        if join is None:
             cached = self._evicted_stats or {}
-            backend = cached.get("backend", self.config.backend)
             approx = cached.get("approx", self.config.approx)
             counters = cached.get("counters", {})
             evicted_at = cached.get("evicted_at")
         else:
-            backend = getattr(self.join, "backend_name", self.config.backend)
-            approx = getattr(self.join, "approx", self.config.approx)
-            counters = self.join.stats.as_dict()
+            approx = getattr(join, "approx", self.config.approx)
+            counters = join.stats.as_dict()
         return {
             "name": self.config.name,
             "tenant": self.config.tenant,
@@ -900,6 +925,7 @@ class JoinSession:
             "threshold": self.config.threshold,
             "decay": self.config.decay,
             "backend": backend,
+            "kernel": kernel,
             "workers": self.config.workers,
             # Canonical spec from the live join (None on an exact session).
             "approx": approx,

@@ -23,7 +23,7 @@ from repro.bench.experiments import (
     table1,
     table2,
 )
-from repro.bench.regression import fit_line
+from repro.bench.metrics import fit_line
 from repro.bench.runner import clear_corpus_cache, corpus_for, run_algorithm, sweep
 from repro.bench.tables import pivot, render_table, series_by
 from repro.datasets.generator import generate_profile_corpus

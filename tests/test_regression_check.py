@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from repro.bench.export import BENCH_MICRO_SCHEMA, git_revision, write_bench_micro
 from repro.bench.regression import check_regression, main
@@ -167,3 +171,18 @@ class TestCheckRegression:
         current = {"config": {"num_vectors": 2500, "new_knob": True}}
         baseline = {"config": {"num_vectors": 2500}}
         assert config_mismatches(current, baseline) == []
+
+
+def test_module_runs_without_a_sys_modules_warning():
+    """``python -m repro.bench.regression`` (CI's regression steps) must not
+    find itself already imported by its package: with warnings as errors
+    the run still exits 0."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src) + os.pathsep
+               + os.environ.get("PYTHONPATH", ""))
+    result = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m",
+         "repro.bench.regression", "--help"],
+        env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert "RuntimeWarning" not in result.stderr
