@@ -74,10 +74,7 @@ _INF = math.inf
 
 
 def _next_pow2(value: int) -> int:
-    power = 1
-    while power < value:
-        power *= 2
-    return power
+    return 1 << max(value - 1, 0).bit_length()
 
 
 class PostingArena:
@@ -139,6 +136,51 @@ class PostingArena:
             fresh = np.empty(capacity, dtype=old.dtype)
             fresh[:self.tail] = old[:self.tail]
             setattr(self, name, fresh)
+
+    def load(self, counts: list[int], slots: list[int], values: list[float],
+             pnorms: list[float],
+             timestamps: list[float]) -> list["ArenaPostingList"]:
+        """New lists filled in one pass; list ``j`` holds the next
+        ``counts[j]`` postings of the flat field lists, oldest first.
+
+        Each list gets a chunk sized like a compaction's; the chunks are
+        reserved together at the arena tail and every field is written
+        with one vectorised scatter.
+        """
+        lists = [ArenaPostingList(self) for _ in counts]
+        self._lists.extend(map(weakref.ref, lists))
+        if not lists:
+            return lists
+        sizes = np.asarray(counts, dtype=np.int64)
+        # The smallest power of two >= max(2·count, _MIN_CAPACITY): frexp
+        # gives the bit length of (that bound - 1) exactly.
+        caps = np.left_shift(1, np.frexp(
+            np.maximum(2 * sizes, _MIN_CAPACITY) - 1)[1].astype(np.int64))
+        starts = np.empty(len(caps), dtype=np.int64)
+        starts[0] = 0
+        np.cumsum(caps[:-1], out=starts[1:])
+        starts += self._alloc_chunk(int(caps.sum()))
+        firsts = np.empty(len(counts), dtype=np.int64)
+        firsts[0] = 0
+        np.cumsum(sizes[:-1], out=firsts[1:])
+        positions = np.repeat(starts - firsts, sizes)
+        positions += np.arange(len(slots), dtype=np.int64)
+        ts = np.asarray(timestamps, dtype=VALUE_DTYPE)
+        self.slots[positions] = slots
+        self.values[positions] = values
+        self.pnorms[positions] = pnorms
+        self.ts[positions] = ts
+        lows = np.minimum.reduceat(ts, firsts).tolist()
+        highs = np.maximum.reduceat(ts, firsts).tolist()
+        for plist, start, cap, count, low, high in zip(
+                lists, starts.tolist(), caps.tolist(), counts, lows, highs):
+            plist._start = start
+            plist._cap = cap
+            plist._size = count
+            plist._min_ts = low
+            plist._max_ts = high
+        self.live_entries += len(slots)
+        return lists
 
     # -- compaction ----------------------------------------------------------
 

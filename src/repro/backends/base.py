@@ -35,79 +35,22 @@ between two indexes.  Obtain instances through
 
 from __future__ import annotations
 
-import math
 from abc import ABC, abstractmethod
 from collections.abc import Sequence
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
+    from collections.abc import Iterable, Mapping
+
+    from repro.indexes.posting import PostingEntry
     from repro.core.results import JoinStatistics, SimilarPair
     from repro.core.vector import SparseVector
     from repro.indexes.bounds import IndexingSplit
     from repro.indexes.maxvector import MaxVector
     from repro.indexes.residual import ResidualEntry, ResidualIndex
 
-__all__ = ["CandidateSet", "ScoreAccumulator", "SegmentPartial",
-           "SizeFilterMap", "SimilarityKernel"]
-
-
-@dataclass
-class SegmentPartial:
-    """Partial accumulation of one query term's posting-list scan.
-
-    The sharded join (:mod:`repro.shard`) splits candidate generation at
-    exactly this boundary: a shard-local worker performs the *embarrassingly
-    parallel* part of a term's scan — gathering the live postings, applying
-    the time filter and precomputing the per-posting products — and the
-    coordinator replays the *globally sequential* part (remaining-score
-    admission, ``l2bound`` pruning, score accumulation) over the partials of
-    every shard, in the exact order the single-process kernel would have
-    used.  The arrays therefore stop **before global admission**: no entry
-    has been filtered by ``rs1``/``rs2``, ``sz1`` or ``l2bound`` yet.
-
-    Fields
-    ------
-    ``position``
-        The query position this segment belongs to (global scan order is
-        descending position for the prefix schemes, ascending for INV).
-    ``slots``
-        ``int64`` array of candidate identifiers in scan order.  In the
-        sharded engine these are the *coordinator's* interned slots (the
-        coordinator assigns them at indexing time and ships them to the
-        owning shard), so partials from different shards merge without an
-        id translation step.
-    ``contrib``
-        ``float64`` array of ``x_j · y_j`` per live posting.
-    ``tails``
-        Decayed ``l2bound`` tails ``‖y'‖ · ‖x'_j‖ · e^{-λΔt}`` (``None``
-        unless the ℓ₂ bounds are enabled).
-    ``decay_factors``
-        ``e^{-λΔt}`` per live posting (streaming scans only).
-    ``timestamps``
-        Arrival timestamps of the live postings (INV streaming only).
-    ``min_ts`` / ``max_ts``
-        Extreme live timestamps (``±inf`` when no posting survived the
-        time filter) — the coordinator resolves the whole-segment
-        admission tri-state from these exactly like the fused kernel.
-    ``traversed`` / ``removed``
-        The segment's *logical* operation counts, identical to what the
-        single-process scan would have reported.
-    """
-
-    position: int
-    slots: Any
-    contrib: Any
-    tails: Any = None
-    decay_factors: Any = None
-    timestamps: Any = None
-    min_ts: float = math.inf
-    max_ts: float = -math.inf
-    traversed: int = 0
-    removed: int = 0
-
-    def __len__(self) -> int:
-        return len(self.slots)
+__all__ = ["CandidateSet", "ScoreAccumulator", "SizeFilterMap",
+           "SimilarityKernel"]
 
 
 class CandidateSet(ABC):
@@ -341,6 +284,12 @@ class SimilarityKernel(ABC):
             self._sketch_sigs[entry.vector.vector_id] = signature
             self._sketch_keys[entry.vector.vector_id] = keys
 
+    def note_vectors_indexed(self, entries: "list[ResidualEntry]") -> None:
+        """Several vectors were added at once (a rebuild from a snapshot);
+        the same as :meth:`note_vector_indexed` on each, in order."""
+        for entry in entries:
+            self.note_vector_indexed(entry)
+
     def note_vector_updated(self, entry: "ResidualEntry") -> None:
         """A stored vector's residual prefix or pscore changed (re-indexing).
 
@@ -398,6 +347,17 @@ class SimilarityKernel(ABC):
                 timestamp=timestamp,
             ))
         return stop - start
+
+    def load_postings(self, index: Any,
+                      postings: "Mapping[int, Iterable[PostingEntry]]") -> None:
+        """Fill the fresh ``index`` with ``postings`` (dimension → entries
+        in list order), as a checkpoint restore or a kernel switch does.
+
+        The default appends entry by entry; backends may load in bulk.
+        """
+        for dim, entries in postings.items():
+            for entry in entries:
+                index.add(dim, entry)
 
     # -- candidate generation ------------------------------------------------
     #

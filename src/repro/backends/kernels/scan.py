@@ -143,7 +143,8 @@ def exercise_kernels() -> None:
     sf = np.full(4, np.inf, dtype=VALUE_DTYPE)
     out = np.empty(4, dtype=SLOT_DTYPE)
     prefix_segments(slots, contrib, tails, factors, tri, rs, rs, offsets,
-                    state, scores, sf, 1, 0.0, True, True, 0.1, out)
+                    state, scores, sf, 1, 0.0, True, True, 0.1, out,
+                    tails, factors, 1.0, 0.5, 1e-13)
     mark = np.zeros(4, dtype=SLOT_DTYPE)
     arrival = np.zeros(4, dtype=VALUE_DTYPE)
     inv_pass(slots, contrib, tails, True, scores, state, arrival, mark, 1,

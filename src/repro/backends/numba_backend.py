@@ -50,7 +50,11 @@ import numpy as np
 
 from repro.backends import kernels
 from repro.backends.kernels import scan as _scan
-from repro.backends.numpy_backend import NumpyAccumulator, NumpyKernel
+from repro.backends.numpy_backend import (
+    _GUARD_BAND,
+    NumpyAccumulator,
+    NumpyKernel,
+)
 
 __all__ = ["NumbaKernel"]
 
@@ -131,15 +135,24 @@ class NumbaKernel(NumpyKernel):
 
     def _fused_prefix_segments(self, slots, contrib, tails, decay_factors,
                                tri, seg_rs1, seg_rs2, offsets, sz1, use_ap,
-                               use_l2, threshold,
-                               acc: NumpyAccumulator) -> None:
+                               use_l2, threshold, acc: NumpyAccumulator,
+                               exact=None) -> None:
         if not self._use_kernels:
             super()._fused_prefix_segments(
                 slots, contrib, tails, decay_factors, tri, seg_rs1, seg_rs2,
-                offsets, sz1, use_ap, use_l2, threshold, acc)
+                offsets, sz1, use_ap, use_l2, threshold, acc, exact)
             return
-        # Every segment of the whole-query gather in one compiled call.
+        # Every segment of the whole-query gather in one compiled call;
+        # the guard-band re-decision runs inside it (``band < 0`` = off).
         fresh_out = self._touched_buffer(len(slots))
+        if exact is None:
+            raw_tails, timestamps, now, decay, band = (
+                _EMPTY_FLOAT, _EMPTY_FLOAT, 0.0, 0.0, -1.0)
+        else:
+            raw_tails = (exact.raw_tails if exact.raw_tails is not None
+                         else _EMPTY_FLOAT)
+            timestamps, now, decay = exact.timestamps, exact.now, exact.decay
+            band = threshold * _GUARD_BAND
         fresh_count = _scan.prefix_segments(
             slots, contrib,
             tails if use_l2 else _EMPTY_FLOAT,
@@ -148,7 +161,8 @@ class NumbaKernel(NumpyKernel):
             np.asarray(seg_rs1, dtype=np.float64),
             np.asarray(seg_rs2, dtype=np.float64), offsets,
             self._slot_state, self._slot_score, self._slot_sf,
-            self._epoch, sz1, use_ap, use_l2, threshold, fresh_out)
+            self._epoch, sz1, use_ap, use_l2, threshold, fresh_out,
+            raw_tails, timestamps, now, decay, band)
         if fresh_count:
             acc._touched.append(fresh_out[:fresh_count].copy())
 

@@ -80,21 +80,20 @@ Floating-point parity with the reference backend: every accumulation adds
 the same IEEE-754 products in the same order (a vector contributes at most
 one posting per list), so accumulated scores and reported similarities are
 bitwise identical.  The only divergence is ``np.exp`` vs ``math.exp``,
-which can differ in the last ulp, and it is confined to two places with
-different treatments:
+which can differ in the last ulp; wherever a decision uses a vectorised
+decay factor, that factor only draws a *guard band* (``1e-12`` relative)
+around θ, and every decision inside the band is re-taken with
+``math.exp``:
 
-* **verification** — the vectorised ``np.exp`` mask is purely a *guard
-  band* (``1e-12``-relative safety margin); every decision the reference
-  backend takes with ``math.exp`` — the decayed verification bounds, the
-  reported similarity — is re-taken with ``math.exp`` on the few
-  candidates inside the band, so verification decisions and counters are
-  exactly equal by construction;
-* **candidate-generation scans** — the per-entry decayed admission and
-  ``l2bound`` pruning still compare ``np.exp``-damped *conservative
-  filter bounds* directly; a pair would have to sit within one ulp of such a bound for
-  any count or output to differ, which the equivalence suite checks never
-  happens on the paper's profiles.  (The whole-scan admission shortcut
-  uses ``math.exp`` and is exact.)
+* **verification** — the decayed verification bounds and the reported
+  similarity of the few candidates inside the band;
+* **candidate-generation scans** — the per-entry decayed admission bound
+  and the ``l2bound`` prune of every posting inside the band, on both
+  replays (and the compiled one, which receives the same inputs).  The
+  whole-scan admission shortcut uses ``math.exp`` throughout.
+
+So decisions and counters equal the reference's even for pairs that sit
+exactly on θ.
 """
 
 from __future__ import annotations
@@ -110,7 +109,6 @@ from repro.backends.arena import _MIN_CAPACITY  # noqa: F401  (test hook)
 from repro.backends.base import (
     CandidateSet,
     ScoreAccumulator,
-    SegmentPartial,
     SimilarityKernel,
     SizeFilterMap,
 )
@@ -298,6 +296,31 @@ class _LiveGather:
         self.lazy = lazy
 
 
+class _ExactDecay:
+    """What a replay needs to re-take a decision with ``math.exp``.
+
+    ``timestamps`` and, with the ℓ₂ bounds, ``raw_tails`` (the undecayed
+    ``‖x'_j‖·‖y'_j‖``) are per gathered posting.  The vectorised decay
+    factors come from ``np.exp``, which can differ from the reference's
+    ``math.exp`` in the last ulp; a replay re-takes every admission or
+    ``l2bound`` decision within ``threshold · _GUARD_BAND`` of θ with
+    :meth:`factor`, so ties at θ fall the reference's way.
+    """
+
+    __slots__ = ("timestamps", "now", "decay", "raw_tails")
+
+    def __init__(self, timestamps, now: float, decay: float) -> None:
+        self.timestamps = timestamps
+        self.now = now
+        self.decay = decay
+        self.raw_tails = None
+
+    def factor(self, position: int) -> float:
+        """The reference's decay factor of gathered posting ``position``."""
+        return math.exp(-self.decay
+                        * (self.now - float(self.timestamps[position])))
+
+
 class NumpyKernel(SimilarityKernel):
     """Vectorised array kernels over slot-interned candidate state."""
 
@@ -328,6 +351,7 @@ class NumpyKernel(SimilarityKernel):
         self._slot_entries: dict[int, ResidualEntry] = {}
         # slot -> (residual dims, residual values, largest dim) in ascending
         # dimension order; (-1 sentinel when the residual prefix is empty).
+        # Built lazily by _residual_mirror, dropped when the prefix changes.
         self._slot_residual: dict[int, tuple[np.ndarray, np.ndarray, int]] = {}
         self._epoch = 0
         self._maintenance_budget = 0
@@ -399,10 +423,8 @@ class NumpyKernel(SimilarityKernel):
     def begin_maintenance_cycle(self) -> None:
         """Replenish the per-query compaction budget, compacting if affordable.
 
-        One call per query: the single-process drivers reach it through
-        :meth:`new_accumulator`; the sharded workers — which never create
-        accumulators — call it once per scan step.  A new cycle is a safe
-        point: no scan holds gathers from the arena arrays here.
+        One call per query, through :meth:`new_accumulator`.  A new cycle
+        is a safe point: no scan holds gathers from the arena arrays here.
         """
         budget = self._maintenance_budget + _COMPACTION_BUDGET
         budget = min(budget, _COMPACTION_BUDGET_CAP)
@@ -432,14 +454,18 @@ class NumpyKernel(SimilarityKernel):
         entry.array_cache = cached
         return cached
 
-    def _mirror_residual_arrays(self, slot: int, entry: ResidualEntry) -> None:
+    def _residual_mirror(self, slot: int) -> tuple[np.ndarray, np.ndarray, int]:
+        """``(dims, values, largest dim)`` of a slot's residual prefix
+        (``-1`` when empty), built on the slot's first verification."""
+        entry = self._slot_entries[slot]
         if entry.residual:
-            cached = self._build_residual_arrays(entry)
-            self._slot_residual[slot] = (cached[0], cached[1],
-                                         int(cached[0][-1]))
+            dims, values = (entry.array_cache
+                            or self._build_residual_arrays(entry))
+            mirror = (dims, values, int(dims[-1]))
         else:
-            entry.array_cache = None
-            self._slot_residual[slot] = (_EMPTY_INT, _EMPTY_FLOAT, -1)
+            mirror = (_EMPTY_INT, _EMPTY_FLOAT, -1)
+        self._slot_residual[slot] = mirror
+        return mirror
 
     def note_vector_indexed(self, entry: ResidualEntry) -> None:
         slot = self._intern(entry.vector_id)
@@ -448,7 +474,7 @@ class NumpyKernel(SimilarityKernel):
                                  len(entry.residual), entry.timestamp)
         self._slot_valid[slot] = True
         self._slot_entries[slot] = entry
-        self._mirror_residual_arrays(slot, entry)
+        self._slot_residual.pop(slot, None)
         if self._sketch_scheme is not None:
             if entry.vector is self._sketch_query_vector:
                 keys = self._sketch_query_keys
@@ -470,6 +496,21 @@ class NumpyKernel(SimilarityKernel):
             if self._bucket_entries > 4 * len(keys) * len(self._slot_ids):
                 self._rebuild_band_buckets()
 
+    def note_vectors_indexed(self, entries: list[ResidualEntry]) -> None:
+        if self._sketch_scheme is not None:
+            super().note_vectors_indexed(entries)
+            return
+        slots = [self._intern(entry.vector_id) for entry in entries]
+        if not slots:
+            return
+        self._slot_meta[slots] = [
+            (entry.pscore, *entry._stats(), len(entry.residual),
+             entry.timestamp) for entry in entries]
+        self._slot_valid[slots] = True
+        self._slot_entries.update(zip(slots, entries))
+        for slot in slots:
+            self._slot_residual.pop(slot, None)
+
     def note_vector_updated(self, entry: ResidualEntry) -> None:
         slot = self._slot_of.get(entry.vector_id)
         if slot is None or self._slot_entries.get(slot) is not entry:
@@ -478,11 +519,11 @@ class NumpyKernel(SimilarityKernel):
         residual_max, residual_sum = entry._stats()
         self._slot_meta[slot] = (entry.pscore, residual_max, residual_sum,
                                  len(entry.residual), entry.timestamp)
-        # Only rebuild the residual array mirror when the residual prefix
+        # Only drop the residual array mirror when the residual prefix
         # itself changed (shrink_to clears the cache); a pscore-only
         # refresh — the common re-indexing outcome — keeps it.
         if entry.array_cache is None:
-            self._mirror_residual_arrays(slot, entry)
+            self._slot_residual.pop(slot, None)
 
     def note_vector_evicted(self, vector_id: int) -> None:
         slot = self._slot_of.get(vector_id)
@@ -698,6 +739,30 @@ class NumpyKernel(SimilarityKernel):
         index.note_added(count)
         return count
 
+    def load_postings(self, index: Any, postings) -> None:
+        """Bulk load: intern every id, then one arena-wide scatter per field
+        (see :meth:`~repro.backends.arena.PostingArena.load`)."""
+        dims: list[int] = []
+        counts: list[int] = []
+        flat: list[Any] = []
+        for dim, entries in postings.items():
+            if not isinstance(entries, list):
+                entries = list(entries)
+            if entries:
+                dims.append(dim)
+                counts.append(len(entries))
+                flat.extend(entries)
+        ids = [entry.vector_id for entry in flat]
+        # Interned in first-appearance order, as appends would intern them.
+        slot_of = {vector_id: self._intern(vector_id)
+                   for vector_id in dict.fromkeys(ids)}
+        lists = self._arena.load(counts,
+                                 [slot_of[vector_id] for vector_id in ids],
+                                 [entry.value for entry in flat],
+                                 [entry.prefix_norm for entry in flat],
+                                 [entry.timestamp for entry in flat])
+        index.adopt(dict(zip(dims, lists)), len(flat))
+
     def indexing_split(self, vector: SparseVector, threshold: float, *,
                        max_vector: MaxVector | None, use_ap: bool,
                        use_l2: bool, limit: int | None = None) -> IndexingSplit:
@@ -855,27 +920,21 @@ class NumpyKernel(SimilarityKernel):
         dims = vector.dims
         values = vector.values
         prefix_norms = vector._prefix_norms
+        index_get = index.get
+        found = [(position, plist)
+                 for position in range(len(dims) - 1, -1, -1)
+                 if (plist := index_get(dims[position])) is not None
+                 and len(plist)]
+        if not found:
+            return 0, 0
         rs1_at, rs2_at = remaining_score_bounds(vector, rs1, decayed_maxima,
                                                 use_ap=use_ap, use_l2=use_l2)
-        index_get = index.get
-        seg_lists: list[Any] = []
-        seg_values: list[float] = []
-        seg_qpns: list[float] = []
-        seg_rs1: list[float] = []
-        seg_rs2: list[float] = []
-        for position in range(len(dims) - 1, -1, -1):
-            plist = index_get(dims[position])
-            if plist is not None and len(plist):
-                seg_lists.append(plist)
-                seg_values.append(values[position])
-                seg_qpns.append(prefix_norms[position])
-                seg_rs1.append(rs1_at[position])
-                seg_rs2.append(rs2_at[position])
-        if not seg_lists:
-            return 0, 0
+        seg_lists = [plist for _, plist in found]
+        seg_values = [values[position] for position, _ in found]
+        seg_qpns = [prefix_norms[position] for position, _ in found]
+        seg_rs1 = [rs1_at[position] for position, _ in found]
+        seg_rs2 = [rs2_at[position] for position, _ in found]
         arena = self._arena
-        # The time filter is shared with the shard workers'
-        # gather_scan_partials.
         live = self._gather_live(seg_lists, cutoff, time_ordered,
                                  with_timestamps=False)
         try:
@@ -909,20 +968,23 @@ class NumpyKernel(SimilarityKernel):
             contrib = np.repeat(np.asarray(seg_values), counts)
             contrib *= arena.values[idx]
             decay_factors = None
+            exact = None
             if use_l2 or _ADMIT_PER_ENTRY in tri:
                 if timestamps is None:
                     timestamps = arena.ts[idx]
                 decay_factors = np.exp(-decay * (now - timestamps))
+                exact = _ExactDecay(timestamps, now, decay)
             if use_l2:
-                tails = np.repeat(np.asarray(seg_qpns), counts)
-                tails *= arena.pnorms[idx]
-                tails *= decay_factors
+                raw_tails = np.repeat(np.asarray(seg_qpns), counts)
+                raw_tails *= arena.pnorms[idx]
+                exact.raw_tails = raw_tails
+                tails = raw_tails * decay_factors
             else:
                 tails = None
             self._fused_prefix_segments(arena.slots[idx], contrib, tails,
                                         decay_factors, tri, seg_rs1, seg_rs2,
                                         offsets, sz1, use_ap, use_l2,
-                                        threshold, acc)
+                                        threshold, acc, exact)
             return live.traversed, live.removed
         finally:
             self._settle_expiry(live)
@@ -983,33 +1045,28 @@ class NumpyKernel(SimilarityKernel):
         ``lengths`` the per-segment physical sizes and ``offsets`` their
         running starts inside ``idx`` (length ``segments + 1``).
         """
-        segments = len(seg_lists)
-        starts = np.empty(segments, dtype=np.int64)
-        lengths = np.empty(segments, dtype=np.int64)
-        for j, plist in enumerate(seg_lists):
-            starts[j] = plist._start + plist._head
-            lengths[j] = plist._size
-        offsets = np.empty(segments + 1, dtype=np.int64)
+        starts = np.array([plist._start + plist._head for plist in seg_lists],
+                          dtype=np.int64)
+        lengths = np.array([plist._size for plist in seg_lists],
+                           dtype=np.int64)
+        offsets = np.empty(len(seg_lists) + 1, dtype=np.int64)
         offsets[0] = 0
         np.cumsum(lengths, out=offsets[1:])
-        total = int(offsets[-1])
-        within = np.arange(total, dtype=np.int64)
-        within -= np.repeat(offsets[:-1], lengths)
+        # Posting k of segment j sits at starts[j] + (k - offsets[j]), or
+        # counting down from the segment's last cell when ``reverse``.
+        within = np.arange(int(offsets[-1]), dtype=np.int64)
         if reverse:
-            idx = np.repeat(starts + lengths - 1, lengths)
+            idx = np.repeat(starts + lengths - 1 + offsets[:-1], lengths)
             idx -= within
         else:
-            idx = np.repeat(starts, lengths)
+            idx = np.repeat(starts - offsets[:-1], lengths)
             idx += within
         return idx, lengths, offsets
 
     # -- the time filter -----------------------------------------------------
     #
-    # One filter phase serves every streaming gather: the single-process
-    # scans (scan_query_stream, scan_query_inv_stream) and the shard
-    # workers' partial gathers (gather_scan_partials, gather_inv_partials),
-    # so the sharded run's logical counts and list states cannot drift
-    # from the single-process run's.
+    # One filter phase serves both streaming scans (scan_query_stream,
+    # scan_query_inv_stream).
 
     def _gather_live(self, seg_lists: list, cutoff: float,
                      time_ordered: bool, *,
@@ -1110,166 +1167,6 @@ class NumpyKernel(SimilarityKernel):
                 alive_mask = self._arena.ts[lo:hi] >= cut_eff
             self._maybe_compact(plist, alive_mask)
 
-    # -- partial accumulation (sharded candidate generation) -----------------
-    #
-    # The worker half (gather_*_partials) runs the streaming scans' shared
-    # time filter (_gather_live) — everything up to but excluding global
-    # admission — and precomputes the per-posting products so the
-    # coordinator never touches this arena.  The coordinator half
-    # (apply_*_partials) replays the admission/pruning/accumulation
-    # sequence over the merged partials through the *same*
-    # _fused_prefix_segments/_fused_inv_pass code the single-process kernel
-    # uses.  Both halves are elementwise identical to the
-    # single-process fused pass, so scores, prune marks, candidate order
-    # and operation counts stay bitwise equal regardless of how dimensions
-    # are split across workers (tests/test_shard.py pins this down).
-
-    def gather_scan_partials(self, segments: Sequence[tuple[int, float, float, Any]],
-                             *, now: float, cutoff: float, decay: float,
-                             use_l2: bool, time_ordered: bool,
-                             ) -> tuple[list[SegmentPartial], int, int]:
-        """Gather streaming prefix-scan partials for ``segments``.
-
-        ``segments`` holds ``(position, value, query_prefix_norm,
-        posting_list)`` for the query terms owned by this worker, in scan
-        order (descending position) and restricted to non-empty lists.
-        Returns ``(partials, entries_traversed, entries_removed)``.
-        """
-        if not segments:
-            return [], 0, 0
-        arena = self._arena
-        live = self._gather_live([segment[3] for segment in segments],
-                                 cutoff, time_ordered, with_timestamps=True)
-        try:
-            # Per-posting products over the whole gather (fancy-index reads
-            # copy, so the partials stay valid across the deferred physical
-            # bookkeeping and across future arena mutation).
-            idx = live.idx
-            counts = live.counts
-            slots = arena.slots[idx]
-            contrib = np.repeat(np.asarray([segment[1] for segment in segments]),
-                                counts)
-            contrib *= arena.values[idx]
-            decay_factors = np.exp(-decay * (now - live.timestamps))
-            if use_l2:
-                tails = np.repeat(np.asarray([segment[2] for segment in segments]),
-                                  counts)
-                tails *= arena.pnorms[idx]
-                tails *= decay_factors
-            else:
-                tails = None
-            bounds = live.offsets.tolist()
-            partials: list[SegmentPartial] = []
-            for j, (position, _value, _norm, _plist) in enumerate(segments):
-                lo, hi = bounds[j], bounds[j + 1]
-                partials.append(SegmentPartial(
-                    position=position,
-                    slots=slots[lo:hi], contrib=contrib[lo:hi],
-                    tails=tails[lo:hi] if use_l2 else None,
-                    decay_factors=decay_factors[lo:hi],
-                    min_ts=live.seg_min[j], max_ts=live.seg_max[j],
-                    traversed=live.seg_traversed[j],
-                    removed=live.seg_removed[j],
-                ))
-            return partials, live.traversed, live.removed
-        finally:
-            self._settle_expiry(live)
-
-    def gather_inv_partials(self, segments: Sequence[tuple[int, float, Any]],
-                            *, cutoff: float,
-                            ) -> tuple[list[SegmentPartial], int, int]:
-        """Gather STR-INV scan partials (newest-first, lazy head truncation).
-
-        ``segments`` holds ``(position, value, posting_list)`` in query
-        order for the non-empty lists this worker owns.  Returns
-        ``(partials, entries_traversed, entries_removed)``.
-        """
-        if not segments:
-            return [], 0, 0
-        arena = self._arena
-        live = self._gather_live([segment[2] for segment in segments],
-                                 cutoff, True, with_timestamps=True)
-        try:
-            idx = live.idx
-            slots = arena.slots[idx]
-            contrib = np.repeat(np.asarray([segment[1] for segment in segments]),
-                                live.counts)
-            contrib *= arena.values[idx]
-            timestamps = live.timestamps
-            bounds = live.offsets.tolist()
-            partials: list[SegmentPartial] = []
-            for j, (position, _value, _plist) in enumerate(segments):
-                lo, hi = bounds[j], bounds[j + 1]
-                partials.append(SegmentPartial(
-                    position=position,
-                    slots=slots[lo:hi], contrib=contrib[lo:hi],
-                    timestamps=timestamps[lo:hi],
-                    min_ts=live.seg_min[j], max_ts=live.seg_max[j],
-                    traversed=live.seg_traversed[j],
-                    removed=live.seg_removed[j],
-                ))
-            return partials, live.traversed, live.removed
-        finally:
-            self._settle_expiry(live)
-
-    @staticmethod
-    def _concat_partials(arrays: list[np.ndarray]) -> np.ndarray:
-        return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
-
-    def apply_scan_partials(self, partials: Sequence[SegmentPartial],
-                            seg_rs1: list[float], seg_rs2: list[float], *,
-                            sz1: float, threshold: float, decay: float,
-                            now: float, use_ap: bool, use_l2: bool,
-                            acc: ScoreAccumulator) -> None:
-        """Replay the global admission sequence over merged scan partials.
-
-        ``partials`` must be in global scan order (descending query
-        position) with ``seg_rs1[j]``/``seg_rs2[j]`` holding the
-        remaining-score bounds at each segment's position.  Runs the exact
-        replay of the fused single-process kernel — same tri-state
-        admission (``math.exp`` at the live extremes), same accumulation
-        order, same prunes — over the pre-gathered arrays.
-        """
-        resolve = self._resolve_admission
-        tri = [resolve(rs1, rs2, threshold, decay, now, partial.min_ts,
-                       partial.max_ts) if len(partial.slots) else _ADMIT_NONE
-               for partial, rs1, rs2 in zip(partials, seg_rs1, seg_rs2)]
-        if _ADMIT_ALL not in tri and _ADMIT_PER_ENTRY not in tri:
-            # Within one pass nothing can have started earlier, so no
-            # candidate can form (the fused kernel's early exit).
-            return
-        counts = np.asarray([len(partial.slots) for partial in partials],
-                            dtype=np.int64)
-        offsets = np.zeros(len(partials) + 1, dtype=np.int64)
-        np.cumsum(counts, out=offsets[1:])
-        slots = self._concat_partials([partial.slots for partial in partials])
-        contrib = self._concat_partials([partial.contrib for partial in partials])
-        decay_factors = self._concat_partials(
-            [partial.decay_factors for partial in partials])
-        tails = (self._concat_partials([partial.tails for partial in partials])
-                 if use_l2 else None)
-        self._fused_prefix_segments(slots, contrib, tails, decay_factors,
-                                    tri, seg_rs1, seg_rs2, offsets, sz1,
-                                    use_ap, use_l2, threshold, acc)
-
-    def apply_inv_partials(self, partials: Sequence[SegmentPartial],
-                           acc: ScoreAccumulator) -> None:
-        """Replay the INV accumulation over merged scan partials.
-
-        ``partials`` must be in query order; the concatenated gather feeds
-        the same sequential ``np.add.at`` pass as the single-process
-        kernel, so accumulation order and arrival timestamps are identical.
-        """
-        if not partials:
-            return
-        slots = self._concat_partials([partial.slots for partial in partials])
-        if not len(slots):
-            return
-        contrib = self._concat_partials([partial.contrib for partial in partials])
-        timestamps = self._concat_partials(
-            [partial.timestamps for partial in partials])
-        self._fused_inv_pass(slots, contrib, timestamps, acc)
-
     def _fused_prefix_segments(self, slots: np.ndarray, contrib: np.ndarray,
                                tails: np.ndarray | None,
                                decay_factors: np.ndarray | None,
@@ -1277,7 +1174,8 @@ class NumpyKernel(SimilarityKernel):
                                seg_rs2: list[float], offsets: np.ndarray,
                                sz1: float, use_ap: bool, use_l2: bool,
                                threshold: float,
-                               acc: NumpyAccumulator) -> None:
+                               acc: NumpyAccumulator,
+                               exact: _ExactDecay | None = None) -> None:
         """Replay the reference's per-entry scan over a whole-query gather.
 
         Every segment's live postings sit back to back in scan order, with
@@ -1286,7 +1184,8 @@ class NumpyKernel(SimilarityKernel):
         ``decay_factors`` (read only by ``_ADMIT_PER_ENTRY`` segments) are
         per posting, ``tri``/``seg_rs1``/``seg_rs2`` per segment.  Runs
         at most once per accumulator: no slot carries this epoch's mark on
-        entry.
+        entry.  ``exact`` (streaming scans) re-takes the decayed decisions
+        that sit within the guard band of θ with ``math.exp``.
 
         Decision for decision this is the reference backend's per-term
         scan: same admissions, same accumulation order, same prunes, same
@@ -1298,6 +1197,7 @@ class NumpyKernel(SimilarityKernel):
         scores = self._slot_score
         epoch = self._epoch
         n = len(slots)
+        band = -1.0 if exact is None else threshold * _GUARD_BAND
         if n <= _GROUPED_REPLAY_CUTOFF:
             fresh = np.empty(n, dtype=np.int64)
             fresh_count = prefix_segments(
@@ -1306,7 +1206,8 @@ class NumpyKernel(SimilarityKernel):
                 (decay_factors.tolist() if _ADMIT_PER_ENTRY in tri
                  else None),
                 tri, seg_rs1, seg_rs2, offsets.tolist(), state, scores,
-                self._slot_sf, epoch, sz1, use_ap, use_l2, threshold, fresh)
+                self._slot_sf, epoch, sz1, use_ap, use_l2, threshold, fresh,
+                *_exact_arguments(exact), band)
             if fresh_count:
                 acc._touched.append(fresh[:fresh_count])
             return
@@ -1319,9 +1220,17 @@ class NumpyKernel(SimilarityKernel):
             # segments out and _ADMIT_ALL ones are admitted above.
             rs1 = np.array(seg_rs1, dtype=np.float64)
             rs1[tri_arr == _ADMIT_NONE] = -_INF
-            bound = np.repeat(np.asarray(seg_rs2), counts)
-            bound *= decay_factors
-            np.minimum(np.repeat(rs1, counts), bound, out=bound)
+            rs1 = np.repeat(rs1, counts)
+            rs2 = np.repeat(np.asarray(seg_rs2), counts)
+            bound = rs2 * decay_factors
+            np.minimum(rs1, bound, out=bound)
+            if exact is not None:
+                gap = bound - threshold
+                np.abs(gap, out=gap)
+                if gap.min() <= band:
+                    for p in np.flatnonzero(gap <= band).tolist():
+                        bound[p] = min(float(rs1[p]),
+                                       float(rs2[p]) * exact.factor(p))
             admits |= bound >= threshold
         if use_ap:
             admits &= self._slot_sf[slots] >= sz1
@@ -1364,8 +1273,18 @@ class NumpyKernel(SimilarityKernel):
         scores[group_slots] = grid[:, -1]
         if use_l2:
             # Pruned iff some partial sum plus its tail falls below θ.
-            below = grid.ravel()[cells]
+            partials = grid.ravel()
+            below = partials[cells]
             below += tails[chain]
+            if exact is not None:
+                gap = below - threshold
+                np.abs(gap, out=gap)
+                if gap.min() <= band:
+                    for k in np.flatnonzero(gap <= band).tolist():
+                        p = int(chain[k])
+                        below[k] = (float(partials[cells[k]])
+                                    + float(exact.raw_tails[p])
+                                    * exact.factor(p))
             pruned = np.logical_or.reduceat(below < threshold, heads)
             state[group_slots] = np.where(pruned, -epoch, epoch)
         else:
@@ -1590,7 +1509,8 @@ class NumpyKernel(SimilarityKernel):
         dims_parts: list[np.ndarray] = []
         vals_parts: list[np.ndarray] = []
         for slot in slot_list:
-            residual_dims, residual_values, last_dim = slot_residual[slot]
+            residual_dims, residual_values, last_dim = (
+                slot_residual.get(slot) or self._residual_mirror(slot))
             if last_dim < 0:
                 counts.append(0)
             elif last_dim >= dense_len:
@@ -1724,9 +1644,17 @@ def _sequential_sum(products: np.ndarray) -> float:
     return sum(products.tolist())
 
 
+def _exact_arguments(exact: _ExactDecay | None) -> tuple:
+    """``(raw_tails, timestamps, now, decay)`` of :func:`prefix_segments`."""
+    if exact is None:
+        return None, None, 0.0, 0.0
+    return exact.raw_tails, exact.timestamps, exact.now, exact.decay
+
+
 def prefix_segments(slots, contrib, tails, decay_factors, tri, seg_rs1,
                     seg_rs2, offsets, state, scores, sf, epoch, sz1, use_ap,
-                    use_l2, threshold, fresh_out):
+                    use_l2, threshold, fresh_out, raw_tails, timestamps, now,
+                    decay, band):
     """Replay a whole-query prefix scan one posting at a time.
 
     The scalar form of :meth:`NumpyKernel._fused_prefix_segments`: for
@@ -1740,6 +1668,12 @@ def prefix_segments(slots, contrib, tails, decay_factors, tri, seg_rs1,
     for ``_ADMIT_PER_ENTRY`` segments.  ``state``/``scores``/``sf`` are
     the kernel's slot arrays, updated in place.
 
+    A decayed decision within ``band`` of θ is re-taken with the
+    reference's ``math.exp`` factor of the posting's timestamp (and, for
+    the prune, its undecayed ``raw_tails``); a negative ``band`` turns
+    the re-decision off.  Outside the band one comparison against its
+    upper edge decides, as a plain comparison against θ would.
+
     First-touched slots go to ``fresh_out`` in accumulation order (the
     candidate insertion order); returns their count.  The NumPy backend
     runs this as plain Python over lists for small gathers; the compiled
@@ -1747,6 +1681,10 @@ def prefix_segments(slots, contrib, tails, decay_factors, tri, seg_rs1,
     and runs it over arrays for every gather.
     """
     fresh_count = 0
+    if band < 0.0:
+        lower, upper = _INF, threshold
+    else:
+        lower, upper = threshold - band, threshold + band
     for j in range(len(tri)):
         admit = tri[j]
         rs1 = seg_rs1[j]
@@ -1762,6 +1700,8 @@ def prefix_segments(slots, contrib, tails, decay_factors, tri, seg_rs1,
                     continue
                 if admit == _ADMIT_PER_ENTRY:
                     bound = rs2 * decay_factors[p]
+                    if lower <= bound < upper:
+                        bound = rs2 * math.exp(-decay * (now - timestamps[p]))
                     if rs1 < bound:
                         bound = rs1
                     if bound < threshold:
@@ -1772,9 +1712,15 @@ def prefix_segments(slots, contrib, tails, decay_factors, tri, seg_rs1,
                 accumulated = scores[slot] + contrib[p]
             else:
                 accumulated = 0.0 + contrib[p]
-            if use_l2 and accumulated + tails[p] < threshold:
-                state[slot] = -epoch
-                continue
+            if use_l2:
+                below = accumulated + tails[p]
+                if below < upper:
+                    if below >= lower:
+                        below = accumulated + raw_tails[p] * math.exp(
+                            -decay * (now - timestamps[p]))
+                    if below < threshold:
+                        state[slot] = -epoch
+                        continue
             scores[slot] = accumulated
             if not started:
                 state[slot] = epoch

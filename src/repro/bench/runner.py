@@ -83,9 +83,12 @@ def run_algorithm(
     (:mod:`repro.faults`) — chaos runs must still produce bitwise-exact
     results, which is precisely what the chaos gate checks.
 
-    Per-item ``process()`` latency is recorded into ``metrics.latency``,
-    so ``metrics.latency_row()`` yields the same p50/p95/p99 summary the
-    ``sssj profile`` table and the service ``stats`` endpoint report.
+    Per-item latency is recorded into ``metrics.latency``, so
+    ``metrics.latency_row()`` yields the same p50/p95/p99 summary the
+    ``sssj profile`` table and the service ``stats`` endpoint report.  A
+    sharded join is fed ``FEED_CHUNK`` vectors per call (one round trip
+    per forked partition per chunk); each vector of a chunk records the
+    chunk's time, when its pairs become available.
     """
     stats = JoinStatistics()
     join = create_join(algorithm, threshold, decay, stats=stats,
@@ -115,12 +118,17 @@ def run_algorithm(
     # compilation) before the clock starts: elapsed_seconds measures the
     # scans only, and the warm-up cost is reported on its own field.
     metrics.warmup_seconds = warmup_backend(backend)
+    chunk = getattr(join, "FEED_CHUNK", 1)
     start = time.perf_counter()
     try:
-        for processed, vector in enumerate(vectors, start=1):
+        for begin in range(0, len(vectors), chunk):
+            items = vectors[begin:begin + chunk]
+            processed = begin + len(items)
             item_start = time.perf_counter()
-            pairs += len(join.process(vector))
-            latency.record(time.perf_counter() - item_start)
+            pairs += len(join.feed(items))
+            item_seconds = time.perf_counter() - item_start
+            for _ in items:
+                latency.record(item_seconds)
             if operation_budget is not None and stats.operations > operation_budget:
                 metrics.completed = False
                 metrics.abort_reason = f"operation budget exceeded after {processed} vectors"

@@ -17,11 +17,8 @@ Installed as the ``sssj`` console script (and reachable as
 ``run``
     Run one algorithm configuration over a dataset and print its metrics.
     ``--workers N`` (or the ``SSSJ_WORKERS`` environment variable) runs
-    the sharded parallel engine instead of the single-process one.
-``shards``
-    Print the :class:`~repro.shard.plan.ShardPlan` balance report for a
-    dataset — per-shard dimension and posting-mass shares plus the
-    max/mean skew — so a partitioning can be sanity-checked before a run.
+    the sharded parallel engine instead of the single-process one: N
+    candidate partitions, each storing every N-th vector.
 ``profile``
     Run a corpus through a chosen backend and print the per-stage
     (scan / filter / verify / maintenance) time breakdown.
@@ -142,15 +139,17 @@ def build_parser() -> argparse.ArgumentParser:
                      choices=["auto", *known_backends()],
                      help="compute backend for the hot loops (default: auto)")
     run.add_argument("--workers", type=int, default=None,
-                     help="run the sharded parallel engine with N shard "
-                          "workers (STR only; default: single-process, or "
-                          "the SSSJ_WORKERS environment variable)")
+                     help="run the sharded parallel engine with N candidate "
+                          "partitions, each storing every N-th vector (STR "
+                          "only; default: single-process, or the "
+                          "SSSJ_WORKERS environment variable)")
     _add_approx_args(run)
     _add_fault_args(run)
     run.add_argument("--shard-executor", default="process",
                      choices=["process", "serial"],
-                     help="sharded execution mode: one process per shard, "
-                          "or serial in-process shards (default: process)")
+                     help="sharded execution mode: partition 0 in this "
+                          "process and one process per other partition, or "
+                          "every partition in-process (default: process)")
     run.add_argument("--show-pairs", type=int, default=0,
                      help="print up to N reported pairs")
 
@@ -171,16 +170,6 @@ def build_parser() -> argparse.ArgumentParser:
                              choices=["auto", *known_backends()],
                              help="compute backend to profile (default: auto)")
     _add_approx_args(profile_cmd)
-
-    shards = subparsers.add_parser(
-        "shards", help="print the shard plan balance report for a dataset")
-    shard_source = shards.add_mutually_exclusive_group(required=True)
-    shard_source.add_argument("--input", help="dataset file to analyse")
-    shard_source.add_argument("--profile", choices=available_profiles())
-    shards.add_argument("--num-vectors", type=int, default=None)
-    shards.add_argument("--seed", type=int, default=42)
-    shards.add_argument("--workers", type=int, default=4,
-                        help="number of shards to plan for (default 4)")
 
     sweep_cmd = subparsers.add_parser("sweep", help="run a (θ, λ) grid and print a table")
     sweep_cmd.add_argument("--profile", required=True, choices=available_profiles())
@@ -298,11 +287,12 @@ def build_parser() -> argparse.ArgumentParser:
                         choices=["auto", *known_backends()])
     ingest.add_argument("--workers", type=int, default=None,
                         help="run the session on the sharded engine with N "
-                             "workers (STR only)")
+                             "candidate partitions (STR only)")
     ingest.add_argument("--shard-executor", default="process",
                         choices=["process", "serial"],
-                        help="with --workers: one process per shard, or "
-                             "serial in-process shards (default: process)")
+                        help="with --workers: one process per partition "
+                             "but the first, or every partition in-process "
+                             "(default: process)")
     _add_approx_args(ingest)
     ingest.add_argument("--queue-max", type=int, default=4096)
     ingest.add_argument("--batch-max", type=int, default=128,
@@ -718,23 +708,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_shards(args: argparse.Namespace) -> int:
-    from repro.shard import plan_report
-
-    vectors, name = _load_vectors(args)
-    balance = plan_report(vectors, args.workers)
-    print(render_table(
-        balance.rows(),
-        title=(f"Shard plan for {name}: {balance.total_postings} postings "
-               f"over {balance.total_dimensions} dimensions, "
-               f"{args.workers} shards"),
-    ))
-    print(f"posting-mass balance: max share {balance.max_share:.1%} "
-          f"(perfect {1 / args.workers:.1%}), "
-          f"max/mean skew {balance.skew:.3f} (perfect 1.000)")
-    return 0
-
-
 def _cmd_sweep(args: argparse.Namespace) -> int:
     error = _require_backend(args.backend)
     if error is not None:
@@ -1016,7 +989,6 @@ _COMMANDS = {
     "stats": _cmd_stats,
     "run": _cmd_run,
     "profile": _cmd_profile,
-    "shards": _cmd_shards,
     "sweep": _cmd_sweep,
     "experiment": _cmd_experiment,
     "serve": _cmd_serve,

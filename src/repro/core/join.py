@@ -87,10 +87,11 @@ def create_join(algorithm: str, threshold: float, decay: float, *,
     ``SSSJ_BACKEND`` pins every ``auto`` join to that backend.
 
     ``workers`` switches construction to the sharded parallel engine
-    (:mod:`repro.shard`) with that many shard workers — STR only, and the
-    returned join owns worker processes, so ``close()`` it (or use it as a
-    context manager).  ``shard_executor`` picks ``"process"`` or
-    ``"serial"`` shard execution.
+    (:mod:`repro.shard`) with that many candidate partitions, each
+    storing every ``workers``-th vector — STR only, and the returned join
+    owns worker processes, so ``close()`` it (or use it as a context
+    manager).  ``shard_executor`` picks ``"process"`` (one worker process
+    per partition but the first) or ``"serial"`` (all in-process).
 
     ``approx`` opts into the approximate sketch-prefilter tier
     (:mod:`repro.approx`): a spec string such as ``"minhash"`` or

@@ -150,14 +150,15 @@ class JoinStatistics:
 
 @dataclass
 class ShardCounters:
-    """Per-shard operation counters of the sharded join (:mod:`repro.shard`).
+    """Per-partition operation counters of the sharded join (:mod:`repro.shard`).
 
-    The coordinator folds the per-query partial counts straight into the
+    The coordinator merges every partition's per-step counts into the
     global :class:`JoinStatistics` (so sharded runs report identical
-    counters to single-process runs); these per-shard totals exist for
-    *observability* — the ``sssj shards`` balance report, the benchmark
-    artifact's per-shard breakdown and the load-skew assertions in the
-    tests read them.
+    counters to single-process runs); these per-partition totals exist for
+    *observability* — the benchmark artifact's per-shard breakdown and the
+    balance assertions in the tests read them.  ``scans`` counts the
+    vectors the partition ran as queries (all of them), ``dimensions``
+    its non-empty posting lists.
     """
 
     shard: int = 0

@@ -148,9 +148,8 @@ def merge_streams(*streams: Iterable[SparseVector],
     The merge is **stable**: vectors with equal timestamps are emitted in
     the order of the streams that supplied them (first stream wins), and
     two equal-timestamp vectors from the *same* stream keep their original
-    relative order.  This determinism is what the sharded coordinator's
-    fan-in (:mod:`repro.shard`) relies on — any consumer replaying a merged
-    stream sees exactly the same vector sequence on every run.
+    relative order, so any consumer replaying a merged stream sees exactly
+    the same vector sequence on every run.
 
     .. note::
        Earlier versions keyed the merge on ``(timestamp, stream, vector_id)``,

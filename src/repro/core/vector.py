@@ -119,6 +119,14 @@ class SparseVector:
         self._max_value = max(self._values)
         self._sum = sum(self._values)
 
+    def __reduce__(self):
+        # Field by field, without re-validation or re-normalisation: the
+        # copy is bitwise the original (the sharded join ships every
+        # vector to its worker processes this way).
+        return (_restore_vector, (self._id, self._timestamp, self._dims,
+                                  self._values, self._prefix_norms,
+                                  self._max_value, self._sum))
+
     @staticmethod
     def _compute_prefix_norms(values: Sequence[float]) -> tuple[float, ...]:
         """Norms of the strict prefixes ``‖x'_j‖`` for every position.
@@ -273,6 +281,20 @@ class SparseVector:
     def is_normalized(self, *, tolerance: float = 1e-9) -> bool:
         """Whether the ℓ₂ norm is 1 within ``tolerance``."""
         return abs(self.norm - 1.0) <= tolerance
+
+
+def _restore_vector(vector_id, timestamp, dims, values, prefix_norms,
+                    max_value, value_sum) -> SparseVector:
+    """Unpickle a :class:`SparseVector` from its fields."""
+    vector = SparseVector.__new__(SparseVector)
+    vector._id = vector_id
+    vector._timestamp = timestamp
+    vector._dims = dims
+    vector._values = values
+    vector._prefix_norms = prefix_norms
+    vector._max_value = max_value
+    vector._sum = value_sum
+    return vector
 
 
 def _dot_sorted(dims_a: Sequence[int], values_a: Sequence[float],

@@ -96,6 +96,12 @@ class FaultInjector:
                         f"fault {armed.event.kind!r} targets shard="
                         f"{armed.shard} but only {workers} worker(s) exist")
 
+    def worker_shards(self) -> set[int]:
+        """Shards the plan's worker faults target (after :meth:`bind_workers`)."""
+        with self._lock:
+            return {armed.shard for armed in self._armed
+                    if armed.event.kind in WORKER_FAULT_KINDS}
+
     def worker_kill_due(self, shard: int, step: int) -> bool:
         """Is a ``kill-worker`` due for ``shard`` at step ``step``?"""
         with self._lock:

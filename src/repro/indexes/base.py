@@ -31,7 +31,7 @@ from repro.backends import CandidateSet, SimilarityKernel, resolve_kernel
 from repro.core.results import JoinStatistics, SimilarPair
 from repro.core.similarity import validate_decay, validate_threshold
 from repro.core.vector import SparseVector
-from repro.exceptions import UnknownAlgorithmError
+from repro.exceptions import InvalidParameterError, UnknownAlgorithmError
 from repro.indexes.posting import InvertedIndex, PostingEntry
 
 __all__ = [
@@ -142,12 +142,21 @@ class StreamingIndex(ABC):
     def __init__(self, threshold: float, decay: float, *,
                  stats: JoinStatistics | None = None,
                  backend: str | SimilarityKernel | None = None,
-                 approx=None) -> None:
+                 approx=None,
+                 partition: tuple[int, int] | None = None) -> None:
         self.threshold = validate_threshold(threshold)
         self.decay = validate_decay(decay)
         self.stats = stats if stats is not None else JoinStatistics()
         self.kernel = resolve_kernel(backend)
         self.approx = _configure_approx(self.kernel, approx)
+        if partition is not None and not 0 <= partition[0] < partition[1]:
+            raise InvalidParameterError(
+                f"partition {partition[0]} of {partition[1]} does not exist")
+        #: ``(k, W)``: run every vector as a query but store only those of
+        #: arrival steps ``k mod W`` (``repro.shard``); ``None`` stores all.
+        self.partition = partition
+        #: Vectors processed so far, i.e. the arrival step of the next one.
+        self.steps = 0
 
     @property
     def backend_name(self) -> str:
@@ -163,11 +172,29 @@ class StreamingIndex(ABC):
     def size(self) -> int:
         """Number of postings currently stored."""
 
+    @property
+    def residual_size(self) -> int:
+        """Coordinates held in residual prefixes (none without a store)."""
+        return 0
+
+    def owns_current(self) -> bool:
+        """Does this index store the vector of the current step?"""
+        partition = self.partition
+        return partition is None or self.steps % partition[1] == partition[0]
+
+    @abstractmethod
+    def merge_key(self, query: SparseVector, candidate_id: int) -> tuple:
+        """Sort key of a reported candidate in ``query``'s report order.
+
+        Only valid right after ``process(query)`` reported the candidate,
+        on an index built with ``partition``; keys from the partitions of
+        one stream order their pairs as a single index would report them.
+        """
+
     # -- kernel-owned state ---------------------------------------------------
 
     def _make_index(self) -> InvertedIndex:
-        """The posting store; anything with the ``InvertedIndex`` counting
-        interface (``__len__`` / ``note_added`` / ``note_removed``)."""
+        """A fresh posting store in the kernel's list layout."""
         return InvertedIndex(self.kernel.new_posting_list)
 
     def posting_entries(self) -> dict[int, list[PostingEntry]]:
@@ -201,9 +228,7 @@ class StreamingIndex(ABC):
         self.kernel = kernel
         self.approx = _configure_approx(kernel, self.approx)
         store = self._make_index()
-        for dim, entries in postings.items():
-            for entry in entries:
-                store.add(dim, entry)
+        kernel.load_postings(store, postings)
         self._index = store
         self._announce_vectors()
 

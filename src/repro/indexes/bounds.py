@@ -139,19 +139,24 @@ def remaining_score_bounds(vector: SparseVector, rs1: float,
     per-term loop uses, whichever posting lists the caller scans.
     """
     values = vector.values
+    count = len(values)
+    rs1_at = [rs1] * count
+    if use_ap:
+        for position in range(count - 1, -1, -1):
+            rs1_at[position] = rs1
+            rs1 -= values[position] * maxima[position]  # type: ignore[index]
+    if not use_l2:
+        return rs1_at, [_INF] * count
     rst = vector.norm * vector.norm
-    rs2 = math.sqrt(rst) if use_l2 else _INF
-    rs1_at = [rs1] * len(values)
-    rs2_at = [rs2] * len(values)
-    for position in range(len(values) - 1, -1, -1):
-        rs1_at[position] = rs1
-        rs2_at[position] = rs2
+    rs2 = math.sqrt(rst)
+    rs2_at = [rs2] * count
+    sqrt = math.sqrt
+    for position in range(count - 1, 0, -1):
         value = values[position]
-        if use_ap:
-            rs1 -= value * maxima[position]  # type: ignore[index]
         rst -= value * value
-        if use_l2:
-            rs2 = math.sqrt(max(rst, 0.0))
+        # sqrt(max(rst, 0.0)), spelled without the call.
+        rs2 = sqrt(rst if rst >= 0.0 else 0.0)
+        rs2_at[position - 1] = rs2
     return rs1_at, rs2_at
 
 

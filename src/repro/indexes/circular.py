@@ -72,7 +72,11 @@ class CircularBuffer(Generic[T]):
 
     def to_list(self) -> list[T]:
         """Copy of the contents from oldest to newest."""
-        return list(self)
+        end = self._head + self._size
+        if end <= self._capacity:
+            return self._data[self._head:end]  # type: ignore[return-value]
+        return (self._data[self._head:]  # type: ignore[return-value]
+                + self._data[:end - self._capacity])
 
     # -- mutation -------------------------------------------------------------
 

@@ -26,6 +26,7 @@ from repro.indexes.base import (
     register_batch_index,
     register_streaming_index,
 )
+from repro.indexes.linked_map import LinkedHashMap
 from repro.indexes.posting import InvertedIndex
 
 __all__ = ["InvertedBatchIndex", "InvertedStreamingIndex"]
@@ -91,15 +92,21 @@ class InvertedStreamingIndex(StreamingIndex):
     def __init__(self, threshold: float, decay: float, *,
                  stats: JoinStatistics | None = None,
                  backend: str | SimilarityKernel | None = None,
-                 approx=None) -> None:
+                 approx=None,
+                 partition: tuple[int, int] | None = None) -> None:
         if approx is not None:
             raise InvalidParameterError(
                 "the INV schemes accumulate exact dot products during the "
                 "scan and have no prefilter stage; approx mode requires a "
                 "prefix-filter scheme (AP, L2, L2AP)")
-        super().__init__(threshold, decay, stats=stats, backend=backend)
+        super().__init__(threshold, decay, stats=stats, backend=backend,
+                         partition=partition)
         self.horizon = time_horizon(threshold, decay)
         self._index = self._make_index()
+        #: Partition only: the owned vectors inside the horizon and their
+        #: arrival steps, for :meth:`merge_key`.
+        self._owned: LinkedHashMap[int, tuple[SparseVector, int]] | None = (
+            None if partition is None else LinkedHashMap())
         # Counter export only (shared with the prefix schemes); the scan
         # and append hot paths are untouched.
         from repro.indexes.prefix import collect_index_stats
@@ -107,16 +114,6 @@ class InvertedStreamingIndex(StreamingIndex):
         self._obs_tracker = obs.DeltaTracker()
         if obs.enabled():
             obs.get_registry().add_collector(collect_index_stats, owner=self)
-
-    # -- storage / scan hooks (see PrefixFilterStreamingIndex) ----------------
-
-    def _scan_query(self, vector: SparseVector, cutoff: float,
-                    accumulator) -> tuple[int, int]:
-        return self.kernel.scan_query_inv_stream(
-            vector, self._index, cutoff, accumulator)
-
-    def _append_postings(self, vector: SparseVector) -> int:
-        return self.kernel.index_vector_postings(self._index, vector)
 
     @property
     def size(self) -> int:
@@ -127,12 +124,17 @@ class InvertedStreamingIndex(StreamingIndex):
         cutoff = now - self.horizon
         stats = self.stats
 
+        owned = self._owned
+        if owned is not None:
+            owned.evict_while(lambda _vector_id, item: item[0].timestamp < cutoff)
+
         # -- CG: accumulate exact dot products from the time-ordered lists,
         # truncating the expired head of each list (lazy time filtering).
-        # The whole query is one fused kernel call behind the hook.
+        # The whole query is one fused kernel call.
         kernel = self.kernel
         accumulator = kernel.new_accumulator()
-        traversed, removed = self._scan_query(vector, cutoff, accumulator)
+        traversed, removed = kernel.scan_query_inv_stream(
+            vector, self._index, cutoff, accumulator)
         stats.entries_traversed += traversed
         if removed:
             self._index.note_removed(removed)
@@ -145,8 +147,27 @@ class InvertedStreamingIndex(StreamingIndex):
             vector, candidates, self.threshold, self.decay, now, stats)
 
         # -- IC: append every coordinate (no index pruning in INV).
-        stats.entries_indexed += self._append_postings(vector)
+        if self.owns_current():
+            stats.entries_indexed += kernel.index_vector_postings(
+                self._index, vector)
+            if owned is not None:
+                owned[vector.vector_id] = (vector, self.steps)
+        self.steps += 1
         stats.vectors_processed += 1
         stats.pairs_output += len(pairs)
         stats.max_index_size = max(stats.max_index_size, len(self._index))
         return pairs
+
+    def merge_key(self, query: SparseVector, candidate_id: int) -> tuple:
+        """Where ``candidate_id`` entered this query's candidate order.
+
+        The INV scan runs query positions upwards and each list newest
+        first, accumulating every live posting: a candidate enters at its
+        lowest query position, ranked there by its arrival step.
+        """
+        vector, step = self._owned[candidate_id]  # type: ignore[index]
+        dims = set(vector.dims)
+        for position, dim in enumerate(query.dims):
+            if dim in dims:
+                return (position, -step)
+        raise KeyError(candidate_id)  # pragma: no cover - not a candidate

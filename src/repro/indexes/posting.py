@@ -147,6 +147,12 @@ class InvertedIndex:
         self.list_for(dim).append(entry)
         self._total_entries += 1
 
+    def adopt(self, lists: dict[int, "PostingList"], count: int) -> None:
+        """Install ready lists for new dimensions, holding ``count``
+        postings in all (a kernel's bulk load)."""
+        self._lists.update(lists)
+        self._total_entries += count
+
     def note_added(self, count: int) -> None:
         """Adjust the global size after a kernel-level bulk append."""
         self._total_entries += count

@@ -213,9 +213,10 @@ class PrefixFilterStreamingIndex(StreamingIndex):
     def __init__(self, threshold: float, decay: float, *,
                  stats: JoinStatistics | None = None,
                  backend: str | SimilarityKernel | None = None,
-                 approx=None) -> None:
+                 approx=None,
+                 partition: tuple[int, int] | None = None) -> None:
         super().__init__(threshold, decay, stats=stats, backend=backend,
-                         approx=approx)
+                         approx=approx, partition=partition)
         if decay <= 0:
             raise InvalidParameterError(
                 "the streaming indexes require a strictly positive decay rate; "
@@ -232,14 +233,11 @@ class PrefixFilterStreamingIndex(StreamingIndex):
         self._size_filter = self.kernel.new_size_filter()
         self._max_query = MaxVector() if self.use_ap else None          # m
         self._max_decayed = DecayedMaxVector(decay) if self.use_ap else None  # m̂^λ
-
-    # -- storage / scan hooks ----------------------------------------------------
-    #
-    # Subclasses that farm the posting-list state out to other owners — the
-    # sharded coordinator of :mod:`repro.shard` keeps its postings in
-    # per-worker shards — override these two hooks and ``_make_index``;
-    # everything else (time filtering of the residual store, bound
-    # maintenance, re-indexing, verification) runs unchanged on top of them.
+        #: Partition only: owned vector id -> ``[(start, step), ...]``, the
+        #: first position and the step of each of its posting appends
+        #: (indexing, then every re-indexing move), for :meth:`merge_key`.
+        self._appends: dict[int, list[tuple[int, int]]] | None = (
+            None if partition is None else {})
 
     def _announce_vectors(self) -> None:
         # The sz1 size-filter map and the kernel's verification mirrors
@@ -247,29 +245,10 @@ class PrefixFilterStreamingIndex(StreamingIndex):
         # kernel gets both from the residual store, so it filters and
         # counts exactly like the kernel that indexed the vectors.
         self._size_filter = self.kernel.new_size_filter()
-        for entry in self._residual.entries():
+        entries = list(self._residual.entries())
+        for entry in entries:
             self._size_filter.set(entry.vector_id, entry.size_filter_value)
-            self.kernel.note_vector_indexed(entry)
-
-    def _scan_query(self, vector: SparseVector, now: float, cutoff: float,
-                    rs1: float, decayed_maxima: list[float] | None,
-                    sz1: float, accumulator) -> tuple[int, int]:
-        """Candidate-generation scan of the whole query (Algorithm 7).
-
-        Returns ``(entries_traversed, entries_removed)``.
-        """
-        return self.kernel.scan_query_stream(
-            vector, self._index, now=now, cutoff=cutoff, decay=self.decay,
-            rs1=rs1, decayed_maxima=decayed_maxima, sz1=sz1,
-            threshold=self.threshold, use_ap=self.use_ap, use_l2=self.use_l2,
-            time_ordered=self.time_ordered, size_filter=self._size_filter,
-            acc=accumulator,
-        )
-
-    def _append_postings(self, vector: SparseVector, start: int = 0,
-                         end: int | None = None) -> int:
-        """Append ``vector``'s coordinates ``[start, end)`` to the posting store."""
-        return self.kernel.index_vector_postings(self._index, vector, start, end)
+        self.kernel.note_vectors_indexed(entries)
 
     # -- introspection ----------------------------------------------------------
 
@@ -290,9 +269,12 @@ class PrefixFilterStreamingIndex(StreamingIndex):
 
         # Time filtering of the residual/Q store: entries are in arrival
         # order, so eviction pops from the head (Section 6.2).
+        appends = self._appends
         for evicted in self._residual.evict_older_than(cutoff):
             self._size_filter.discard(evicted.vector_id)
             self.kernel.note_vector_evicted(evicted.vector_id)
+            if appends is not None:
+                del appends[evicted.vector_id]
 
         # Maintaining the AP invariant must happen before candidate
         # generation: if the new vector raises the maximum of a dimension,
@@ -306,6 +288,7 @@ class PrefixFilterStreamingIndex(StreamingIndex):
         scores = self._candidate_generation(vector, cutoff)
         pairs = self._candidate_verification(vector, scores)
         self._index_vector(vector)
+        self.steps += 1
 
         stats.vectors_processed += 1
         stats.pairs_output += len(pairs)
@@ -340,10 +323,14 @@ class PrefixFilterStreamingIndex(StreamingIndex):
 
         # The whole query's scan — time filtering, decayed bound
         # maintenance across positions — is one kernel call (Algorithm 7's
-        # outer loop) behind the _scan_query hook; see
-        # SimilarityKernel.scan_query_stream and the sharded override.
-        traversed, removed = self._scan_query(
-            vector, now, cutoff, rs1, decayed_maxima, sz1, accumulator)
+        # outer loop); see SimilarityKernel.scan_query_stream.
+        traversed, removed = kernel.scan_query_stream(
+            vector, self._index, now=now, cutoff=cutoff, decay=decay,
+            rs1=rs1, decayed_maxima=decayed_maxima, sz1=sz1,
+            threshold=threshold, use_ap=self.use_ap, use_l2=self.use_l2,
+            time_ordered=self.time_ordered, size_filter=self._size_filter,
+            acc=accumulator,
+        )
         stats.entries_traversed += traversed
         if removed:
             self._index.note_removed(removed)
@@ -366,6 +353,9 @@ class PrefixFilterStreamingIndex(StreamingIndex):
     # -- IC (Algorithm 6, lines 6-14) ----------------------------------------------
 
     def _index_vector(self, vector: SparseVector) -> None:
+        owned = self.owns_current()
+        if not owned and not self.use_ap:
+            return  # another partition stores it; no m̂^λ to maintain
         split = self.kernel.indexing_split(
             vector, self.threshold,
             max_vector=self._max_query if self.use_ap else None,
@@ -373,15 +363,21 @@ class PrefixFilterStreamingIndex(StreamingIndex):
         )
         if split.boundary >= len(vector):
             return
+        if self.use_ap:
+            self._max_decayed.update(vector)  # type: ignore[union-attr]
+        if not owned:
+            # Another partition stores it; m̂^λ above is query-side state.
+            return
         entry = ResidualEntry(
             vector=vector, boundary=split.boundary, pscore=split.pscore,
         )
         self._residual.add(entry)
         self._size_filter.set(vector.vector_id, len(vector) * vector.max_value)
         self.kernel.note_vector_indexed(entry)
-        indexed = self._append_postings(vector, split.boundary)
-        if self.use_ap:
-            self._max_decayed.update(vector)  # type: ignore[union-attr]
+        indexed = self.kernel.index_vector_postings(
+            self._index, vector, split.boundary)
+        if self._appends is not None:
+            self._appends[vector.vector_id] = [(split.boundary, self.steps)]
         self.stats.entries_indexed += indexed
         self.stats.residual_entries += split.boundary
 
@@ -401,7 +397,10 @@ class PrefixFilterStreamingIndex(StreamingIndex):
     def _reindex_affected(self, affected, cutoff: float) -> None:
         stats = self.stats
         threshold = self.threshold
-        for candidate_id in affected:
+        # Id order, not set order: the moved postings' order inside a list
+        # then depends on the affected ids alone, so a partition holding a
+        # subset of them appends in the same relative order (merge_key).
+        for candidate_id in sorted(affected):
             entry = self._residual.get(candidate_id)
             if entry is None or entry.timestamp < cutoff:
                 continue
@@ -435,11 +434,47 @@ class PrefixFilterStreamingIndex(StreamingIndex):
             # Move the newly covered coordinates from the residual prefix to
             # the posting lists; they are appended at the tail, so the lists
             # lose their time order (hence ``time_ordered`` is False here).
-            moved = self._append_postings(entry.vector, split.boundary,
-                                          entry.boundary)
+            moved = self.kernel.index_vector_postings(
+                self._index, entry.vector, split.boundary, entry.boundary)
+            if self._appends is not None:
+                self._appends[candidate_id].append((split.boundary,
+                                                    self.steps))
             stats.reindexed_entries += moved
             stats.entries_indexed += moved
             freed_dims = entry.shrink_to(split.boundary, split.pscore)
             self._residual.note_residual_shrunk(len(freed_dims))
             self._residual.forget_residual_dimension(candidate_id, freed_dims)
             self.kernel.note_vector_updated(entry)
+
+    # -- candidate partitions ---------------------------------------------------
+
+    def merge_key(self, query: SparseVector, candidate_id: int) -> tuple:
+        """Where ``candidate_id`` entered this query's candidate order.
+
+        Candidates are ordered by their first accumulated posting: query
+        positions are scanned from the last one down, each list front to
+        back (newest first when ``time_ordered``).  A vector's postings
+        share one timestamp and the admission bound only shrinks along
+        the scan, so a reported candidate's first posting is the one on
+        the highest query position it has a posting for.  Its place in
+        that list is its append step; within one step, re-indexing moves
+        (in id order) precede the arriving vector's own postings.  The
+        key is comparable across the partitions of one stream.
+        """
+        entry = self._residual.get(candidate_id)
+        dims = entry.vector.dims
+        boundary = entry.boundary
+        position_of = {dims[p]: p for p in range(boundary, len(dims))}
+        query_dims = query.dims
+        for position in range(len(query_dims) - 1, -1, -1):
+            coordinate = position_of.get(query_dims[position])
+            if coordinate is not None:
+                break
+        appends = self._appends[candidate_id]  # type: ignore[index]
+        for start, step in appends:
+            if coordinate >= start:
+                break
+        if self.time_ordered:
+            return (-position, -step)
+        arrival = appends[0][1]
+        return (-position, step, step == arrival, candidate_id)

@@ -579,16 +579,22 @@ class JoinSession:
                 delay = min(delay * 2, 1.0)
 
     def _process_vectors(self, work: list[tuple]) -> None:
-        """Feed one micro-batch of queued vectors through the join."""
+        """Feed one micro-batch of queued vectors through the join.
+
+        The batch goes to ``join.feed`` whole, so a sharded join sends it
+        to its partitions in chunks rather than one vector per round
+        trip.  A vector's latency runs from its enqueue to the end of its
+        batch, when its pairs are emitted.
+        """
         started = time.perf_counter()
-        pairs: list[SimilarPair] = []
         with obs.span("batch", session=self.config.name,
                       tenant=self.config.tenant) as span:
-            for _, vector, enqueued_at in work:
-                pairs.extend(self.join.process(vector))
-                self.latency.record(time.monotonic() - enqueued_at)
-                self.processed += 1
-                self._last_processed_timestamp = vector.timestamp
+            pairs = self.join.feed([vector for _, vector, _ in work])
+            done = time.monotonic()
+            for _, _, enqueued_at in work:
+                self.latency.record(done - enqueued_at)
+            self.processed += len(work)
+            self._last_processed_timestamp = work[-1][1].timestamp
             self._emit(pairs)
             span.note(items=len(work), pairs=len(pairs))
         self.batches_flushed += 1

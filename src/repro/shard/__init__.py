@@ -1,32 +1,28 @@
-"""Sharded parallel join engine: multiprocess dimension-sharded SSSJ.
+"""Sharded parallel join engine: the STR join over candidate partitions.
 
-The streaming similarity self-join partitions along the dimension axis —
-each arriving vector probes only the posting lists of its own non-zero
-dimensions — so the engine splits the posting state over N shard workers
-(:class:`ShardPlan`), keeps the globally sequential decisions (admission,
-pruning, verification, counters) in a coordinator, and exchanges
-slot-space partial accumulations between the two
-(:class:`~repro.backends.base.SegmentPartial`).
+Partition ``k`` of ``W`` is a plain STR index that runs every vector as a
+query but stores only the vectors of arrival steps ``k mod W``.  A
+candidate's decisions read only its own data, so each partition reports
+exactly the single-process pairs of its own candidates; the coordinator
+merges them back into single-process report order.  Only input vectors
+and reported pairs cross process boundaries.
 
 Entry points:
 
 * :func:`create_sharded_join` / :class:`ShardedStreamingJoin` — the STR
-  framework over a sharded index (``workers`` and ``executor`` knobs);
-* :class:`ShardPlan` / :func:`plan_report` — the dimension partition and
-  its posting-mass balance report (``sssj shards``);
-* :class:`SerialShardExecutor` / :class:`ProcessShardExecutor` — the
-  in-process (CI-safe, deterministic) and multiprocess (parallel)
-  execution backends.
+  framework over W partitions (``workers`` and ``executor`` knobs);
+* :class:`ShardPlan` — the validated partition count;
+* :class:`SerialShardExecutor` / :class:`ProcessShardExecutor` — every
+  partition in-process (CI-safe, deterministic), or partition 0 in the
+  coordinator and one forked child per other partition (parallel).
 
-Sharded runs are bitwise identical to single-process NumPy runs — same
-pairs, similarities and operation counters — at every worker count; see
-:mod:`repro.shard.coordinator` for the determinism contract.
+Sharded runs are bitwise identical to single-process runs on the same
+kernel — same pairs, order, similarities and operation counters — at
+every worker count; see :mod:`repro.shard.coordinator`.
 """
 
 from repro.shard.coordinator import (
-    ShardedInvStreamingIndex,
-    ShardedL2APStreamingIndex,
-    ShardedL2StreamingIndex,
+    PartitionedIndex,
     ShardedStreamingJoin,
     create_sharded_join,
 )
@@ -35,21 +31,22 @@ from repro.shard.executor import (
     SerialShardExecutor,
     create_executor,
 )
-from repro.shard.plan import ShardBalance, ShardPlan, plan_report
-from repro.shard.worker import ShardWorker, shard_worker_main
+from repro.shard.partition import (
+    Partition,
+    PartitionSpec,
+    ShardPlan,
+    partition_worker_main,
+)
 
 __all__ = [
     "ShardPlan",
-    "ShardBalance",
-    "plan_report",
-    "ShardWorker",
-    "shard_worker_main",
+    "Partition",
+    "PartitionSpec",
+    "PartitionedIndex",
+    "partition_worker_main",
     "SerialShardExecutor",
     "ProcessShardExecutor",
     "create_executor",
     "ShardedStreamingJoin",
-    "ShardedL2APStreamingIndex",
-    "ShardedL2StreamingIndex",
-    "ShardedInvStreamingIndex",
     "create_sharded_join",
 ]

@@ -1,308 +1,132 @@
 """Coordinator of the sharded streaming join.
 
-One join, N shard workers.  The coordinator is the *single-process driver
-with the posting lists removed*: it keeps everything whose decisions are
-globally sequential — the residual/``Q`` store, the maximum vectors and
-re-indexing, the remaining-score bound maintenance, candidate
-verification, the operation counters — and it farms out the per-dimension
-posting state to the shards.  Per arriving vector:
+One join, W candidate partitions (:mod:`repro.shard.partition`).  Every
+partition runs every vector as a query; partition ``k`` stores only the
+vectors of arrival steps ``k mod W``.  Per arriving vector the
+coordinator checks arrival order, hands the vector to the executor — which
+sends it to the forked partitions and runs partition 0 itself, on the
+join's own kernel — and merges what comes back:
 
-1. **fan-out** — split the query's terms by owning shard and ship one scan
-   request per shard (buffered posting appends of the previous vector and
-   of this vector's re-indexing ride along, so one vector costs one
-   message per shard);
-2. **gather** — each worker time-filters and gathers its terms' postings
-   into :class:`~repro.backends.base.SegmentPartial` arrays, stopping
-   before global admission;
-3. **merge + replay** — the coordinator reorders the partials into the
-   global scan order (descending query position), recomputes the
-   remaining-score bounds at each segment, and replays the exact fused
-   admission/pruning/accumulation pass of the single-process NumPy kernel
-   (:meth:`~repro.backends.numpy_backend.NumpyKernel.apply_scan_partials`)
-   over them;
-4. **verify + index** — verification and indexing run unchanged through
-   the :class:`~repro.indexes.prefix.PrefixFilterStreamingIndex` driver;
-   the new vector's postings are routed to their owning shards with the
-   coordinator's interned slot.
+* **pairs** — each partition reports its pairs in its own candidate
+  order, each with a merge key (the query position of the candidate's
+  first posting, and that posting's append step); sorting the union by
+  key restores the single-process report order;
+* **counters** — summed across partitions, except ``reindexings`` (OR-ed
+  per step: one re-indexing event may touch vectors of several
+  partitions) and ``max_index_size``/``max_residual_size`` (maxima over
+  steps of the per-step sums).
 
 Determinism contract
 --------------------
-A sharded run is **bitwise identical** to the single-process NumPy run —
-same pairs, same similarities, same operation counters — for every worker
-count.  This holds because (a) whole dimensions are assigned to single
-shards, so every posting list's content and order is identical to the
-single-process list; (b) workers only precompute elementwise products
-(``x_j·y_j``, decay factors, ``l2bound`` tails) that the fused kernel
-computes identically; and (c) every *decision* — admission tri-state,
-``sz1``, ``l2bound`` pruning, verification bounds, the final
-similarities — is taken by the coordinator in the single-process order.
-``tests/test_shard.py`` pins this down property-by-property.
+A sharded run is **bitwise identical** to the single-process run on the
+same kernel — same pairs in the same order, same similarities, same
+operation counters — for every worker count.  A candidate's admission,
+accumulation, pruning and verification read only its own postings and
+residual, plus query-side state (``m``, ``m̂^λ``) that every partition
+keeps for the whole stream; so each partition takes the single-process
+decisions for the candidates it owns.  ``tests/test_shard.py`` pins this
+down.
 """
 
 from __future__ import annotations
 
-import time
+from collections.abc import Iterable, Iterator
 
 from repro import obs
+from repro.backends import SimilarityKernel, resolve_kernel
 from repro.core.frameworks.base import JoinFramework
 from repro.core.results import JoinStatistics, ShardCounters, SimilarPair
 from repro.core.vector import SparseVector
-from repro.exceptions import InvalidParameterError, UnknownAlgorithmError
-from repro.indexes.bounds import remaining_score_bounds
-from repro.indexes.inverted import InvertedStreamingIndex
-from repro.indexes.l2 import L2StreamingIndex
-from repro.indexes.l2ap import L2APStreamingIndex
-from repro.indexes.allpairs import APStreamingIndex
+from repro.exceptions import UnknownAlgorithmError
+from repro.indexes.base import STREAMING_INDEXES
 from repro.shard.executor import create_executor
-from repro.shard.plan import ShardPlan
+from repro.shard.partition import SUMMED_COUNTERS, PartitionSpec, ShardPlan
 
-__all__ = [
-    "ShardedStreamingJoin",
-    "create_sharded_join",
-    "ShardedL2APStreamingIndex",
-    "ShardedL2StreamingIndex",
-    "ShardedAPStreamingIndex",
-    "ShardedInvStreamingIndex",
-]
+__all__ = ["ShardedStreamingJoin", "PartitionedIndex", "create_sharded_join"]
 
 
 def _collect_shard_join(join: "ShardedStreamingJoin") -> None:
-    """Scrape-time collector: coordinator stage timings and executor health.
+    """Scrape-time collector: executor health.
 
-    Deliberately does NOT call :meth:`shard_counters` — that flushes
-    buffered appends over the worker pipes, and a scrape must never
-    perturb the stream.  Per-shard counters stay on the ``stats``
-    endpoint; only coordinator-side accumulators are exported here.
+    Deliberately does NOT call :meth:`shard_counters` — that talks to the
+    workers over their pipes, and a scrape must never perturb the stream.
+    Per-partition counters stay on the ``stats`` endpoint.
     """
     registry = obs.get_registry()
-    tracker = join._obs_tracker
-    stages = registry.counter(
-        "sssj_shard_stage_seconds_total",
-        "Coordinator wall-clock per sharded-join stage.", ("stage",))
-    for stage, seconds in join.stage_seconds.items():
-        tracker.export(stages.labels(stage=stage), ("stage", stage), seconds)
     registry.gauge("sssj_shard_workers",
-                   "Shard workers in the current plan.").labels().set(
+                   "Candidate partitions of the sharded join.").labels().set(
         join.workers)
     registry.gauge("sssj_shard_degraded",
-                   "1 when the executor fell back to in-process "
+                   "1 when a partition fell back to in-process "
                    "execution.").labels().set(1 if join.degraded else 0)
-    respawns = getattr(join._executor, "respawns", 0)
-    tracker.export(registry.counter(
+    respawns = getattr(join._index._executor, "respawns", 0)
+    join._obs_tracker.export(registry.counter(
         "sssj_shard_respawns_total",
         "Successful shard worker respawns.").labels(), "respawns", respawns)
 
 
-class _ShardPostingStub:
-    """Counting-only stand-in for the coordinator's inverted index.
-
-    The coordinator never stores postings — the shards do — but the driver
-    tracks the global posting count (``max_index_size``, eviction
-    bookkeeping) through the ``InvertedIndex`` counting interface.
-    """
-
-    __slots__ = ("_total",)
-
-    def __init__(self) -> None:
-        self._total = 0
-
-    def __len__(self) -> int:
-        return self._total
-
-    def note_added(self, count: int) -> None:
-        self._total += count
-
-    def note_removed(self, count: int) -> None:
-        self._total -= count
-        if self._total < 0:  # defensive; should never happen
-            self._total = 0
+def _backend_name(kernel: SimilarityKernel) -> str:
+    """The registered backend under wrapping kernels (tracing, profiling)."""
+    while hasattr(kernel, "_inner"):
+        kernel = kernel._inner
+    return kernel.name
 
 
-class _ShardedMixinBase:
-    """State and append routing shared by the prefix and INV coordinators."""
+class PartitionedIndex:
+    """The join's view of its partitions: one exchange and merge per vector."""
 
-    _plan: ShardPlan | None = None
-    _executor = None
-
-    def check_coordinator_kernel(self) -> None:
-        """Fail fast when the kernel cannot replay partial accumulations.
-
-        Called by :class:`ShardedStreamingJoin` *before* any worker is
-        spawned, and again by :meth:`attach_executor` for direct users.
-        """
-        if not hasattr(self.kernel, "apply_scan_partials"):
-            raise InvalidParameterError(
-                "the sharded coordinator requires a backend with partial-"
-                "accumulation replay (the NumPy backend); "
-                f"got {self.kernel.name!r}")
-
-    def attach_executor(self, plan: ShardPlan, executor) -> None:
-        """Wire the coordinator to its shard executor (post-construction)."""
-        self.check_coordinator_kernel()
-        self._plan = plan
+    def __init__(self, kernel: SimilarityKernel, executor,
+                 stats: JoinStatistics) -> None:
+        self.kernel = kernel
+        self.stats = stats
         self._executor = executor
-        #: Wall-clock per coordinator stage (fan-out+gather / replay /
-        #: verify), for the benchmark artifact's stage breakdown.
-        self.stage_seconds = {"exchange": 0.0, "replay": 0.0, "verify": 0.0}
+        self.steps = 0
 
-    def shard_counters(self) -> list[ShardCounters]:
-        """Per-shard observability counters (balance, compactions, traffic).
+    @property
+    def backend_name(self) -> str:
+        return self.kernel.name
 
-        Flushes buffered appends first so the snapshot covers every vector
-        processed so far.
-        """
-        self._executor.flush()
-        return self._executor.counters()
+    def process(self, vector: SparseVector) -> list[SimilarPair]:
+        return self.process_batch([vector])[0]
 
-    def _make_index(self) -> _ShardPostingStub:
-        return _ShardPostingStub()
-
-    def _route_postings(self, vector: SparseVector, start: int,
-                        end: int | None) -> int:
-        """Buffer ``vector``'s coordinates ``[start, end)`` to their shards."""
-        stop = len(vector) if end is None else end
-        count = stop - start
-        if count <= 0:
-            return 0
-        # Interning here matches the single-process kernel: the id was
-        # already interned by the size-filter/metadata hooks this driver
-        # ran just before appending.
-        slot = self.kernel._intern(vector.vector_id)
-        dims = vector.dims
-        values = vector.values
-        prefix_norms = vector._prefix_norms
-        timestamp = vector.timestamp
-        plan = self._plan
-        queue_append = self._executor.queue_append
-        if plan.workers == 1:
-            queue_append(0, slot, list(dims[start:stop]),
-                         list(values[start:stop]),
-                         list(prefix_norms[start:stop]), timestamp)
-        else:
-            for shard, positions in enumerate(
-                    plan.split_positions(vector, start, stop)):
-                if positions:
-                    queue_append(shard, slot,
-                                 [dims[p] for p in positions],
-                                 [values[p] for p in positions],
-                                 [prefix_norms[p] for p in positions],
-                                 timestamp)
-        self._index.note_added(count)
-        return count
-
-
-class ShardedPrefixScanMixin(_ShardedMixinBase):
-    """Sharded overrides of the prefix-filter driver's storage/scan hooks."""
-
-    def _append_postings(self, vector: SparseVector, start: int = 0,
-                         end: int | None = None) -> int:
-        return self._route_postings(vector, start, end)
-
-    def _scan_query(self, vector: SparseVector, now: float, cutoff: float,
-                    rs1: float, decayed_maxima: list[float] | None,
-                    sz1: float, accumulator) -> tuple[int, int]:
-        plan = self._plan
-        dims = vector.dims
-        values = vector.values
-        prefix_norms = vector._prefix_norms
-        requests: list[list[tuple]] = [[] for _ in range(plan.workers)]
-        for position in range(len(dims) - 1, -1, -1):
-            dim = dims[position]
-            requests[plan.shard_of(dim)].append(
-                (position, dim, values[position], prefix_norms[position]))
-        params = {"kind": "prefix", "now": now, "cutoff": cutoff,
-                  "decay": self.decay, "use_l2": self.use_l2,
-                  "time_ordered": self.time_ordered}
-        stage = self.stage_seconds
-        started = time.perf_counter()
+    def process_batch(self, vectors: list[SparseVector],
+                      ) -> list[list[SimilarPair]]:
+        """Run the stream's next vectors; their pairs, vector by vector."""
         with obs.span("shard_exchange"):
-            replies = self._executor.exchange(requests, params)
-        stage["exchange"] += time.perf_counter() - started
-        partials = [partial for reply in replies for partial in reply[0]]
-        traversed = sum(reply[1] for reply in replies)
-        removed = sum(reply[2] for reply in replies)
-        if not partials:
-            return traversed, removed
-        started = time.perf_counter()
-        # Global scan order: descending query position (positions are
-        # unique, so the sort fully determines the merge).
-        partials.sort(key=lambda partial: -partial.position)
-        rs1_at, rs2_at = remaining_score_bounds(
-            vector, rs1, decayed_maxima, use_ap=self.use_ap,
-            use_l2=self.use_l2)
-        self.kernel.apply_scan_partials(
-            partials, [rs1_at[partial.position] for partial in partials],
-            [rs2_at[partial.position] for partial in partials],
-            sz1=sz1, threshold=self.threshold,
-            decay=self.decay, now=now, use_ap=self.use_ap,
-            use_l2=self.use_l2, acc=accumulator)
-        stage["replay"] += time.perf_counter() - started
-        return traversed, removed
+            replies = self._executor.exchange(vectors, self.steps)
+        self.steps += len(vectors)
+        return [self._merge([partition[i] for partition in replies])
+                for i in range(len(vectors))]
 
-    def _candidate_verification(self, vector: SparseVector,
-                                candidates) -> list[SimilarPair]:
-        started = time.perf_counter()
-        pairs = super()._candidate_verification(vector, candidates)
-        self.stage_seconds["verify"] += time.perf_counter() - started
+    def _merge(self, replies: list) -> list[SimilarPair]:
+        """One step's pairs in single-process order; its counters."""
+        stats = self.stats
+        counts = [reply.counts for reply in replies]
+        for name, *deltas in zip(SUMMED_COUNTERS,
+                                 *(count[3] for count in counts)):
+            total = sum(deltas)
+            if total:
+                setattr(stats, name, getattr(stats, name) + total)
+        if any(count[0] for count in counts):
+            stats.reindexings += 1
+        stats.max_index_size = max(stats.max_index_size,
+                                   sum(count[1] for count in counts))
+        stats.max_residual_size = max(stats.max_residual_size,
+                                      sum(count[2] for count in counts))
+        if len(replies) == 1:
+            pairs = replies[0].pairs
+        else:
+            keyed = [(key, pair) for reply in replies
+                     for key, pair in zip(reply.keys, reply.pairs)]
+            keyed.sort(key=lambda item: item[0])
+            pairs = [pair for _, pair in keyed]
+        stats.vectors_processed += 1
+        stats.pairs_output += len(pairs)
         return pairs
 
 
-class ShardedInvScanMixin(_ShardedMixinBase):
-    """Sharded overrides of the STR-INV driver's storage/scan hooks."""
-
-    def _append_postings(self, vector: SparseVector) -> int:
-        return self._route_postings(vector, 0, None)
-
-    def _scan_query(self, vector: SparseVector, cutoff: float,
-                    accumulator) -> tuple[int, int]:
-        plan = self._plan
-        requests: list[list[tuple]] = [[] for _ in range(plan.workers)]
-        for position, (dim, value) in enumerate(vector):
-            requests[plan.shard_of(dim)].append((position, dim, value))
-        params = {"kind": "inv", "cutoff": cutoff}
-        stage = self.stage_seconds
-        started = time.perf_counter()
-        with obs.span("shard_exchange"):
-            replies = self._executor.exchange(requests, params)
-        stage["exchange"] += time.perf_counter() - started
-        partials = [partial for reply in replies for partial in reply[0]]
-        traversed = sum(reply[1] for reply in replies)
-        removed = sum(reply[2] for reply in replies)
-        if not partials:
-            return traversed, removed
-        started = time.perf_counter()
-        partials.sort(key=lambda partial: partial.position)  # query order
-        self.kernel.apply_inv_partials(partials, accumulator)
-        stage["replay"] += time.perf_counter() - started
-        return traversed, removed
-
-
-class ShardedL2APStreamingIndex(ShardedPrefixScanMixin, L2APStreamingIndex):
-    """STR-L2AP with dimension-sharded posting state."""
-
-
-class ShardedL2StreamingIndex(ShardedPrefixScanMixin, L2StreamingIndex):
-    """STR-L2 with dimension-sharded posting state."""
-
-
-class ShardedAPStreamingIndex(ShardedPrefixScanMixin, APStreamingIndex):
-    """Streaming AP with dimension-sharded posting state (ablations)."""
-
-
-class ShardedInvStreamingIndex(ShardedInvScanMixin, InvertedStreamingIndex):
-    """STR-INV with dimension-sharded posting state."""
-
-
-_SHARDED_INDEXES = {
-    "L2AP": ShardedL2APStreamingIndex,
-    "L2": ShardedL2StreamingIndex,
-    "AP": ShardedAPStreamingIndex,
-    "INV": ShardedInvStreamingIndex,
-}
-
-
 class ShardedStreamingJoin(JoinFramework):
-    """The STR framework over a dimension-sharded streaming index.
+    """The STR framework over W candidate partitions.
 
     Drop-in for :class:`repro.core.join.StreamingSimilarityJoin` plus the
     sharding knobs; close (or use as a context manager) to shut the
@@ -311,19 +135,21 @@ class ShardedStreamingJoin(JoinFramework):
     Parameters
     ----------
     workers:
-        Number of shards.  ``1`` is the degenerate single-shard
-        configuration (useful as the parity anchor).
+        Number of partitions.  ``1`` is a single partition that owns
+        every vector (the parity anchor).
     executor:
-        ``"process"`` (one child process per shard) or ``"serial"``
-        (all shards in-process — deterministic, CI-safe, no parallelism).
+        ``"process"`` (partition 0 in this process, one child process per
+        other partition) or ``"serial"`` (every partition in this
+        process — deterministic, CI-safe, no parallelism).
     fault_plan:
         Optional :class:`~repro.faults.FaultPlan` (or spec string, or an
         already-built :class:`~repro.faults.FaultInjector`) injecting
         real worker faults — see :mod:`repro.faults`.
     recv_timeout / max_respawns / recovery:
         Crash-tolerance knobs of the process executor: the per-reply
-        deadline, the respawn budget before degrading to in-process
-        execution, and whether the replay history is kept at all.
+        deadline, the respawn budget before a partition degrades to
+        in-process execution, and whether the input is retained for
+        replay at all.
     """
 
     name = "STR"
@@ -332,43 +158,37 @@ class ShardedStreamingJoin(JoinFramework):
                  index: str = "L2AP", workers: int = 2,
                  executor: str = "process",
                  stats: JoinStatistics | None = None,
-                 backend: str | None = None,
+                 backend: str | SimilarityKernel | None = None,
                  fault_plan=None,
                  recv_timeout: float = 10.0,
                  max_respawns: int = 3,
                  recovery: bool = True) -> None:
-        # The coordinator's replay runs on the NumPy kernel's slot arrays,
-        # so "auto" (and the SSSJ_BACKEND default) resolve to numpy here
-        # regardless of the single-process default; an explicit
-        # incompatible backend still fails loudly in attach_executor.
+        # "auto" (and the SSSJ_BACKEND default) resolve to NumPy here: the
+        # partitions' scans grow with the stream, past the adaptive rule's
+        # crossover; an explicit backend is used as given.
         if backend is None or (isinstance(backend, str)
                                and backend.lower() == "auto"):
             backend = "numpy"
         super().__init__(threshold, decay, index=index, stats=stats,
                          backend=backend)
-        try:
-            index_cls = _SHARDED_INDEXES[self.index_name]
-        except KeyError:
+        if self.index_name not in STREAMING_INDEXES:
             raise UnknownAlgorithmError(
-                f"no sharded variant of streaming index {index!r}; "
-                f"available: {sorted(_SHARDED_INDEXES)}") from None
-        self._index = index_cls(threshold, decay, stats=self.stats,
-                                backend=backend)
-        # Validate the coordinator kernel and the plan BEFORE spawning
-        # anything: a failed construction must not leak worker processes.
-        self._index.check_coordinator_kernel()
+                f"no streaming index {index!r}; "
+                f"available: {sorted(STREAMING_INDEXES)}")
         plan = ShardPlan(workers)
+        kernel = resolve_kernel(backend)
+        spec = PartitionSpec(self.index_name, self.threshold, self.decay,
+                             plan.workers, _backend_name(kernel))
         faults = _coerce_injector(fault_plan)
         self.fault_injector = faults
-        self._executor = create_executor(
-            plan, executor, recv_timeout=recv_timeout,
-            max_respawns=max_respawns, recovery=recovery, faults=faults)
-        try:
-            self._index.attach_executor(plan, self._executor)
-        except BaseException:  # pragma: no cover - defensive
-            self._executor.close()
-            raise
         self.plan = plan
+        self._index = PartitionedIndex(
+            kernel,
+            create_executor(spec, kernel, executor,
+                            recv_timeout=recv_timeout,
+                            max_respawns=max_respawns, recovery=recovery,
+                            faults=faults),
+            self.stats)
         self._closed = False
         self._obs_tracker = obs.DeltaTracker()
         if obs.enabled():
@@ -377,8 +197,8 @@ class ShardedStreamingJoin(JoinFramework):
     # -- introspection ---------------------------------------------------------
 
     @property
-    def index(self):
-        """The underlying sharded streaming index."""
+    def index(self) -> PartitionedIndex:
+        """The partitioned index behind the join."""
         return self._index
 
     @property
@@ -389,40 +209,81 @@ class ShardedStreamingJoin(JoinFramework):
     def workers(self) -> int:
         return self.plan.workers
 
-    @property
-    def stage_seconds(self) -> dict[str, float]:
-        """Coordinator-side wall-clock per stage (exchange/replay/verify)."""
-        return self._index.stage_seconds
-
     def shard_counters(self) -> list[ShardCounters]:
-        """Per-shard traffic/balance counters (see ShardCounters)."""
-        return self._index.shard_counters()
+        """Per-partition traffic/balance counters (see ShardCounters)."""
+        return self._index._executor.counters()
 
     @property
     def degraded(self) -> bool:
-        """Has the executor fallen back to in-process execution?"""
-        return bool(getattr(self._executor, "degraded", False))
+        """Has a partition fallen back to in-process execution?"""
+        return bool(getattr(self._index._executor, "degraded", False))
 
     @property
     def recovery_events(self) -> list[dict]:
         """Respawn/degrade events recorded by the executor (chronological)."""
-        return list(getattr(self._executor, "recovery_events", ()))
+        return list(getattr(self._index._executor, "recovery_events", ()))
 
     # -- driving ---------------------------------------------------------------
+
+    #: Vectors per exchange in :meth:`feed` and :meth:`run`.
+    FEED_CHUNK = 64
 
     def process(self, vector: SparseVector) -> list[SimilarPair]:
         self._check_order(vector)
         return self._index.process(vector)
 
-    def flush(self) -> list[SimilarPair]:
-        self._executor.flush()
-        return []
+    def feed(self, vectors: Iterable[SparseVector]) -> list[SimilarPair]:
+        """Like :meth:`process` over ``vectors``, ``FEED_CHUNK`` at a time.
+
+        A chunk costs one round trip per forked partition instead of one
+        per vector, so the partitions work in parallel for longer.
+        """
+        pairs: list[SimilarPair] = []
+        for chunk in self._chunks(vectors):
+            for found in self._index.process_batch(chunk):
+                pairs.extend(found)
+        return pairs
+
+    def run(self, stream: Iterable[SparseVector]) -> Iterator[SimilarPair]:
+        """Process a whole stream, ``FEED_CHUNK`` vectors per exchange.
+
+        Pairs come in the same order as from :meth:`process`, but a
+        chunk's pairs are yielded only once the whole chunk (or the
+        stream) has been read and processed.
+        """
+        for chunk in self._chunks(stream):
+            for found in self._index.process_batch(chunk):
+                yield from found
+        yield from self.flush()
+
+    def _chunks(self, vectors: Iterable[SparseVector],
+                ) -> Iterator[list[SparseVector]]:
+        """``vectors`` in order-checked chunks of up to ``FEED_CHUNK``.
+
+        When reading or checking a vector raises, the vectors accepted
+        before it still form a last chunk, so they are processed as
+        :meth:`process` would have processed them; the error follows.
+        """
+        chunk: list[SparseVector] = []
+        try:
+            for vector in vectors:
+                self._check_order(vector)
+                chunk.append(vector)
+                if len(chunk) == self.FEED_CHUNK:
+                    yield chunk
+                    chunk = []
+        except Exception:
+            if chunk:
+                yield chunk
+            raise
+        if chunk:
+            yield chunk
 
     def close(self) -> None:
         """Shut the shard workers down (idempotent)."""
         if not self._closed:
             self._closed = True
-            self._executor.close()
+            self._index._executor.close()
 
     def __enter__(self) -> "ShardedStreamingJoin":
         return self
@@ -444,7 +305,7 @@ def _coerce_injector(fault_plan):
 
 def create_sharded_join(algorithm: str, threshold: float, decay: float, *,
                         workers: int, stats: JoinStatistics | None = None,
-                        backend: str | None = None,
+                        backend: str | SimilarityKernel | None = None,
                         executor: str = "process",
                         fault_plan=None,
                         recv_timeout: float = 10.0,

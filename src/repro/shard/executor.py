@@ -1,64 +1,62 @@
-"""Execution backends for the sharded join: serial in-process and multiprocess.
+"""Execution backends of the sharded join: serial in-process and multiprocess.
 
-Both executors present the same tiny interface to the coordinator:
+Both executors present the same small interface to the coordinator:
 
-``queue_append(shard, slot, dims, values, prefix_norms, timestamp)``
-    Buffer a posting append for ``shard``.  Appends are *not* sent
-    immediately — they ride along with the next ``exchange`` (or an
-    explicit ``flush``), so one vector costs one message per shard.
-``exchange(requests, params)``
-    Deliver the buffered appends plus one scan request per shard, in
-    order, and return each shard's ``(partials, traversed, removed)``.
-    The per-shard operation order (scan of vector *i* before the postings
-    of vector *i*, before the scan of vector *i+1*) is what makes the
-    sharded run bitwise identical to the single-process one.
-``flush`` / ``counters`` / ``close``
-    Drain buffered appends, snapshot per-shard counters, shut down.
+``exchange(vectors, step)``
+    Run the stream's next vectors (the first of arrival step ``step``)
+    through every partition and return, in partition order, each one's
+    :class:`~repro.shard.partition.StepReply` list (one per vector).
+    Called once per ``process()`` with one vector, and once per chunk of
+    ``feed()`` and ``run()``.
+``counters`` / ``close``
+    Snapshot per-partition counters, shut down.
 
-:class:`SerialShardExecutor` runs every shard worker in-process and
-synchronously — no processes, no pickling — which makes the whole
-subsystem testable and CI-safe; it is also the natural ``workers=1``
-configuration.  :class:`ProcessShardExecutor` spawns one child process
-per shard (forked where available, else spawned) and ships requests
-over pipes; all shards scan concurrently, which is where the parallel
-speedup comes from.
+:class:`SerialShardExecutor` runs every partition in-process, one after
+the other: no processes, no pickling, deterministic and CI-safe.
+:class:`ProcessShardExecutor` forks one child per partition except
+partition 0, which the coordinator runs itself on the join's own kernel
+while the children work; a pickled vector goes out to each child and its
+pairs and counters come back.  A chunk costs one round trip per
+forked partition, however many vectors it holds.
 
 Fault tolerance
 ---------------
 :class:`ProcessShardExecutor` survives worker deaths.  Every receive is
 bounded by ``recv_timeout`` and watches the child's ``Process.sentinel``,
 so a SIGKILLed (or hung) worker is *detected* instead of hanging the
-coordinator.  Recovery is respawn-and-replay: the executor keeps the
-full per-shard step history (every message a shard acknowledged), spawns
-a fresh worker, replays the history in chunks — a shard's state is a
-deterministic function of its message sequence, so the rebuilt posting
-arena, expiry bookkeeping and counters are bitwise identical to the lost
-ones — then re-issues the in-flight step once.  After ``max_respawns``
-failed attempts the executor degrades to in-process execution: every
-shard's history is replayed into a local :class:`ShardWorker` and the run
-continues serially rather than dying.  Set ``recovery=False`` to skip
-the history log (saves memory; deaths then raise
-:class:`~repro.exceptions.ShardWorkerError`).
+coordinator.  Recovery is respawn-and-replay: the executor retains the
+input vectors, spawns a fresh worker, replays them in chunks — a
+partition's state is a deterministic function of the vectors it has
+seen, so the rebuilt index, expiry bookkeeping and counters are bitwise
+identical to the lost ones — then re-issues the in-flight step once.
+After ``max_respawns`` failed attempts the partition degrades to
+in-process execution: a local twin replays the retained input and the
+run continues rather than dying.  Set ``recovery=False`` to keep no
+input (deaths then raise :class:`~repro.exceptions.ShardWorkerError`).
+
+A worker fault plan that targets partition 0 forks it as well, so every
+shard a fault names is a process it can break.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import os
+import pickle
+import selectors
 import signal
 import time
-from multiprocessing import connection as _mp_connection
-from typing import Any
 
 from repro import obs
+from repro.backends import SimilarityKernel
 from repro.core.results import ShardCounters
+from repro.core.vector import SparseVector
 from repro.exceptions import InvalidParameterError, ShardWorkerError
-from repro.shard.plan import ShardPlan
-from repro.shard.worker import (
-    ShardWorker,
-    apply_step,
-    shard_worker_main,
-    unpack_partials,
+from repro.shard.partition import (
+    Partition,
+    PartitionSpec,
+    StepReply,
+    partition_worker_main,
 )
 
 __all__ = ["SerialShardExecutor", "ProcessShardExecutor", "create_executor"]
@@ -74,102 +72,93 @@ def _count_recovery(kind: str) -> None:
 
 
 class SerialShardExecutor:
-    """All shard workers in-process; calls run synchronously in shard order."""
+    """Every partition in-process; partition 0 on the join's kernel."""
 
     kind = "serial"
 
-    def __init__(self, plan: ShardPlan) -> None:
-        self.plan = plan
-        self.workers = [ShardWorker(shard) for shard in range(plan.workers)]
-        self._pending: list[list[tuple]] = [[] for _ in range(plan.workers)]
+    def __init__(self, spec: PartitionSpec, kernel: SimilarityKernel) -> None:
+        self.partitions = [Partition(spec, part, kernel if part == 0 else None)
+                           for part in range(spec.workers)]
 
-    def queue_append(self, shard: int, slot: int, dims, values, prefix_norms,
-                     timestamp: float) -> None:
-        self._pending[shard].append((slot, dims, values, prefix_norms, timestamp))
-
-    def exchange(self, requests: list[list[tuple]],
-                 params: dict[str, Any]) -> list[tuple[list, int, int]]:
-        replies = []
-        for shard, worker in enumerate(self.workers):
-            pending = self._pending[shard]
-            if pending:
-                worker.apply_appends(pending)
-                self._pending[shard] = []
-            replies.append(worker.scan(requests[shard], params))
-        return replies
-
-    def flush(self) -> None:
-        for shard, worker in enumerate(self.workers):
-            pending = self._pending[shard]
-            if pending:
-                worker.apply_appends(pending)
-                self._pending[shard] = []
+    def exchange(self, vectors: list[SparseVector],
+                 step: int) -> list[list[StepReply]]:
+        return [partition.steps(vectors) for partition in self.partitions]
 
     def counters(self) -> list[ShardCounters]:
-        return [worker.snapshot_counters() for worker in self.workers]
+        return [partition.counters() for partition in self.partitions]
 
     def close(self) -> None:
-        self.flush()
+        pass
 
 
 class ProcessShardExecutor:
-    """One child process per shard, pipes for control, shared-memory arenas.
+    """Partition 0 in the coordinator, one child process per other partition.
 
-    ``exchange`` first *sends* to every shard, then *collects* from every
-    shard, so the per-vector scan work of all shards overlaps — the
-    round-trip latency is paid once per vector, not once per shard.
+    ``exchange`` sends the vector to every child first, runs the
+    in-process partition while they work, then collects the children's
+    replies in partition order.
 
     Worker deaths (and replies delayed past ``recv_timeout``) are
-    recovered by respawn-and-replay, degrading to in-process execution
-    after ``max_respawns`` failed attempts — see the module docstring.
-    Recoveries are appended to :attr:`recovery_events`; :attr:`degraded`
-    flips to ``True`` once the executor has fallen back to serial mode.
+    recovered by respawn-and-replay, degrading the partition to
+    in-process execution after ``max_respawns`` failed attempts — see the
+    module docstring.  Recoveries are appended to :attr:`recovery_events`;
+    :attr:`degraded` flips to ``True`` once a partition fell back.
     """
 
     kind = "process"
 
-    #: Steps per replay message during recovery — bounds both the pickled
-    #: message size and the per-recv wait (each chunk is acknowledged
-    #: within ``recv_timeout``).
+    #: Vectors per replay message during recovery — bounds both the
+    #: pickled message size and the per-recv wait (each chunk is
+    #: acknowledged within ``recv_timeout``).
     _REPLAY_CHUNK = 128
 
-    def __init__(self, plan: ShardPlan, *,
+    def __init__(self, spec: PartitionSpec, kernel: SimilarityKernel, *,
                  recv_timeout: float = 10.0,
                  max_respawns: int = 3,
                  recovery: bool = True,
                  faults=None) -> None:
-        self.plan = plan
-        methods = multiprocessing.get_all_start_methods()
-        self._context = multiprocessing.get_context(
-            "fork" if "fork" in methods else "spawn")
         if recv_timeout <= 0:
             raise InvalidParameterError(
                 f"recv_timeout must be > 0, got {recv_timeout}")
         if max_respawns < 0:
             raise InvalidParameterError(
                 f"max_respawns must be >= 0, got {max_respawns}")
+        self.spec = spec
+        methods = multiprocessing.get_all_start_methods()
+        self._context = multiprocessing.get_context(
+            "fork" if "fork" in methods else "spawn")
         self.recv_timeout = float(recv_timeout)
         self.max_respawns = int(max_respawns)
         self.recovery_enabled = bool(recovery)
         self.faults = faults
+        workers = spec.workers
+        targeted: set[int] = set()
         if faults is not None:
-            faults.bind_workers(plan.workers)
-        workers = plan.workers
+            faults.bind_workers(workers)
+            targeted = faults.worker_shards()
+        #: In-process partitions by id: partition 0 unless a fault targets
+        #: it, plus every partition that degraded.
+        self._local: dict[int, Partition] = {}
+        if 0 not in targeted:
+            self._local[0] = Partition(spec, 0, kernel)
         self._conns: list = [None] * workers
         self._procs: list = [None] * workers
-        self._pending: list[list[tuple]] = [[] for _ in range(workers)]
-        #: Per-shard log of acknowledged step messages — the replay source
+        #: Per worker, one poll set over its pipe and its process sentinel.
+        self._waits: list = [None] * workers
+        self._steps = [0] * workers
+        #: The vectors every partition has processed — the replay source
         #: for crash recovery (grows with the stream; ``recovery=False``
         #: disables it).
-        self._history: list[list[tuple]] = [[] for _ in range(workers)]
-        self._steps = [0] * workers
+        self._history: list[SparseVector] = []
         self._closed = False
         self.degraded = False
-        self._serial_workers: list[ShardWorker] | None = None
         self.respawns = 0
         self.recovery_events: list[dict] = []
+        #: Partitions running in a worker process, in partition order.
+        self._forked = [shard for shard in range(workers)
+                        if shard not in self._local]
         try:
-            for shard in range(workers):
+            for shard in self._forked:
                 self._spawn(shard, initial=True)
         except BaseException:
             for process in self._procs:
@@ -186,17 +175,22 @@ class ProcessShardExecutor:
         if initial and self.faults is not None:
             worker_faults = self.faults.worker_events_for(shard) or None
         process = self._context.Process(
-            target=shard_worker_main,
-            args=(child_conn, shard, worker_faults),
+            target=partition_worker_main,
+            args=(child_conn, self.spec, shard, worker_faults),
             name=f"sssj-shard-{shard}", daemon=True)
         process.start()
         child_conn.close()
         self._conns[shard] = parent_conn
         self._procs[shard] = process
+        wait = selectors.PollSelector()
+        wait.register(parent_conn, selectors.EVENT_READ)
+        wait.register(process.sentinel, selectors.EVENT_READ)
+        self._waits[shard] = wait
 
     def _reap(self, shard: int) -> None:
-        """Tear down a shard's (possibly dead) process and pipe."""
+        """Tear down a partition's (possibly dead) process and pipe."""
         conn, process = self._conns[shard], self._procs[shard]
+        self._waits[shard].close()
         try:
             conn.close()
         except OSError:  # pragma: no cover - defensive
@@ -205,97 +199,79 @@ class ProcessShardExecutor:
             process.kill()
         process.join(timeout=5)
 
-    def _kill_worker(self, shard: int) -> None:
-        """Fault injection: SIGKILL the shard's worker, for real."""
-        process = self._procs[shard]
+    def _kill_worker(self, index: int) -> None:
+        """Fault injection: SIGKILL forked partition ``index`` (0 is the
+        first partition that runs in a worker process), for real."""
+        process = self._procs[self._forked[index]]
         if process.is_alive():
             os.kill(process.pid, signal.SIGKILL)
             process.join(timeout=5)
 
     # -- coordinator-facing interface ------------------------------------------
 
-    def queue_append(self, shard: int, slot: int, dims, values, prefix_norms,
-                     timestamp: float) -> None:
-        self._pending[shard].append((slot, dims, values, prefix_norms, timestamp))
-
-    def exchange(self, requests: list[list[tuple]],
-                 params: dict[str, Any]) -> list[tuple[list, int, int]]:
-        messages = []
-        for shard in range(self.plan.workers):
-            messages.append(("step", self._pending[shard], requests[shard],
-                             params))
-            self._pending[shard] = []
-        # Fan out first so every shard scans concurrently ...
-        for shard, message in enumerate(messages):
-            self._send_step(shard, message)
-        # ... then fan in, in shard order (determinism of the merge).
-        return [self._collect_step(shard, message)
-                for shard, message in enumerate(messages)]
-
-    def flush(self) -> None:
-        messages = {}
-        for shard in range(self.plan.workers):
-            if self._pending[shard]:
-                messages[shard] = ("step", self._pending[shard], None, None)
-                self._pending[shard] = []
-        for shard, message in messages.items():
-            self._send_step(shard, message)
-        for shard, message in messages.items():
-            self._collect_step(shard, message)
+    def exchange(self, vectors: list[SparseVector],
+                 step: int) -> list[list[StepReply]]:
+        forked = self._forked
+        payload = (pickle.dumps(("step", step, vectors),
+                                pickle.HIGHEST_PROTOCOL) if forked else b"")
+        # Fan out first so the children work while partition 0 does ...
+        for shard in forked:
+            self._send_step(shard, payload, len(vectors))
+        replies: list = [None] * self.spec.workers
+        for shard, partition in self._local.items():
+            replies[shard] = partition.steps(vectors)
+        # ... then fan in, in partition order.
+        for shard in forked:
+            replies[shard] = self._collect_step(shard, payload, vectors)
+        if self.recovery_enabled:
+            self._history.extend(vectors)
+        return replies
 
     def counters(self) -> list[ShardCounters]:
         snapshots = []
-        for shard in range(self.plan.workers):
-            if self.degraded:
-                snapshots.append(
-                    self._serial_workers[shard].snapshot_counters())
-                continue
-            try:
-                self._conns[shard].send(("counters",))
-                reply = self._recv_with_deadline(shard)
-            except ShardWorkerError as error:
-                reply = self._recover(shard, ("counters",), error)
-            except (BrokenPipeError, OSError) as error:
-                reply = self._recover(
-                    shard, ("counters",),
-                    ShardWorkerError(str(error), shard=shard))
-            if reply is None:  # degraded while recovering this query
-                snapshots.append(
-                    self._serial_workers[shard].snapshot_counters())
-            else:
-                snapshots.append(reply[1])
+        for shard in range(self.spec.workers):
+            if shard not in self._local:
+                try:
+                    self._conns[shard].send(("counters",))
+                    reply = self._recv_with_deadline(shard)
+                except ShardWorkerError as error:
+                    reply = self._recover(shard, ("counters",), error)
+                except OSError as error:
+                    reply = self._recover(
+                        shard, ("counters",),
+                        ShardWorkerError(str(error), shard=shard))
+                if reply is not None:
+                    snapshots.append(reply[1])
+                    continue
+            snapshots.append(self._local[shard].counters())
         return snapshots
 
     def close(self) -> None:
         if self._closed:
             return
         self._closed = True
-        try:
-            self.flush()
-        except ShardWorkerError:
-            pass  # recovery disabled and a worker is gone; close anyway
-        if self.degraded:
-            return  # no processes left to stop
-        for conn in self._conns:
+        forked = self._forked
+        for shard in forked:
             try:
-                conn.send(("stop",))
+                self._conns[shard].send(("stop",))
             except (BrokenPipeError, OSError):
                 pass
-        for conn in self._conns:
+        for shard in forked:
             # Bounded farewell: a worker that already died never writes
             # ("bye",), so poll with a deadline instead of blocking in
             # recv() forever.
+            conn = self._conns[shard]
             try:
                 if conn.poll(1.0):
                     conn.recv()
             except (EOFError, OSError):
                 pass
-        for conn in self._conns:
             try:
                 conn.close()
             except OSError:  # pragma: no cover - defensive
                 pass
-        for process in self._procs:
+        for shard in forked:
+            process = self._procs[shard]
             process.join(timeout=5)
             if process.is_alive():
                 process.terminate()
@@ -306,40 +282,34 @@ class ProcessShardExecutor:
 
     # -- step plumbing ---------------------------------------------------------
 
-    def _send_step(self, shard: int, message: tuple) -> None:
-        if self.degraded:
-            return  # applied in-process at collect time
-        self._steps[shard] += 1
-        if (self.faults is not None
-                and self.faults.worker_kill_due(shard, self._steps[shard])):
-            self._kill_worker(shard)
+    def _send_step(self, shard: int, payload: bytes, count: int) -> None:
+        first = self._steps[shard] + 1
+        self._steps[shard] += count
+        if self.faults is not None and any(
+                self.faults.worker_kill_due(shard, step)
+                for step in range(first, first + count)):
+            self._kill_worker(self._forked.index(shard))
         try:
-            self._conns[shard].send(message)
+            self._conns[shard].send_bytes(payload)
         except (BrokenPipeError, OSError):
             pass  # death is detected — and recovered — at collect time
 
-    def _collect_step(self, shard: int, message: tuple):
-        if self.degraded:
-            return self._apply_step_serial(shard, message)
+    def _collect_step(self, shard: int, payload: bytes,
+                      vectors: list[SparseVector]) -> list[StepReply]:
         try:
-            reply = self._recv_with_deadline(shard)
+            reply = self._checked(shard, self._recv_with_deadline(shard))
         except ShardWorkerError as error:
-            reply = self._recover(shard, message, error)
-            if reply is None:  # recovery exhausted → executor degraded
-                return self._apply_step_serial(shard, message)
-            return self._reply_value(shard, reply)
-        if self.recovery_enabled:
-            self._history[shard].append(message)
-        return self._reply_value(shard, reply)
+            reply = self._recover(shard, payload, error)
+            if reply is None:  # the partition degraded to in-process
+                return self._local[shard].steps(vectors)
+        return reply
 
     @staticmethod
-    def _reply_value(shard: int, reply: tuple):
-        if reply[0] == "partials":
-            return (unpack_partials(reply[1]), reply[2], reply[3])
-        if reply[0] == "ok":
-            return None
-        raise ShardWorkerError(
-            f"shard {shard}: unexpected reply {reply[0]!r}", shard=shard)
+    def _checked(shard: int, reply):
+        if isinstance(reply, list):
+            return reply
+        detail = reply[1] if reply and reply[0] == "error" else repr(reply)
+        raise ShardWorkerError(f"shard {shard}: {detail}", shard=shard)
 
     def _recv_with_deadline(self, shard: int):
         """Receive one reply, bounded by ``recv_timeout`` and death-aware.
@@ -351,6 +321,7 @@ class ProcessShardExecutor:
         """
         conn = self._conns[shard]
         process = self._procs[shard]
+        wait = self._waits[shard]
         deadline = time.monotonic() + self.recv_timeout
         while True:
             remaining = deadline - time.monotonic()
@@ -358,8 +329,7 @@ class ProcessShardExecutor:
                 raise ShardWorkerError(
                     f"shard {shard} worker (pid {process.pid}) did not "
                     f"reply within {self.recv_timeout:g}s", shard=shard)
-            ready = _mp_connection.wait([conn, process.sentinel],
-                                        timeout=remaining)
+            ready = [key.fileobj for key, _ in wait.select(remaining)]
             if conn in ready:
                 try:
                     return conn.recv()
@@ -379,47 +349,49 @@ class ProcessShardExecutor:
 
     # -- crash recovery --------------------------------------------------------
 
-    def _recover(self, shard: int, message: tuple, error: ShardWorkerError):
+    def _recover(self, shard: int, message, error: ShardWorkerError):
         """Respawn-and-replay ``shard``, then re-issue ``message`` once.
 
-        Returns the raw reply on success, or ``None`` after degrading to
-        in-process execution (the caller then applies ``message`` to the
-        serial twin).  With ``recovery=False`` the original error is
-        re-raised unchanged.
+        ``message`` is a pickled step or a ``("counters",)`` request.
+        Returns the reply on success, or ``None`` after the partition
+        degraded to in-process execution.  With ``recovery=False`` the
+        original error is re-raised unchanged.
         """
         if not self.recovery_enabled:
             raise error
         started = time.monotonic()
-        history = self._history[shard]
         last_error = error
         for attempt in range(1, self.max_respawns + 1):
             self._reap(shard)
             try:
                 self._spawn(shard, initial=False)
                 self._replay(shard)
-                self._conns[shard].send(message)
-                reply = self._recv_with_deadline(shard)
+                if isinstance(message, bytes):
+                    self._conns[shard].send_bytes(message)
+                    reply = self._checked(shard,
+                                          self._recv_with_deadline(shard))
+                else:
+                    self._conns[shard].send(message)
+                    reply = self._recv_with_deadline(shard)
             except (ShardWorkerError, OSError) as respawn_error:
                 last_error = respawn_error
                 continue
             self.respawns += 1
             _count_recovery("respawn")
             details = {"shard": shard, "attempt": attempt,
-                       "replayed_steps": len(history),
+                       "replayed_steps": len(self._history),
                        "latency_s": time.monotonic() - started}
             self.recovery_events.append(
                 {"kind": "respawn", "cause": str(error), **details})
             if self.faults is not None:
                 self.faults.record("recovered", **details)
-            if message[0] == "step":
-                history.append(message)
             return reply
-        self._degrade(cause=str(last_error))
+        self._degrade(shard, cause=str(last_error))
         return None
 
     def _replay(self, shard: int) -> None:
-        """Rebuild a fresh worker's state from the shard's step history."""
-        history = self._history[shard]
+        """Rebuild a fresh worker's partition from the retained input."""
+        history = self._history
         conn = self._conns[shard]
         for start in range(0, len(history), self._REPLAY_CHUNK):
             chunk = history[start:start + self._REPLAY_CHUNK]
@@ -428,46 +400,39 @@ class ProcessShardExecutor:
             if reply != ("replayed", len(chunk)):
                 raise ShardWorkerError(
                     f"shard {shard}: replay acknowledged {reply!r} for a "
-                    f"{len(chunk)}-step chunk", shard=shard)
+                    f"{len(chunk)}-vector chunk", shard=shard)
 
-    def _degrade(self, *, cause: str) -> None:
-        """Last rung of the ladder: continue the run in-process.
+    def _degrade(self, shard: int, *, cause: str) -> None:
+        """Last rung of the ladder: run the partition in-process.
 
-        Every shard's history is replayed into a local
-        :class:`ShardWorker`, the child processes are reaped, and all
-        subsequent steps run serially.  Slower, but the stream — and the
-        bitwise determinism contract — survive.
+        A local twin replays the retained input and takes over the
+        partition's steps.  Slower, but the stream — and the bitwise
+        determinism contract — survive.
         """
-        for shard in range(self.plan.workers):
-            self._reap(shard)
+        self._reap(shard)
+        self._procs[shard] = self._conns[shard] = None
         started = time.monotonic()
-        workers = []
-        for shard in range(self.plan.workers):
-            worker = ShardWorker(shard)
-            for message in self._history[shard]:
-                apply_step(worker, message)
-            workers.append(worker)
-        self._serial_workers = workers
+        twin = Partition(self.spec, shard)
+        for vector in self._history:
+            twin.step(vector)
+        self._local[shard] = twin
+        self._forked = [other for other in self._forked if other != shard]
         self.degraded = True
         _count_recovery("degrade")
-        replayed = sum(len(history) for history in self._history)
-        self._history = [[] for _ in range(self.plan.workers)]
-        event = {"kind": "degrade", "cause": cause,
+        event = {"kind": "degrade", "cause": cause, "shard": shard,
                  "respawn_attempts": self.max_respawns,
-                 "replayed_steps": replayed,
+                 "replayed_steps": len(self._history),
                  "latency_s": time.monotonic() - started}
         self.recovery_events.append(event)
         if self.faults is not None:
-            self.faults.record("degraded", cause=cause,
-                               replayed_steps=replayed)
-
-    def _apply_step_serial(self, shard: int, message: tuple):
-        return apply_step(self._serial_workers[shard], message)
+            self.faults.record("degraded", cause=cause, shard=shard,
+                               replayed_steps=len(self._history))
 
 
-def create_executor(plan: ShardPlan, kind: str = "process", *,
-                    recv_timeout: float = 10.0, max_respawns: int = 3,
-                    recovery: bool = True, faults=None):
+def create_executor(spec: PartitionSpec, kernel: SimilarityKernel,
+                    kind: str = "process", *, recv_timeout: float = 10.0,
+                    max_respawns: int = 3, recovery: bool = True,
+                    faults=None):
     """Build the executor named by ``kind`` (``"serial"`` or ``"process"``)."""
     if kind == "serial":
         if faults is not None and faults.plan.worker_events:
@@ -475,9 +440,9 @@ def create_executor(plan: ShardPlan, kind: str = "process", *,
                 "worker fault injection (kill-worker/exit-in-*/drop-reply/"
                 "delay-reply) requires the process executor; the serial "
                 "executor has no worker processes to break")
-        return SerialShardExecutor(plan)
+        return SerialShardExecutor(spec, kernel)
     if kind == "process":
-        return ProcessShardExecutor(plan, recv_timeout=recv_timeout,
+        return ProcessShardExecutor(spec, kernel, recv_timeout=recv_timeout,
                                     max_respawns=max_respawns,
                                     recovery=recovery, faults=faults)
     raise ValueError(f"unknown shard executor {kind!r}; "

@@ -171,8 +171,8 @@ class TestInterpretedParity:
                                   approx="wminhash:8x2")
 
     def test_sharded_serial_parity(self, interpreted_backend):
-        # The coordinator applies shard partials through the compiled
-        # apply_scan_partials path; serial execution keeps it in-process.
+        # Every partition replays its own candidates through the compiled
+        # loop; serial execution keeps all three in-process.
         from repro.shard import create_sharded_join
 
         vectors = [SparseVector(index, float(index),

@@ -2,20 +2,25 @@
 
 The determinism contract of :mod:`repro.shard` (see
 ``repro/shard/coordinator.py``) promises that a sharded run is *bitwise
-identical* to the single-process NumPy run — the same pair set with the
-same similarities, dots and time deltas, and the same operation
-counters — at every worker count.  The hypothesis suite here drives that
-contract across the regimes that stress different machinery:
+identical* to the single-process run on the same kernel — the same pairs
+in the same report order, with the same similarities, dots and time
+deltas, and the same operation counters — at every worker count.  Each
+of W candidate partitions runs every vector as a query but stores only
+every W-th vector; the suites here drive that contract across the
+regimes that stress different machinery:
 
 * ``θ = 1`` and mid-range thresholds (admission edge cases),
 * aggressive decay (expiry: head truncation on time-ordered lists, lazy
   masked expiry + amortised compaction on unordered ones),
-* growing maxima under STR-L2AP (re-indexing: out-of-order appends routed
-  to shards, pscore refreshes, ℓ₂-locked boundaries).
+* growing maxima under STR-L2AP (re-indexing: out-of-order appends of
+  vectors owned by different partitions into one list, pscore
+  refreshes, ℓ₂-locked boundaries, ``reindexings`` OR-ed per step),
+* STR-INV, equal-timestamp bursts, the reference backend, and a worker
+  killed mid-stream.
 
-The suite runs on the serial in-process executor (``workers ∈ {1, 2, 4}``)
-so it is deterministic and CI-safe; a smaller non-hypothesis test
-exercises the real multiprocess executor end to end.
+The hypothesis suites run on the serial in-process executor
+(``workers ∈ {1, 2, 4}``) so they are deterministic and CI-safe; smaller
+non-hypothesis tests run the real multiprocess executor end to end.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from hypothesis import strategies as st
 
 from repro import SparseVector, available_backends
 from repro.core.results import JoinStatistics, ShardCounters, merge_shard_counters
-from repro.shard.plan import ShardPlan, plan_report
+from repro.shard import ShardPlan, create_sharded_join
 from tests.conftest import (
     REPLAY_PATHS,
     accelerated_backends,
@@ -54,8 +59,6 @@ def run_single_process(algorithm, vectors, threshold, decay,
 
 def run_sharded(algorithm, vectors, threshold, decay, workers,
                 executor="serial", backend="numpy"):
-    from repro.shard import create_sharded_join
-
     stats = JoinStatistics()
     with create_sharded_join(algorithm, threshold, decay, workers=workers,
                              stats=stats, backend=backend,
@@ -67,17 +70,18 @@ def run_sharded(algorithm, vectors, threshold, decay, workers,
 def assert_sharded_matches(algorithm, vectors, threshold, decay,
                            worker_counts=WORKER_COUNTS, executor="serial",
                            backend="numpy"):
-    """Sharded runs against the default single-process run, with the
-    coordinator's replay forced onto each path in turn."""
+    """Sharded runs against the single-process run on the same backend,
+    with the NumPy replay forced onto each path in turn."""
     expected, expected_stats = run_single_process(algorithm, vectors,
                                                   threshold, decay, backend)
-    for path in REPLAY_PATHS:
+    paths = REPLAY_PATHS if backend != "python" else ("scalar",)
+    for path in paths:
         for workers in worker_counts:
             with forced_replay_path(path):
                 actual, actual_stats = run_sharded(
                     algorithm, vectors, threshold, decay, workers, executor,
                     backend)
-            where = (algorithm, path, workers)
+            where = (algorithm, backend, path, workers)
             assert set(actual) == set(expected), where
             assert list(actual) == list(expected), where  # report order
             for key, pair in expected.items():
@@ -147,13 +151,123 @@ class TestShardedParity:
 
     def test_equal_timestamp_burst(self, backend):
         # Bursts of equal timestamps (the merge_streams tie regime) must
-        # shard identically too.
+        # shard identically too: candidates of one burst tie on time and
+        # are told apart by their append steps alone.
         vectors = [SparseVector(index, float(index // 4),
                                 {index % 6: 0.8, 6 + index % 5: 0.6})
                    for index in range(40)]
         for algorithm in ("STR-L2AP", "STR-L2", "STR-INV"):
             assert_sharded_matches(algorithm, vectors, 0.5, 0.1,
                                    backend=backend)
+
+
+def reindexing_burst():
+    """A stream whose maxima grow under vectors of several partitions.
+
+    Every vector shares dimensions 0-3 with larger and larger weights, so
+    each arrival raises ``m`` and re-indexes the stored vectors of every
+    partition; their moved postings land in the same unordered lists in
+    the same step, and the next queries reach them there.
+    """
+    vectors = []
+    for index in range(36):
+        grow = 0.2 + 0.8 * index / 36
+        coords = {dim: (0.3 + 0.1 * ((index + dim) % 4)) * grow
+                  for dim in range(4)}
+        coords[4 + index % 5] = 0.5
+        vectors.append(SparseVector(index, index * 0.05, coords))
+    return vectors
+
+
+class TestPartitionRegimes:
+    """Targeted streams for the merge keys and counter rules."""
+
+    @pytest.mark.parametrize("algorithm", ["STR-L2AP", "STR-AP"])
+    def test_reindexing_across_partitions(self, algorithm):
+        vectors = reindexing_burst()
+        _, stats = run_single_process(algorithm, vectors, 0.6, 0.01)
+        assert stats.reindexings > 0 and stats.reindexed_entries > 0
+        assert_sharded_matches(algorithm, vectors, 0.6, 0.01)
+
+    @pytest.mark.parametrize("algorithm", ["STR-L2AP", "STR-AP"])
+    def test_same_step_reindexing_ties(self, algorithm):
+        # Vector 5 raises m on dimension 0 and re-indexes vectors 1
+        # (partition 1) and 8 (partition 0) in one step: both move their
+        # dimension-0 posting into one list, where vector 5's own scan
+        # finds them.  Their merge keys tie on position and step, and
+        # only the id order of the moves (8 after 1, though a set would
+        # iterate 8 first) restores the single-process report order.
+        vectors = [SparseVector(100, 0.0, {10: 1.0}),
+                   SparseVector(1, 0.1, {0: 0.6, 2: 0.8}),
+                   SparseVector(8, 0.2, {0: 0.6, 1: 0.8}),
+                   SparseVector(5, 0.3, {0: 0.9, 3: 0.436})]
+        expected, stats = run_single_process(algorithm, vectors, 0.5, 0.001)
+        assert list(expected) == [(1, 5), (5, 8)]
+        assert stats.reindexed_entries == 2
+        assert_sharded_matches(algorithm, vectors, 0.5, 0.001)
+
+    def test_reindexings_is_one_event_per_step(self):
+        # Every partition re-indexes in the same steps; summing the
+        # per-partition events would overcount.
+        vectors = reindexing_burst()
+        _, expected = run_single_process("STR-L2AP", vectors, 0.6, 0.01)
+        _, sharded = run_sharded("STR-L2AP", vectors, 0.6, 0.01, 4)
+        assert sharded.reindexings == expected.reindexings
+
+    @pytest.mark.parametrize("executor", ["serial", "process"])
+    def test_inverted_index(self, executor):
+        from tests.conftest import random_vectors
+
+        vectors = random_vectors(120, seed=5, time_step=0.2)
+        assert_sharded_matches("STR-INV", vectors, 0.5, 0.05,
+                               worker_counts=(2, 4), executor=executor)
+
+    def test_equal_timestamp_burst_over_processes(self):
+        vectors = [SparseVector(index, float(index // 5),
+                                {index % 7: 0.8, 7 + index % 4: 0.6})
+                   for index in range(60)]
+        for algorithm in ("STR-L2AP", "STR-L2", "STR-INV"):
+            assert_sharded_matches(algorithm, vectors, 0.5, 0.1,
+                                   worker_counts=(2, 3), executor="process")
+
+    @pytest.mark.parametrize("executor", ["serial", "process"])
+    def test_reference_backend_partitions(self, executor):
+        from tests.conftest import random_vectors
+
+        vectors = random_vectors(90, seed=3, time_step=0.3)
+        for algorithm in ("STR-L2AP", "STR-L2", "STR-INV"):
+            assert_sharded_matches(algorithm, vectors, 0.5, 0.05,
+                                   worker_counts=(1, 2), executor=executor,
+                                   backend="python")
+        vectors = reindexing_burst()
+        assert_sharded_matches("STR-L2AP", vectors, 0.6, 0.01,
+                               worker_counts=(2, 3), executor=executor,
+                               backend="python")
+
+    def test_kill_worker_mid_stream_recovers_bitwise(self):
+        # Fed one vector per ``process()`` call, so the kill lands between
+        # two single-vector exchanges (``TestFeed`` covers chunks).
+        from tests.conftest import random_vectors
+
+        vectors = random_vectors(140, seed=9, time_step=0.2)
+        expected, expected_stats = run_single_process("STR-L2AP", vectors,
+                                                      0.5, 0.05)
+        stats = JoinStatistics()
+        with create_sharded_join("STR-L2AP", 0.5, 0.05, workers=3,
+                                 stats=stats,
+                                 fault_plan="kill-worker:shard=2,after=70",
+                                 ) as join:
+            actual = {pair.key: pair for vector in vectors
+                      for pair in join.process(vector)}
+            events = join.recovery_events
+        assert [event["kind"] for event in events] == ["respawn"]
+        assert events[0]["shard"] == 2
+        assert events[0]["replayed_steps"] == 69
+        assert list(actual) == list(expected)
+        for key, pair in expected.items():
+            assert actual[key].similarity == pair.similarity
+        for counter in PARITY_COUNTERS:
+            assert getattr(stats, counter) == getattr(expected_stats, counter)
 
 
 class TestProcessExecutor:
@@ -187,7 +301,9 @@ class TestProcessExecutor:
         total = merge_shard_counters(counters)
         assert total.entries_indexed == join.stats.entries_indexed
         assert total.entries_traversed == join.stats.entries_traversed
+        # Every partition runs every vector as a query.
         assert all(c.scans == 60 for c in counters)
+        assert [c.shard for c in counters] == [0, 1]
 
     def test_close_is_idempotent(self):
         from repro.shard import create_sharded_join
@@ -226,49 +342,65 @@ class TestProcessExecutor:
         assert segments() - before == set()
 
 
+def stored_by(workers: int, count: int) -> list[list[int]]:
+    """Per arrival step, the partitions whose index stored that vector."""
+    from repro.shard import Partition, PartitionSpec
+    from repro.shard.partition import SUMMED_COUNTERS
+
+    spec = PartitionSpec("L2", 0.5, 0.01, workers, "python")
+    partitions = [Partition(spec, part) for part in range(workers)]
+    indexed = SUMMED_COUNTERS.index("entries_indexed")
+    owners = []
+    for step in range(count):
+        vector = SparseVector(step, float(step), {step: 1.0})
+        owners.append([part for part, partition in enumerate(partitions)
+                       if partition.step(vector).counts[3][indexed]])
+    return owners
+
+
 class TestShardPlan:
     def test_deterministic_and_in_range(self):
-        plan = ShardPlan(4)
-        owners = [plan.shard_of(dim) for dim in range(1000)]
-        assert owners == [plan.shard_of(dim) for dim in range(1000)]
-        assert set(owners) <= {0, 1, 2, 3}
+        owners = stored_by(4, 200)
+        assert owners == stored_by(4, 200)
+        assert all(len(parts) == 1 and parts[0] in {0, 1, 2, 3}
+                   for parts in owners)
 
     def test_single_shard_owns_everything(self):
-        plan = ShardPlan(1)
-        assert {plan.shard_of(dim) for dim in range(100)} == {0}
+        assert stored_by(1, 100) == [[0]] * 100
 
     def test_rejects_zero_workers(self):
         with pytest.raises(ValueError):
             ShardPlan(0)
+        with pytest.raises(ValueError):
+            create_sharded_join("STR-L2", 0.6, 0.05, workers=0,
+                                executor="serial")
 
-    def test_consecutive_dims_spread(self):
-        # The mixing hash must not map consecutive ids to one shard.
-        plan = ShardPlan(4)
-        counts = [0] * 4
-        for dim in range(4000):
-            counts[plan.shard_of(dim)] += 1
-        assert max(counts) < 2 * min(counts)
+    def test_consecutive_steps_spread(self):
+        # Round robin: consecutive arrivals land on different partitions.
+        owners = [parts[0] for parts in stored_by(4, 400)]
+        assert owners[:8] == [0, 1, 2, 3] * 2
+        assert [owners.count(part) for part in range(4)] == [100] * 4
+        assert all(len(set(owners[start:start + 4])) == 4
+                   for start in range(0, 400, 4))
 
-    def test_split_positions_partitions_every_coordinate(self):
-        plan = ShardPlan(3)
-        vector = SparseVector(0, 0.0, {dim: 0.5 for dim in range(17)})
-        groups = plan.split_positions(vector)
-        flattened = sorted(position for group in groups for position in group)
-        assert flattened == list(range(17))
-        for shard, group in enumerate(groups):
-            assert all(plan.shard_of(vector.dims[p]) == shard for p in group)
+    def test_partitions_store_every_vector_once(self):
+        # Each vector is stored by partition ``step mod W`` and by no
+        # other, while every partition queries (and counts) all of them.
+        from repro.shard import Partition, PartitionSpec
 
-    def test_plan_report_measures_mass(self):
         vectors = [SparseVector(index, float(index),
-                                {index % 10: 1.0, 10 + index % 3: 0.5})
+                                {index % 5: 1.0, 5 + index % 3: 0.4})
                    for index in range(30)]
-        balance = plan_report(vectors, 2)
-        assert balance.total_postings == sum(len(v) for v in vectors)
-        assert sum(shard.entries_indexed for shard in balance.shards) \
-            == balance.total_postings
-        assert balance.skew >= 1.0
-        rows = balance.rows()
-        assert len(rows) == 2 and {row["shard"] for row in rows} == {0, 1}
+        spec = PartitionSpec("L2AP", 0.5, 0.01, 3, "numpy")
+        partitions = [Partition(spec, part) for part in range(3)]
+        for vector in vectors:
+            for partition in partitions:
+                partition.step(vector)
+        for part, partition in enumerate(partitions):
+            stored = {entry.vector_id
+                      for entry in partition.index._residual.entries()}
+            assert stored == {step for step in range(30) if step % 3 == part}
+            assert partition.index.steps == 30
 
 
 class TestShardCounters:
@@ -286,15 +418,6 @@ class TestShardCounters:
 
 
 class TestShardCLI:
-    def test_shards_subcommand(self, capsys):
-        from repro.cli import main
-
-        assert main(["shards", "--profile", "tweets", "--num-vectors", "150",
-                     "--workers", "3"]) == 0
-        output = capsys.readouterr().out
-        assert "3 shards" in output
-        assert "skew" in output
-
     def test_run_with_workers(self, capsys):
         from repro.cli import main
 
@@ -310,3 +433,150 @@ class TestShardCLI:
 
         assert main(["run", "--profile", "tweets", "--num-vectors", "10",
                      "--algorithm", "MB-L2", "--workers", "2"]) == 2
+
+
+class TestBenchmarkSeams:
+    """The hooks ``sssjbench/`` uses on a sharded join stay in place."""
+
+    def test_benchmark_hooks(self):
+        import multiprocessing
+
+        from repro.core.join import create_join
+        from repro.shard.executor import ProcessShardExecutor
+        from tests.conftest import random_vectors
+
+        calls = []
+        original = ProcessShardExecutor.exchange
+
+        def counted(self, requests, params):
+            calls.append(1)
+            return original(self, requests, params)
+
+        vectors = random_vectors(80, seed=4, time_step=0.2)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ProcessShardExecutor, "exchange", counted)
+            join = create_join("STR-L2", 0.5, 0.05, backend="numpy",
+                               workers=2)
+            try:
+                children = multiprocessing.active_children()
+                assert len(children) == 1  # partition 1; 0 runs here
+                for vector in vectors[:40]:
+                    join.process(vector)
+                assert len(calls) == 40  # one exchange per process()
+                rows = join.shard_counters()
+                assert all(hasattr(row, "entries_traversed") for row in rows)
+                assert join.recovery_events == [] and not join.degraded
+                join._index._executor._kill_worker(0)
+                assert not children[0].is_alive()
+                for vector in vectors[40:]:
+                    join.process(vector)
+                assert [event["kind"] for event in join.recovery_events] == [
+                    "respawn"]
+                assert join.stats.vectors_processed == 80
+            finally:
+                join.close()
+
+
+class TestFeed:
+    """``feed`` and ``run`` send chunks of vectors per exchange; output is
+    unchanged."""
+
+    @pytest.mark.parametrize("executor", ["serial", "process"])
+    def test_feed_matches_process(self, executor):
+        from repro.shard import create_sharded_join
+        from tests.conftest import random_vectors
+
+        vectors = random_vectors(150, seed=12, time_step=0.2)
+        expected, expected_stats = run_single_process("STR-L2AP", vectors,
+                                                      0.5, 0.05)
+        stats = JoinStatistics()
+        with create_sharded_join("STR-L2AP", 0.5, 0.05, workers=2,
+                                 stats=stats, executor=executor) as join:
+            pairs = join.feed(vectors)
+        assert [pair.key for pair in pairs] == list(expected)
+        for pair in pairs:
+            assert pair.similarity == expected[pair.key].similarity
+        for counter in PARITY_COUNTERS:
+            assert getattr(stats, counter) == getattr(expected_stats, counter)
+
+    def test_kill_inside_a_chunk_replays_the_chunks_before_it(self):
+        from repro.shard import create_sharded_join
+        from tests.conftest import random_vectors
+
+        vectors = random_vectors(150, seed=12, time_step=0.2)
+        expected, _ = run_single_process("STR-L2AP", vectors, 0.5, 0.05)
+        with create_sharded_join("STR-L2AP", 0.5, 0.05, workers=2,
+                                 fault_plan="kill-worker:shard=1,after=100",
+                                 ) as join:
+            pairs = join.feed(vectors)
+            events = join.recovery_events
+        assert [pair.key for pair in pairs] == list(expected)
+        # Vector 100 rides in the second 64-vector chunk.
+        assert [event["replayed_steps"] for event in events] == [64]
+
+    def test_an_older_vector_stops_the_feed_after_its_predecessors(self):
+        from repro.exceptions import StreamOrderError
+        from repro.shard import create_sharded_join
+
+        vectors = [SparseVector(index, float(index), {index % 3: 1.0})
+                   for index in range(10)]
+        vectors.insert(7, SparseVector(99, 2.0, {0: 1.0}))
+        with create_sharded_join("STR-L2", 0.5, 0.05, workers=2,
+                                 executor="serial") as join:
+            with pytest.raises(StreamOrderError):
+                join.feed(vectors)
+            assert join.stats.vectors_processed == 7
+
+    @pytest.mark.parametrize("executor", ["serial", "process"])
+    def test_run_matches_process(self, executor):
+        from tests.conftest import random_vectors
+
+        vectors = random_vectors(150, seed=12, time_step=0.2)
+        by_vector = JoinStatistics()
+        with create_sharded_join("STR-L2AP", 0.5, 0.05, workers=2,
+                                 stats=by_vector, executor=executor) as join:
+            expected = [pair for vector in vectors
+                        for pair in join.process(vector)]
+        chunked = JoinStatistics()
+        with create_sharded_join("STR-L2AP", 0.5, 0.05, workers=2,
+                                 stats=chunked, executor=executor) as join:
+            pairs = list(join.run(vectors))
+        assert [(pair.key, pair.similarity) for pair in pairs] == [
+            (pair.key, pair.similarity) for pair in expected]
+        assert expected
+        for counter in PARITY_COUNTERS:
+            assert getattr(chunked, counter) == getattr(by_vector, counter)
+
+    def test_an_older_vector_stops_the_run_after_its_predecessors(self):
+        from repro.exceptions import StreamOrderError
+
+        vectors = [SparseVector(index, float(index), {index % 3: 1.0})
+                   for index in range(10)]
+        expected, _ = run_single_process("STR-L2", vectors[:7], 0.5, 0.05)
+        vectors.insert(7, SparseVector(99, 2.0, {0: 1.0}))
+        pairs = []
+        with create_sharded_join("STR-L2", 0.5, 0.05, workers=2,
+                                 executor="serial") as join:
+            with pytest.raises(StreamOrderError):
+                for pair in join.run(vectors):
+                    pairs.append(pair)
+            assert join.stats.vectors_processed == 7
+        assert [pair.key for pair in pairs] == list(expected)
+        assert pairs
+
+    def test_a_failed_chunk_is_not_sent_again(self):
+        # Without recovery a dead partition fails the chunk; the error
+        # surfaces as is, and no partition sees the chunk a second time.
+        from repro.exceptions import ShardWorkerError
+        from tests.conftest import random_vectors
+
+        vectors = random_vectors(100, seed=12, time_step=0.2)
+        with create_sharded_join("STR-L2AP", 0.5, 0.05, workers=2,
+                                 fault_plan="kill-worker:shard=1,after=10",
+                                 recovery=False) as join:
+            with pytest.raises(ShardWorkerError, match="shard 1"):
+                join.feed(vectors)
+            # Only the first chunk was sent.
+            assert (join.index._executor._local[0].index.steps
+                    == join.FEED_CHUNK)
+            assert join.stats.vectors_processed == 0
