@@ -300,7 +300,7 @@ def scenario_chaos(workdir: Path, args) -> None:
         with server.client(backoff_base=0.02) as client:
             client.open_session("chaos", theta=THETA, decay=DECAY,
                                 algorithm=algorithm, workers=2,
-                                shard_executor="process", normalize=False,
+                                normalize=False,
                                 results_capacity=max(65536, 4 * len(expected)))
             totals = client.ingest("chaos", vectors, chunk_size=50)
             summary = client.drain("chaos")

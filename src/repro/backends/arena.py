@@ -44,7 +44,6 @@ at points where the scan kernels hold no views, which
 from __future__ import annotations
 
 import math
-import weakref
 from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
@@ -81,9 +80,9 @@ class PostingArena:
     """The shared posting store: four parallel arrays plus chunk accounting.
 
     One arena per :class:`~repro.backends.numpy_backend.NumpyKernel` (and
-    therefore per index).  Lists are created with :meth:`new_list`; the
-    arena keeps weak references so handles dropped by the index (e.g. via
-    ``InvertedIndex.clear``) are reclaimed at the next compaction.
+    therefore per index).  Lists are created with :meth:`new_list` or
+    :meth:`load`; an index never drops a list, so the arena holds every
+    list it handed out for its whole life.
     """
 
     __slots__ = ("kernel", "slots", "values", "pnorms", "ts", "tail",
@@ -91,8 +90,8 @@ class PostingArena:
 
     def __init__(self, kernel: "NumpyKernel") -> None:
         # Reference cycle with the kernel (kernel._arena → arena.kernel);
-        # collected by the cycle GC.  The strong reference keeps detached
-        # posting lists iterable (they translate slots via the kernel).
+        # collected by the cycle GC.  Lists reach the kernel's slot table
+        # through it (appends intern ids, iteration translates slots).
         self.kernel = kernel
         self.slots = np.empty(_INITIAL_ARENA, dtype=SLOT_DTYPE)
         self.values = np.empty(_INITIAL_ARENA, dtype=VALUE_DTYPE)
@@ -105,7 +104,7 @@ class PostingArena:
         #: Allocated-but-unreachable cells: abandoned chunks, dropped head
         #: cells, released tail capacity.
         self.dead_entries = 0
-        self._lists: list[weakref.ref[ArenaPostingList]] = []
+        self._lists: list[ArenaPostingList] = []
         #: Number of whole-arena compactions performed (observability).
         self.compactions = 0
 
@@ -116,7 +115,7 @@ class PostingArena:
 
     def new_list(self) -> "ArenaPostingList":
         posting_list = ArenaPostingList(self)
-        self._lists.append(weakref.ref(posting_list))
+        self._lists.append(posting_list)
         return posting_list
 
     # -- allocation ----------------------------------------------------------
@@ -148,7 +147,7 @@ class PostingArena:
         with one vectorised scatter.
         """
         lists = [ArenaPostingList(self) for _ in counts]
-        self._lists.extend(map(weakref.ref, lists))
+        self._lists.extend(lists)
         if not lists:
             return lists
         sizes = np.asarray(counts, dtype=np.int64)
@@ -218,13 +217,9 @@ class PostingArena:
         removal was already reported by the scans.  Fresh arrays are
         allocated, so gathers taken before the compaction stay valid.
         """
-        lists = [ref() for ref in self._lists]
-        lists = [pl for pl in lists if pl is not None]
-        self._lists = [weakref.ref(pl) for pl in lists]
-
         plans: list[tuple[ArenaPostingList, np.ndarray | slice | None, int]] = []
         total = 0
-        for plist in lists:
+        for plist in self._lists:
             lo = plist._start + plist._head
             hi = lo + plist._size
             if plist._size == 0:
@@ -284,11 +279,11 @@ class PostingArena:
 class ArenaPostingList:
     """A posting list ``I_j`` as an extent (chunk) of the shared arena.
 
-    Implements the interface of
-    :class:`~repro.indexes.posting.PostingList` (append / iterate /
-    truncate / compact), so index maintenance, checkpointing and the
-    per-term scan kernels work unchanged, while the fused scan kernels
-    read the extent fields directly and gather from the arena arrays.
+    Code outside the backend only takes its length, its truthiness and
+    :meth:`to_list`; the NumPy kernel reads the extent fields directly,
+    gathers from the arena arrays and appends through the field-level
+    methods below (:meth:`append` builds lists from ``PostingEntry``
+    objects, as tests do).
 
     The live region is ``arena[start+head : start+head+size]``.  Dropped
     head cells and abandoned chunks are accounted as arena dead space;
@@ -301,7 +296,7 @@ class ArenaPostingList:
     """
 
     __slots__ = ("_arena", "_start", "_cap", "_head", "_size", "_dirty",
-                 "_expired_cutoff", "_min_ts", "_max_ts", "__weakref__")
+                 "_expired_cutoff", "_min_ts", "_max_ts")
 
     def __init__(self, arena: PostingArena) -> None:
         self._arena = arena
@@ -340,7 +335,7 @@ class ArenaPostingList:
 
     @property
     def expired_cutoff(self) -> float:
-        """Highest expiry cutoff applied so far (lazily or physically)."""
+        """Highest expiry cutoff a scan has applied so far."""
         return self._expired_cutoff
 
     @property
@@ -359,37 +354,13 @@ class ArenaPostingList:
         lo = self._start + self._head
         return lo, lo + self._size
 
-    def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Views of the *physical* live region:
-        ``(slots, values, prefix_norms, timestamps)``.
-
-        When :attr:`dirty` is non-zero the views still contain lazily
-        expired postings (``timestamp < expired_cutoff``); the scan
-        kernels mask them out.  The views read the arena's current
-        buffers — they stay consistent across arena growth/compaction
-        (which allocate fresh arrays) but not across in-place mutation of
-        this list (appends, compress).
-        """
-        arena = self._arena
-        lo, hi = self.region
-        return (arena.slots[lo:hi], arena.values[lo:hi],
-                arena.pnorms[lo:hi], arena.ts[lo:hi])
-
     def __iter__(self) -> Iterator[PostingEntry]:
         """Iterate the live postings oldest → newest as :class:`PostingEntry`."""
-        return self._iterate(newest_first=False)
-
-    def iter_newest_first(self) -> Iterator[PostingEntry]:
-        """Iterate the live postings newest → oldest (backward CG scan)."""
-        return self._iterate(newest_first=True)
-
-    def _iterate(self, *, newest_first: bool) -> Iterator[PostingEntry]:
         arena = self._arena
         ids = arena.kernel._slot_ids
         cutoff = self._expired_cutoff if self._dirty else -_INF
         lo, hi = self.region
-        offsets = range(hi - 1, lo - 1, -1) if newest_first else range(lo, hi)
-        for offset in offsets:
+        for offset in range(lo, hi):
             timestamp = float(arena.ts[offset])
             if timestamp < cutoff:
                 continue
@@ -500,16 +471,6 @@ class ArenaPostingList:
         arena.maybe_compact()
         return dropped
 
-    def keep_newest(self, count: int) -> int:
-        """Keep only the ``count`` newest postings (backward-scan truncation)."""
-        return self.drop_oldest(self._size - max(count, 0))
-
-    def truncate_older_than(self, cutoff: float) -> int:
-        """Drop the head postings with ``timestamp < cutoff`` (time-ordered lists)."""
-        lo, hi = self.region
-        live_ts = self._arena.ts[lo:hi]
-        return self.drop_oldest(int(np.searchsorted(live_ts, cutoff, side="left")))
-
     def note_lazy_expiry(self, cutoff: float, dirty: int,
                          min_live: float, max_live: float) -> None:
         """Record a deferred expiry pass performed by a scan kernel.
@@ -559,37 +520,3 @@ class ArenaPostingList:
             self._cap = released
         arena.maybe_compact()
         return live_before - (self._size - self._dirty)
-
-    def compact(self, cutoff: float) -> int:
-        """Remove every posting with ``timestamp < cutoff`` regardless of order.
-
-        Forces a physical rewrite (used by explicit maintenance such as
-        :meth:`~repro.indexes.posting.InvertedIndex.prune_older_than`);
-        returns the number of logical removals.
-        """
-        if cutoff > self._expired_cutoff:
-            self._expired_cutoff = cutoff
-        if self._size == 0:
-            return 0
-        lo, hi = self.region
-        keep_mask = self._arena.ts[lo:hi] >= self._expired_cutoff
-        return self.compress(keep_mask)
-
-    def replace_all_entries(self, entries: list[PostingEntry]) -> None:
-        """Replace the whole content with ``entries`` (oldest first)."""
-        arena = self._arena
-        arena.dead_entries += self._cap - self._head
-        arena.live_entries -= self._size
-        self._start = 0
-        self._cap = 0
-        self._head = 0
-        self._size = 0
-        self._dirty = 0
-        self._expired_cutoff = -_INF
-        self._min_ts = _INF
-        self._max_ts = -_INF
-        if entries:
-            self._relocate(_next_pow2(max(len(entries), _MIN_CAPACITY)))
-            for entry in entries:
-                self.append(entry)
-        arena.maybe_compact()

@@ -11,9 +11,10 @@ backend can lay both out however its hardware likes:
 * the pure-Python reference backend (:mod:`repro.backends.reference`) keeps
   the original per-entry loops over :class:`~repro.indexes.posting.PostingList`
   ring buffers — simple, dependency-free, and the semantic ground truth;
-* the NumPy backend (:mod:`repro.backends.numpy_backend`) stores posting
-  lists as growable contiguous arrays and replaces the per-entry loops with
-  vectorised array kernels.
+* the NumPy backend (:mod:`repro.backends.numpy_backend`) stores every
+  dimension's postings in one shared posting arena
+  (:mod:`repro.backends.arena`) and replaces the per-entry loops with
+  fused whole-query array kernels.
 
 Candidates travel from the scan kernels to verification as an opaque
 :class:`CandidateSet` produced by :meth:`ScoreAccumulator.finalize`, so a
@@ -80,10 +81,6 @@ class CandidateSet(ABC):
         A compatibility/debugging view: the hot verification paths consume
         the backend-native layout directly and never call this.
         """
-
-    @abstractmethod
-    def arrivals(self) -> dict[int, float]:
-        """Arrival timestamp of each candidate (streaming INV only)."""
 
     @abstractmethod
     def above(self, threshold: float) -> list[tuple[int, float]]:
@@ -255,10 +252,10 @@ class SimilarityKernel(ABC):
     def new_posting_list(self) -> Any:
         """A posting list ``I_j`` in this backend's native layout.
 
-        The returned object implements the interface of
-        :class:`repro.indexes.posting.PostingList` (append / iterate /
-        truncate / compact), so index maintenance and checkpointing code is
-        backend-agnostic.
+        Code outside the backend only takes the list's ``len``, its
+        truthiness and ``to_list()`` (the live postings as
+        :class:`~repro.indexes.posting.PostingEntry` objects, in list
+        order); appends, scans and expiry all go through this kernel.
         """
 
     @abstractmethod
@@ -462,25 +459,6 @@ class SimilarityKernel(ABC):
         The INV scan already accumulates the exact dot product, so this
         only applies the time decay (using each candidate's arrival time)
         and the threshold, counting every candidate as a full similarity.
-        """
-
-    def begin_query(self, vector: "SparseVector") -> None:
-        """Prepare per-query scratch state used by the dot-product kernels.
-
-        Must be paired with :meth:`end_query`.  The reference backend needs
-        no scratch state, so the default is a no-op.
-        """
-
-    def end_query(self, vector: "SparseVector") -> None:
-        """Release the scratch state installed by :meth:`begin_query`."""
-
-    @abstractmethod
-    def residual_dot(self, query: "SparseVector",
-                     entry: "ResidualEntry") -> float:
-        """Finish the dot product over a candidate's residual prefix.
-
-        Only valid between :meth:`begin_query` and :meth:`end_query` calls
-        for ``query``.
         """
 
     @abstractmethod

@@ -166,9 +166,7 @@ class NumpyCandidateSet(CandidateSet):
 
     ``slots`` index the kernel's slot space in first-accumulation order;
     ``scores`` is a private copy, so the set stays valid while the next
-    query reuses the kernel's dense score table.  Arrival timestamps are
-    gathered lazily (the prefix-filter pipeline never needs them) and are
-    only valid until the next candidate-generation pass.
+    query reuses the kernel's dense score table.
     """
 
     __slots__ = ("_kernel", "slots", "scores")
@@ -186,12 +184,6 @@ class NumpyCandidateSet(CandidateSet):
         ids = self._kernel._slot_ids[self.slots]
         return {int(vector_id): float(score)
                 for vector_id, score in zip(ids.tolist(), self.scores.tolist())}
-
-    def arrivals(self) -> dict[int, float]:
-        ids = self._kernel._slot_ids[self.slots]
-        arrivals = self._kernel._slot_arrival[self.slots]
-        return {int(vector_id): float(arrival)
-                for vector_id, arrival in zip(ids.tolist(), arrivals.tolist())}
 
     def above(self, threshold: float) -> list[tuple[int, float]]:
         if not len(self.slots):
@@ -258,9 +250,6 @@ class NumpySizeFilter(SizeFilterMap):
             return None
         value = float(self._kernel._slot_sf[slot])
         return None if value == math.inf else value
-
-    def values_at(self, slots: np.ndarray) -> np.ndarray:
-        return self._kernel._slot_sf[slots]
 
 
 class _LiveGather:
@@ -357,7 +346,6 @@ class NumpyKernel(SimilarityKernel):
         self._maintenance_budget = 0
         self._dense = np.zeros(_INITIAL_DENSE, dtype=np.float64)
         self._query_dims: np.ndarray | None = None
-        self._query_vector: SparseVector | None = None
         self._dense_active = False
         # id(vector) -> [vector, dims, values, b2-prefix-or-None,
         # prefix-norms-or-None].  The strong reference to the vector pins
@@ -1357,17 +1345,17 @@ class NumpyKernel(SimilarityKernel):
             return []
         slot_list = candidates.slots[survivors].tolist()
         accumulated_list = candidates.scores[survivors].tolist()
+        self._begin_query(query)
+        try:
+            dots = self._batched_residual_dots(query, slot_list)
+        finally:
+            self._end_query()
         entries = self._slot_entries
         matches: list[tuple[SparseVector, float]] = []
-        self.begin_query(query)
-        try:
-            for slot, accumulated in zip(slot_list, accumulated_list):
-                entry = entries[slot]
-                score = accumulated + self._residual_dot_fast(query, entry)
-                if score >= threshold:
-                    matches.append((entry.vector, score))
-        finally:
-            self.end_query(query)
+        for slot, accumulated, rdot in zip(slot_list, accumulated_list, dots):
+            score = accumulated + rdot
+            if score >= threshold:
+                matches.append((entries[slot].vector, score))
         return matches
 
     def verify_stream(self, query: SparseVector, candidates: CandidateSet,
@@ -1410,23 +1398,23 @@ class NumpyKernel(SimilarityKernel):
         stats.full_similarities += full_similarities
         if not survivors:
             return []
-        ids = self._slot_ids
-        pairs: list[SimilarPair] = []
-        self.begin_query(query)
+        self._begin_query(query)
         try:
             dots = self._batched_residual_dots(
                 query, [slot for slot, _, _, _ in survivors])
-            for (slot, accumulated, delta, decay_factor), rdot in zip(survivors,
-                                                                      dots):
-                dot = accumulated + rdot
-                similarity = dot * decay_factor
-                if similarity >= threshold:
-                    pairs.append(SimilarPair.make(
-                        query.vector_id, int(ids[slot]), similarity,
-                        time_delta=delta, dot=dot, reported_at=now,
-                    ))
         finally:
-            self.end_query(query)
+            self._end_query()
+        ids = self._slot_ids
+        pairs: list[SimilarPair] = []
+        for (slot, accumulated, delta, decay_factor), rdot in zip(survivors,
+                                                                  dots):
+            dot = accumulated + rdot
+            similarity = dot * decay_factor
+            if similarity >= threshold:
+                pairs.append(SimilarPair.make(
+                    query.vector_id, int(ids[slot]), similarity,
+                    time_delta=delta, dot=dot, reported_at=now,
+                ))
         return pairs
 
     def verify_inv_stream(self, query: SparseVector, candidates: CandidateSet,
@@ -1462,14 +1450,15 @@ class NumpyKernel(SimilarityKernel):
 
     # -- verification dot products -------------------------------------------
 
-    def begin_query(self, vector: SparseVector) -> None:
+    def _begin_query(self, vector: SparseVector) -> None:
+        """Scatter ``vector`` into the dense scratch the dot kernels read;
+        pair with :meth:`_end_query`."""
         dims, values = self._arrays_of(vector)
         max_dim = int(dims[-1])
         if max_dim >= _DENSE_DIM_LIMIT:
             # Pathologically sparse dimension space: fall back to the
             # dict-based dot products rather than growing the scratch array.
             self._dense_active = False
-            self._query_vector = vector
             return
         if max_dim >= len(self._dense):
             capacity = len(self._dense)
@@ -1478,14 +1467,12 @@ class NumpyKernel(SimilarityKernel):
             self._dense = np.zeros(capacity, dtype=np.float64)
         self._dense[dims] = values
         self._query_dims = dims
-        self._query_vector = vector
         self._dense_active = True
 
-    def end_query(self, vector: SparseVector) -> None:
+    def _end_query(self) -> None:
         if self._dense_active and self._query_dims is not None:
             self._dense[self._query_dims] = 0.0
         self._query_dims = None
-        self._query_vector = None
         self._dense_active = False
 
     def _batched_residual_dots(self, query: SparseVector,
@@ -1495,9 +1482,9 @@ class NumpyKernel(SimilarityKernel):
         The products of every candidate's residual prefix against the dense
         query scratch are computed by a single concatenated multiply; each
         candidate's reduction stays sequential (per segment, in ascending
-        dimension order, summed left to right from 0 like builtin ``sum``),
-        so every returned dot is bit-for-bit the value
-        :meth:`residual_dot` would produce.
+        dimension order, summed left to right from 0.0), so every returned
+        dot is bit-for-bit the reference backend's
+        ``entry.residual_dot(query)``.
         """
         entries = self._slot_entries
         if not self._dense_active:
@@ -1562,44 +1549,9 @@ class NumpyKernel(SimilarityKernel):
         np.add.at(dots, segment_ids, products)
         return dots
 
-    def _residual_dot_fast(self, query: SparseVector,
-                           entry: ResidualEntry) -> float:
-        """Hot-loop twin of :meth:`residual_dot` with the checks flattened.
-
-        Identical result (the sequential reduction starts at 0.0 and is
-        added to the accumulated score by the caller, exactly like the
-        reference backend's ``accumulated + residual_dot``).
-        """
-        if not entry.residual:
-            return 0.0
-        if not self._dense_active:
-            return entry.residual_dot(query)
-        cached = entry.array_cache
-        if cached is None:
-            cached = self._build_residual_arrays(entry)
-        residual_dims, residual_values = cached
-        dense = self._dense
-        if int(residual_dims[-1]) >= len(dense):
-            return entry.residual_dot(query)
-        return sum((residual_values * dense[residual_dims]).tolist())
-
-    def residual_dot(self, query: SparseVector, entry: ResidualEntry) -> float:
-        if not self._dense_active:
-            return entry.residual_dot(query)
-        if not entry.residual:
-            return 0.0
-        cached = entry.array_cache
-        if cached is None:
-            cached = self._build_residual_arrays(entry)
-        residual_dims, residual_values = cached
-        if int(residual_dims[-1]) >= len(self._dense):
-            return entry.residual_dot(query)
-        products = residual_values * self._dense[residual_dims]
-        return _sequential_sum(products)
-
     def dots_for(self, query: SparseVector,
                  others: Sequence[SparseVector]) -> list[float]:
-        self.begin_query(query)
+        self._begin_query(query)
         try:
             if not self._dense_active:
                 return [query.dot(other) for other in others]
@@ -1613,7 +1565,7 @@ class NumpyKernel(SimilarityKernel):
                     results.append(_sequential_sum(values * dense[dims]))
             return results
         finally:
-            self.end_query(query)
+            self._end_query()
 
     def _arrays_of(self, vector: SparseVector) -> tuple[np.ndarray, np.ndarray]:
         cached = self._vector_entry(vector)

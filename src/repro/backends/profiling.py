@@ -15,19 +15,21 @@ and accumulates wall-clock time per pipeline stage:
     the residual dot products.
 ``maintenance``
     Index construction and upkeep outside the scans: the indexing-split
-    bound scan, bulk posting appends, and the residual-metadata hooks.
+    bound scan, bulk posting appends and loads, and the residual-metadata
+    hooks.
 
-The wrapper is a drop-in kernel — pass it anywhere a ``backend`` is
-accepted (``resolve_kernel`` takes instances) — and powers the
-``sssj profile`` CLI subcommand.  Timing uses ``time.perf_counter`` around
-each kernel call, so per-call overhead is a few hundred nanoseconds; the
-relative breakdown is what matters.
+Every public method of the kernel interface is forwarded to the wrapped
+kernel, timed when ``_STAGE_OF`` names its stage, so the wrapper runs
+exactly the code the bare kernel would.  It is a drop-in kernel — pass it
+anywhere a ``backend`` is accepted (``resolve_kernel`` takes instances) —
+and powers the ``sssj profile`` CLI subcommand.  Timing uses
+``time.perf_counter`` around each kernel call, so per-call overhead is a
+few hundred nanoseconds; the relative breakdown is what matters.
 """
 
 from __future__ import annotations
 
 import time
-from collections.abc import Sequence
 from typing import Any
 
 from repro import obs
@@ -37,6 +39,27 @@ __all__ = ["ProfilingKernel", "STAGES"]
 
 #: Stage names in reporting order.
 STAGES = ("scan", "filter", "verify", "maintenance")
+
+#: The stage each timed kernel method is charged to; the other public
+#: methods (storage factories, approx setup, warm-up, the baselines'
+#: ``dots_for``) are forwarded untimed.  ``filter`` is charged by the
+#: accumulators :meth:`ProfilingKernel.new_accumulator` hands out.
+_STAGE_OF = {
+    "scan_query_batch": "scan",
+    "scan_query_stream": "scan",
+    "scan_query_inv_batch": "scan",
+    "scan_query_inv_stream": "scan",
+    "verify_batch": "verify",
+    "verify_stream": "verify",
+    "verify_inv_stream": "verify",
+    "indexing_split": "maintenance",
+    "index_vector_postings": "maintenance",
+    "load_postings": "maintenance",
+    "note_vector_indexed": "maintenance",
+    "note_vectors_indexed": "maintenance",
+    "note_vector_updated": "maintenance",
+    "note_vector_evicted": "maintenance",
+}
 
 
 def _collect_stages(kernel: "ProfilingKernel") -> None:
@@ -79,6 +102,11 @@ class _TimedAccumulator(ScoreAccumulator):
         return getattr(self._inner, name)
 
 
+def _unwrap(value: Any) -> Any:
+    """The wrapped kernel's own accumulator in place of its timed proxy."""
+    return value._inner if isinstance(value, _TimedAccumulator) else value
+
+
 class ProfilingKernel(SimilarityKernel):
     """Delegating kernel that accumulates per-stage wall-clock time."""
 
@@ -97,9 +125,6 @@ class ProfilingKernel(SimilarityKernel):
         # cost lands here, not inside the first scan — the breakdown would
         # otherwise charge seconds of compilation to the "scan" stage.
         self.warmup_seconds = float(inner.warmup())
-
-    def warmup(self) -> float:
-        return self._inner.warmup()
 
     # -- reporting -----------------------------------------------------------
 
@@ -129,100 +154,36 @@ class ProfilingKernel(SimilarityKernel):
         })
         return rows
 
-    # -- timed delegation ----------------------------------------------------
-
-    def _timed(self, stage: str, method, *args, **kwargs):
-        start = time.perf_counter()
-        result = method(*args, **kwargs)
-        self._charge(stage, time.perf_counter() - start)
-        return result
-
-    def configure_approx(self, config: Any) -> None:
-        # Untimed: one-off setup, not a pipeline stage.
-        self._inner.configure_approx(config)
-
-    def new_posting_list(self) -> Any:
-        return self._inner.new_posting_list()
-
     def new_accumulator(self) -> ScoreAccumulator:
         return _TimedAccumulator(self._inner.new_accumulator(), self)
 
-    def new_size_filter(self):
-        return self._inner.new_size_filter()
 
-    def note_vector_indexed(self, entry) -> None:
-        self._timed("maintenance", self._inner.note_vector_indexed, entry)
+def _forwarder(name: str):
+    """``ProfilingKernel.<name>``: call the wrapped kernel's method, timed
+    when ``_STAGE_OF`` names a stage for it."""
+    stage = _STAGE_OF.get(name)
+    if stage is None:
+        def method(self, *args, **kwargs):
+            return getattr(self._inner, name)(*args, **kwargs)
+    else:
+        def method(self, *args, **kwargs):
+            args = tuple(map(_unwrap, args))
+            kwargs = {key: _unwrap(value) for key, value in kwargs.items()}
+            inner = getattr(self._inner, name)
+            start = time.perf_counter()
+            result = inner(*args, **kwargs)
+            self._charge(stage, time.perf_counter() - start)
+            return result
+    method.__name__ = name
+    method.__qualname__ = f"ProfilingKernel.{name}"
+    return method
 
-    def note_vector_updated(self, entry) -> None:
-        self._timed("maintenance", self._inner.note_vector_updated, entry)
 
-    def note_vector_evicted(self, vector_id: int) -> None:
-        self._timed("maintenance", self._inner.note_vector_evicted, vector_id)
-
-    def indexing_split(self, vector, threshold, *, max_vector, use_ap,
-                       use_l2, limit=None):
-        return self._timed("maintenance", self._inner.indexing_split,
-                           vector, threshold, max_vector=max_vector,
-                           use_ap=use_ap, use_l2=use_l2, limit=limit)
-
-    def index_vector_postings(self, index, vector, start=0, end=None) -> int:
-        return self._timed("maintenance", self._inner.index_vector_postings,
-                           index, vector, start, end)
-
-    def scan_query_batch(self, vector, index, *, threshold, rs1, maxima,
-                         sz1, use_ap, use_l2, size_filter, acc) -> int:
-        return self._timed("scan", self._inner.scan_query_batch,
-                           vector, index, threshold=threshold, rs1=rs1,
-                           maxima=maxima, sz1=sz1, use_ap=use_ap,
-                           use_l2=use_l2, size_filter=size_filter,
-                           acc=self._unwrap(acc))
-
-    def scan_query_stream(self, vector, index, *, now, cutoff, decay, rs1,
-                          decayed_maxima, sz1, threshold, use_ap, use_l2,
-                          time_ordered, size_filter, acc):
-        return self._timed("scan", self._inner.scan_query_stream,
-                           vector, index, now=now, cutoff=cutoff,
-                           decay=decay, rs1=rs1,
-                           decayed_maxima=decayed_maxima, sz1=sz1,
-                           threshold=threshold, use_ap=use_ap, use_l2=use_l2,
-                           time_ordered=time_ordered,
-                           size_filter=size_filter, acc=self._unwrap(acc))
-
-    def scan_query_inv_batch(self, vector, index, acc) -> int:
-        return self._timed("scan", self._inner.scan_query_inv_batch,
-                           vector, index, self._unwrap(acc))
-
-    def scan_query_inv_stream(self, vector, index, cutoff, acc):
-        return self._timed("scan", self._inner.scan_query_inv_stream,
-                           vector, index, cutoff, self._unwrap(acc))
-
-    def verify_batch(self, query, candidates, residual, threshold, stats):
-        return self._timed("verify", self._inner.verify_batch,
-                           query, candidates, residual, threshold, stats)
-
-    def verify_stream(self, query, candidates, residual, threshold, decay,
-                      now, stats):
-        return self._timed("verify", self._inner.verify_stream,
-                           query, candidates, residual, threshold, decay,
-                           now, stats)
-
-    def verify_inv_stream(self, query, candidates, threshold, decay, now,
-                          stats):
-        return self._timed("verify", self._inner.verify_inv_stream,
-                           query, candidates, threshold, decay, now, stats)
-
-    def begin_query(self, vector) -> None:
-        self._inner.begin_query(vector)
-
-    def end_query(self, vector) -> None:
-        self._inner.end_query(vector)
-
-    def residual_dot(self, query, entry) -> float:
-        return self._inner.residual_dot(query, entry)
-
-    def dots_for(self, query, others: Sequence) -> list[float]:
-        return self._inner.dots_for(query, others)
-
-    @staticmethod
-    def _unwrap(acc: ScoreAccumulator) -> ScoreAccumulator:
-        return acc._inner if isinstance(acc, _TimedAccumulator) else acc
+# Every public kernel method is forwarded, so none falls back to a
+# base-class default that the wrapped backend overrides.
+for _name, _value in vars(SimilarityKernel).items():
+    if (_name.startswith("_") or _name in ProfilingKernel.__dict__
+            or isinstance(_value, classmethod) or not callable(_value)):
+        continue
+    setattr(ProfilingKernel, _name, _forwarder(_name))
+ProfilingKernel.__abstractmethods__ = frozenset()

@@ -27,7 +27,7 @@ from repro.core.results import JoinStatistics, SimilarPair
 from repro.core.vector import SparseVector
 from repro.indexes.bounds import verification_bounds
 from repro.indexes.posting import PostingList
-from repro.indexes.residual import ResidualEntry, ResidualIndex
+from repro.indexes.residual import ResidualIndex
 
 __all__ = ["ReferenceKernel"]
 
@@ -47,9 +47,6 @@ class ReferenceCandidateSet(CandidateSet):
 
     def to_dict(self) -> dict[int, float]:
         return self.scores
-
-    def arrivals(self) -> dict[int, float]:
-        return self.arrival
 
     def above(self, threshold: float) -> list[tuple[int, float]]:
         return [(candidate_id, score) for candidate_id, score in self.scores.items()
@@ -390,7 +387,8 @@ class ReferenceKernel(SimilarityKernel):
     def verify_inv_stream(self, query: SparseVector, candidates: CandidateSet,
                           threshold: float, decay: float, now: float,
                           stats: JoinStatistics) -> list[SimilarPair]:
-        arrival = candidates.arrivals()
+        # Only this backend's own STR-INV scans fill the arrival table.
+        arrival = candidates.arrival
         pairs: list[SimilarPair] = []
         for candidate_id, dot in candidates.to_dict().items():
             stats.full_similarities += 1
@@ -403,10 +401,7 @@ class ReferenceKernel(SimilarityKernel):
                 ))
         return pairs
 
-    # -- verification dot products -------------------------------------------
-
-    def residual_dot(self, query: SparseVector, entry: ResidualEntry) -> float:
-        return entry.residual_dot(query)
+    # -- baseline dot products -----------------------------------------------
 
     def dots_for(self, query: SparseVector,
                  others: Sequence[SparseVector]) -> list[float]:

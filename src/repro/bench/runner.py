@@ -60,7 +60,6 @@ def run_algorithm(
     time_budget: float | None = None,
     backend: str | None = None,
     workers: int | None = None,
-    shard_executor: str = "process",
     approx: str | None = None,
     fault_plan=None,
 ) -> RunMetrics:
@@ -74,8 +73,7 @@ def run_algorithm(
     recorded in the metrics' algorithm label (``"STR-L2[numpy]"``) so
     side-by-side backend tables stay readable.  ``workers`` switches the
     run to the sharded parallel engine (:mod:`repro.shard`) with that many
-    shards (``shard_executor`` picks ``"process"`` or ``"serial"``); the
-    label then carries a ``×N`` worker suffix.  ``approx`` enables the
+    candidate partitions; the label then carries a ``×N`` worker suffix.  ``approx`` enables the
     approximate prefilter tier (:mod:`repro.approx`); the canonical spec
     is appended to the label (``"STR-L2AP[numpy]~minhash:16x2"``) so
     exact and approximate rows are never confused in a table.
@@ -92,8 +90,7 @@ def run_algorithm(
     """
     stats = JoinStatistics()
     join = create_join(algorithm, threshold, decay, stats=stats,
-                       backend=backend, workers=workers,
-                       shard_executor=shard_executor, approx=approx,
+                       backend=backend, workers=workers, approx=approx,
                        fault_plan=fault_plan)
     if workers is not None:
         label = f"{algorithm}[{join.backend_name}x{workers}]"

@@ -145,16 +145,19 @@ def build_parser() -> argparse.ArgumentParser:
                           "SSSJ_WORKERS environment variable)")
     _add_approx_args(run)
     _add_fault_args(run)
-    run.add_argument("--shard-executor", default="process",
-                     choices=["process", "serial"],
-                     help="sharded execution mode: partition 0 in this "
-                          "process and one process per other partition, or "
-                          "every partition in-process (default: process)")
     run.add_argument("--show-pairs", type=int, default=0,
                      help="print up to N reported pairs")
 
     profile_cmd = subparsers.add_parser(
-        "profile", help="per-stage time breakdown of one algorithm run")
+        "profile", help="per-stage time breakdown of one algorithm run",
+        description="Per-stage time breakdown of one STR run on one pinned "
+                    "kernel: --backend, or default_backend() (numpy when "
+                    "installed) without it.  This is not the adaptive auto "
+                    "join that `sssj run` and sessions use, which starts on "
+                    "the python kernel and moves to numpy once its queries' "
+                    "gathers pass the measured crossover; pass --backend "
+                    "python to profile a small-gather workload as that "
+                    "join runs it.")
     profile_source = profile_cmd.add_mutually_exclusive_group(required=True)
     profile_source.add_argument("--input", help="dataset file to join")
     profile_source.add_argument("--profile", choices=available_profiles())
@@ -168,7 +171,9 @@ def build_parser() -> argparse.ArgumentParser:
                              help="time-decay rate λ")
     profile_cmd.add_argument("--backend", default=None,
                              choices=["auto", *known_backends()],
-                             help="compute backend to profile (default: auto)")
+                             help="compute backend to profile (default: auto, "
+                                  "i.e. default_backend(), pinned for the "
+                                  "whole run)")
     _add_approx_args(profile_cmd)
 
     sweep_cmd = subparsers.add_parser("sweep", help="run a (θ, λ) grid and print a table")
@@ -288,11 +293,6 @@ def build_parser() -> argparse.ArgumentParser:
     ingest.add_argument("--workers", type=int, default=None,
                         help="run the session on the sharded engine with N "
                              "candidate partitions (STR only)")
-    ingest.add_argument("--shard-executor", default="process",
-                        choices=["process", "serial"],
-                        help="with --workers: one process per partition "
-                             "but the first, or every partition in-process "
-                             "(default: process)")
     _add_approx_args(ingest)
     ingest.add_argument("--queue-max", type=int, default=4096)
     ingest.add_argument("--batch-max", type=int, default=128,
@@ -612,9 +612,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     vectors, name = _load_vectors(args)
     metrics = run_algorithm(args.algorithm, vectors, args.theta, args.decay,
                             dataset=str(name), backend=args.backend,
-                            workers=workers,
-                            shard_executor=args.shard_executor,
-                            approx=approx, fault_plan=injector)
+                            workers=workers, approx=approx,
+                            fault_plan=injector)
     if injector is not None:
         fired = ", ".join(sorted({e["kind"] for e in injector.log})) or "none"
         print(f"fault plan {fault_plan.spec()!r}: events fired/observed: "
@@ -858,7 +857,6 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
         "algorithm": args.algorithm,
         "backend": args.backend,
         "workers": args.workers,
-        "shard_executor": args.shard_executor,
         "approx": approx,
         "queue_max": args.queue_max,
         "batch_max_items": args.batch_max,

@@ -68,7 +68,6 @@ def create_join(algorithm: str, threshold: float, decay: float, *,
                 stats: JoinStatistics | None = None,
                 backend: str | None = None,
                 workers: int | None = None,
-                shard_executor: str = "process",
                 approx: str | None = None,
                 fault_plan=None) -> JoinFramework:
     """Instantiate a join framework from an algorithm string.
@@ -88,10 +87,9 @@ def create_join(algorithm: str, threshold: float, decay: float, *,
 
     ``workers`` switches construction to the sharded parallel engine
     (:mod:`repro.shard`) with that many candidate partitions, each
-    storing every ``workers``-th vector — STR only, and the returned join
-    owns worker processes, so ``close()`` it (or use it as a context
-    manager).  ``shard_executor`` picks ``"process"`` (one worker process
-    per partition but the first) or ``"serial"`` (all in-process).
+    storing every ``workers``-th vector — STR only.  Partition 0 runs in
+    this process and every other partition in a forked worker process, so
+    ``close()`` the returned join (or use it as a context manager).
 
     ``approx`` opts into the approximate sketch-prefilter tier
     (:mod:`repro.approx`): a spec string such as ``"minhash"`` or
@@ -113,8 +111,7 @@ def create_join(algorithm: str, threshold: float, decay: float, *,
 
         return create_sharded_join(algorithm, threshold, decay,
                                    workers=workers, stats=stats,
-                                   backend=backend, executor=shard_executor,
-                                   fault_plan=fault_plan)
+                                   backend=backend, fault_plan=fault_plan)
     if fault_plan is not None:
         from repro.exceptions import InvalidParameterError
 

@@ -10,8 +10,9 @@ The *layout* of a posting list belongs to the compute backend: the
 reference backend's :class:`PostingList` (defined here) is backed by
 :class:`~repro.indexes.circular.CircularBuffer` (Section 6.2), while the
 NumPy backend stores every dimension's postings in one shared posting
-arena and hands out per-dimension extent handles with the same interface
-(:class:`repro.backends.arena.ArenaPostingList`).
+arena and hands out per-dimension extent handles
+(:class:`repro.backends.arena.ArenaPostingList`).  Outside its backend a
+list is only measured (``len``, truthiness) and copied (``to_list``).
 :class:`InvertedIndex` is layout-agnostic — it takes a posting-list
 factory, usually a kernel's ``new_posting_list``.  Time-ordered lists
 (INV, L2) support the backward scan with head truncation; unordered lists
@@ -65,20 +66,6 @@ class PostingList:
         """Append a posting at the tail."""
         self._buffer.append(entry)
 
-    def truncate_older_than(self, cutoff: float) -> int:
-        """Drop the head entries with ``timestamp < cutoff``.
-
-        Assumes the list is time ordered (oldest at the head), which holds
-        for the INV and L2 streaming indexes.  Returns the number of
-        dropped postings.
-        """
-        drop = 0
-        for entry in self._buffer:
-            if entry.timestamp >= cutoff:
-                break
-            drop += 1
-        return self._buffer.drop_oldest(drop)
-
     def keep_newest(self, count: int) -> int:
         """Keep only the ``count`` newest postings (backward-scan truncation)."""
         return self._buffer.keep_newest(count)
@@ -86,18 +73,6 @@ class PostingList:
     def replace_all_entries(self, entries: list[PostingEntry]) -> None:
         """Replace the whole content with ``entries`` (oldest first)."""
         self._buffer.replace_all(entries)
-
-    def compact(self, cutoff: float) -> int:
-        """Remove every posting with ``timestamp < cutoff`` regardless of order.
-
-        Used by the streaming L2AP index, whose lists lose time order after
-        re-indexing.  Returns the number of removed postings.
-        """
-        kept = [entry for entry in self._buffer if entry.timestamp >= cutoff]
-        removed = len(self._buffer) - len(kept)
-        if removed:
-            self._buffer.replace_all(kept)
-        return removed
 
     def to_list(self) -> list[PostingEntry]:
         """Copy of the postings from oldest to newest."""
@@ -162,18 +137,3 @@ class InvertedIndex:
         self._total_entries -= count
         if self._total_entries < 0:  # defensive; should never happen
             self._total_entries = 0
-
-    def prune_older_than(self, cutoff: float, *, ordered: bool) -> int:
-        """Remove expired postings from every list; return the total removed."""
-        removed = 0
-        for posting_list in self._lists.values():
-            if ordered:
-                removed += posting_list.truncate_older_than(cutoff)
-            else:
-                removed += posting_list.compact(cutoff)
-        self.note_removed(removed)
-        return removed
-
-    def clear(self) -> None:
-        self._lists.clear()
-        self._total_entries = 0

@@ -76,6 +76,15 @@ __all__ = ["JoinService", "serve"]
 _SESSION_NAME_OK = set(
     "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789._-")
 
+#: ``SessionConfig`` fields an ``open`` request may set under their own
+#: names, with the type each wire value is cast to.  A field the request
+#: leaves out or sends as null keeps the dataclass default, so every
+#: default lives in ``SessionConfig`` alone.
+_OPEN_FIELDS = {"tenant": str, "algorithm": str, "backend": str,
+                "workers": int, "approx": str, "queue_max": int,
+                "batch_max_items": int, "backpressure": str,
+                "normalize": bool, "results_capacity": int}
+
 #: ``JoinStatistics`` counters that only ever grow — exported as
 #: Prometheus counters via delta tracking (several sessions feed the
 #: same labeled series).
@@ -322,25 +331,14 @@ class JoinService:
                                     self.checkpoint_every_seconds)
         if checkpointed and every_items is None and every_seconds is None:
             every_items = 500  # sane default cadence for served sessions
+        fields = {key: cast(request[key])
+                  for key, cast in _OPEN_FIELDS.items()
+                  if request.get(key) is not None}
         return SessionConfig(
-            name=name,
-            threshold=float(threshold),
-            decay=float(decay),
-            tenant=str(request.get("tenant", "default")),
-            algorithm=str(request.get("algorithm", "STR-L2")),
-            backend=request.get("backend"),
-            workers=(int(request["workers"])
-                     if request.get("workers") is not None else None),
-            shard_executor=str(request.get("shard_executor", "serial")),
-            approx=request.get("approx"),
-            queue_max=int(request.get("queue_max", 4096)),
-            batch_max_items=int(request.get("batch_max_items", 128)),
-            backpressure=str(request.get("backpressure", "block")),
-            normalize=bool(request.get("normalize", True)),
-            results_capacity=int(request.get("results_capacity", 100_000)),
+            name=name, threshold=float(threshold), decay=float(decay),
             checkpoint_every_items=every_items if checkpointed else None,
             checkpoint_every_seconds=every_seconds if checkpointed else None,
-        )
+            **fields)
 
     def open_session(self, request: dict[str, Any]) -> dict[str, Any]:
         name = _session_name(request)
@@ -351,7 +349,9 @@ class JoinService:
             # Only a new session is charged against its tenant's quota;
             # re-opening an existing (possibly evicted) one answers from
             # the registry.
-            state = self.tenant_state(str(request.get("tenant", "default")))
+            tenant = request.get("tenant")
+            state = self.tenant_state(
+                SessionConfig.tenant if tenant is None else str(tenant))
             state.admit_session(name)  # QuotaError propagates to handle()
         try:
             return self._open_locked(name, request)

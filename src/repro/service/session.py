@@ -115,7 +115,6 @@ class SessionConfig:
     algorithm: str = "STR-L2"
     backend: str | None = None
     workers: int | None = None
-    shard_executor: str = "serial"
     approx: str | None = None
     queue_max: int = 4096
     batch_max_items: int = 128
@@ -208,14 +207,12 @@ class JoinSession:
         # the plan (sink/sever faults are injected at this layer instead).
         join_faults = None
         if (fault_injector is not None and config.workers is not None
-                and config.shard_executor == "process"
                 and fault_injector.plan.worker_events):
             join_faults = fault_injector
         self.join = _join if _join is not None else create_join(
             config.algorithm, config.threshold, config.decay,
             backend=config.backend, workers=config.workers,
-            shard_executor=config.shard_executor, approx=config.approx,
-            fault_plan=join_faults)
+            approx=config.approx, fault_plan=join_faults)
         self.results = MemorySink(capacity=config.results_capacity)
         self.sinks: list[ResultSink] = [self.results, *(sinks or [])]
         self.latency = LatencyStats(window=config.latency_window)

@@ -1,8 +1,8 @@
 """Arena-level tests for the shared posting store.
 
 ``tests/test_array_posting.py`` covers the per-list behaviour of
-:class:`~repro.backends.arena.ArenaPostingList` (the PostingList
-interface, capacity hysteresis, lazy expiry).  The tests here pin down
+:class:`~repro.backends.arena.ArenaPostingList` (capacity hysteresis,
+compress, lazy expiry).  The tests here pin down
 the *arena*: chunk layout invariants, whole-arena compaction and its
 budget amortisation, safety of gathers taken before growth/compaction
 ("grow while scanning"), and the per-dimension extents after a
@@ -33,8 +33,7 @@ def entry(vector_id: int, timestamp: float, value: float = 0.5) -> PostingEntry:
 
 def assert_arena_invariants(arena) -> None:
     """Structural invariants of the chunk layout and the accounting."""
-    lists = [ref() for ref in arena._lists]
-    lists = [pl for pl in lists if pl is not None]
+    lists = arena._lists
     regions = []
     live = 0
     caps = 0
@@ -79,7 +78,7 @@ class TestArenaCompaction:
         # Dropping most of every list makes the dead space dominant; the
         # next drop triggers a whole-arena compaction.
         for plist in lists:
-            plist.keep_newest(3)
+            plist.drop_oldest(len(plist) - 3)
         assert arena.compactions > before
         assert arena.dead_entries <= arena.live_entries
         for plist in lists:
@@ -92,8 +91,8 @@ class TestArenaCompaction:
         plist = kernel.new_posting_list()
         for index in range(64):
             plist.append(entry(index, float(index)))
-        slots, _, _, ts = plist.arrays()
-        keep = ts >= 32.0
+        lo, hi = plist.region
+        keep = kernel._arena.ts[lo:hi] >= 32.0
         dirty = int((~keep).sum())
         plist.note_lazy_expiry(32.0, dirty, 32.0, 63.0)
         assert len(plist) == 32
@@ -147,23 +146,6 @@ class TestArenaCompaction:
         assert plist.physical_size == 0
         assert_arena_invariants(arena)
 
-    def test_dropped_lists_are_reclaimed_at_compaction(self):
-        kernel = NumpyKernel()
-        arena = kernel._arena
-        keep = kernel.new_posting_list()
-        keep.append(entry(1, 1.0))
-        doomed = kernel.new_posting_list()
-        for index in range(50):
-            doomed.append(entry(index, float(index)))
-        live_before = arena.live_entries
-        del doomed  # the index dropped its handle (e.g. InvertedIndex.clear)
-        arena.compact()
-        # The orphaned chunk is gone; only the surviving list was rewritten.
-        assert arena.live_entries == 1
-        assert live_before == 51
-        assert [posting.vector_id for posting in keep] == [1]
-        assert_arena_invariants(arena)
-
 
 class TestGrowWhileScanning:
     def test_gathers_survive_growth_and_compaction(self):
@@ -175,13 +157,14 @@ class TestGrowWhileScanning:
             plist.append(entry(index, float(index), value=0.25))
         lo, hi = plist.region
         gathered = arena.values[np.arange(lo, hi)]
-        views = plist.arrays()
+        views = [buffer[lo:hi] for buffer in (arena.slots, arena.values,
+                                              arena.pnorms, arena.ts)]
         view_copy = [buffer.copy() for buffer in views]
         # Grow the arena well past a reallocation and force a compaction.
         other = kernel.new_posting_list()
         for index in range(5000):
             other.append(entry(1000 + index, float(index)))
-        other.keep_newest(1)  # dead ≫ live → whole-arena compaction
+        other.drop_oldest(len(other) - 1)  # dead ≫ live → arena compaction
         assert arena.compactions >= 1
         # The gather took copies: unchanged.
         assert gathered.tolist() == [0.25] * 32

@@ -53,7 +53,7 @@ class TestCapacityManagement:
             plist.append(entry(index, float(index)))
         grown = plist.capacity
         assert grown >= 1024
-        plist.keep_newest(1)
+        plist.drop_oldest(len(plist) - 1)
         # A single maintenance step must land at a right-sized capacity,
         # not linger one halving below the high-water mark.
         assert len(plist) == 1
@@ -86,13 +86,6 @@ class TestCapacityManagement:
         assert plist.drop_oldest(-3) == 0
         assert len(plist) == 5
         assert plist.drop_oldest(100) == 5
-        assert len(plist) == 0
-
-    def test_keep_newest_negative_count(self):
-        plist = fresh_list()
-        for index in range(4):
-            plist.append(entry(index, float(index)))
-        assert plist.keep_newest(-1) == 4
         assert len(plist) == 0
 
     def test_dead_head_region_is_reclaimed(self):
@@ -135,27 +128,20 @@ class TestCompressEdgeCases:
 
     def test_compact_on_empty_list(self):
         plist = fresh_list()
-        assert plist.compact(5.0) == 0
+        plist._arena.compact()
         assert len(plist) == 0
+        assert plist.capacity == _MIN_CAPACITY
+        plist.append(entry(7, 3.0))
+        assert len(plist) == 1
 
     def test_compact_counts_each_removal_once(self):
         plist = fresh_list()
         for index in range(10):
             plist.append(entry(index, float(index)))
-        assert plist.compact(4.0) == 4
-        assert plist.compact(4.0) == 0
+        assert plist.compress(np.arange(10.0) >= 4.0) == 4
+        assert plist.compress(np.ones(6, dtype=bool)) == 0
         assert [posting.timestamp for posting in plist] == [4.0, 5.0, 6.0,
                                                             7.0, 8.0, 9.0]
-
-    def test_replace_all_entries_with_empty_list(self):
-        plist = fresh_list()
-        for index in range(50):
-            plist.append(entry(index, float(index)))
-        plist.replace_all_entries([])
-        assert len(plist) == 0
-        assert list(plist) == []
-        plist.append(entry(7, 3.0))
-        assert len(plist) == 1
 
 
 class TestLazyExpiry:
@@ -172,8 +158,6 @@ class TestLazyExpiry:
         assert plist.dirty == 2
         assert plist.physical_size == 5
         assert [posting.timestamp for posting in plist] == [3.0, 4.0, 5.0]
-        assert ([posting.timestamp for posting in plist.iter_newest_first()]
-                == [5.0, 4.0, 3.0])
 
     def test_compress_after_lazy_expiry_reports_no_double_removal(self):
         plist = fresh_list()
@@ -194,9 +178,11 @@ class TestLazyExpiry:
         for index, timestamp in enumerate([3.0, 1.0, 4.0]):
             plist.append(entry(index, timestamp))
         plist.note_lazy_expiry(2.0, 1, 3.0, 4.0)
-        # A *lower* cutoff must not resurrect the lazily removed posting.
-        assert plist.compact(0.0) == 0
-        assert [posting.timestamp for posting in plist] == [3.0, 4.0]
+        # A mask that keeps the lazily removed posting must not resurrect
+        # it, nor report it removed again: only the 4.0 posting counts.
+        assert plist.compress(np.array([True, True, False])) == 1
+        assert plist.dirty == 1
+        assert [posting.timestamp for posting in plist] == [3.0]
 
     def test_min_max_timestamp_tracking(self):
         plist = fresh_list()

@@ -208,8 +208,7 @@ class TestRule:
         assert not getattr(minibatch, "adaptive", False)
         index = minibatch._build_index([])
         assert index.backend_name == "numpy"
-        sharded = create_join("STR-L2", THETA, GROWING, workers=1,
-                              shard_executor="serial")
+        sharded = create_join("STR-L2", THETA, GROWING, workers=1)
         try:
             assert not getattr(sharded, "adaptive", False)
             assert sharded.backend_name == "numpy"

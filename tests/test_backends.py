@@ -248,6 +248,29 @@ def build_lists(raw, *, time_ordered):
     return reference, vectorized
 
 
+def build_indexes(raw, *, time_ordered):
+    """One ``(kernel, index)`` per backend, each holding ``raw`` as the
+    posting list of dimension 0 (one posting per vector, as in a join)."""
+    from repro.indexes.posting import InvertedIndex
+
+    if time_ordered:
+        raw = sorted(raw, key=lambda item: item[3])
+    built = []
+    for backend in ("python", "numpy"):
+        kernel = get_backend(backend)()
+        index = InvertedIndex(kernel.new_posting_list)
+        index.list_for(0)
+        for vector_id, (_, value, norm, timestamp) in enumerate(raw):
+            index.add(0, PostingEntry(vector_id=vector_id, value=value,
+                                      prefix_norm=norm, timestamp=timestamp))
+        built.append((kernel, index))
+    return built
+
+
+#: A query on dimension 0 arriving after every generated posting.
+EXPIRY_QUERY = SparseVector(10_000, 101.0, {0: 1.0})
+
+
 @needs_numpy
 class TestArenaPostingListProperties:
     @settings(max_examples=40, deadline=None)
@@ -255,38 +278,46 @@ class TestArenaPostingListProperties:
     def test_iteration_matches_reference(self, raw):
         reference, vectorized = build_lists(raw, time_ordered=False)
         assert list(vectorized) == list(reference)
-        assert (list(vectorized.iter_newest_first())
-                == list(reference.iter_newest_first()))
+        assert vectorized.to_list() == reference.to_list()
         assert len(vectorized) == len(reference)
 
     @settings(max_examples=40, deadline=None)
     @given(raw=entry_lists, cutoff=st.floats(min_value=-1.0, max_value=101.0))
     def test_truncate_older_than(self, raw, cutoff):
-        reference, vectorized = build_lists(raw, time_ordered=True)
-        assert vectorized.truncate_older_than(cutoff) == reference.truncate_older_than(cutoff)
-        assert list(vectorized) == list(reference)
+        """The STR-INV scan truncates a time-ordered list's expired head
+        as the reference does."""
+        outcomes = []
+        for kernel, index in build_indexes(raw, time_ordered=True):
+            counts = kernel.scan_query_inv_stream(
+                EXPIRY_QUERY, index, cutoff, kernel.new_accumulator())
+            outcomes.append((counts, index.get(0).to_list()))
+        assert outcomes[0] == outcomes[1]
 
     @settings(max_examples=40, deadline=None)
     @given(raw=entry_lists, cutoff=st.floats(min_value=-1.0, max_value=101.0))
     def test_compact(self, raw, cutoff):
-        reference, vectorized = build_lists(raw, time_ordered=False)
-        assert vectorized.compact(cutoff) == reference.compact(cutoff)
-        assert list(vectorized) == list(reference)
+        """Two prefix scans of an unordered list remove its expired
+        postings as the reference's eager compaction does, each reported
+        once."""
+        outcomes = []
+        for kernel, index in build_indexes(raw, time_ordered=False):
+            size_filter = kernel.new_size_filter()
+            for scan_cutoff in (cutoff, cutoff + 10.0):
+                counts = kernel.scan_query_stream(
+                    EXPIRY_QUERY, index, now=EXPIRY_QUERY.timestamp,
+                    cutoff=scan_cutoff, decay=0.0, rs1=math.inf,
+                    decayed_maxima=None, sz1=0.0, threshold=0.5,
+                    use_ap=False, use_l2=False, time_ordered=False,
+                    size_filter=size_filter, acc=kernel.new_accumulator())
+                outcomes.append((counts, index.get(0).to_list()))
+        assert outcomes[:2] == outcomes[2:]
 
     @settings(max_examples=40, deadline=None)
     @given(raw=entry_lists, keep=st.integers(min_value=0, max_value=90))
     def test_keep_newest(self, raw, keep):
         reference, vectorized = build_lists(raw, time_ordered=True)
-        assert vectorized.keep_newest(keep) == reference.keep_newest(keep)
-        assert list(vectorized) == list(reference)
-
-    @settings(max_examples=20, deadline=None)
-    @given(raw=entry_lists)
-    def test_replace_all_entries(self, raw):
-        reference, vectorized = build_lists(raw, time_ordered=False)
-        replacement = list(reference)[::2]
-        reference.replace_all_entries(replacement)
-        vectorized.replace_all_entries(replacement)
+        assert (vectorized.drop_oldest(len(vectorized) - keep)
+                == reference.keep_newest(keep))
         assert list(vectorized) == list(reference)
 
 

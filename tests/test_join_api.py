@@ -58,8 +58,7 @@ class TestCreateJoin:
     def test_workers_delegates_to_the_sharded_engine(self):
         from repro.shard import ShardedStreamingJoin
 
-        join = create_join("STR-L2", 0.7, 0.1, workers=2,
-                           shard_executor="serial")
+        join = create_join("STR-L2", 0.7, 0.1, workers=2)
         try:
             assert isinstance(join, ShardedStreamingJoin)
             assert join.workers == 2

@@ -2,12 +2,31 @@
 
 from __future__ import annotations
 
+import math
+
+from repro.backends.reference import ReferenceKernel
+from repro.core.vector import SparseVector
 from repro.indexes.posting import InvertedIndex, PostingEntry, PostingList
 
 
 def entry(vector_id: int, timestamp: float, value: float = 0.5) -> PostingEntry:
     return PostingEntry(vector_id=vector_id, value=value, prefix_norm=0.1,
                         timestamp=timestamp)
+
+
+def expire(index: InvertedIndex, cutoff: float, *, time_ordered: bool) -> int:
+    """Drop ``index``'s postings older than ``cutoff`` as the reference
+    backend's streaming scan does (head truncation of time-ordered lists,
+    a rewrite of unordered ones); return the number removed."""
+    kernel = ReferenceKernel()
+    query = SparseVector(-1, 100.0, {dim: 1.0 for dim in index.dimensions()})
+    _, removed = kernel.scan_query_stream(
+        query, index, now=query.timestamp, cutoff=cutoff, decay=0.0,
+        rs1=math.inf, decayed_maxima=None, sz1=0.0, threshold=0.5,
+        use_ap=False, use_l2=False, time_ordered=time_ordered,
+        size_filter=kernel.new_size_filter(), acc=kernel.new_accumulator())
+    index.note_removed(removed)
+    return removed
 
 
 class TestPostingList:
@@ -26,17 +45,17 @@ class TestPostingList:
         assert len(plist) == 1
 
     def test_truncate_older_than(self):
-        plist = PostingList()
+        index = InvertedIndex()
         for i in range(5):
-            plist.append(entry(i, float(i)))
-        removed = plist.truncate_older_than(3.0)
+            index.add(1, entry(i, float(i)))
+        removed = expire(index, 3.0, time_ordered=True)
         assert removed == 3
-        assert [e.vector_id for e in plist] == [3, 4]
+        assert [e.vector_id for e in index.get(1)] == [3, 4]
 
     def test_truncate_with_no_expired_entries(self):
-        plist = PostingList()
-        plist.append(entry(1, 5.0))
-        assert plist.truncate_older_than(1.0) == 0
+        index = InvertedIndex()
+        index.add(1, entry(1, 5.0))
+        assert expire(index, 1.0, time_ordered=True) == 0
 
     def test_keep_newest(self):
         plist = PostingList()
@@ -46,19 +65,19 @@ class TestPostingList:
         assert [e.vector_id for e in plist] == [3, 4]
 
     def test_compact_removes_expired_anywhere(self):
-        plist = PostingList()
+        index = InvertedIndex()
         # Out-of-order timestamps, as after L2AP re-indexing.
         for vector_id, timestamp in [(1, 5.0), (2, 1.0), (3, 6.0), (4, 0.5)]:
-            plist.append(entry(vector_id, timestamp))
-        removed = plist.compact(2.0)
+            index.add(1, entry(vector_id, timestamp))
+        removed = expire(index, 2.0, time_ordered=False)
         assert removed == 2
-        assert [e.vector_id for e in plist] == [1, 3]
+        assert [e.vector_id for e in index.get(1)] == [1, 3]
 
     def test_compact_noop_when_nothing_expired(self):
-        plist = PostingList()
-        plist.append(entry(1, 5.0))
-        assert plist.compact(1.0) == 0
-        assert len(plist) == 1
+        index = InvertedIndex()
+        index.add(1, entry(1, 5.0))
+        assert expire(index, 1.0, time_ordered=False) == 0
+        assert len(index.get(1)) == 1
 
     def test_replace_all_entries(self):
         plist = PostingList()
@@ -113,7 +132,7 @@ class TestInvertedIndex:
         index = InvertedIndex()
         for i in range(4):
             index.add(1, entry(i, float(i)))
-        removed = index.prune_older_than(2.0, ordered=True)
+        removed = expire(index, 2.0, time_ordered=True)
         assert removed == 2
         assert len(index) == 2
 
@@ -121,13 +140,6 @@ class TestInvertedIndex:
         index = InvertedIndex()
         index.add(1, entry(1, 5.0))
         index.add(1, entry(2, 0.5))
-        removed = index.prune_older_than(2.0, ordered=False)
+        removed = expire(index, 2.0, time_ordered=False)
         assert removed == 1
         assert len(index) == 1
-
-    def test_clear(self):
-        index = InvertedIndex()
-        index.add(1, entry(1, 0.0))
-        index.clear()
-        assert len(index) == 0
-        assert index.get(1) is None

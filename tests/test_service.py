@@ -273,8 +273,7 @@ class TestJoinSession:
     def test_sharded_session_matches_single_process(self):
         vectors = random_vectors(60, seed=31)
         expected, _ = expected_pairs(vectors, backend="numpy")
-        session = make_session(workers=2, shard_executor="serial",
-                               backend="numpy")
+        session = make_session(workers=2, backend="numpy")
         session.ingest(vectors)
         session.drain()
         pairs, _, _ = session.results.read(0)
@@ -484,6 +483,31 @@ class TestRecovery:
                 == counters_without_time(expected_stats.as_dict()))
         resumed.close()
 
+    def test_envelope_with_a_shard_executor_field_still_resumes(self,
+                                                                 tmp_path):
+        """A config field sessions no longer know (``shard_executor``, in
+        older envelopes) is dropped on resume."""
+        vectors = random_vectors(60, seed=243)
+        expected, _ = expected_pairs(vectors)
+        ckpt = tmp_path / "s.ckpt"
+        config = SessionConfig(name="s", threshold=THETA, decay=DECAY)
+        session = JoinSession(config, sinks=[JsonlSink(tmp_path / "p.jsonl")],
+                              checkpoint_path=ckpt)
+        session.ingest(vectors[:30])
+        session.checkpoint_now()
+        session.kill()
+        payload = json.loads(ckpt.read_text())
+        payload["config"]["shard_executor"] = "serial"
+        ckpt.write_text(json.dumps(payload))
+
+        resumed = JoinSession.resume(ckpt)
+        assert resumed.config == config
+        assert resumed.processed == 30
+        resumed.ingest(vectors[30:])
+        resumed.drain()
+        assert read_jsonl_pairs(tmp_path / "p.jsonl") == expected
+        resumed.close()
+
     def test_checkpoint_write_is_atomic_and_leaves_no_temp_files(self, tmp_path):
         ckpt = tmp_path / "s.ckpt"
         config = SessionConfig(name="s", threshold=THETA, decay=DECAY)
@@ -604,6 +628,40 @@ class TestJoinServiceDispatch:
                                  "theta": 0.9, "decay": 0.5})
         assert not first["existing"] and second["existing"]
         service.shutdown()
+
+    @pytest.mark.skipif("numpy" not in available_backends(),
+                        reason="sharded engine needs the NumPy backend")
+    def test_open_with_workers_forks_the_other_partition(self):
+        from repro.shard import ProcessShardExecutor
+
+        vectors = random_vectors(60, seed=241)
+        expected, _ = expected_pairs(vectors)
+        service = JoinService()
+        try:
+            assert service.handle({"op": "open", "session": "s",
+                                   "theta": THETA, "decay": DECAY,
+                                   "normalize": False, "workers": 2})["ok"]
+            join = service.sessions["s"].join
+            assert isinstance(join.index._executor, ProcessShardExecutor)
+            service.handle({"op": "ingest", "session": "s",
+                            "vectors": [encode_vector(v) for v in vectors]})
+            assert service.handle({"op": "drain", "session": "s"})["ok"]
+            response = service.handle({"op": "results", "session": "s"})
+            assert [pair_from_wire(p) for p in response["pairs"]] == expected
+        finally:
+            service.shutdown()
+
+    def test_open_fills_unset_fields_from_the_session_config(self):
+        service = JoinService()
+        try:
+            service.handle({"op": "open", "session": "s", "theta": THETA,
+                            "decay": DECAY, "backend": None,
+                            "queue_max": 64})
+            config = service.sessions["s"].config
+            assert config == SessionConfig(name="s", threshold=THETA,
+                                           decay=DECAY, queue_max=64)
+        finally:
+            service.shutdown()
 
     @pytest.mark.parametrize("request_dict,needle", [
         ({"op": "frobnicate"}, "unknown op"),
@@ -849,8 +907,7 @@ class TestFaultTolerantService:
         with ServiceClient(host, port, timeout=20.0,
                            backoff_base=0.01) as client:
             client.open_session("s", theta=THETA, decay=DECAY,
-                                normalize=False, backend="numpy", workers=2,
-                                shard_executor="process")
+                                normalize=False, backend="numpy", workers=2)
             start = time.monotonic()
             totals = client.ingest("s", vectors, chunk_size=10)
             assert time.monotonic() - start < 5.0

@@ -423,8 +423,7 @@ class TestShardCLI:
 
         assert main(["run", "--profile", "tweets", "--num-vectors", "80",
                      "--algorithm", "STR-L2", "--theta", "0.6",
-                     "--decay", "0.05", "--workers", "2",
-                     "--shard-executor", "serial"]) == 0
+                     "--decay", "0.05", "--workers", "2"]) == 0
         output = capsys.readouterr().out
         assert "numpyx2" in output
 
