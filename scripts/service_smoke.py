@@ -23,9 +23,10 @@ streamed pairs are bitwise identical to the direct engine:
     by ``sssj ingest --resume``; every JSONL sink is then compared.
 ``chaos``
     a 2-worker multiprocess session under a fault plan that SIGKILLs one
-    shard worker and severs the client once after an applied ingest:
-    the client reconnects, the resend is deduplicated, the worker is
-    respawned and replayed; the fault-event log must record all three.
+    shard worker two thirds into the stream and severs the client once
+    after an applied ingest: the client reconnects, the resend is
+    deduplicated, the worker is respawned and replays the steps before
+    the kill; the fault-event log must record all three.
 ``obs``
     a live Prometheus endpoint, full-rate tracing and a span log: two
     scrapes around a second ingest round must expose the engine,
@@ -284,7 +285,9 @@ def scenario_multitenant(workdir: Path, args) -> None:
 
 def scenario_chaos(workdir: Path, args) -> None:
     algorithm = "STR-L2AP"
-    plan = "kill-worker:shard=1,after=40;sever-client:after=2"
+    # Past the first micro-batches (at most 128 vectors each), so the
+    # respawned worker has history to replay.
+    plan = "kill-worker:shard=1,after=200;sever-client:after=2"
     fault_log = workdir / "fault_events.jsonl"
     vectors = write_stream(workdir / "chaos.txt", generate_profile_corpus(
         "hashtags", num_vectors=CHAOS_VECTORS, seed=7))
@@ -330,6 +333,8 @@ def scenario_chaos(workdir: Path, args) -> None:
     assert "sever-client" in kinds, "client sever was never injected"
     assert "recovered" in kinds, "the killed worker was never recovered"
     recovery = next(event for event in events if event["kind"] == "recovered")
+    assert recovery["replayed_steps"] > 0, (
+        f"the respawned worker replayed no history: {recovery}")
     print(f"  OK: worker {recovery['shard']} recovered in "
           f"{recovery['latency_s'] * 1000:.0f} ms (replayed "
           f"{recovery['replayed_steps']} steps)")

@@ -117,11 +117,7 @@ from repro.service import (
     ServiceClient,
     SessionConfig,
 )
-from repro.shard import (
-    ShardPlan,
-    ShardedStreamingJoin,
-    create_sharded_join,
-)
+from repro.shard import ShardedStreamingJoin, create_sharded_join
 
 __version__ = "1.0.0"
 
@@ -165,7 +161,6 @@ __all__ = [
     "streaming_self_join",
     "all_pairs",
     # sharded parallel engine
-    "ShardPlan",
     "ShardedStreamingJoin",
     "create_sharded_join",
     # fault injection (chaos testing)

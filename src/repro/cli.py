@@ -283,9 +283,9 @@ def build_parser() -> argparse.ArgumentParser:
     ingest_source.add_argument("--profile", choices=available_profiles())
     ingest.add_argument("--num-vectors", type=int, default=None)
     ingest.add_argument("--seed", type=int, default=42)
-    ingest.add_argument("--algorithm", default="STR-L2",
+    ingest.add_argument("--algorithm", default=None,
                         help="algorithm when the session is opened by this "
-                             "call (default STR-L2)")
+                             "call (default: the server's session default)")
     ingest.add_argument("--theta", type=float, default=0.7)
     ingest.add_argument("--decay", type=float, default=0.01)
     ingest.add_argument("--backend", default=None,
@@ -294,10 +294,12 @@ def build_parser() -> argparse.ArgumentParser:
                         help="run the session on the sharded engine with N "
                              "candidate partitions (STR only)")
     _add_approx_args(ingest)
-    ingest.add_argument("--queue-max", type=int, default=4096)
-    ingest.add_argument("--batch-max", type=int, default=128,
+    # Unset session options are left out of the ``open`` request, so the
+    # server applies SessionConfig's defaults.
+    ingest.add_argument("--queue-max", type=int, default=None)
+    ingest.add_argument("--batch-max", type=int, default=None,
                         help="micro-batch flush size (items)")
-    ingest.add_argument("--backpressure", default="block",
+    ingest.add_argument("--backpressure", default=None,
                         choices=["block", "drop", "error"])
     ingest.add_argument("--sink-jsonl", default=None, metavar="PATH",
                         help="also append reported pairs to a JSONL file "
@@ -309,10 +311,10 @@ def build_parser() -> argparse.ArgumentParser:
                              "(use after a server restart)")
     ingest.add_argument("--chunk-size", type=int, default=500,
                         help="vectors per ingest request (default 500)")
-    ingest.add_argument("--tenant", default="default",
+    ingest.add_argument("--tenant", default=None,
                         help="tenant the session belongs to (quota and "
                              "fair-share unit of the multi-tenant server; "
-                             "default 'default')")
+                             "default: the server's session default)")
 
     results = subparsers.add_parser(
         "results", help="read the pairs a served session has reported")
@@ -840,20 +842,21 @@ def _client_for(args: argparse.Namespace):
 
 
 def _cmd_ingest(args: argparse.Namespace) -> int:
-    from repro.service import ServiceClientError
+    from repro.service import ServiceClientError, SessionConfig
 
+    algorithm = args.algorithm or SessionConfig.algorithm
     error = _require_backend(args.backend)
     if error is None:
-        error = _validate_workers(args.algorithm, args.workers)
+        error = _validate_workers(algorithm, args.workers)
     if error is None:
         approx, error = _resolve_approx(args)
     if error is None:
-        error = _validate_approx(args.algorithm, approx, args.workers)
+        error = _validate_approx(algorithm, approx, args.workers)
     if error is not None:
         print(error, file=sys.stderr)
         return 2
     vectors, name = _load_vectors(args)
-    open_options = {
+    options = {
         "algorithm": args.algorithm,
         "backend": args.backend,
         "workers": args.workers,
@@ -867,6 +870,8 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
         # identical to what `sssj run` would process.
         "normalize": False,
     }
+    open_options = {key: value for key, value in options.items()
+                    if value is not None}
     if args.sink_jsonl:
         open_options["sinks"] = [{"kind": "jsonl", "path": args.sink_jsonl}]
     try:

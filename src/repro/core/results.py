@@ -25,7 +25,6 @@ __all__ = [
     "SimilarPair",
     "JoinStatistics",
     "ShardCounters",
-    "merge_shard_counters",
     "PairCollector",
     "ListCollector",
     "CountingCollector",
@@ -168,34 +167,6 @@ class ShardCounters:
     entries_removed: int = 0
     scans: int = 0
     arena_compactions: int = 0
-
-    def merge(self, other: "ShardCounters") -> None:
-        """Accumulate another shard's counters into this one (totals row)."""
-        self.dimensions += other.dimensions
-        self.entries_indexed += other.entries_indexed
-        self.entries_traversed += other.entries_traversed
-        self.entries_removed += other.entries_removed
-        self.scans += other.scans
-        self.arena_compactions += other.arena_compactions
-
-    def as_dict(self) -> dict[str, int]:
-        return {
-            "shard": self.shard,
-            "dimensions": self.dimensions,
-            "entries_indexed": self.entries_indexed,
-            "entries_traversed": self.entries_traversed,
-            "entries_removed": self.entries_removed,
-            "scans": self.scans,
-            "arena_compactions": self.arena_compactions,
-        }
-
-
-def merge_shard_counters(counters: "list[ShardCounters]") -> ShardCounters:
-    """Totals row over every shard's counters (``shard`` is set to -1)."""
-    total = ShardCounters(shard=-1)
-    for shard_counters in counters:
-        total.merge(shard_counters)
-    return total
 
 
 class PairCollector:

@@ -11,42 +11,24 @@ Entry points:
 
 * :func:`create_sharded_join` / :class:`ShardedStreamingJoin` — the STR
   framework over W partitions (``workers`` and ``executor`` knobs);
-* :class:`ShardPlan` — the validated partition count;
-* :class:`SerialShardExecutor` / :class:`ProcessShardExecutor` — every
-  partition in-process (CI-safe, deterministic), or partition 0 in the
-  coordinator and one forked child per other partition (parallel).
+* :class:`ProcessShardExecutor` — partition 0 in the coordinator and one
+  forked child per other partition (or, for the parity suites, every
+  partition in-process), with crash recovery.
 
 Sharded runs are bitwise identical to single-process runs on the same
 kernel — same pairs, order, similarities and operation counters — at
 every worker count; see :mod:`repro.shard.coordinator`.
 """
 
-from repro.shard.coordinator import (
-    PartitionedIndex,
-    ShardedStreamingJoin,
-    create_sharded_join,
-)
-from repro.shard.executor import (
-    ProcessShardExecutor,
-    SerialShardExecutor,
-    create_executor,
-)
-from repro.shard.partition import (
-    Partition,
-    PartitionSpec,
-    ShardPlan,
-    partition_worker_main,
-)
+from repro.shard.coordinator import ShardedStreamingJoin, create_sharded_join
+from repro.shard.executor import ProcessShardExecutor
+from repro.shard.partition import Partition, PartitionSpec, partition_worker_main
 
 __all__ = [
-    "ShardPlan",
     "Partition",
     "PartitionSpec",
-    "PartitionedIndex",
     "partition_worker_main",
-    "SerialShardExecutor",
     "ProcessShardExecutor",
-    "create_executor",
     "ShardedStreamingJoin",
     "create_sharded_join",
 ]

@@ -31,6 +31,7 @@ down.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
+from operator import itemgetter
 
 from repro import obs
 from repro.backends import SimilarityKernel, resolve_kernel
@@ -39,10 +40,10 @@ from repro.core.results import JoinStatistics, ShardCounters, SimilarPair
 from repro.core.vector import SparseVector
 from repro.exceptions import UnknownAlgorithmError
 from repro.indexes.base import STREAMING_INDEXES
-from repro.shard.executor import create_executor
-from repro.shard.partition import SUMMED_COUNTERS, PartitionSpec, ShardPlan
+from repro.shard.executor import ProcessShardExecutor
+from repro.shard.partition import SUMMED_COUNTERS, PartitionSpec
 
-__all__ = ["ShardedStreamingJoin", "PartitionedIndex", "create_sharded_join"]
+__all__ = ["ShardedStreamingJoin", "create_sharded_join"]
 
 
 def _collect_shard_join(join: "ShardedStreamingJoin") -> None:
@@ -59,10 +60,10 @@ def _collect_shard_join(join: "ShardedStreamingJoin") -> None:
     registry.gauge("sssj_shard_degraded",
                    "1 when a partition fell back to in-process "
                    "execution.").labels().set(1 if join.degraded else 0)
-    respawns = getattr(join._index._executor, "respawns", 0)
     join._obs_tracker.export(registry.counter(
         "sssj_shard_respawns_total",
-        "Successful shard worker respawns.").labels(), "respawns", respawns)
+        "Successful shard worker respawns.").labels(), "respawns",
+        join.executor.respawns)
 
 
 def _backend_name(kernel: SimilarityKernel) -> str:
@@ -72,65 +73,14 @@ def _backend_name(kernel: SimilarityKernel) -> str:
     return kernel.name
 
 
-class PartitionedIndex:
-    """The join's view of its partitions: one exchange and merge per vector."""
-
-    def __init__(self, kernel: SimilarityKernel, executor,
-                 stats: JoinStatistics) -> None:
-        self.kernel = kernel
-        self.stats = stats
-        self._executor = executor
-        self.steps = 0
-
-    @property
-    def backend_name(self) -> str:
-        return self.kernel.name
-
-    def process(self, vector: SparseVector) -> list[SimilarPair]:
-        return self.process_batch([vector])[0]
-
-    def process_batch(self, vectors: list[SparseVector],
-                      ) -> list[list[SimilarPair]]:
-        """Run the stream's next vectors; their pairs, vector by vector."""
-        with obs.span("shard_exchange"):
-            replies = self._executor.exchange(vectors, self.steps)
-        self.steps += len(vectors)
-        return [self._merge([partition[i] for partition in replies])
-                for i in range(len(vectors))]
-
-    def _merge(self, replies: list) -> list[SimilarPair]:
-        """One step's pairs in single-process order; its counters."""
-        stats = self.stats
-        counts = [reply.counts for reply in replies]
-        for name, *deltas in zip(SUMMED_COUNTERS,
-                                 *(count[3] for count in counts)):
-            total = sum(deltas)
-            if total:
-                setattr(stats, name, getattr(stats, name) + total)
-        if any(count[0] for count in counts):
-            stats.reindexings += 1
-        stats.max_index_size = max(stats.max_index_size,
-                                   sum(count[1] for count in counts))
-        stats.max_residual_size = max(stats.max_residual_size,
-                                      sum(count[2] for count in counts))
-        if len(replies) == 1:
-            pairs = replies[0].pairs
-        else:
-            keyed = [(key, pair) for reply in replies
-                     for key, pair in zip(reply.keys, reply.pairs)]
-            keyed.sort(key=lambda item: item[0])
-            pairs = [pair for _, pair in keyed]
-        stats.vectors_processed += 1
-        stats.pairs_output += len(pairs)
-        return pairs
-
-
 class ShardedStreamingJoin(JoinFramework):
     """The STR framework over W candidate partitions.
 
     Drop-in for :class:`repro.core.join.StreamingSimilarityJoin` plus the
     sharding knobs; close (or use as a context manager) to shut the
-    worker processes down.
+    worker processes down.  A closed join raises
+    :class:`~repro.exceptions.SSSJError` on every call that would reach a
+    partition.
 
     Parameters
     ----------
@@ -140,29 +90,24 @@ class ShardedStreamingJoin(JoinFramework):
     executor:
         ``"process"`` (partition 0 in this process, one child process per
         other partition) or ``"serial"`` (every partition in this
-        process — deterministic, CI-safe, no parallelism).
+        process — deterministic, no parallelism; the parity suites' seam).
     fault_plan:
         Optional :class:`~repro.faults.FaultPlan` (or spec string, or an
         already-built :class:`~repro.faults.FaultInjector`) injecting
         real worker faults — see :mod:`repro.faults`.
-    recv_timeout / max_respawns / recovery:
-        Crash-tolerance knobs of the process executor: the per-reply
-        deadline, the respawn budget before a partition degrades to
-        in-process execution, and whether the input is retained for
-        replay at all.
     """
 
     name = "STR"
 
+    #: Vectors per exchange in :meth:`feed` and :meth:`run`.
+    FEED_CHUNK = 64
+
     def __init__(self, threshold: float, decay: float, *,
-                 index: str = "L2AP", workers: int = 2,
+                 index: str = "L2", workers: int = 2,
                  executor: str = "process",
                  stats: JoinStatistics | None = None,
                  backend: str | SimilarityKernel | None = None,
-                 fault_plan=None,
-                 recv_timeout: float = 10.0,
-                 max_respawns: int = 3,
-                 recovery: bool = True) -> None:
+                 fault_plan=None) -> None:
         # "auto" (and the SSSJ_BACKEND default) resolve to NumPy here: the
         # partitions' scans grow with the stream, past the adaptive rule's
         # crossover; an explicit backend is used as given.
@@ -175,21 +120,21 @@ class ShardedStreamingJoin(JoinFramework):
             raise UnknownAlgorithmError(
                 f"no streaming index {index!r}; "
                 f"available: {sorted(STREAMING_INDEXES)}")
-        plan = ShardPlan(workers)
-        kernel = resolve_kernel(backend)
+        if workers < 1:
+            raise ValueError(f"need at least one partition, got {workers}")
+        if executor not in ("process", "serial"):
+            raise ValueError(f"unknown shard executor {executor!r}; "
+                             f"expected 'serial' or 'process'")
+        self.workers = workers
+        self._kernel = kernel = resolve_kernel(backend)
         spec = PartitionSpec(self.index_name, self.threshold, self.decay,
-                             plan.workers, _backend_name(kernel))
-        faults = _coerce_injector(fault_plan)
-        self.fault_injector = faults
-        self.plan = plan
-        self._index = PartitionedIndex(
-            kernel,
-            create_executor(spec, kernel, executor,
-                            recv_timeout=recv_timeout,
-                            max_respawns=max_respawns, recovery=recovery,
-                            faults=faults),
-            self.stats)
-        self._closed = False
+                             workers, _backend_name(kernel))
+        #: The partitions; the join drives them one exchange per call.
+        self.executor = ProcessShardExecutor(
+            spec, kernel, fork=executor == "process",
+            faults=_coerce_injector(fault_plan))
+        #: Arrival steps exchanged so far (the next vector's step).
+        self._steps = 0
         self._obs_tracker = obs.DeltaTracker()
         if obs.enabled():
             obs.get_registry().add_collector(_collect_shard_join, owner=self)
@@ -197,40 +142,28 @@ class ShardedStreamingJoin(JoinFramework):
     # -- introspection ---------------------------------------------------------
 
     @property
-    def index(self) -> PartitionedIndex:
-        """The partitioned index behind the join."""
-        return self._index
-
-    @property
     def backend_name(self) -> str:
-        return self._index.backend_name
-
-    @property
-    def workers(self) -> int:
-        return self.plan.workers
+        return self._kernel.name
 
     def shard_counters(self) -> list[ShardCounters]:
         """Per-partition traffic/balance counters (see ShardCounters)."""
-        return self._index._executor.counters()
+        return self.executor.counters()
 
     @property
     def degraded(self) -> bool:
         """Has a partition fallen back to in-process execution?"""
-        return bool(getattr(self._index._executor, "degraded", False))
+        return self.executor.degraded
 
     @property
     def recovery_events(self) -> list[dict]:
         """Respawn/degrade events recorded by the executor (chronological)."""
-        return list(getattr(self._index._executor, "recovery_events", ()))
+        return list(self.executor.recovery_events)
 
     # -- driving ---------------------------------------------------------------
 
-    #: Vectors per exchange in :meth:`feed` and :meth:`run`.
-    FEED_CHUNK = 64
-
     def process(self, vector: SparseVector) -> list[SimilarPair]:
         self._check_order(vector)
-        return self._index.process(vector)
+        return self._exchange([vector])[0]
 
     def feed(self, vectors: Iterable[SparseVector]) -> list[SimilarPair]:
         """Like :meth:`process` over ``vectors``, ``FEED_CHUNK`` at a time.
@@ -240,7 +173,7 @@ class ShardedStreamingJoin(JoinFramework):
         """
         pairs: list[SimilarPair] = []
         for chunk in self._chunks(vectors):
-            for found in self._index.process_batch(chunk):
+            for found in self._exchange(chunk):
                 pairs.extend(found)
         return pairs
 
@@ -252,7 +185,7 @@ class ShardedStreamingJoin(JoinFramework):
         stream) has been read and processed.
         """
         for chunk in self._chunks(stream):
-            for found in self._index.process_batch(chunk):
+            for found in self._exchange(chunk):
                 yield from found
         yield from self.flush()
 
@@ -279,11 +212,44 @@ class ShardedStreamingJoin(JoinFramework):
         if chunk:
             yield chunk
 
+    def _exchange(self, vectors: list[SparseVector],
+                  ) -> list[list[SimilarPair]]:
+        """Run the stream's next vectors; their pairs, vector by vector."""
+        with obs.span("shard_exchange"):
+            replies = self.executor.exchange(vectors, self._steps)
+        self._steps += len(vectors)
+        return [self._merge([partition[i] for partition in replies])
+                for i in range(len(vectors))]
+
+    def _merge(self, replies: list[tuple]) -> list[SimilarPair]:
+        """One step's pairs in single-process order; its counters."""
+        stats = self.stats
+        counts = [reply[2] for reply in replies]
+        for name, *deltas in zip(SUMMED_COUNTERS,
+                                 *(count[3] for count in counts)):
+            total = sum(deltas)
+            if total:
+                setattr(stats, name, getattr(stats, name) + total)
+        if any(count[0] for count in counts):
+            stats.reindexings += 1
+        stats.max_index_size = max(stats.max_index_size,
+                                   sum(count[1] for count in counts))
+        stats.max_residual_size = max(stats.max_residual_size,
+                                      sum(count[2] for count in counts))
+        if len(replies) == 1:
+            pairs = replies[0][0]
+        else:
+            keyed = [item for found, keys, _ in replies
+                     for item in zip(keys, found)]
+            keyed.sort(key=itemgetter(0))
+            pairs = [pair for _, pair in keyed]
+        stats.vectors_processed += 1
+        stats.pairs_output += len(pairs)
+        return pairs
+
     def close(self) -> None:
         """Shut the shard workers down (idempotent)."""
-        if not self._closed:
-            self._closed = True
-            self._index._executor.close()
+        self.executor.close()
 
     def __enter__(self) -> "ShardedStreamingJoin":
         return self
@@ -307,10 +273,7 @@ def create_sharded_join(algorithm: str, threshold: float, decay: float, *,
                         workers: int, stats: JoinStatistics | None = None,
                         backend: str | SimilarityKernel | None = None,
                         executor: str = "process",
-                        fault_plan=None,
-                        recv_timeout: float = 10.0,
-                        max_respawns: int = 3,
-                        recovery: bool = True) -> ShardedStreamingJoin:
+                        fault_plan=None) -> ShardedStreamingJoin:
     """Build a sharded streaming join from an ``"STR-<INDEX>"`` string.
 
     The sharded engine parallelises the STR framework only (MB rebuilds
@@ -325,6 +288,4 @@ def create_sharded_join(algorithm: str, threshold: float, decay: float, *,
             f"got {algorithm!r}")
     return ShardedStreamingJoin(threshold, decay, index=index, workers=workers,
                                 executor=executor, stats=stats, backend=backend,
-                                fault_plan=fault_plan,
-                                recv_timeout=recv_timeout,
-                                max_respawns=max_respawns, recovery=recovery)
+                                fault_plan=fault_plan)

@@ -1,38 +1,34 @@
-"""Execution backends of the sharded join: serial in-process and multiprocess.
+"""The executor of the sharded join: its partitions, here or forked.
 
-Both executors present the same small interface to the coordinator:
-
-``exchange(vectors, step)``
-    Run the stream's next vectors (the first of arrival step ``step``)
-    through every partition and return, in partition order, each one's
-    :class:`~repro.shard.partition.StepReply` list (one per vector).
-    Called once per ``process()`` with one vector, and once per chunk of
-    ``feed()`` and ``run()``.
-``counters`` / ``close``
-    Snapshot per-partition counters, shut down.
-
-:class:`SerialShardExecutor` runs every partition in-process, one after
-the other: no processes, no pickling, deterministic and CI-safe.
-:class:`ProcessShardExecutor` forks one child per partition except
-partition 0, which the coordinator runs itself on the join's own kernel
-while the children work; a pickled vector goes out to each child and its
-pairs and counters come back.  A chunk costs one round trip per
-forked partition, however many vectors it holds.
+:class:`ProcessShardExecutor` runs partition 0 in the coordinator, on
+the join's own kernel, and forks one child per other partition; a
+pickled vector goes out to each child and its pairs and counters come
+back.  ``exchange(vectors, step)`` runs the stream's next vectors (the
+first of arrival step ``step``) through every partition and returns,
+in partition order, each one's :meth:`~repro.shard.partition.Partition.step`
+results.  It is called once per ``process()`` with one vector, and once
+per chunk of ``feed()`` and ``run()``, so a chunk costs one round trip
+per forked partition, however many vectors it holds.  Built with
+``fork=False`` it runs every partition in-process, one after the
+other: no processes, no pickling, no replay history (the parity
+suites' seam).  After :meth:`~ProcessShardExecutor.close`, every call
+that would reach a partition raises :class:`~repro.exceptions.SSSJError`.
 
 Fault tolerance
 ---------------
-:class:`ProcessShardExecutor` survives worker deaths.  Every receive is
-bounded by ``recv_timeout`` and watches the child's ``Process.sentinel``,
-so a SIGKILLed (or hung) worker is *detected* instead of hanging the
+Worker deaths are survived.  Every receive is bounded by
+``RECV_TIMEOUT`` and watches the child's ``Process.sentinel``, so a
+SIGKILLed (or hung) worker is *detected* instead of hanging the
 coordinator.  Recovery is respawn-and-replay: the executor retains the
 input vectors, spawns a fresh worker, replays them in chunks — a
 partition's state is a deterministic function of the vectors it has
 seen, so the rebuilt index, expiry bookkeeping and counters are bitwise
 identical to the lost ones — then re-issues the in-flight step once.
-After ``max_respawns`` failed attempts the partition degrades to
+After ``MAX_RESPAWNS`` failed attempts the partition degrades to
 in-process execution: a local twin replays the retained input and the
-run continues rather than dying.  Set ``recovery=False`` to keep no
-input (deaths then raise :class:`~repro.exceptions.ShardWorkerError`).
+run continues rather than dying.  With ``RECOVERY`` off no input is
+kept and deaths raise :class:`~repro.exceptions.ShardWorkerError`.
+The three are class constants; tests patch them.
 
 A worker fault plan that targets partition 0 forks it as well, so every
 shard a fault names is a process it can break.
@@ -51,15 +47,10 @@ from repro import obs
 from repro.backends import SimilarityKernel
 from repro.core.results import ShardCounters
 from repro.core.vector import SparseVector
-from repro.exceptions import InvalidParameterError, ShardWorkerError
-from repro.shard.partition import (
-    Partition,
-    PartitionSpec,
-    StepReply,
-    partition_worker_main,
-)
+from repro.exceptions import InvalidParameterError, ShardWorkerError, SSSJError
+from repro.shard.partition import Partition, PartitionSpec, partition_worker_main
 
-__all__ = ["SerialShardExecutor", "ProcessShardExecutor", "create_executor"]
+__all__ = ["ProcessShardExecutor"]
 
 
 def _count_recovery(kind: str) -> None:
@@ -71,92 +62,73 @@ def _count_recovery(kind: str) -> None:
             ("kind",)).labels(kind=kind).inc()
 
 
-class SerialShardExecutor:
-    """Every partition in-process; partition 0 on the join's kernel."""
-
-    kind = "serial"
-
-    def __init__(self, spec: PartitionSpec, kernel: SimilarityKernel) -> None:
-        self.partitions = [Partition(spec, part, kernel if part == 0 else None)
-                           for part in range(spec.workers)]
-
-    def exchange(self, vectors: list[SparseVector],
-                 step: int) -> list[list[StepReply]]:
-        return [partition.steps(vectors) for partition in self.partitions]
-
-    def counters(self) -> list[ShardCounters]:
-        return [partition.counters() for partition in self.partitions]
-
-    def close(self) -> None:
-        pass
-
-
 class ProcessShardExecutor:
     """Partition 0 in the coordinator, one child process per other partition.
 
-    ``exchange`` sends the vector to every child first, runs the
-    in-process partition while they work, then collects the children's
-    replies in partition order.
+    ``exchange`` sends the vectors to every child first, runs the
+    in-process partitions while they work, then collects the children's
+    replies in partition order.  With ``fork=False`` every partition is
+    in-process.
 
-    Worker deaths (and replies delayed past ``recv_timeout``) are
+    Worker deaths (and replies delayed past ``RECV_TIMEOUT``) are
     recovered by respawn-and-replay, degrading the partition to
-    in-process execution after ``max_respawns`` failed attempts — see the
+    in-process execution after ``MAX_RESPAWNS`` failed attempts — see the
     module docstring.  Recoveries are appended to :attr:`recovery_events`;
     :attr:`degraded` flips to ``True`` once a partition fell back.
     """
 
-    kind = "process"
-
+    #: Seconds to wait for a forked partition's reply before treating the
+    #: worker as dead.
+    RECV_TIMEOUT = 10.0
+    #: Failed respawns per incident before a partition degrades.
+    MAX_RESPAWNS = 3
+    #: Retain the input for replay; off, the first worker death raises.
+    RECOVERY = True
     #: Vectors per replay message during recovery — bounds both the
     #: pickled message size and the per-recv wait (each chunk is
-    #: acknowledged within ``recv_timeout``).
+    #: acknowledged within ``RECV_TIMEOUT``).
     _REPLAY_CHUNK = 128
 
     def __init__(self, spec: PartitionSpec, kernel: SimilarityKernel, *,
-                 recv_timeout: float = 10.0,
-                 max_respawns: int = 3,
-                 recovery: bool = True,
-                 faults=None) -> None:
-        if recv_timeout <= 0:
-            raise InvalidParameterError(
-                f"recv_timeout must be > 0, got {recv_timeout}")
-        if max_respawns < 0:
-            raise InvalidParameterError(
-                f"max_respawns must be >= 0, got {max_respawns}")
+                 fork: bool = True, faults=None) -> None:
         self.spec = spec
         methods = multiprocessing.get_all_start_methods()
         self._context = multiprocessing.get_context(
             "fork" if "fork" in methods else "spawn")
-        self.recv_timeout = float(recv_timeout)
-        self.max_respawns = int(max_respawns)
-        self.recovery_enabled = bool(recovery)
         self.faults = faults
         workers = spec.workers
-        targeted: set[int] = set()
-        if faults is not None:
-            faults.bind_workers(workers)
-            targeted = faults.worker_shards()
+        forked: set[int] = set()
+        if fork:
+            forked = set(range(1, workers))
+            if faults is not None:
+                faults.bind_workers(workers)
+                forked |= faults.worker_shards()
+        elif faults is not None and faults.plan.worker_events:
+            raise InvalidParameterError(
+                "worker fault injection (kill-worker/exit-in-*/drop-reply/"
+                "delay-reply) requires the process executor; the serial "
+                "executor has no worker processes to break")
         #: In-process partitions by id: partition 0 unless a fault targets
-        #: it, plus every partition that degraded.
-        self._local: dict[int, Partition] = {}
-        if 0 not in targeted:
-            self._local[0] = Partition(spec, 0, kernel)
+        #: it (every partition without ``fork``), plus every partition
+        #: that degraded.
+        self._local = {shard: Partition(spec, shard,
+                                        kernel if shard == 0 else None)
+                       for shard in range(workers) if shard not in forked}
+        #: Partitions running in a worker process, in partition order.
+        self._forked = sorted(forked)
         self._conns: list = [None] * workers
         self._procs: list = [None] * workers
         #: Per worker, one poll set over its pipe and its process sentinel.
         self._waits: list = [None] * workers
         self._steps = [0] * workers
         #: The vectors every partition has processed — the replay source
-        #: for crash recovery (grows with the stream; ``recovery=False``
-        #: disables it).
+        #: for crash recovery (grows with the stream while a partition is
+        #: forked and ``RECOVERY`` is on).
         self._history: list[SparseVector] = []
         self._closed = False
         self.degraded = False
         self.respawns = 0
         self.recovery_events: list[dict] = []
-        #: Partitions running in a worker process, in partition order.
-        self._forked = [shard for shard in range(workers)
-                        if shard not in self._local]
         try:
             for shard in self._forked:
                 self._spawn(shard, initial=True)
@@ -209,8 +181,13 @@ class ProcessShardExecutor:
 
     # -- coordinator-facing interface ------------------------------------------
 
+    def _check_open(self) -> None:
+        if self._closed:
+            raise SSSJError("the sharded join is closed")
+
     def exchange(self, vectors: list[SparseVector],
-                 step: int) -> list[list[StepReply]]:
+                 step: int) -> list[list[tuple]]:
+        self._check_open()
         forked = self._forked
         payload = (pickle.dumps(("step", step, vectors),
                                 pickle.HIGHEST_PROTOCOL) if forked else b"")
@@ -223,11 +200,12 @@ class ProcessShardExecutor:
         # ... then fan in, in partition order.
         for shard in forked:
             replies[shard] = self._collect_step(shard, payload, vectors)
-        if self.recovery_enabled:
+        if forked and self.RECOVERY:
             self._history.extend(vectors)
         return replies
 
     def counters(self) -> list[ShardCounters]:
+        self._check_open()
         snapshots = []
         for shard in range(self.spec.workers):
             if shard not in self._local:
@@ -295,7 +273,7 @@ class ProcessShardExecutor:
             pass  # death is detected — and recovered — at collect time
 
     def _collect_step(self, shard: int, payload: bytes,
-                      vectors: list[SparseVector]) -> list[StepReply]:
+                      vectors: list[SparseVector]) -> list[tuple]:
         try:
             reply = self._checked(shard, self._recv_with_deadline(shard))
         except ShardWorkerError as error:
@@ -312,7 +290,7 @@ class ProcessShardExecutor:
         raise ShardWorkerError(f"shard {shard}: {detail}", shard=shard)
 
     def _recv_with_deadline(self, shard: int):
-        """Receive one reply, bounded by ``recv_timeout`` and death-aware.
+        """Receive one reply, bounded by ``RECV_TIMEOUT`` and death-aware.
 
         Waits on the pipe *and* the worker's ``Process.sentinel`` at once,
         so a SIGKILLed child surfaces immediately (draining a complete
@@ -322,13 +300,13 @@ class ProcessShardExecutor:
         conn = self._conns[shard]
         process = self._procs[shard]
         wait = self._waits[shard]
-        deadline = time.monotonic() + self.recv_timeout
+        deadline = time.monotonic() + self.RECV_TIMEOUT
         while True:
             remaining = deadline - time.monotonic()
             if remaining <= 0:
                 raise ShardWorkerError(
                     f"shard {shard} worker (pid {process.pid}) did not "
-                    f"reply within {self.recv_timeout:g}s", shard=shard)
+                    f"reply within {self.RECV_TIMEOUT:g}s", shard=shard)
             ready = [key.fileobj for key, _ in wait.select(remaining)]
             if conn in ready:
                 try:
@@ -354,14 +332,14 @@ class ProcessShardExecutor:
 
         ``message`` is a pickled step or a ``("counters",)`` request.
         Returns the reply on success, or ``None`` after the partition
-        degraded to in-process execution.  With ``recovery=False`` the
+        degraded to in-process execution.  With ``RECOVERY`` off the
         original error is re-raised unchanged.
         """
-        if not self.recovery_enabled:
+        if not self.RECOVERY:
             raise error
         started = time.monotonic()
         last_error = error
-        for attempt in range(1, self.max_respawns + 1):
+        for attempt in range(1, self.MAX_RESPAWNS + 1):
             self._reap(shard)
             try:
                 self._spawn(shard, initial=False)
@@ -420,30 +398,10 @@ class ProcessShardExecutor:
         self.degraded = True
         _count_recovery("degrade")
         event = {"kind": "degrade", "cause": cause, "shard": shard,
-                 "respawn_attempts": self.max_respawns,
+                 "respawn_attempts": self.MAX_RESPAWNS,
                  "replayed_steps": len(self._history),
                  "latency_s": time.monotonic() - started}
         self.recovery_events.append(event)
         if self.faults is not None:
             self.faults.record("degraded", cause=cause, shard=shard,
                                replayed_steps=len(self._history))
-
-
-def create_executor(spec: PartitionSpec, kernel: SimilarityKernel,
-                    kind: str = "process", *, recv_timeout: float = 10.0,
-                    max_respawns: int = 3, recovery: bool = True,
-                    faults=None):
-    """Build the executor named by ``kind`` (``"serial"`` or ``"process"``)."""
-    if kind == "serial":
-        if faults is not None and faults.plan.worker_events:
-            raise InvalidParameterError(
-                "worker fault injection (kill-worker/exit-in-*/drop-reply/"
-                "delay-reply) requires the process executor; the serial "
-                "executor has no worker processes to break")
-        return SerialShardExecutor(spec, kernel)
-    if kind == "process":
-        return ProcessShardExecutor(spec, kernel, recv_timeout=recv_timeout,
-                                    max_respawns=max_respawns,
-                                    recovery=recovery, faults=faults)
-    raise ValueError(f"unknown shard executor {kind!r}; "
-                     f"expected 'serial' or 'process'")

@@ -23,40 +23,24 @@ import os
 import pickle
 import signal
 import time
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from repro.backends import SimilarityKernel
-from repro.core.results import JoinStatistics, ShardCounters, SimilarPair
+from repro.core.results import JoinStatistics, ShardCounters
 from repro.core.vector import SparseVector
 from repro.indexes.base import create_streaming_index
 
-__all__ = ["ShardPlan", "PartitionSpec", "Partition", "StepReply",
-           "partition_worker_main", "SUMMED_COUNTERS"]
+__all__ = ["PartitionSpec", "Partition", "partition_worker_main",
+           "SUMMED_COUNTERS"]
 
 #: Counters that add up across partitions.  ``reindexings`` counts events
 #: (one per step) and the two ``max_*`` sizes are maxima of per-step sums,
-#: so the coordinator merges those three from :attr:`StepReply.counts`.
+#: so the coordinator merges those three from a step's ``counts``.
 SUMMED_COUNTERS = ("entries_traversed", "candidates_generated",
                    "candidates_sketch_pruned", "full_similarities",
                    "entries_indexed", "entries_pruned", "residual_entries",
                    "reindexed_entries")
 _summed = operator.attrgetter(*SUMMED_COUNTERS)
-
-
-@dataclass(frozen=True)
-class ShardPlan:
-    """The validated partition count of a sharded join.
-
-    Which partition stores a vector is decided by the partition's own
-    index (:meth:`~repro.indexes.base.StreamingIndex.owns_current`).
-    """
-
-    workers: int
-
-    def __post_init__(self) -> None:
-        if self.workers < 1:
-            raise ValueError(f"need at least one partition, got {self.workers}")
 
 
 class PartitionSpec(NamedTuple):
@@ -68,17 +52,6 @@ class PartitionSpec(NamedTuple):
     workers: int
     #: Registered backend name of partitions built from scratch.
     backend: str
-
-
-class StepReply(NamedTuple):
-    """What a partition reports for one vector."""
-
-    #: Its pairs, in its own report order.
-    pairs: list[SimilarPair]
-    #: Each pair's :meth:`~repro.indexes.base.StreamingIndex.merge_key`.
-    keys: list[tuple]
-    #: ``(reindexed, index size, residual size, SUMMED_COUNTERS deltas)``.
-    counts: tuple
 
 
 class Partition:
@@ -94,8 +67,16 @@ class Partition:
             partition=(part, spec.workers))
         self._totals = (0,) * len(SUMMED_COUNTERS)
 
-    def step(self, vector: SparseVector) -> StepReply:
-        """Process the stream's next vector."""
+    def step(self, vector: SparseVector) -> tuple:
+        """Process the stream's next vector.
+
+        Returns ``(pairs, keys, counts)``: the pairs in this partition's
+        report order, each pair's
+        :meth:`~repro.indexes.base.StreamingIndex.merge_key`, and
+        ``(reindexed, index size, residual size, SUMMED_COUNTERS
+        deltas)``.  A plain tuple, because forked partitions pickle one
+        per vector.
+        """
         stats = self.stats
         index = self.index
         reindexings = stats.reindexings
@@ -108,11 +89,10 @@ class Partition:
         totals = _summed(stats)
         deltas = tuple(map(operator.sub, totals, self._totals))
         self._totals = totals
-        return StepReply(pairs, keys, (stats.reindexings != reindexings,
-                                       index.size, index.residual_size,
-                                       deltas))
+        return pairs, keys, (stats.reindexings != reindexings, index.size,
+                             index.residual_size, deltas)
 
-    def steps(self, vectors: list[SparseVector]) -> list[StepReply]:
+    def steps(self, vectors: list[SparseVector]) -> list[tuple]:
         """Process the stream's next vectors, in order."""
         return [self.step(vector) for vector in vectors]
 
@@ -137,13 +117,13 @@ def _die() -> None:
 
 def partition_worker_main(conn, spec: PartitionSpec, part: int,
                           faults=None) -> None:
-    """Message loop of one forked partition (multiprocess executor).
+    """Message loop of one forked partition.
 
     Requests over ``conn``:
 
     * ``("step", step, vectors)`` — process the stream's next vectors,
       the first of arrival step ``step``; replies with their
-      :class:`StepReply` list, or with ``("error", message)`` when
+      :meth:`Partition.step` results, or with ``("error", message)`` when
       ``step`` is not the partition's next one;
     * ``("replay", vectors)`` — crash recovery: process a chunk of the
       retained input, discarding the pairs; replies ``("replayed", n)``;

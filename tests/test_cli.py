@@ -261,6 +261,45 @@ class TestCommands:
                 client.shutdown()
             thread.join(timeout=10)
 
+    def test_ingest_leaves_unset_session_options_to_the_server(
+            self, monkeypatch):
+        import threading
+
+        from repro.service import ServiceClient, SessionConfig
+        from repro.service import serve as service_serve
+
+        opened = []
+        request = ServiceClient.request
+
+        def recording(self, op, **fields):
+            if op == "open":
+                opened.append(fields)
+            return request(self, op, **fields)
+
+        monkeypatch.setattr(ServiceClient, "request", recording)
+        server, _ = service_serve(port=0)
+        thread = threading.Thread(target=server.serve_until_shutdown,
+                                  daemon=True)
+        thread.start()
+        try:
+            host, port = server.address
+            assert main(["ingest", "--host", host, "--port", str(port),
+                         "--session", "cli", "--profile", "tweets",
+                         "--num-vectors", "20"]) == 0
+            config = server.service.sessions["cli"].config
+        finally:
+            with ServiceClient(*server.address) as client:
+                client.shutdown()
+            thread.join(timeout=10)
+        assert len(opened) == 1
+        unset = {"algorithm", "backend", "workers", "approx", "queue_max",
+                 "batch_max_items", "backpressure", "tenant"}
+        assert unset & set(opened[0]) == set()
+        defaults = SessionConfig("cli", config.threshold, config.decay)
+        for name in ("algorithm", "queue_max", "batch_max_items",
+                     "backpressure", "tenant"):
+            assert getattr(config, name) == getattr(defaults, name), name
+
     def test_results_against_a_missing_session_fails_cleanly(self, capsys):
         import threading
 

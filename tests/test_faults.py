@@ -37,6 +37,7 @@ from repro.faults import (
     FaultPlan,
     parse_fault_plan,
 )
+from repro.shard import ProcessShardExecutor
 from tests.groundtruth import engine_pair_map
 
 pytestmark = pytest.mark.skipif("numpy" not in available_backends(),
@@ -64,27 +65,26 @@ def make_corpus(count=150, seed=17, dims=20):
 
 
 def run_chaos(algorithm, vectors, threshold, decay, fault_plan, *,
-              workers=2, **kwargs):
+              workers=2):
     from repro.shard import create_sharded_join
 
     stats = JoinStatistics()
     with create_sharded_join(algorithm, threshold, decay, workers=workers,
                              stats=stats, backend="numpy",
-                             executor="process", fault_plan=fault_plan,
-                             **kwargs) as join:
+                             executor="process",
+                             fault_plan=fault_plan) as join:
         pairs = {pair.key: pair for pair in join.run(vectors)}
         recovery_events = list(join.recovery_events)
         degraded = join.degraded
     return pairs, stats, recovery_events, degraded
 
 
-def assert_chaos_parity(algorithm, vectors, threshold, decay, fault_plan,
-                        **kwargs):
+def assert_chaos_parity(algorithm, vectors, threshold, decay, fault_plan):
     expected, expected_stats = engine_pair_map(vectors, threshold, decay,
                                                algorithm=algorithm,
                                                backend="numpy")
     actual, stats, events, degraded = run_chaos(algorithm, vectors, threshold,
-                                                decay, fault_plan, **kwargs)
+                                                decay, fault_plan)
     assert set(actual) == set(expected), fault_plan
     for key, pair in expected.items():
         other = actual[key]
@@ -268,12 +268,12 @@ class TestCrashRecovery:
             "STR-L2", vectors, 0.5, 0.05, "exit-in-scan:shard=0,after=25")
         assert not degraded and len(events) == 1
 
-    def test_recovers_from_dropped_reply_via_deadline(self):
+    def test_recovers_from_dropped_reply_via_deadline(self, monkeypatch):
+        monkeypatch.setattr(ProcessShardExecutor, "RECV_TIMEOUT", 2.0)
         vectors = make_corpus(count=80)
         start = time.monotonic()
         events, degraded = assert_chaos_parity(
-            "STR-L2", vectors, 0.5, 0.05, "drop-reply:shard=0,after=10",
-            recv_timeout=2.0)
+            "STR-L2", vectors, 0.5, 0.05, "drop-reply:shard=0,after=10")
         elapsed = time.monotonic() - start
         assert not degraded and len(events) == 1
         assert events[0]["cause"].startswith("shard 0")
@@ -281,11 +281,11 @@ class TestCrashRecovery:
         # acceptance ceiling of 10s.
         assert elapsed < 10.0
 
-    def test_degrades_to_serial_when_respawns_exhausted(self):
+    def test_degrades_to_serial_when_respawns_exhausted(self, monkeypatch):
+        monkeypatch.setattr(ProcessShardExecutor, "MAX_RESPAWNS", 0)
         vectors = make_corpus(count=120)
         events, degraded = assert_chaos_parity(
-            "STR-L2AP", vectors, 0.5, 0.05, "kill-worker:shard=1,after=30",
-            max_respawns=0)
+            "STR-L2AP", vectors, 0.5, 0.05, "kill-worker:shard=1,after=30")
         assert degraded
         assert [event["kind"] for event in events] == ["degrade"]
 
@@ -297,27 +297,28 @@ class TestCrashRecovery:
         assert not degraded
         assert [event["kind"] for event in events] == ["respawn", "respawn"]
 
-    def test_recovery_disabled_surfaces_worker_error(self):
+    def test_recovery_disabled_surfaces_worker_error(self, monkeypatch):
         from repro.shard import create_sharded_join
 
+        monkeypatch.setattr(ProcessShardExecutor, "RECOVERY", False)
         vectors = make_corpus(count=60)
         with pytest.raises(ShardWorkerError) as excinfo:
             with create_sharded_join(
                     "STR-L2", 0.5, 0.05, workers=2, backend="numpy",
                     executor="process",
-                    fault_plan="kill-worker:shard=1,after=10",
-                    recovery=False) as join:
+                    fault_plan="kill-worker:shard=1,after=10") as join:
                 for vector in vectors:
                     join.process(vector)
         assert excinfo.value.shard == 1
 
-    def test_close_does_not_hang_on_dead_worker(self):
+    def test_close_does_not_hang_on_dead_worker(self, monkeypatch):
         from repro.shard import create_sharded_join
 
+        monkeypatch.setattr(ProcessShardExecutor, "RECV_TIMEOUT", 5.0)
         join = create_sharded_join("STR-L2", 0.6, 0.1, workers=2,
-                                   executor="process", recv_timeout=5.0)
+                                   executor="process")
         join.process(SparseVector(0, 0.0, {1: 1.0}))
-        executor = join._index._executor
+        executor = join.executor
         os.kill(executor._procs[1].pid, signal.SIGKILL)
         executor._procs[1].join(5)
         start = time.monotonic()

@@ -632,8 +632,6 @@ class TestJoinServiceDispatch:
     @pytest.mark.skipif("numpy" not in available_backends(),
                         reason="sharded engine needs the NumPy backend")
     def test_open_with_workers_forks_the_other_partition(self):
-        from repro.shard import ProcessShardExecutor
-
         vectors = random_vectors(60, seed=241)
         expected, _ = expected_pairs(vectors)
         service = JoinService()
@@ -642,7 +640,7 @@ class TestJoinServiceDispatch:
                                    "theta": THETA, "decay": DECAY,
                                    "normalize": False, "workers": 2})["ok"]
             join = service.sessions["s"].join
-            assert isinstance(join.index._executor, ProcessShardExecutor)
+            assert join.executor._procs[1].is_alive()  # partition 1 forked
             service.handle({"op": "ingest", "session": "s",
                             "vectors": [encode_vector(v) for v in vectors]})
             assert service.handle({"op": "drain", "session": "s"})["ok"]

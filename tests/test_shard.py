@@ -18,9 +18,10 @@ regimes that stress different machinery:
 * STR-INV, equal-timestamp bursts, the reference backend, and a worker
   killed mid-stream.
 
-The hypothesis suites run on the serial in-process executor
-(``workers ∈ {1, 2, 4}``) so they are deterministic and CI-safe; smaller
-non-hypothesis tests run the real multiprocess executor end to end.
+The hypothesis suites run every partition in-process
+(``executor="serial"``, ``workers ∈ {1, 2, 4}``) so they are
+deterministic and CI-safe; smaller non-hypothesis tests fork the
+partitions end to end.
 """
 
 from __future__ import annotations
@@ -30,8 +31,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import SparseVector, available_backends
-from repro.core.results import JoinStatistics, ShardCounters, merge_shard_counters
-from repro.shard import ShardPlan, create_sharded_join
+from repro.core.results import JoinStatistics
+from repro.exceptions import SSSJError
+from repro.shard import ProcessShardExecutor, create_sharded_join
 from tests.conftest import (
     REPLAY_PATHS,
     accelerated_backends,
@@ -298,9 +300,10 @@ class TestProcessExecutor:
                 join.process(vector)
             counters = join.shard_counters()
         assert len(counters) == 2
-        total = merge_shard_counters(counters)
-        assert total.entries_indexed == join.stats.entries_indexed
-        assert total.entries_traversed == join.stats.entries_traversed
+        assert (sum(c.entries_indexed for c in counters)
+                == join.stats.entries_indexed)
+        assert (sum(c.entries_traversed for c in counters)
+                == join.stats.entries_traversed)
         # Every partition runs every vector as a query.
         assert all(c.scans == 60 for c in counters)
         assert [c.shard for c in counters] == [0, 1]
@@ -342,6 +345,46 @@ class TestProcessExecutor:
         assert segments() - before == set()
 
 
+class TestClosedJoin:
+    """After ``close()`` no call reaches a partition: each one that would
+    send to or spawn a partition raises, and no worker outlives it."""
+
+    @pytest.mark.parametrize("executor", ["serial", "process"])
+    def test_calls_after_close_raise(self, executor):
+        import multiprocessing
+
+        before = set(multiprocessing.active_children())
+        vectors = [SparseVector(index, float(index), {index % 3: 1.0})
+                   for index in range(4)]
+        join = create_sharded_join("STR-L2", 0.5, 0.05, workers=2,
+                                   executor=executor)
+        join.process(vectors[0])
+        join.close()
+        with pytest.raises(SSSJError, match="closed"):
+            join.process(vectors[1])
+        with pytest.raises(SSSJError, match="closed"):
+            join.feed(vectors[2:])
+        with pytest.raises(SSSJError, match="closed"):
+            join.shard_counters()
+        join.close()
+        # The metrics collector still reads these from a closed join.
+        assert join.recovery_events == [] and not join.degraded
+        assert join.executor.respawns == 0
+        assert join.stats.vectors_processed == 1
+        assert [child.name for child in multiprocessing.active_children()
+                if child not in before] == []
+
+
+class TestDropIn:
+    def test_default_index_matches_the_streaming_join(self):
+        from repro import ShardedStreamingJoin, StreamingSimilarityJoin
+
+        with ShardedStreamingJoin(0.7, 0.1, executor="serial") as join:
+            assert join.algorithm == "STR-L2"
+            assert join.algorithm == StreamingSimilarityJoin(0.7,
+                                                             0.1).algorithm
+
+
 def stored_by(workers: int, count: int) -> list[list[int]]:
     """Per arrival step, the partitions whose index stored that vector."""
     from repro.shard import Partition, PartitionSpec
@@ -354,7 +397,7 @@ def stored_by(workers: int, count: int) -> list[list[int]]:
     for step in range(count):
         vector = SparseVector(step, float(step), {step: 1.0})
         owners.append([part for part, partition in enumerate(partitions)
-                       if partition.step(vector).counts[3][indexed]])
+                       if partition.step(vector)[2][3][indexed]])
     return owners
 
 
@@ -369,11 +412,10 @@ class TestShardPlan:
         assert stored_by(1, 100) == [[0]] * 100
 
     def test_rejects_zero_workers(self):
-        with pytest.raises(ValueError):
-            ShardPlan(0)
-        with pytest.raises(ValueError):
-            create_sharded_join("STR-L2", 0.6, 0.05, workers=0,
-                                executor="serial")
+        for executor in ("serial", "process"):
+            with pytest.raises(ValueError):
+                create_sharded_join("STR-L2", 0.6, 0.05, workers=0,
+                                    executor=executor)
 
     def test_consecutive_steps_spread(self):
         # Round robin: consecutive arrivals land on different partitions.
@@ -401,20 +443,6 @@ class TestShardPlan:
                       for entry in partition.index._residual.entries()}
             assert stored == {step for step in range(30) if step % 3 == part}
             assert partition.index.steps == 30
-
-
-class TestShardCounters:
-    def test_merge_accumulates(self):
-        first = ShardCounters(shard=0, dimensions=3, entries_indexed=10,
-                              entries_traversed=7, entries_removed=2, scans=5)
-        second = ShardCounters(shard=1, dimensions=2, entries_indexed=4,
-                               entries_traversed=1, entries_removed=0, scans=5)
-        total = merge_shard_counters([first, second])
-        assert total.shard == -1
-        assert total.dimensions == 5
-        assert total.entries_indexed == 14
-        assert total.entries_traversed == 8
-        assert total.scans == 10
 
 
 class TestShardCLI:
@@ -465,7 +493,7 @@ class TestBenchmarkSeams:
                 rows = join.shard_counters()
                 assert all(hasattr(row, "entries_traversed") for row in rows)
                 assert join.recovery_events == [] and not join.degraded
-                join._index._executor._kill_worker(0)
+                join.executor._kill_worker(0)
                 assert not children[0].is_alive()
                 for vector in vectors[40:]:
                     join.process(vector)
@@ -563,19 +591,19 @@ class TestFeed:
         assert [pair.key for pair in pairs] == list(expected)
         assert pairs
 
-    def test_a_failed_chunk_is_not_sent_again(self):
+    def test_a_failed_chunk_is_not_sent_again(self, monkeypatch):
         # Without recovery a dead partition fails the chunk; the error
         # surfaces as is, and no partition sees the chunk a second time.
         from repro.exceptions import ShardWorkerError
         from tests.conftest import random_vectors
 
+        monkeypatch.setattr(ProcessShardExecutor, "RECOVERY", False)
         vectors = random_vectors(100, seed=12, time_step=0.2)
         with create_sharded_join("STR-L2AP", 0.5, 0.05, workers=2,
                                  fault_plan="kill-worker:shard=1,after=10",
-                                 recovery=False) as join:
+                                 ) as join:
             with pytest.raises(ShardWorkerError, match="shard 1"):
                 join.feed(vectors)
             # Only the first chunk was sent.
-            assert (join.index._executor._local[0].index.steps
-                    == join.FEED_CHUNK)
+            assert join.executor._local[0].index.steps == join.FEED_CHUNK
             assert join.stats.vectors_processed == 0
