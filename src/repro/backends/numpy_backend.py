@@ -3,22 +3,43 @@
 Posting lists live in a shared **posting arena**
 (:mod:`repro.backends.arena`): one set of growable contiguous arrays —
 vector-id slots, weights ``x_j``, prefix magnitudes ``‖x'_j‖`` and
-timestamps ``t(x)`` — spanning *every* dimension, with a per-dimension
-extent table.  The three hot loops then become array kernels:
+timestamps ``t(x)`` — spanning *every* dimension, with a **directory** of
+per-list columns (region, chunk end, lazy-expiry state, extreme
+timestamps) indexed by a dense list id, and a ``dim → list id`` table.
+A query's per-list work is array operations over its list ids; no Python
+runs per posting list.  The three hot loops become array kernels:
 
-* **candidate accumulation** — the fused ``scan_query_*`` kernels gather
-  every matched dimension's live range out of the arena in one pass and
-  accumulate the whole query's candidates with a handful of array
-  operations, instead of one Python→NumPy round trip per query term,
-* **decay and time filtering** — head truncation for time-ordered lists;
-  unordered lists are filtered by a boolean *expiry mask* whose physical
-  compaction is amortised (see below),
+* **candidate accumulation** — the fused ``scan_query_*`` kernels look up
+  every query dimension's list at once, gather their live ranges out of
+  the arena in one pass and accumulate the whole query's candidates with
+  a handful of array operations,
+* **decay and time filtering** — one mask over the gather; time-ordered
+  lists are truncated at the head by a column update, unordered lists
+  keep a lazy-expiry state whose physical rewrite is amortised (see
+  below), and the admission tri-state of every list is resolved at once,
 * **verification** — one fused masked pass over slot-indexed metadata
   arrays evaluates the ``ps1``/``ds1``/``sz2`` bounds for every candidate
   at once; only the survivors finish their dot product over the residual
-  prefix (a vectorised gather-multiply whose final reduction stays
-  sequential so the result is bit-for-bit identical to the reference
-  backend).
+  prefix (a few one by one, more in a vectorised gather-multiply whose
+  final reduction stays sequential so the result is bit-for-bit
+  identical to the reference backend).
+
+Per query, a streaming scan (``scan_query_stream``) runs:
+
+1. *locate* — ``dim → list id`` for every query dimension, then the lists
+   holding live postings, in backward scan order;
+2. *gather* — the arena offsets of their regions, newest first on
+   time-ordered lists;
+3. *time filter* — one ``>= cutoff`` mask and per-list alive counts;
+   head truncation (time-ordered) or lazy-expiry state (unordered) is
+   written straight into the directory columns;
+4. *admission* — the tri-state of every list from ``np.exp`` at its
+   extreme live timestamps, with decisions near θ left to the per-entry
+   test;
+5. *replay* — contributions, decay factors and ``l2bound`` tails for the
+   whole gather, then one pass of :meth:`NumpyKernel._fused_prefix_segments`;
+6. *settle* — after every read of the gather: the in-place rewrite of
+   lists at least half lazily expired, then any due arena compaction.
 
 Fused multi-term scans
 ----------------------
@@ -67,14 +88,13 @@ Amortised expiry compaction
 ---------------------------
 Unordered posting lists (STR-L2AP after re-indexing) cannot be truncated
 from the head; eagerly rewriting each list on every scan costs O(list) per
-arrival.  Instead each :class:`~repro.backends.arena.ArenaPostingList`
-keeps a *high-water expiry
+arrival.  Instead each list's directory row keeps a *high-water expiry
 cutoff* and a *dirty counter*: scans mask expired postings out on the fly,
 report them removed exactly once (so operation counters match the eagerly
 compacting reference backend), and the physical rewrite is deferred until
-either the list is at least half dead or the kernel's per-query
-*compaction budget* pays for an early cleanup.  A per-list minimum-live
-timestamp skips the masking entirely while nothing can be expired.
+the list is at least half dead or the arena compacts.  A per-list
+minimum-live timestamp skips the masking entirely while nothing can be
+expired.
 
 Floating-point parity with the reference backend: every accumulation adds
 the same IEEE-754 products in the same order (a vector contributes at most
@@ -90,7 +110,9 @@ around θ, and every decision inside the band is re-taken with
 * **candidate-generation scans** — the per-entry decayed admission bound
   and the ``l2bound`` prune of every posting inside the band, on both
   replays (and the compiled one, which receives the same inputs).  The
-  whole-scan admission shortcut uses ``math.exp`` throughout.
+  per-list admission shortcut admits or refuses a whole list only when
+  its ``np.exp`` bound clears θ by more than the band; otherwise the list
+  takes the per-entry test.
 
 So decisions and counters equal the reference's even for pairs that sit
 exactly on θ.
@@ -99,13 +121,19 @@ exactly on θ.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections.abc import Sequence
-from typing import Any
+from typing import Any, NamedTuple
 
 import numpy as np
 
-from repro.backends.arena import ArenaPostingList, PostingArena
-from repro.backends.arena import _MIN_CAPACITY  # noqa: F401  (test hook)
+from repro.backends.arena import (
+    _DENSE_DIM_LIMIT,
+    ArenaPostingList,
+    PostingArena,
+    _cells,
+    _offsets,
+)
 from repro.backends.base import (
     CandidateSet,
     ScoreAccumulator,
@@ -114,11 +142,8 @@ from repro.backends.base import (
 )
 from repro.core.results import JoinStatistics, SimilarPair
 from repro.core.vector import SparseVector
-from repro.indexes.bounds import (
-    IndexingSplit,
-    compute_indexing_split,
-    remaining_score_bounds,
-)
+from repro.exceptions import SSSJError
+from repro.indexes.bounds import IndexingSplit, compute_indexing_split
 from repro.indexes.maxvector import MaxVector
 from repro.indexes.residual import ResidualEntry, ResidualIndex
 
@@ -127,27 +152,27 @@ __all__ = ["NumpyKernel", "ArenaPostingList", "PostingArena", "prefix_segments"]
 _INITIAL_SLOTS = 64
 _INITIAL_DENSE = 1024
 _INF = math.inf
-#: Dimensions above this threshold fall back to dict-based dot products
-#: instead of growing the dense scratch vector (2**24 floats = 128 MiB).
-_DENSE_DIM_LIMIT = 1 << 24
 #: Whole-query gathers of at most this many live postings replay through
 #: the scalar loop, larger ones through the slot-grouped pass (see
 #: ``NumpyKernel._fused_prefix_segments``).  Set at the measured
 #: per-replay crossover of the two paths (docs/PERFORMANCE.md).
-_GROUPED_REPLAY_CUTOFF = 192
-#: Vectors at or below this length run the pure-Python indexing-split loop.
+_GROUPED_REPLAY_CUTOFF = 64
+#: Vectors at or below this length run the pure-Python indexing-split loop
+#: (with the AP bound; the ℓ₂-only split is a bisect at any length).
 _SCALAR_SPLIT_CUTOFF = 8
-#: Bulk appends at or below this many postings take the scalar field-write
-#: path; larger ones reserve all tail cells and scatter each field once.
-_SCALAR_APPEND_CUTOFF = 8
+#: Verification of at most this many survivors finishes each residual dot
+#: with ``ResidualEntry.residual_dot``; more share one batched array pass
+#: over the dense query scratch.  Set at the measured crossover of the two
+#: paths (docs/PERFORMANCE.md).
+_LOOP_VERIFY_CUTOFF = 4
 #: Per-query replenishment and cap of the amortised compaction budget
 #: (measured in postings rewritten).
 _COMPACTION_BUDGET = 512
 _COMPACTION_BUDGET_CAP = 4096
 #: Tri-state outcome of the remaining-score admission test, resolved per
-#: scan from the list's minimum live timestamp (``exp`` is monotone in the
-#: timestamp, so one ``math.exp`` at the oldest entry decides the whole
-#: list whenever the bound clears — or fails — uniformly).
+#: scanned list from its extreme live timestamps (``exp`` is monotone in
+#: the timestamp, so the bound at the oldest and the newest posting
+#: decides the whole list whenever it clears — or fails — uniformly).
 _ADMIT_ALL = 1
 _ADMIT_NONE = 0
 _ADMIT_PER_ENTRY = -1
@@ -252,37 +277,44 @@ class NumpySizeFilter(SizeFilterMap):
         return None if value == math.inf else value
 
 
-class _LiveGather:
+class _LiveGather(NamedTuple):
     """The live postings of one query's posting lists (see ``_gather_live``).
 
     ``idx`` holds their arena offsets in scan order and ``timestamps``
     their arrival times (``None`` unless gathered); ``counts``/``offsets``
     delimit each list's segment inside ``idx``.  ``seg_min``/``seg_max``
-    are each segment's extreme live timestamps (``±inf`` when empty) and
-    ``seg_traversed``/``seg_removed`` its logical operation counts, with
-    ``traversed``/``removed`` their totals.  ``drops`` and ``lazy`` are
-    the deferred head truncations and lazy-expiry updates.
+    are each segment's extreme live timestamps; ``traversed``/``removed``
+    are the logical operation counts.  ``rewrite`` holds the ids of the
+    lists to rewrite without their lazily expired postings once the
+    replay is done (``None`` if none).
     """
 
-    __slots__ = ("idx", "timestamps", "counts", "offsets", "seg_min",
-                 "seg_max", "seg_traversed", "seg_removed", "traversed",
-                 "removed", "drops", "lazy")
+    idx: np.ndarray
+    timestamps: np.ndarray | None
+    counts: np.ndarray
+    offsets: np.ndarray
+    seg_min: np.ndarray
+    seg_max: np.ndarray
+    traversed: int
+    removed: int
+    rewrite: np.ndarray | None = None
 
-    def __init__(self, idx, timestamps, counts, offsets, seg_min, seg_max,
-                 seg_traversed, seg_removed, traversed, removed, drops,
-                 lazy) -> None:
-        self.idx = idx
-        self.timestamps = timestamps
-        self.counts = counts
-        self.offsets = offsets
-        self.seg_min = seg_min
-        self.seg_max = seg_max
-        self.seg_traversed = seg_traversed
-        self.seg_removed = seg_removed
-        self.traversed = traversed
-        self.removed = removed
-        self.drops = drops
-        self.lazy = lazy
+
+class _VectorArrays:
+    """One vector's coordinates as arrays (see ``NumpyKernel._arrays``).
+
+    ``norms`` is the vector's ``_prefix_norms``: entry ``k`` is the norm
+    of the coordinates before position ``k`` (a posting's ``‖x'_j‖``), so
+    ``norms[k + 1]`` is the ℓ₂ indexing bound after position ``k``.
+    """
+
+    __slots__ = ("vector", "dims", "values", "norms")
+
+    def __init__(self, vector: SparseVector) -> None:
+        self.vector = vector
+        self.dims = np.asarray(vector.dims, dtype=np.int64)
+        self.values = np.asarray(vector.values, dtype=np.float64)
+        self.norms = np.asarray(vector._prefix_norms, dtype=np.float64)
 
 
 class _ExactDecay:
@@ -347,13 +379,13 @@ class NumpyKernel(SimilarityKernel):
         self._dense = np.zeros(_INITIAL_DENSE, dtype=np.float64)
         self._query_dims: np.ndarray | None = None
         self._dense_active = False
-        # id(vector) -> [vector, dims, values, b2-prefix-or-None,
-        # prefix-norms-or-None].  The strong reference to the vector pins
-        # its id, so a recycled id can never alias a stale entry; the ℓ₂
-        # indexing bound prefix and the prefix-norm array are filled
-        # lazily (re-indexing recomputes the split of the same vector many
-        # times, but both depend only on the vector).
-        self._vector_arrays: dict[int, list] = {}
+        # Coordinate arrays (see ``_arrays``): the current query's, and
+        # one per vector in the residual/Q store, keyed by slot and dropped
+        # when it is evicted; nothing else keeps a vector alive.
+        self._query_arrays: _VectorArrays | None = None
+        self._stored_arrays: dict[int, _VectorArrays] = {}
+        # ``dots_for``'s other vectors, kept only until the next call.
+        self._dots_arrays: dict[int, _VectorArrays] = {}
 
     # -- slot interning ------------------------------------------------------
 
@@ -401,7 +433,22 @@ class NumpyKernel(SimilarityKernel):
     # -- storage factories ---------------------------------------------------
 
     def new_posting_list(self) -> ArenaPostingList:
-        return self._arena.new_list()
+        """An empty list of the current arena, mapped to no dimension
+        (the kernel creates a dimension's list on its first append)."""
+        arena = self._arena
+        return arena.views(arena.new_lists(1))[0]
+
+    def _arena_for(self, index: Any) -> PostingArena:
+        """The arena of posting store ``index``: the first store the kernel
+        fills (a restore's or a switch's rebuilt one included) is the
+        only one it serves."""
+        arena = self._arena
+        if arena.store is not index:
+            if arena.store is not None:
+                raise SSSJError("a NumPy kernel serves one posting store; "
+                                "give each index a kernel of its own")
+            arena.store = index
+        return arena
 
     def new_accumulator(self) -> NumpyAccumulator:
         self._epoch += 1
@@ -457,6 +504,7 @@ class NumpyKernel(SimilarityKernel):
 
     def note_vector_indexed(self, entry: ResidualEntry) -> None:
         slot = self._intern(entry.vector_id)
+        self._keep_arrays(slot, entry)
         residual_max, residual_sum = entry._stats()
         self._slot_meta[slot] = (entry.pscore, residual_max, residual_sum,
                                  len(entry.residual), entry.timestamp)
@@ -496,8 +544,9 @@ class NumpyKernel(SimilarityKernel):
              entry.timestamp) for entry in entries]
         self._slot_valid[slots] = True
         self._slot_entries.update(zip(slots, entries))
-        for slot in slots:
+        for slot, entry in zip(slots, entries):
             self._slot_residual.pop(slot, None)
+            self._keep_arrays(slot, entry)
 
     def note_vector_updated(self, entry: ResidualEntry) -> None:
         slot = self._slot_of.get(entry.vector_id)
@@ -519,6 +568,7 @@ class NumpyKernel(SimilarityKernel):
             self._slot_valid[slot] = False
             self._slot_entries.pop(slot, None)
             self._slot_residual.pop(slot, None)
+            self._stored_arrays.pop(slot, None)
             if self._sketch_scheme is not None:
                 self._slot_sig_valid[slot] = False
                 self._buckets_dirty = True
@@ -684,47 +734,44 @@ class NumpyKernel(SimilarityKernel):
 
     def index_vector_postings(self, index: Any, vector: SparseVector,
                               start: int = 0, end: int | None = None) -> int:
-        """Bulk append: intern the id once, scatter the fields in one pass.
+        """Bulk append: one posting on each list of ``vector.dims[start:end]``.
 
-        Every touched dimension reserves its tail cell first (each list is
-        touched at most once — vector dimensions are unique — so chunk
-        relocations cannot move already-reserved cells), then the four
-        posting fields are written with one vectorised scatter per array.
+        One directory lookup finds the lists (new dimensions get fresh
+        ones); every list reserves its tail cell in one pass — full chunks
+        relocate together first, so no reserved cell moves afterwards —
+        and the four posting fields are written with one scatter per array.
         """
-        slot = self._intern(vector.vector_id)
-        timestamp = vector.timestamp
-        dims = vector.dims
-        stop = len(dims) if end is None else end
+        arrays = self._arrays(vector)
+        stop = len(arrays.dims) if end is None else end
         count = stop - start
         if count <= 0:
             return 0
-        list_for = index.list_for
-        if count <= _SCALAR_APPEND_CUTOFF:
-            values = vector.values
-            prefix_norms = vector._prefix_norms
-            for position in range(start, stop):
-                list_for(dims[position])._append_fast(
-                    slot, values[position], prefix_norms[position], timestamp)
-            index.note_added(count)
-            return count
-        arena = self._arena
-        arena.maybe_compact()
-        cached = self._vector_entry(vector)
-        values_arr = cached[2]
-        prefix_arr = cached[4]
-        if prefix_arr is None:
-            prefix_arr = np.asarray(vector._prefix_norms, dtype=np.float64)
-            cached[4] = prefix_arr
-        positions = np.empty(count, dtype=np.int64)
-        for offset, position in enumerate(range(start, stop)):
-            plist = list_for(dims[position])
-            positions[offset] = plist._reserve_tail()
-            plist.note_appended(1, timestamp, timestamp)
+        arena = self._arena_for(index)
+        slot = self._intern(vector.vector_id)
+        dims = arrays.dims[start:stop]
+        lids = arena.lookup(dims)
+        fresh = (lids == 0).nonzero()[0]
+        if len(fresh):
+            new_dims = dims.take(fresh)
+            # A new list gets the chunk its first relocation would give it.
+            new_lids = arena.new_lists(len(fresh), room=2)
+            arena.register(new_dims, new_lids)
+            lids[fresh] = new_lids
+            index.adopt(dict(zip(new_dims.tolist(), arena.views(new_lids))), 0)
+        positions = arena.reserve(lids)
+        timestamp = vector.timestamp
         arena.slots[positions] = slot
-        arena.values[positions] = values_arr[start:stop]
-        arena.pnorms[positions] = prefix_arr[start:stop]
+        arena.values[positions] = arrays.values[start:stop]
+        arena.pnorms[positions] = arrays.norms[start:stop]
         arena.ts[positions] = timestamp
+        extremes = arena.tmin.take(lids)
+        np.minimum(extremes, timestamp, out=extremes)
+        arena.tmin[lids] = extremes
+        extremes = arena.tmax.take(lids)
+        np.maximum(extremes, timestamp, out=extremes)
+        arena.tmax[lids] = extremes
         index.note_added(count)
+        arena.maybe_compact()
         return count
 
     def load_postings(self, index: Any, postings) -> None:
@@ -740,52 +787,54 @@ class NumpyKernel(SimilarityKernel):
                 dims.append(dim)
                 counts.append(len(entries))
                 flat.extend(entries)
+        arena = self._arena_for(index)
         ids = [entry.vector_id for entry in flat]
         # Interned in first-appearance order, as appends would intern them.
         slot_of = {vector_id: self._intern(vector_id)
                    for vector_id in dict.fromkeys(ids)}
-        lists = self._arena.load(counts,
-                                 [slot_of[vector_id] for vector_id in ids],
-                                 [entry.value for entry in flat],
-                                 [entry.prefix_norm for entry in flat],
-                                 [entry.timestamp for entry in flat])
-        index.adopt(dict(zip(dims, lists)), len(flat))
+        lids = arena.load(np.asarray(counts, dtype=np.int64),
+                          [slot_of[vector_id] for vector_id in ids],
+                          [entry.value for entry in flat],
+                          [entry.prefix_norm for entry in flat],
+                          [entry.timestamp for entry in flat])
+        arena.register(np.asarray(dims, dtype=np.int64), lids)
+        index.adopt(dict(zip(dims, arena.views(lids))), len(flat))
 
     def indexing_split(self, vector: SparseVector, threshold: float, *,
                        max_vector: MaxVector | None, use_ap: bool,
                        use_l2: bool, limit: int | None = None) -> IndexingSplit:
         end = len(vector) if limit is None else min(limit, len(vector))
+        if not use_ap:
+            if not use_l2:
+                raise ValueError("at least one bound family must be enabled")
+            # The ℓ₂ bound after position k is the prefix norm
+            # ``norms[k + 1]``, summed in the reference loop's order and
+            # non-decreasing in k: the split is the first position whose
+            # bound reaches θ, and its pscore the norm before it.
+            norms = vector._prefix_norms
+            after = bisect_left(norms, threshold, 1, end + 1)
+            return IndexingSplit(boundary=after - 1, pscore=norms[after - 1])
         if end <= _SCALAR_SPLIT_CUTOFF:
             return compute_indexing_split(vector, threshold,
                                           max_vector=max_vector, use_ap=use_ap,
                                           use_l2=use_l2, limit=limit)
-        if not use_ap and not use_l2:
-            raise ValueError("at least one bound family must be enabled")
-        if use_ap and max_vector is None:
+        if max_vector is None:
             raise ValueError("the AP b1 bound requires the max vector m")
-        entry = self._vector_entry(vector)
+        arrays = self._arrays(vector)
         # np.cumsum accumulates sequentially, so every partial sum is
         # bitwise identical to the reference backend's running loop.
-        if use_ap:
-            # Gather straight from the MaxVector's backing dict: this loop
-            # runs once per (re-)indexed vector and the method-call wrapper
-            # around dict.get is measurable at that rate.
-            mvalues = max_vector._values  # type: ignore[union-attr]
-            mget = mvalues.get
-            maxima = np.asarray([mget(dim, 0.0) for dim in vector.dims[:end]],
-                                dtype=np.float64)
-            b1 = (entry[2][:end] * maxima).cumsum()
+        # Gather straight from the MaxVector's backing dict: this loop runs
+        # once per (re-)indexed vector and the method-call wrapper around
+        # dict.get is measurable at that rate.
+        mget = max_vector._values.get
+        maxima = np.asarray([mget(dim, 0.0) for dim in vector.dims[:end]],
+                            dtype=np.float64)
+        b1 = (arrays.values[:end] * maxima).cumsum()
         if use_l2:
-            b2_full = entry[3]
-            if b2_full is None:
-                values = entry[2]
-                b2_full = np.sqrt((values * values).cumsum())
-                entry[3] = b2_full
-            b2 = b2_full[:end]
-        if use_ap and use_l2:
+            b2 = arrays.norms[1:end + 1]
             bound = np.minimum(b1, b2)
         else:
-            bound = b1 if use_ap else b2
+            bound = b1
         hits = bound >= threshold
         position = int(np.argmax(hits))
         if not hits[position]:
@@ -793,56 +842,110 @@ class NumpyKernel(SimilarityKernel):
         if position == 0:
             return IndexingSplit(boundary=0, pscore=0.0)
         before = position - 1
-        b1_bound = float(b1[before]) if use_ap else _INF
         b2_bound = float(b2[before]) if use_l2 else _INF
         return IndexingSplit(boundary=position,
-                             pscore=min(b1_bound, b2_bound))
+                             pscore=min(float(b1[before]), b2_bound))
 
     # -- fused whole-query scans ---------------------------------------------
+    #
+    # Each scan looks up the query's lists in the directory, keeps those
+    # with live postings (in scan order), gathers their regions and works
+    # on per-list arrays from there: no Python runs per posting list.
 
     @staticmethod
-    def _resolve_admission(rs1: float, rs2: float, threshold: float,
-                           decay: float, now: float, min_ts: float,
-                           max_ts: float) -> int:
-        """Resolve the remaining-score admission for a whole scanned region.
+    def _admission(seg_rs1: np.ndarray, seg_rs2: np.ndarray,
+                   counts: np.ndarray, seg_min: np.ndarray,
+                   seg_max: np.ndarray, threshold: float, decay: float,
+                   now: float, use_ap: bool) -> np.ndarray:
+        """The remaining-score admission of each scanned list, resolved
+        for the whole list where it can be.
 
-        ``exp(-λ·(now-t))`` is monotone in ``t``, so evaluating the decayed
-        bound at the region's extreme timestamps decides every entry
-        whenever it clears uniformly (oldest entry passes → all pass) or
-        fails uniformly (newest entry fails → all fail, as does
-        ``rs1 < θ``).  Falls back to the per-entry test only when the
-        decayed bound straddles the threshold inside the region.  Exact:
-        the same ``math.exp`` the reference backend would apply, at
-        timestamps bracketing every scanned entry's.
+        ``exp(-λ·(now-t))`` is monotone in ``t``, so the decayed bound at
+        a list's extreme live timestamps (finite for every segment)
+        decides every posting whenever it clears θ at the oldest (all
+        pass) or fails at the newest (all fail, as they do when
+        ``rs1 < θ``).  The bounds come from ``np.exp``, so a list is
+        admitted or refused whole only when its bound clears θ by more
+        than the guard band, where ``math.exp`` must agree; otherwise it
+        takes the per-entry test, which re-takes each posting's decision
+        exactly.  Empty segments admit nothing.  Returns ``_ADMIT_ALL``,
+        ``_ADMIT_NONE`` or ``_ADMIT_PER_ENTRY`` per segment.
         """
-        if rs1 < threshold:
-            return _ADMIT_NONE
-        exponent = -decay * (now - min_ts)
-        if exponent > 700.0:
-            exponent = 700.0  # conservative clamp; avoids math.exp overflow
-        if rs2 * math.exp(exponent) >= threshold:
-            return _ADMIT_ALL
-        exponent = -decay * (now - max_ts)
-        if exponent <= 700.0 and rs2 * math.exp(exponent) < threshold:
-            return _ADMIT_NONE
-        return _ADMIT_PER_ENTRY
+        count = len(counts)
+        exponents = np.empty(2 * count)
+        exponents[:count] = seg_min
+        exponents[count:] = seg_max
+        # decay·(t - now) is -decay·(now - t) bit for bit; the clamp keeps
+        # np.exp finite (live postings never exceed now: exponents ≤ 0).
+        exponents -= now
+        exponents *= decay
+        np.minimum(exponents, 700.0, out=exponents)
+        bounds = np.exp(exponents, out=exponents)
+        bounds[:count] *= seg_rs2
+        bounds[count:] *= seg_rs2
+        band = threshold * _GUARD_BAND
+        # 2·(all surely pass) - (some may pass): 1 = all, -1 = per entry,
+        # 0 = none.
+        tri = (bounds[:count] >= threshold + band).astype(np.int64)
+        tri += tri
+        tri -= bounds[count:] >= threshold - band
+        tri *= counts > 0
+        if use_ap:
+            tri *= seg_rs1 >= threshold
+        return tri
 
-    def _maybe_compact(self, plist: Any, alive_mask: np.ndarray) -> None:
-        """Amortised physical compaction of a lazily expired list.
+    @staticmethod
+    def _remaining_bounds(arrays: _VectorArrays, rs1: float,
+                          maxima: Sequence[float] | None, use_ap: bool,
+                          use_l2: bool, found: np.ndarray,
+                          ) -> tuple[np.ndarray, np.ndarray]:
+        """``(rs1, rs2)`` for the scanned lists, as arrays.
 
-        Mandatory once the list is at least half dead (classic amortised
-        O(1) per expiry); the per-query maintenance budget additionally
-        pays for early cleanup of lightly dirty lists.
+        Bitwise :func:`repro.indexes.bounds.remaining_score_bounds` at the
+        query positions of ``found`` (indices in backward scan order):
+        ``np.subtract.accumulate`` repeats its one-position-at-a-time
+        subtractions in the same order.
         """
-        dirty = plist._dirty
-        if dirty == 0:
-            return
-        size = plist._size
-        if dirty * 2 >= size:
-            plist.compress(alive_mask)
-        elif size <= self._maintenance_budget:
-            self._maintenance_budget -= size
-            plist.compress(alive_mask)
+        values = arrays.values
+        backward = values[:0:-1]
+        if use_ap:
+            steps = np.empty(len(values))
+            steps[0] = rs1
+            np.multiply(backward, np.asarray(maxima)[:0:-1], out=steps[1:])
+            seg_rs1 = np.subtract.accumulate(steps).take(found)
+        else:
+            seg_rs1 = np.full(len(found), rs1)
+        if use_l2:
+            steps = np.empty(len(values))
+            norm = arrays.vector.norm
+            steps[0] = norm * norm
+            np.multiply(backward, backward, out=steps[1:])
+            remaining = np.subtract.accumulate(steps).take(found)
+            np.maximum(remaining, 0.0, out=remaining)
+            seg_rs2 = np.sqrt(remaining, out=remaining)
+        else:
+            seg_rs2 = np.full(len(found), _INF)
+        return seg_rs1, seg_rs2
+
+    @staticmethod
+    def _query_lists(arena: PostingArena, arrays: _VectorArrays,
+                     backward: bool) -> tuple[np.ndarray, np.ndarray,
+                                              np.ndarray, np.ndarray]:
+        """The query's lists that hold live postings, in scan order.
+
+        Returns ``(found, lids, lo, lengths)``: the lists' indices in scan
+        order over the query positions (last position first when
+        ``backward``), their ids, and their physical regions' first cells
+        and lengths.
+        """
+        lids = arena.lookup(arrays.dims)
+        if backward:
+            lids = lids[::-1]
+        lo = arena.lo.take(lids)
+        lengths = arena.hi.take(lids)
+        lengths -= lo
+        found = (lengths > arena.dirty.take(lids)).nonzero()[0]
+        return found, lids.take(found), lo.take(found), lengths.take(found)
 
     def scan_query_batch(self, vector: SparseVector, index: Any, *,
                          threshold: float, rs1: float,
@@ -851,43 +954,31 @@ class NumpyKernel(SimilarityKernel):
                          size_filter: SizeFilterMap,
                          acc: ScoreAccumulator) -> int:
         self._install_query_sketch(vector)
-        dims = vector.dims
-        values = vector.values
-        rs1_at, rs2_at = remaining_score_bounds(vector, rs1, maxima,
-                                                use_ap=use_ap, use_l2=use_l2)
-        seg_lists: list[Any] = []
-        seg_values: list[float] = []
-        seg_qpns: list[float] = []
-        seg_rs1: list[float] = []
-        seg_rs2: list[float] = []
-        for position in range(len(dims) - 1, -1, -1):
-            plist = index.get(dims[position])
-            if plist is not None and plist.physical_size:
-                seg_lists.append(plist)
-                seg_values.append(values[position])
-                seg_qpns.append(vector.prefix_norm_before(position))
-                seg_rs1.append(rs1_at[position])
-                seg_rs2.append(rs2_at[position])
-        if not seg_lists:
+        arena = self._arena_for(index)
+        arrays = self._arrays(vector)
+        found, lids, lo, lengths = self._query_lists(arena, arrays, True)
+        if not len(found):
             return 0
-        tri = [_ADMIT_ALL if min(bound1, bound2) >= threshold
-               else _ADMIT_NONE for bound1, bound2 in zip(seg_rs1, seg_rs2)]
-        arena = self._arena
-        idx, lengths, offsets = self._gather_indices(seg_lists, reverse=False)
+        seg_rs1, seg_rs2 = self._remaining_bounds(arrays, rs1, maxima, use_ap,
+                                                  use_l2, found)
+        tri = np.where(np.minimum(seg_rs1, seg_rs2) >= threshold,
+                       _ADMIT_ALL, _ADMIT_NONE)
+        idx, offsets = self._gather_indices(lo, lengths, reverse=False)
         total = len(idx)
-        if self._sketch_query is not None and total:
+        if self._sketch_query is not None:
             # Before the admission shortcut: the reference per-entry check
             # runs ahead of admission, so the reject counters must too.
             idx, lengths, offsets, _ = self._sketch_drop(idx, lengths,
                                                          offsets, acc)
-        if _ADMIT_ALL not in tri or not len(idx):
+        if not tri.any() or not len(idx):
             # No segment admits newcomers and (within one fused pass)
             # nothing can have started earlier, so no candidate can form.
             return total
-        contrib = np.repeat(np.asarray(seg_values), lengths)
+        positions = len(arrays.values) - 1 - found
+        contrib = np.repeat(arrays.values[positions], lengths)
         contrib *= arena.values[idx]
         if use_l2:
-            tails = np.repeat(np.asarray(seg_qpns), lengths)
+            tails = np.repeat(arrays.norms[positions], lengths)
             tails *= arena.pnorms[idx]
         else:
             tails = None
@@ -905,26 +996,13 @@ class NumpyKernel(SimilarityKernel):
                           size_filter: SizeFilterMap,
                           acc: ScoreAccumulator) -> tuple[int, int]:
         self._install_query_sketch(vector)
-        dims = vector.dims
-        values = vector.values
-        prefix_norms = vector._prefix_norms
-        index_get = index.get
-        found = [(position, plist)
-                 for position in range(len(dims) - 1, -1, -1)
-                 if (plist := index_get(dims[position])) is not None
-                 and len(plist)]
-        if not found:
+        arena = self._arena_for(index)
+        arrays = self._arrays(vector)
+        found, lids, lo, lengths = self._query_lists(arena, arrays, True)
+        if not len(found):
             return 0, 0
-        rs1_at, rs2_at = remaining_score_bounds(vector, rs1, decayed_maxima,
-                                                use_ap=use_ap, use_l2=use_l2)
-        seg_lists = [plist for _, plist in found]
-        seg_values = [values[position] for position, _ in found]
-        seg_qpns = [prefix_norms[position] for position, _ in found]
-        seg_rs1 = [rs1_at[position] for position, _ in found]
-        seg_rs2 = [rs2_at[position] for position, _ in found]
-        arena = self._arena
-        live = self._gather_live(seg_lists, cutoff, time_ordered,
-                                 with_timestamps=False)
+        live = self._gather_live(arena, lids, lo, lengths, cutoff,
+                                 time_ordered, with_timestamps=False)
         try:
             idx = live.idx
             counts = live.counts
@@ -936,24 +1014,23 @@ class NumpyKernel(SimilarityKernel):
                 # pre-sketch ones: the admission bound is monotone in
                 # the timestamp, so extremes over a superset of the live
                 # postings resolve the tri-state conservatively.  The
-                # deferred physical bookkeeping in ``finally`` never sees
-                # these drops — sketch rejection is per-query, not expiry.
+                # expiry bookkeeping never sees these drops — sketch
+                # rejection is per-query, not expiry.
                 idx, counts, offsets, timestamps = self._sketch_drop(
                     idx, counts, offsets, acc, timestamps)
             if not len(idx):
                 return live.traversed, live.removed
-            # Per-segment tri-state via exact math.exp at the live extremes
-            # (the bound is monotone in the timestamp); only segments the
-            # bound straddles pay a per-entry evaluation.
-            resolve = self._resolve_admission
-            tri = [resolve(bound1, bound2, threshold, decay, now, lo, hi)
-                   if count else _ADMIT_NONE
-                   for bound1, bound2, lo, hi, count in zip(
-                       seg_rs1, seg_rs2, live.seg_min, live.seg_max,
-                       counts.tolist())]
-            if _ADMIT_ALL not in tri and _ADMIT_PER_ENTRY not in tri:
+            # Per-segment tri-state at the live extremes (the bound is
+            # monotone in the timestamp); only segments the bound
+            # straddles pay a per-entry evaluation.
+            seg_rs1, seg_rs2 = self._remaining_bounds(
+                arrays, rs1, decayed_maxima, use_ap, use_l2, found)
+            tri = self._admission(seg_rs1, seg_rs2, counts, live.seg_min,
+                                  live.seg_max, threshold, decay, now, use_ap)
+            if not tri.any():
                 return live.traversed, live.removed
-            contrib = np.repeat(np.asarray(seg_values), counts)
+            positions = len(arrays.values) - 1 - found
+            contrib = np.repeat(arrays.values[positions], counts)
             contrib *= arena.values[idx]
             decay_factors = None
             exact = None
@@ -963,7 +1040,7 @@ class NumpyKernel(SimilarityKernel):
                 decay_factors = np.exp(-decay * (now - timestamps))
                 exact = _ExactDecay(timestamps, now, decay)
             if use_l2:
-                raw_tails = np.repeat(np.asarray(seg_qpns), counts)
+                raw_tails = np.repeat(arrays.norms[positions], counts)
                 raw_tails *= arena.pnorms[idx]
                 exact.raw_tails = raw_tails
                 tails = raw_tails * decay_factors
@@ -975,185 +1052,168 @@ class NumpyKernel(SimilarityKernel):
                                         threshold, acc, exact)
             return live.traversed, live.removed
         finally:
-            self._settle_expiry(live)
+            self._settle(arena, live)
 
     def scan_query_inv_batch(self, vector: SparseVector, index: Any,
                              acc: ScoreAccumulator) -> int:
-        seg_lists = []
-        seg_values = []
-        for dim, value in vector:
-            plist = index.get(dim)
-            if plist is not None and plist.physical_size:
-                seg_lists.append(plist)
-                seg_values.append(value)
-        if not seg_lists:
+        arena = self._arena_for(index)
+        arrays = self._arrays(vector)
+        found, _, lo, lengths = self._query_lists(arena, arrays, False)
+        if not len(found):
             return 0
-        arena = self._arena
-        idx, lengths, _ = self._gather_indices(seg_lists, reverse=False)
-        slots = arena.slots[idx]
-        contrib = np.repeat(np.asarray(seg_values), lengths)
+        idx, _ = self._gather_indices(lo, lengths, reverse=False)
+        contrib = np.repeat(arrays.values[found], lengths)
         contrib *= arena.values[idx]
-        self._fused_inv_pass(slots, contrib, None, acc)
+        self._fused_inv_pass(arena.slots[idx], contrib, None, acc)
         return len(idx)
 
     def scan_query_inv_stream(self, vector: SparseVector, index: Any,
                               cutoff: float,
                               acc: ScoreAccumulator) -> tuple[int, int]:
-        seg_lists = []
-        seg_values = []
-        for dim, value in vector:
-            plist = index.get(dim)
-            if plist is not None and plist.physical_size:
-                seg_lists.append(plist)
-                seg_values.append(value)
-        if not seg_lists:
+        arena = self._arena_for(index)
+        arrays = self._arrays(vector)
+        found, lids, lo, lengths = self._query_lists(arena, arrays, False)
+        if not len(found):
             return 0, 0
-        arena = self._arena
-        live = self._gather_live(seg_lists, cutoff, True, with_timestamps=True)
+        live = self._gather_live(arena, lids, lo, lengths, cutoff, True,
+                                 with_timestamps=True)
         try:
             idx = live.idx
             if len(idx):
                 # Newest first, the reference backward scan's insertion
                 # order.
-                slots = arena.slots[idx]
-                contrib = np.repeat(np.asarray(seg_values), live.counts)
+                contrib = np.repeat(arrays.values[found], live.counts)
                 contrib *= arena.values[idx]
-                self._fused_inv_pass(slots, contrib, live.timestamps, acc)
+                self._fused_inv_pass(arena.slots[idx], contrib,
+                                     live.timestamps, acc)
             return live.traversed, live.removed
         finally:
-            self._settle_expiry(live)
+            self._settle(arena, live)
 
-    def _gather_indices(self, seg_lists: list,
-                        reverse: bool) -> tuple[np.ndarray, np.ndarray,
-                                                np.ndarray]:
+    @staticmethod
+    def _gather_indices(lo: np.ndarray, lengths: np.ndarray,
+                        reverse: bool) -> tuple[np.ndarray, np.ndarray]:
         """Arena offsets of every segment's physical region, concatenated.
 
-        Returns ``(idx, lengths, offsets)`` where ``idx`` enumerates each
-        list's region in scan order (newest first when ``reverse``),
-        ``lengths`` the per-segment physical sizes and ``offsets`` their
-        running starts inside ``idx`` (length ``segments + 1``).
+        Returns ``(idx, offsets)`` where ``idx`` enumerates each region
+        (starting at ``lo``) in scan order — newest first when ``reverse``
+        — and ``offsets`` the segments' running starts inside ``idx``
+        (length ``segments + 1``).
         """
-        starts = np.array([plist._start + plist._head for plist in seg_lists],
-                          dtype=np.int64)
-        lengths = np.array([plist._size for plist in seg_lists],
-                           dtype=np.int64)
-        offsets = np.empty(len(seg_lists) + 1, dtype=np.int64)
-        offsets[0] = 0
-        np.cumsum(lengths, out=offsets[1:])
-        # Posting k of segment j sits at starts[j] + (k - offsets[j]), or
-        # counting down from the segment's last cell when ``reverse``.
-        within = np.arange(int(offsets[-1]), dtype=np.int64)
-        if reverse:
-            idx = np.repeat(starts + lengths - 1 + offsets[:-1], lengths)
-            idx -= within
-        else:
-            idx = np.repeat(starts - offsets[:-1], lengths)
-            idx += within
-        return idx, lengths, offsets
+        offsets = _offsets(lengths)
+        if not reverse:
+            return _cells(lo, lengths, offsets), offsets
+        # Posting k of segment j counts down from the segment's last cell.
+        first = lo + lengths
+        first -= 1
+        first += offsets[:-1]
+        idx = first.repeat(lengths)
+        idx -= np.arange(offsets[-1], dtype=np.int64)
+        return idx, offsets
 
     # -- the time filter -----------------------------------------------------
     #
     # One filter phase serves both streaming scans (scan_query_stream,
     # scan_query_inv_stream).
 
-    def _gather_live(self, seg_lists: list, cutoff: float,
+    def _gather_live(self, arena: PostingArena, lids: np.ndarray,
+                     lo: np.ndarray, lengths: np.ndarray, cutoff: float,
                      time_ordered: bool, *,
                      with_timestamps: bool) -> _LiveGather:
-        """Gather the live postings of ``seg_lists`` in scan order.
+        """Gather the live postings of lists ``lids`` in scan order.
 
         Expired postings are masked out of the whole-query gather and
         reported exactly as the reference backend's per-list loops report
-        them.  Their physical removal — head truncation, lazy-expiry state,
-        amortised compaction — is only recorded: every arena read from
-        the returned ``idx`` must happen before :meth:`_settle_expiry`
-        applies it.  ``timestamps`` is gathered when ``with_timestamps``
-        or whenever the mask needs it, else left ``None``.
+        them.  Head truncations and lazy-expiry state are column updates,
+        applied here; the in-place rewrite of lists at least half lazily
+        expired is left to :meth:`_settle`, after every read of ``idx``.
+        ``timestamps`` is gathered when ``with_timestamps`` or whenever
+        the mask needs it, else left ``None``.  The segment extremes are
+        finite (an empty segment's are placeholders).
         """
-        arena = self._arena
-        idx, lengths, offsets = self._gather_indices(seg_lists,
-                                                     reverse=time_ordered)
-        segments = len(seg_lists)
-        if not any(plist._dirty or plist._min_ts < cutoff
-                   for plist in seg_lists):
+        idx, offsets = self._gather_indices(lo, lengths, reverse=time_ordered)
+        total = len(idx)
+        seg_min = arena.tmin.take(lids)
+        if time_ordered:
+            stale = seg_min.min() < cutoff
+        else:
+            dirty = arena.dirty.take(lids)
+            stale = seg_min.min() < cutoff or dirty.any()
+        if not stale:
             # Nothing can be expired: every physical posting is live.
-            return _LiveGather(
-                idx, arena.ts[idx] if with_timestamps else None, lengths,
-                offsets, [plist._min_ts for plist in seg_lists],
-                [plist._max_ts for plist in seg_lists], lengths.tolist(),
-                [0] * segments, len(idx), 0, [], [])
-        timestamps = arena.ts[idx]
-        cuts = [max(cutoff, plist._expired_cutoff) if plist._dirty
-                else cutoff for plist in seg_lists]
-        alive = timestamps >= np.repeat(np.asarray(cuts), lengths)
-        alive_counts = np.add.reduceat(alive, offsets[:-1])
-        seg_min = [_INF] * segments
-        seg_max = [-_INF] * segments
-        seg_traversed = [0] * segments
-        seg_removed = [0] * segments
-        drops: list[tuple[Any, int]] = []
-        lazy: list[tuple[Any, float, int, np.ndarray, int]] = []
-        for j, (plist, length, live, lo) in enumerate(zip(
-                seg_lists, lengths.tolist(), alive_counts.tolist(),
-                offsets.tolist())):
-            if time_ordered:
-                # Ordered lists: within-list timestamps are sorted, so the
-                # live postings form a prefix of the (newest-first)
-                # segment; the reference counts only them as traversed
-                # and truncates the expired head.
-                seg_traversed[j] = live
-                seg_removed[j] = length - live
-                if live:
-                    seg_min[j] = float(timestamps[lo + live - 1])
-                    seg_max[j] = float(timestamps[lo])
-                if length > live:
-                    drops.append((plist, length - live))
-            else:
-                # Unordered lists: the reference traverses every
-                # physically present posting it has not yet removed;
-                # lazily expired (dirty) ones were reported before.
-                seg_traversed[j] = length - plist._dirty
-                seg_removed[j] = seg_traversed[j] - live
-                if live == length:
-                    seg_min[j] = plist._min_ts
-                    seg_max[j] = plist._max_ts
-                elif live:
-                    live_ts = timestamps[lo:lo + length][alive[lo:lo + length]]
-                    seg_min[j] = float(live_ts.min())
-                    seg_max[j] = float(live_ts.max())
-                if live < length:
-                    lazy.append((plist, cuts[j], live,
-                                 alive[lo:lo + length], j))
-        if bool((alive_counts != lengths).any()):
+            return _LiveGather(idx, arena.ts.take(idx) if with_timestamps
+                               else None, lengths, offsets, seg_min,
+                               arena.tmax.take(lids), total, 0)
+        timestamps = arena.ts.take(idx)
+        first = offsets[:-1]
+        rewrite = None
+        if time_ordered:
+            # Ordered lists: within-list timestamps are sorted, so the live
+            # postings form a prefix of the (newest-first) segment; the
+            # reference counts only them as traversed and truncates the
+            # expired head.
+            alive = timestamps >= cutoff
+            counts = np.add.reduceat(alive, first)
+            kept = traversed = int(counts.sum())
+            removed = total - kept
+            seg_max = timestamps.take(first)
+            last = first + counts
+            last -= 1
+            seg_min = timestamps.take(last)
+            if removed:
+                oldest, newest = seg_min, seg_max
+                empty = (counts == 0).nonzero()[0]
+                if len(empty):
+                    oldest = seg_min.copy()
+                    newest = seg_max.copy()
+                    oldest[empty] = _INF
+                    newest[empty] = -_INF
+                start = lo + lengths
+                start -= counts
+                arena.truncate(lids, start, oldest, newest, removed)
+        else:
+            # Unordered lists: the reference traverses every physically
+            # present posting it has not yet removed; lazily expired
+            # (dirty) ones were reported before.
+            cuts = np.where(dirty > 0, np.maximum(arena.cut.take(lids), cutoff),
+                            cutoff)
+            alive = timestamps >= cuts.repeat(lengths)
+            counts = np.add.reduceat(alive, first)
+            kept = int(counts.sum())
+            traversed = total - int(dirty.sum())
+            removed = traversed - kept
+            seg_max = arena.tmax.take(lids)
+            partial = (counts < lengths).nonzero()[0]
+            seg_min[partial] = np.minimum.reduceat(
+                np.where(alive, timestamps, _INF), first)[partial]
+            seg_max[partial] = np.maximum.reduceat(
+                np.where(alive, timestamps, -_INF), first)[partial]
+            expired = lengths.take(partial) - counts.take(partial)
+            arena.mark_expired(lids.take(partial), cuts.take(partial),
+                                   expired, seg_min.take(partial),
+                                   seg_max.take(partial))
+            # The physical rewrite is amortised: a list is rewritten once
+            # at least half of it is lazily expired.
+            half = (2 * expired >= lengths.take(partial)).nonzero()[0]
+            if len(half):
+                rewrite = lids.take(partial.take(half))
+            empty = (counts == 0).nonzero()[0]
+            seg_min[empty] = cutoff
+            seg_max[empty] = cutoff
+        if kept != total:
             idx = idx[alive]
             timestamps = timestamps[alive]
-        alive_offsets = np.empty(segments + 1, dtype=np.int64)
-        alive_offsets[0] = 0
-        np.cumsum(alive_counts, out=alive_offsets[1:])
-        return _LiveGather(idx, timestamps, alive_counts, alive_offsets,
-                           seg_min, seg_max, seg_traversed, seg_removed,
-                           sum(seg_traversed), sum(seg_removed), drops, lazy)
+            offsets = _offsets(counts)
+        return _LiveGather(idx, timestamps, counts, offsets, seg_min, seg_max,
+                           traversed, removed, rewrite)
 
-    def _settle_expiry(self, live: _LiveGather) -> None:
-        """Apply the physical bookkeeping :meth:`_gather_live` deferred.
-
-        Truncations and compactions may rewrite chunks in place or replace
-        the arena arrays, so they run only after every gather is done.
-        """
-        for plist, count in live.drops:
-            plist.drop_oldest(count)
-        for plist, cut_eff, alive, alive_mask, j in live.lazy:
-            plist.note_lazy_expiry(cut_eff, plist.physical_size - alive,
-                                   live.seg_min[j], live.seg_max[j])
-            if len(alive_mask) != plist.physical_size:
-                # An earlier list's compress triggered a whole-arena
-                # compaction, which already dropped this list's previously
-                # dirty postings and shrank its region; rebuild the mask
-                # over the surviving postings (the live count is
-                # unaffected — only already-reported dirty entries were
-                # removed).
-                lo, hi = plist.region
-                alive_mask = self._arena.ts[lo:hi] >= cut_eff
-            self._maybe_compact(plist, alive_mask)
+    @staticmethod
+    def _settle(arena: PostingArena, live: _LiveGather) -> None:
+        """The physical moves a scan deferred until its reads were done:
+        the rewrite of half-expired lists, then any arena compaction."""
+        if live.rewrite is not None:
+            arena.drop_expired(live.rewrite)
+        arena.maybe_compact()
 
     def _fused_prefix_segments(self, slots: np.ndarray, contrib: np.ndarray,
                                tails: np.ndarray | None,
@@ -1193,23 +1253,24 @@ class NumpyKernel(SimilarityKernel):
                 tails.tolist() if use_l2 else None,
                 (decay_factors.tolist() if _ADMIT_PER_ENTRY in tri
                  else None),
-                tri, seg_rs1, seg_rs2, offsets.tolist(), state, scores,
+                _as_list(tri), _as_list(seg_rs1), _as_list(seg_rs2),
+                offsets.tolist(), state, scores,
                 self._slot_sf, epoch, sz1, use_ap, use_l2, threshold, fresh,
                 *_exact_arguments(exact), band)
             if fresh_count:
                 acc._touched.append(fresh[:fresh_count])
             return
         # -- admission: may this posting start its candidate? -------------
-        counts = np.diff(offsets)
+        counts = offsets[1:] - offsets[:-1]
         tri_arr = np.asarray(tri)
-        admits = np.repeat(tri_arr == _ADMIT_ALL, counts)
+        admits = (tri_arr == _ADMIT_ALL).repeat(counts)
         if _ADMIT_PER_ENTRY in tri:
             # One decayed bound per posting; -inf keeps _ADMIT_NONE
             # segments out and _ADMIT_ALL ones are admitted above.
             rs1 = np.array(seg_rs1, dtype=np.float64)
             rs1[tri_arr == _ADMIT_NONE] = -_INF
-            rs1 = np.repeat(rs1, counts)
-            rs2 = np.repeat(np.asarray(seg_rs2), counts)
+            rs1 = rs1.repeat(counts)
+            rs2 = np.asarray(seg_rs2).repeat(counts)
             bound = rs2 * decay_factors
             np.minimum(rs1, bound, out=bound)
             if exact is not None:
@@ -1222,7 +1283,7 @@ class NumpyKernel(SimilarityKernel):
             admits |= bound >= threshold
         if use_ap:
             admits &= self._slot_sf[slots] >= sz1
-        first = np.flatnonzero(admits)
+        first = admits.nonzero()[0]
         if not len(first):
             return
         # -- each candidate's chain: its postings from its first admitting
@@ -1230,7 +1291,7 @@ class NumpyKernel(SimilarityKernel):
         mark = self._slot_mark
         mark[slots] = n
         mark[slots[first[::-1]]] = first[::-1]
-        chain = np.flatnonzero(np.arange(n) >= mark[slots])
+        chain = (np.arange(n) >= mark[slots]).nonzero()[0]
         # -- group the chains by slot, scan order inside each group -------
         bits = n.bit_length()
         keys = slots[chain] << bits
@@ -1242,8 +1303,10 @@ class NumpyKernel(SimilarityKernel):
         head = np.empty(size, dtype=bool)
         head[0] = True
         np.not_equal(chain_slots[1:], chain_slots[:-1], out=head[1:])
-        heads = np.flatnonzero(head)
-        lengths = np.diff(heads, append=size)
+        heads = head.nonzero()[0]
+        lengths = np.empty_like(heads)
+        np.subtract(heads[1:], heads[:-1], out=lengths[:-1])
+        lengths[-1] = size - heads[-1]
         groups = len(heads)
         width = int(lengths.max())
         # -- partial sums: posting r of group k sits in cell k·width + r of
@@ -1251,8 +1314,7 @@ class NumpyKernel(SimilarityKernel):
         # along each row, so every cell is the reference's running score
         # (contributions are non-negative: its leading ``0.0 + c`` is
         # ``c``, and the padding keeps each row's total in its last cell).
-        cells = np.repeat(np.arange(0, groups * width, width) - heads,
-                          lengths)
+        cells = (np.arange(0, groups * width, width) - heads).repeat(lengths)
         cells += np.arange(size)
         grid = np.zeros(groups * width)
         grid[cells] = contrib[chain]
@@ -1345,11 +1407,7 @@ class NumpyKernel(SimilarityKernel):
             return []
         slot_list = candidates.slots[survivors].tolist()
         accumulated_list = candidates.scores[survivors].tolist()
-        self._begin_query(query)
-        try:
-            dots = self._batched_residual_dots(query, slot_list)
-        finally:
-            self._end_query()
+        dots = self._residual_dots(query, slot_list)
         entries = self._slot_entries
         matches: list[tuple[SparseVector, float]] = []
         for slot, accumulated, rdot in zip(slot_list, accumulated_list, dots):
@@ -1398,12 +1456,8 @@ class NumpyKernel(SimilarityKernel):
         stats.full_similarities += full_similarities
         if not survivors:
             return []
-        self._begin_query(query)
-        try:
-            dots = self._batched_residual_dots(
-                query, [slot for slot, _, _, _ in survivors])
-        finally:
-            self._end_query()
+        dots = self._residual_dots(query,
+                                   [slot for slot, _, _, _ in survivors])
         ids = self._slot_ids
         pairs: list[SimilarPair] = []
         for (slot, accumulated, delta, decay_factor), rdot in zip(survivors,
@@ -1453,7 +1507,9 @@ class NumpyKernel(SimilarityKernel):
     def _begin_query(self, vector: SparseVector) -> None:
         """Scatter ``vector`` into the dense scratch the dot kernels read;
         pair with :meth:`_end_query`."""
-        dims, values = self._arrays_of(vector)
+        arrays = self._arrays(vector)
+        dims = arrays.dims
+        values = arrays.values
         max_dim = int(dims[-1])
         if max_dim >= _DENSE_DIM_LIMIT:
             # Pathologically sparse dimension space: fall back to the
@@ -1474,6 +1530,24 @@ class NumpyKernel(SimilarityKernel):
             self._dense[self._query_dims] = 0.0
         self._query_dims = None
         self._dense_active = False
+
+    def _residual_dots(self, query: SparseVector,
+                       slot_list: list[int]) -> list[float]:
+        """The residual dot of each surviving candidate with ``query``.
+
+        Up to ``_LOOP_VERIFY_CUTOFF`` survivors take
+        ``ResidualEntry.residual_dot`` one by one; more share one batched
+        pass, whose fixed cost (the dense query scatter) a few dots do
+        not repay.  Both return the reference's dots bit for bit.
+        """
+        if len(slot_list) <= _LOOP_VERIFY_CUTOFF:
+            entries = self._slot_entries
+            return [entries[slot].residual_dot(query) for slot in slot_list]
+        self._begin_query(query)
+        try:
+            return self._batched_residual_dots(query, slot_list)
+        finally:
+            self._end_query()
 
     def _batched_residual_dots(self, query: SparseVector,
                                slot_list: list[int]) -> list[float]:
@@ -1556,33 +1630,57 @@ class NumpyKernel(SimilarityKernel):
             if not self._dense_active:
                 return [query.dot(other) for other in others]
             dense = self._dense
+            # The arrays of the previous call's vectors are reused (the
+            # brute-force baselines pass a growing prefix of one list) and
+            # only this call's are kept.
+            previous = self._dots_arrays
+            kept: dict[int, _VectorArrays] = {}
             results = []
             for other in others:
-                dims, values = self._arrays_of(other)
+                arrays = previous.get(id(other))
+                if arrays is None or arrays.vector is not other:
+                    arrays = _VectorArrays(other)
+                kept[id(other)] = arrays
+                dims = arrays.dims
                 if int(dims[-1]) >= len(dense):
                     results.append(query.dot(other))
                 else:
-                    results.append(_sequential_sum(values * dense[dims]))
+                    results.append(_sequential_sum(arrays.values * dense[dims]))
+            self._dots_arrays = kept
             return results
         finally:
             self._end_query()
 
-    def _arrays_of(self, vector: SparseVector) -> tuple[np.ndarray, np.ndarray]:
-        cached = self._vector_entry(vector)
-        return cached[1], cached[2]
+    def _arrays(self, vector: SparseVector) -> _VectorArrays:
+        """``vector``'s coordinate arrays, built once per vector.
 
-    def _vector_entry(self, vector: SparseVector) -> list:
-        key = id(vector)
-        cached = self._vector_arrays.get(key)
-        if cached is None:
-            if len(self._vector_arrays) >= 65536:
-                self._vector_arrays.clear()
-            cached = [vector,
-                      np.asarray(vector.dims, dtype=np.int64),
-                      np.asarray(vector.values, dtype=np.float64),
-                      None, None]
-            self._vector_arrays[key] = cached
-        return cached
+        Kept for the current query and for the vectors in the residual/Q
+        store (:meth:`_keep_arrays` adopts the query's, eviction drops
+        them), so the kernel keeps no vector alive that the join let go.
+        """
+        arrays = self._query_arrays
+        if arrays is not None and arrays.vector is vector:
+            return arrays
+        slot = self._slot_of.get(vector.vector_id)
+        if slot is not None:
+            arrays = self._stored_arrays.get(slot)
+            if arrays is not None and arrays.vector is vector:
+                return arrays
+            entry = self._slot_entries.get(slot)
+            if entry is not None and entry.vector is vector:
+                arrays = self._stored_arrays[slot] = _VectorArrays(vector)
+                return arrays
+        arrays = self._query_arrays = _VectorArrays(vector)
+        return arrays
+
+    def _keep_arrays(self, slot: int, entry: ResidualEntry) -> None:
+        """A vector entered the residual/Q store: keep the query's arrays
+        if they are its own."""
+        arrays = self._query_arrays
+        if arrays is not None and arrays.vector is entry.vector:
+            self._stored_arrays[slot] = arrays
+        else:
+            self._stored_arrays.pop(slot, None)
 
 
 def _sequential_sum(products: np.ndarray) -> float:
@@ -1594,6 +1692,11 @@ def _sequential_sum(products: np.ndarray) -> float:
     little and buys exact output parity.
     """
     return sum(products.tolist())
+
+
+def _as_list(values) -> list:
+    """A per-segment input (list or array) as a list for the scalar loop."""
+    return values.tolist() if isinstance(values, np.ndarray) else values
 
 
 def _exact_arguments(exact: _ExactDecay | None) -> tuple:

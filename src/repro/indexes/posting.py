@@ -10,7 +10,7 @@ The *layout* of a posting list belongs to the compute backend: the
 reference backend's :class:`PostingList` (defined here) is backed by
 :class:`~repro.indexes.circular.CircularBuffer` (Section 6.2), while the
 NumPy backend stores every dimension's postings in one shared posting
-arena and hands out per-dimension extent handles
+arena and hands out views of the rows of its list directory
 (:class:`repro.backends.arena.ArenaPostingList`).  Outside its backend a
 list is only measured (``len``, truthiness) and copied (``to_list``).
 :class:`InvertedIndex` is layout-agnostic — it takes a posting-list

@@ -32,7 +32,7 @@ from repro import (
 from repro.backends import get_backend, resolve_kernel
 from repro.core.results import JoinStatistics
 from repro.core.similarity import JoinParameters
-from repro.indexes.posting import PostingEntry, PostingList
+from repro.indexes.posting import PostingEntry
 from tests.conftest import accelerated_backends, random_vectors
 
 numpy_missing = "numpy" not in available_backends()
@@ -231,26 +231,10 @@ entry_lists = st.lists(
 )
 
 
-def build_lists(raw, *, time_ordered):
-    """Build one reference and one array posting list with identical content."""
-    from repro.backends.numpy_backend import NumpyKernel
-
-    if time_ordered:
-        raw = sorted(raw, key=lambda item: item[3])
-    entries = [PostingEntry(vector_id=vid, value=val, prefix_norm=norm,
-                            timestamp=ts)
-               for vid, val, norm, ts in raw]
-    reference = PostingList()
-    vectorized = NumpyKernel().new_posting_list()
-    for entry in entries:
-        reference.append(entry)
-        vectorized.append(entry)
-    return reference, vectorized
-
-
 def build_indexes(raw, *, time_ordered):
     """One ``(kernel, index)`` per backend, each holding ``raw`` as the
-    posting list of dimension 0 (one posting per vector, as in a join)."""
+    posting list of dimension 0 (one posting per vector, as in a join),
+    loaded through the kernel as a restore or a kernel switch loads it."""
     from repro.indexes.posting import InvertedIndex
 
     if time_ordered:
@@ -259,12 +243,18 @@ def build_indexes(raw, *, time_ordered):
     for backend in ("python", "numpy"):
         kernel = get_backend(backend)()
         index = InvertedIndex(kernel.new_posting_list)
-        index.list_for(0)
-        for vector_id, (_, value, norm, timestamp) in enumerate(raw):
-            index.add(0, PostingEntry(vector_id=vector_id, value=value,
-                                      prefix_norm=norm, timestamp=timestamp))
+        kernel.load_postings(index, {0: [
+            PostingEntry(vector_id=vector_id, value=value, prefix_norm=norm,
+                         timestamp=timestamp)
+            for vector_id, (_, value, norm, timestamp) in enumerate(raw)]})
         built.append((kernel, index))
     return built
+
+
+def postings_of(index):
+    """The live postings of dimension 0 (none when it has no list)."""
+    plist = index.get(0)
+    return [] if plist is None else plist.to_list()
 
 
 #: A query on dimension 0 arriving after every generated posting.
@@ -276,10 +266,14 @@ class TestArenaPostingListProperties:
     @settings(max_examples=40, deadline=None)
     @given(raw=entry_lists)
     def test_iteration_matches_reference(self, raw):
-        reference, vectorized = build_lists(raw, time_ordered=False)
-        assert list(vectorized) == list(reference)
-        assert vectorized.to_list() == reference.to_list()
-        assert len(vectorized) == len(reference)
+        (_, reference), (_, vectorized) = build_indexes(raw,
+                                                        time_ordered=False)
+        assert (postings_of(vectorized) == postings_of(reference)
+                == [PostingEntry(vector_id, value, norm, timestamp)
+                    for vector_id, (_, value, norm, timestamp)
+                    in enumerate(raw)])
+        if raw:
+            assert len(vectorized.get(0)) == len(reference.get(0)) == len(raw)
 
     @settings(max_examples=40, deadline=None)
     @given(raw=entry_lists, cutoff=st.floats(min_value=-1.0, max_value=101.0))
@@ -290,7 +284,7 @@ class TestArenaPostingListProperties:
         for kernel, index in build_indexes(raw, time_ordered=True):
             counts = kernel.scan_query_inv_stream(
                 EXPIRY_QUERY, index, cutoff, kernel.new_accumulator())
-            outcomes.append((counts, index.get(0).to_list()))
+            outcomes.append((counts, postings_of(index)))
         assert outcomes[0] == outcomes[1]
 
     @settings(max_examples=40, deadline=None)
@@ -309,16 +303,31 @@ class TestArenaPostingListProperties:
                     decayed_maxima=None, sz1=0.0, threshold=0.5,
                     use_ap=False, use_l2=False, time_ordered=False,
                     size_filter=size_filter, acc=kernel.new_accumulator())
-                outcomes.append((counts, index.get(0).to_list()))
+                outcomes.append((counts, postings_of(index)))
         assert outcomes[:2] == outcomes[2:]
 
     @settings(max_examples=40, deadline=None)
     @given(raw=entry_lists, keep=st.integers(min_value=0, max_value=90))
     def test_keep_newest(self, raw, keep):
-        reference, vectorized = build_lists(raw, time_ordered=True)
-        assert (vectorized.drop_oldest(len(vectorized) - keep)
-                == reference.keep_newest(keep))
-        assert list(vectorized) == list(reference)
+        """Head truncation keeps a time-ordered list's newest postings, as
+        the reference's ``keep_newest`` does."""
+        import numpy as np
+
+        (_, reference), (kernel, vectorized) = build_indexes(
+            raw, time_ordered=True)
+        if not raw:
+            return
+        dropped = reference.get(0).keep_newest(keep)
+        survivors = reference.get(0).to_list()
+        arena = kernel._arena
+        lid = np.array([vectorized.get(0)._lid])
+        arena.truncate(lid, arena.hi[lid] - len(survivors),
+                       np.array([survivors[0].timestamp if survivors
+                                 else math.inf]),
+                       np.array([survivors[-1].timestamp if survivors
+                                 else -math.inf]), dropped)
+        assert postings_of(vectorized) == survivors
+        assert arena.live_entries == len(survivors)
 
 
 sparse_streams = st.lists(

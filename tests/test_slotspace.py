@@ -301,3 +301,43 @@ class TestReplayPaths:
                 outcomes.append((found.slots.tolist(), found.scores.tolist(),
                                  kernel._slot_state[:candidates].tolist()))
             assert outcomes[0] == outcomes[1], case
+
+
+def reachable_vectors(root) -> set[int]:
+    """Ids of the ``SparseVector`` objects reachable from ``root``."""
+    import gc
+    import types
+
+    seen: set[int] = set()
+    found: set[int] = set()
+    stack = [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, (type, types.ModuleType,
+                                               types.FunctionType)):
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, SparseVector):
+            found.add(obj.vector_id)
+            continue
+        stack.extend(gc.get_referents(obj))
+    return found
+
+
+class TestVectorRetention:
+    @pytest.mark.parametrize("algorithm", ["STR-L2", "STR-L2AP"])
+    def test_kernel_keeps_no_evicted_vector(self, algorithm):
+        """After a stream many horizons long, the join holds no vector
+        outside its residual store but the last query: the kernel's
+        per-vector arrays follow the store, not every vector processed."""
+        from repro.datasets import generate_profile_corpus
+
+        vectors = generate_profile_corpus("hashtags", seed=1,
+                                          num_vectors=1200)
+        join = create_join(algorithm, 0.6, math.log(1 / 0.6) / 100.0,
+                           backend="numpy")
+        for vector in vectors:
+            join.process(vector)
+        stored = {entry.vector_id for entry in join.index._residual.entries()}
+        assert len(stored) < 200
+        assert reachable_vectors(join) <= stored | {vectors[-1].vector_id}
