@@ -6,7 +6,7 @@ sparse dot products, index maintenance and single-vector processing
 throughput for each streaming index — now reported side by side for every
 registered compute backend (see :mod:`repro.backends`).
 
-Three tests are the backend acceptance gates, and each writes its record
+The tests below are the acceptance gates, and each writes its record
 into the machine-readable ``BENCH_micro.json`` artifact (schema 2: one
 ``benchmarks`` entry per gate, with per-stage timing blocks) so the perf
 trajectory is tracked across PRs; ``repro.bench.regression`` compares the
@@ -22,14 +22,6 @@ artifact against ``benchmarks/BENCH_baseline.json`` in CI:
     The inverted (INV) gate: STR-INV indexes everything and accumulates
     exact dot products, so its scan is pure posting traffic — the regime
     the fused arena gather accelerates the most.
-``test_l2ap_compiled_str``
-    The compiled-tier gate (numba only — skipped where numba is not
-    installed, i.e. everywhere but the CI numba job): the STR gate
-    workload on all three backends, asserting bitwise pair/counter
-    parity and, at full size, ≥ ``GATE_SPEEDUP_COMPILED`` × the NumPy
-    backend end to end with a ≥ ``GATE_SCAN_SPEEDUP_COMPILED`` ×
-    scan-stage ratio from the profiled breakdowns.  The one-time JIT
-    warm-up is paid (and recorded) before the clock starts.
 ``test_l2ap_approx_recall``
     The approximate-tier recall gate: the STR gate workload run exactly
     (ground truth) and with the sketch prefilter
@@ -155,12 +147,6 @@ GATE_OUTPUT = Path(os.environ.get(
 GATE_SPEEDUP = 6.0
 #: Minimum numpy-over-python speedup on the INV gate workload at full size.
 GATE_SPEEDUP_INV = 10.0
-#: Minimum numba-over-numpy speedup on the STR gate workload at full size.
-GATE_SPEEDUP_COMPILED = 2.0
-#: Minimum numba-over-numpy scan-stage ratio (profiled breakdown) at full
-#: size — the metric the JIT tier exists to move; the end-to-end ratio is
-#: diluted by the NumPy-side stages (gathers, verification, emit).
-GATE_SCAN_SPEEDUP_COMPILED = 3.0
 #: Minimum service-over-direct throughput ratio at full service-gate size.
 GATE_SERVICE_RATIO = 0.8
 #: Minimum pooled-over-direct aggregate throughput ratio on the
@@ -395,70 +381,6 @@ def test_inv_streaming_hot_path(benchmark):
     _assert_legs_match(numpy_leg, python_leg)
     if count >= 3_000:  # reduced CI sizes track the artifact, not the gate
         assert speedup >= GATE_SPEEDUP_INV
-
-
-@pytest.mark.skipif("numba" not in BACKENDS, reason="numba backend unavailable")
-def test_l2ap_compiled_str(benchmark, hashtags_vectors):
-    """Compiled gate: JIT-fused STR-L2AP vs the NumPy and reference backends.
-
-    Runs the STR gate workload on all three backends in one process (the
-    ratios divide out the machine), pays the one-time JIT warm-up before
-    the clock starts and records it separately, asserts bitwise
-    pair/counter parity against both baselines, and emits the
-    ``l2ap_compiled_str`` record of ``BENCH_micro.json`` with the
-    end-to-end and scan-stage-only speedups.
-    """
-    from repro.backends import warmup_backend
-
-    threshold, decay = 0.6, 2e-5
-    jit_warmup_s = warmup_backend("numba")
-
-    def run_all():
-        return tuple(_timed_run("STR-L2AP", hashtags_vectors, threshold,
-                                decay, backend)
-                     for backend in ("numba", "numpy", "python"))
-
-    numba_leg, numpy_leg, python_leg = benchmark.pedantic(
-        run_all, rounds=1, iterations=1)
-    count = len(hashtags_vectors)
-    speedup = numpy_leg.elapsed / numba_leg.elapsed
-    speedup_vs_python = python_leg.elapsed / numba_leg.elapsed
-    # Scan-stage ratio from the timed legs' own breakdowns;
-    # ProfilingKernel warms its inner kernel at construction, so no JIT
-    # cost leaks into the numba breakdown.
-    scan_speedup = (numpy_leg.stages["scan"] / numba_leg.stages["scan"]
-                    if numba_leg.stages["scan"] else 0.0)
-    print(f"\nSTR-L2AP compiled (hashtags, {count} vectors): "
-          f"python {python_leg.elapsed:.1f}s, numpy {numpy_leg.elapsed:.1f}s, "
-          f"numba {numba_leg.elapsed:.1f}s "
-          f"({speedup:.2f}x over numpy, "
-          f"{speedup_vs_python:.2f}x over python), "
-          f"scan stage {scan_speedup:.2f}x, "
-          f"JIT warm-up {jit_warmup_s:.2f}s (outside the clock)")
-
-    numba_record = _leg_record(numba_leg, count)
-    numba_record["jit_warmup_s"] = round(jit_warmup_s, 4)
-    artifact = write_bench_micro(
-        GATE_OUTPUT,
-        benchmark="l2ap_compiled_str",
-        config={"profile": "hashtags", "num_vectors": count, "seed": 7,
-                "algorithm": "STR-L2AP", "threshold": threshold,
-                "decay": decay},
-        backends={"python": _leg_record(python_leg, count),
-                  "numpy": _leg_record(numpy_leg, count),
-                  "numba": numba_record},
-        derived={"speedup": speedup,
-                 "scan_speedup": scan_speedup,
-                 "speedup_vs_python": speedup_vs_python},
-    )
-    print(f"benchmark artifact written to {artifact}")
-
-    # The compiled loops must change nothing observable.
-    _assert_legs_match(numba_leg, python_leg)
-    _assert_legs_match(numba_leg, numpy_leg)
-    if count >= 10_000:  # reduced CI sizes track the artifact, not the gate
-        assert speedup >= GATE_SPEEDUP_COMPILED
-        assert scan_speedup >= GATE_SCAN_SPEEDUP_COMPILED
 
 
 def _timed_sharded(algorithm, vectors, threshold, decay, workers):

@@ -2,7 +2,7 @@
 
 Every index (and both baselines) routes its posting-list scans, decay/time
 filtering and verification dot products through a
-:class:`~repro.backends.base.SimilarityKernel`.  Three backends ship with
+:class:`~repro.backends.base.SimilarityKernel`.  Two backends ship with
 the library:
 
 ``python``
@@ -13,13 +13,10 @@ the library:
     Contiguous-array posting lists and vectorised scan kernels
     (:mod:`repro.backends.numpy_backend`).  Registered only when NumPy is
     importable.
-``numba``
-    The NumPy layout with the sequential scan/admission loops compiled to
-    machine code via ``numba.njit`` (:mod:`repro.backends.numba_backend`).
-    Registered only when numba is importable; selecting it without numba
-    falls back to ``numpy`` with a warning (see :func:`get_backend`), so
-    library code and checkpoints written on a numba-equipped machine keep
-    working everywhere.
+
+``numba`` is a retired name: the compiled tier was removed, and a join,
+checkpoint, session or ``SSSJ_BACKEND`` that names it runs on ``numpy``
+after one warning (see :func:`get_backend`).
 
 Selection
 ---------
@@ -39,8 +36,6 @@ means one of two things:
 
 Setting the ``SSSJ_BACKEND`` environment variable to a backend name pins
 every ``auto`` join to it, STR joins included (:func:`auto_is_adaptive`).
-``numba`` is opt-in even when installed: its one-time JIT warm-up only
-amortises on long streams, so ``auto`` never picks it.
 
 >>> from repro.backends import available_backends, resolve_kernel
 >>> "python" in available_backends()
@@ -78,7 +73,6 @@ __all__ = [
     "probe_backends",
     "register_backend",
     "resolve_kernel",
-    "warmup_backend",
 ]
 
 #: Environment variable overriding the ``"auto"`` backend resolution.
@@ -86,7 +80,7 @@ BACKEND_ENV_VAR = "SSSJ_BACKEND"
 
 _BACKENDS: dict[str, type[SimilarityKernel]] = {}
 
-#: Backends that ship with the library but cannot run on this machine:
+#: Backend names the library knows but cannot run here:
 #: ``name -> (reason, description)``.  ``get_backend`` falls back to the
 #: default for these instead of raising, and the CLI probe reports them.
 _UNAVAILABLE: dict[str, tuple[str, str]] = {}
@@ -113,21 +107,11 @@ except ImportError:  # pragma: no cover - exercised only without numpy
 else:
     register_backend(NumpyKernel)
 
-try:  # The compiled tier needs numpy (its base class) to import at all.
-    from repro.backends.numba_backend import NumbaKernel
-except ImportError:  # pragma: no cover - exercised only without numpy
-    NumbaKernel = None  # type: ignore[assignment]
-    _UNAVAILABLE["numba"] = (
-        "numpy is not installed (the compiled tier builds on the numpy "
-        "backend)",
-        "JIT-compiled fused scan kernels (requires numba)")
-else:
-    if NumbaKernel.available():
-        register_backend(NumbaKernel)
-    else:
-        _UNAVAILABLE["numba"] = (
-            NumbaKernel.availability_reason() or "unavailable",
-            NumbaKernel.description)
+# The compiled tier is gone; its name stays known so that whatever still
+# names it resumes on the fallback below instead of raising.
+_UNAVAILABLE["numba"] = (
+    "the compiled tier was removed; it runs on numpy",
+    "retired compiled tier (resolves to numpy)")
 
 
 def available_backends() -> list[str]:
@@ -203,9 +187,9 @@ def default_backend() -> str:
     adaptive STR join moves to once its gathers grow past the measured
     crossover; below it the ``python`` kernel is faster
     (:mod:`repro.core.frameworks.streaming`).  Setting it to a known
-    but unavailable backend (``numba`` without numba installed) degrades
-    to the normal default with a warning instead of failing, so one
-    environment file can serve heterogeneous machines.
+    but unavailable backend (the retired ``numba``, or ``numpy`` without
+    NumPy) degrades to the normal default with a warning instead of
+    failing, so one environment file can serve heterogeneous machines.
     """
     override = os.environ.get(BACKEND_ENV_VAR, "").strip().lower()
     if override and override != "auto":
@@ -227,11 +211,10 @@ def get_backend(name: str | None = None) -> type[SimilarityKernel]:
     STR rule is the framework's, not this function's, so a caller that
     needs one kernel class always gets one.
 
-    A *known* backend that cannot run on this machine (``numba`` without
-    numba installed) resolves to the best available backend with a
-    one-time warning — the graceful import-guard fallback that keeps
-    sessions, shard workers and restored checkpoints working on machines
-    missing the accelerator.  Unknown names still raise
+    A *known* backend that cannot run here (the retired ``numba``, or
+    ``numpy`` without NumPy) resolves to the best available backend with
+    a one-time warning, so sessions, shard workers and restored
+    checkpoints that name it keep working.  Unknown names still raise
     :class:`~repro.exceptions.UnknownBackendError`; the CLI additionally
     fails fast (exit 2) when an unavailable backend is requested
     explicitly.
@@ -261,14 +244,3 @@ def resolve_kernel(backend: str | SimilarityKernel | None) -> SimilarityKernel:
         return backend
     return get_backend(backend)()
 
-
-def warmup_backend(backend: str | None = None) -> float:
-    """Prime a backend's one-time machinery; return the seconds spent.
-
-    For the compiled tier this triggers every JIT compilation (the
-    compiled functions are module-level, so the warm-up covers all
-    kernel instances in the process); for the other backends it is a
-    no-op returning ``0.0``.  Benchmark and profiling drivers call this
-    before timing so compile cost never pollutes stage timings.
-    """
-    return get_backend(backend)().warmup()

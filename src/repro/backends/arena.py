@@ -70,10 +70,7 @@ __all__ = ["PostingArena", "ArenaPostingList", "SLOT_DTYPE", "VALUE_DTYPE"]
 
 #: Dtypes of the arena's parallel arrays: ``SLOT_DTYPE`` for the interned
 #: vector slots, ``VALUE_DTYPE`` for values, prefix magnitudes and
-#: timestamps.  The compiled tier (:mod:`repro.backends.kernels`) specialises
-#: its JIT signatures against these exact dtypes — its warm-up compiles with
-#: them, so an arena allocated with anything else would trigger a fresh
-#: compilation (or a TypingError) mid-scan.
+#: timestamps.
 SLOT_DTYPE = np.int64
 VALUE_DTYPE = np.float64
 

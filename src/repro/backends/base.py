@@ -138,32 +138,6 @@ class SimilarityKernel(ABC):
     #: One-line human description shown by ``sssj backends``.
     description: str = ""
 
-    @classmethod
-    def available(cls) -> bool:
-        """Whether this backend can actually run on this machine.
-
-        A backend class may be importable while its accelerator is not
-        (the compiled tier imports fine without numba); the registry
-        only hands out classes whose ``available()`` is true, and the
-        CLI probe reports :meth:`availability_reason` for the rest.
-        """
-        return True
-
-    @classmethod
-    def availability_reason(cls) -> str | None:
-        """Why :meth:`available` is false (``None`` when available)."""
-        return None
-
-    def warmup(self) -> float:
-        """Prime lazily initialised hot-loop machinery; return the cost.
-
-        Backends with one-time setup that would otherwise pollute the
-        first query's timings — the compiled tier's JIT compilation —
-        perform it here and return the seconds spent, so drivers
-        (profiling wrapper, benchmark gates) can report it separately.  Idempotent; the default is a no-op.
-        """
-        return 0.0
-
     # -- approximate sketch prefilter (:mod:`repro.approx`) ------------------
     #
     # When configured, the kernel keeps one banding signature per indexed

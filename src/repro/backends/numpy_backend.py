@@ -65,10 +65,9 @@ backend's per-entry loops while processing the whole query at once:
 All per-entry work (products, decay, bound tails, admission) is
 vectorised once over the whole gather.  Gathers of at most
 ``_GROUPED_REPLAY_CUTOFF`` live postings skip the grouping and run the
-scalar loop :func:`prefix_segments` instead — the same loop the compiled
-tier compiles — because the grouped pass's fixed cost of a few dozen
-NumPy calls dwarfs a short loop.  The size of the gather is the only
-input to that choice.
+scalar loop :func:`prefix_segments` instead, because the grouped pass's
+fixed cost of a few dozen NumPy calls dwarfs a short loop.  The size of
+the gather is the only input to that choice.
 
 Candidates never round-trip through ``dict[int, float]``: the scan kernels
 accumulate into epoch-stamped dense per-slot arrays, :class:`NumpyAccumulator`
@@ -109,10 +108,9 @@ around θ, and every decision inside the band is re-taken with
   similarity of the few candidates inside the band;
 * **candidate-generation scans** — the per-entry decayed admission bound
   and the ``l2bound`` prune of every posting inside the band, on both
-  replays (and the compiled one, which receives the same inputs).  The
-  per-list admission shortcut admits or refuses a whole list only when
-  its ``np.exp`` bound clears θ by more than the band; otherwise the list
-  takes the per-entry test.
+  replays.  The per-list admission shortcut admits or refuses a whole
+  list only when its ``np.exp`` bound clears θ by more than the band;
+  otherwise the list takes the per-entry test.
 
 So decisions and counters equal the reference's even for pairs that sit
 exactly on θ.
@@ -147,7 +145,7 @@ from repro.indexes.bounds import IndexingSplit, compute_indexing_split
 from repro.indexes.maxvector import MaxVector
 from repro.indexes.residual import ResidualEntry, ResidualIndex
 
-__all__ = ["NumpyKernel", "ArenaPostingList", "PostingArena", "prefix_segments"]
+__all__ = ["NumpyKernel", "ArenaPostingList", "PostingArena"]
 
 _INITIAL_SLOTS = 64
 _INITIAL_DENSE = 1024
@@ -647,11 +645,8 @@ class NumpyKernel(SimilarityKernel):
     def _sketch_verdict_now(self) -> np.ndarray:
         """The current query's per-slot banding verdict, built lazily.
 
-        One bucket-lookup pass per query epoch; the bucket-based build is
-        the *specification* of the verdict — the compiled backend reuses
-        it verbatim and only compiles the per-posting application, so
-        both tiers reject the exact same slots in every regime
-        (including stale-bucket revalidation after slot reuse).
+        One bucket-lookup pass per query epoch, re-validating stale
+        bucket entries after slot reuse against the live band table.
         """
         if self._sketch_verdict_epoch != self._epoch:
             table = self._slot_bands
@@ -1591,7 +1586,13 @@ class NumpyKernel(SimilarityKernel):
                 cat_vals = np.concatenate(vals_parts)
             part_counts = np.asarray([count for count in counts if count > 0],
                                      dtype=np.int64)
-            dots = self._segment_dots(cat_dims, cat_vals, part_counts)
+            # The unbuffered scatter-add sums each candidate's products
+            # left to right from 0.0, bit for bit the reference reduction.
+            products = cat_vals * dense[cat_dims]
+            segment_ids = np.repeat(
+                np.arange(len(part_counts), dtype=np.int64), part_counts)
+            dots = np.zeros(len(part_counts), dtype=np.float64)
+            np.add.at(dots, segment_ids, products)
         dot_list = dots.tolist()
         results: list[float] = []
         offset = 0
@@ -1604,24 +1605,6 @@ class NumpyKernel(SimilarityKernel):
             else:
                 results.append(entries[slot_list[index]].residual_dot(query))
         return results
-
-    def _segment_dots(self, cat_dims: np.ndarray, cat_vals: np.ndarray,
-                      part_counts: np.ndarray) -> np.ndarray:
-        """Per-candidate sequential reductions over the concatenated prefixes.
-
-        The seam the compiled backend overrides: given the candidates'
-        residual ``(dims, values)`` arrays concatenated back to back and
-        the per-candidate ``part_counts``, return each candidate's dot
-        against the dense query scratch.  The unbuffered sequential
-        scatter-add accumulates every candidate's products left to right
-        from ``0.0``, bit-for-bit the reference reduction.
-        """
-        products = cat_vals * self._dense[cat_dims]
-        segment_ids = np.repeat(
-            np.arange(len(part_counts), dtype=np.int64), part_counts)
-        dots = np.zeros(len(part_counts), dtype=np.float64)
-        np.add.at(dots, segment_ids, products)
-        return dots
 
     def dots_for(self, query: SparseVector,
                  others: Sequence[SparseVector]) -> list[float]:
@@ -1731,9 +1714,7 @@ def prefix_segments(slots, contrib, tails, decay_factors, tri, seg_rs1,
 
     First-touched slots go to ``fresh_out`` in accumulation order (the
     candidate insertion order); returns their count.  The NumPy backend
-    runs this as plain Python over lists for small gathers; the compiled
-    tier (:mod:`repro.backends.kernels.scan`) compiles this same function
-    and runs it over arrays for every gather.
+    runs this as plain Python over lists for small gathers.
     """
     fresh_count = 0
     if band < 0.0:

@@ -41,9 +41,9 @@ __all__ = ["ProfilingKernel", "STAGES"]
 STAGES = ("scan", "filter", "verify", "maintenance")
 
 #: The stage each timed kernel method is charged to; the other public
-#: methods (storage factories, approx setup, warm-up, the baselines'
-#: ``dots_for``) are forwarded untimed.  ``filter`` is charged by the
-#: accumulators :meth:`ProfilingKernel.new_accumulator` hands out.
+#: methods (storage factories, approx setup, the baselines' ``dots_for``)
+#: are forwarded untimed.  ``filter`` is charged by the accumulators
+#: :meth:`ProfilingKernel.new_accumulator` hands out.
 _STAGE_OF = {
     "scan_query_batch": "scan",
     "scan_query_stream": "scan",
@@ -121,10 +121,6 @@ class ProfilingKernel(SimilarityKernel):
         self._obs_tracker = obs.DeltaTracker()
         if obs.enabled():
             obs.get_registry().add_collector(_collect_stages, owner=self)
-        # Warm the wrapped kernel now so a compiled backend's one-time JIT
-        # cost lands here, not inside the first scan — the breakdown would
-        # otherwise charge seconds of compilation to the "scan" stage.
-        self.warmup_seconds = float(inner.warmup())
 
     # -- reporting -----------------------------------------------------------
 
@@ -183,7 +179,7 @@ def _forwarder(name: str):
 # base-class default that the wrapped backend overrides.
 for _name, _value in vars(SimilarityKernel).items():
     if (_name.startswith("_") or _name in ProfilingKernel.__dict__
-            or isinstance(_value, classmethod) or not callable(_value)):
+            or not callable(_value)):
         continue
     setattr(ProfilingKernel, _name, _forwarder(_name))
 ProfilingKernel.__abstractmethods__ = frozenset()

@@ -53,20 +53,16 @@ def git_revision(default: str = "unknown") -> str:
 
 
 def backend_versions() -> dict[str, str]:
-    """Versions of the optional compute-backend dependencies present here.
+    """Version of the optional NumPy dependency, when present here.
 
     Stamped into benchmark artifacts so a measured speedup can be traced
-    to the numpy/numba build that produced it (compiled-tier numbers from
-    different numba releases are not interchangeable).
+    to the numpy build that produced it.
     """
-    versions: dict[str, str] = {}
-    for module_name in ("numpy", "numba"):
-        try:
-            module = __import__(module_name)
-        except ImportError:
-            continue
-        versions[module_name] = str(getattr(module, "__version__", "unknown"))
-    return versions
+    try:
+        import numpy
+    except ImportError:
+        return {}
+    return {"numpy": str(numpy.__version__)}
 
 
 def bench_micro_benchmarks(record: dict[str, Any]) -> dict[str, dict[str, Any]]:

@@ -111,10 +111,6 @@ class RunMetrics:
     abort_reason: str = ""
     stats: JoinStatistics = field(default_factory=JoinStatistics)
     latency: LatencyStats = field(default_factory=LatencyStats)
-    #: One-time backend warm-up (JIT compilation for the compiled tier),
-    #: paid before the run clock starts and therefore *not* part of
-    #: ``elapsed_seconds``.
-    warmup_seconds: float = 0.0
 
     @property
     def horizon(self) -> float:

@@ -42,12 +42,9 @@ __all__ = ["MetricCheck", "RegressionReport", "check_regression",
 #: both are ratios of same-process runs, so they stay machine-comparable.
 #: ``derived.recall`` is the approx gate's pair recall against the exact
 #: ground-truth run — deterministic for a pinned workload and sketch seed,
-#: so any drop means the prefilter itself changed.  ``derived.scan_speedup``
-#: is the compiled gate's scan-stage-only ratio (numba over numpy), the
-#: metric the JIT tier exists to move.
+#: so any drop means the prefilter itself changed.
 TRACKED_METRICS: tuple[tuple[str, bool], ...] = (
     ("derived.speedup", True),
-    ("derived.scan_speedup", True),
     ("derived.throughput_ratio", True),
     ("derived.recall", True),
 )

@@ -18,7 +18,7 @@ from __future__ import annotations
 import time
 from collections.abc import Iterable, Sequence
 
-from repro.backends import get_backend, warmup_backend
+from repro.backends import get_backend
 from repro.bench.config import ExperimentScale
 from repro.bench.metrics import RunMetrics
 from repro.core.join import create_join
@@ -111,10 +111,6 @@ def run_algorithm(
     )
     pairs = 0
     latency = metrics.latency
-    # Prime one-time backend machinery (the compiled tier's JIT
-    # compilation) before the clock starts: elapsed_seconds measures the
-    # scans only, and the warm-up cost is reported on its own field.
-    metrics.warmup_seconds = warmup_backend(backend)
     chunk = getattr(join, "FEED_CHUNK", 1)
     start = time.perf_counter()
     try:

@@ -418,10 +418,7 @@ def _require_backend(backend: str | None) -> str | None:
     available, reason = backend_availability(backend)
     if available:
         return None
-    hint = ""
-    if backend.lower() == "numba":
-        hint = " — pip install numba to enable the compiled tier"
-    return f"--backend {backend}: {reason}{hint}"
+    return f"--backend {backend}: {reason}"
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
@@ -681,9 +678,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         title=(f"Per-stage breakdown: {args.algorithm} on {name} "
                f"({kernel.name}, θ={args.theta}, λ={args.decay})"),
     ))
-    if kernel.warmup_seconds:
-        print(f"one-time JIT warm-up: {kernel.warmup_seconds:.2f}s "
-              "(paid before the run; not part of the breakdown)")
     stats = join.stats
     print(render_table(
         [{

@@ -77,7 +77,8 @@ def create_join(algorithm: str, threshold: float, decay: float, *,
     ``"MB-L2AP"``, ``"MB-INV"``, ...
 
     ``backend`` selects the compute backend for the hot loops (``"python"``,
-    ``"numpy"``, ``"numba"``, or a kernel instance).  ``None``/``"auto"``
+    ``"numpy"``, or a kernel instance; the retired ``"numba"`` runs
+    ``"numpy"``).  ``None``/``"auto"``
     depends on the framework: a single-process STR join starts on
     ``"python"`` and moves once to the vectorised kernel when its
     queries' gathers grow past the measured crossover

@@ -104,11 +104,12 @@ class JoinParameters:
     decay:
         Time-decay rate ``λ ≥ 0``.
     backend:
-        Compute backend for the hot loops (``"python"``, ``"numpy"``,
-        ``"numba"``, or ``None``/``"auto"``).  For a STR join ``auto``
-        starts on ``"python"`` and moves once to the vectorised kernel
-        when the gathers grow past the measured crossover; MiniBatch and
-        sharded joins run :func:`~repro.backends.default_backend`.  See
+        Compute backend for the hot loops (``"python"``, ``"numpy"`` or
+        ``None``/``"auto"``; the retired ``"numba"`` runs ``"numpy"``).
+        For a STR join ``auto`` starts on ``"python"`` and moves once to
+        the vectorised kernel when the gathers grow past the measured
+        crossover; MiniBatch and sharded joins run
+        :func:`~repro.backends.default_backend`.  See
         :func:`~repro.core.join.create_join`.
     approx:
         Optional approximate-tier spec (:mod:`repro.approx`), e.g.

@@ -22,11 +22,9 @@ def make_vector(vector_id: int, timestamp: float, entries: dict[int, float],
 def accelerated_backends() -> list:
     """The non-reference backends as pytest params, skip-marked when absent.
 
-    Parity suites parametrized over this list pin the compiled (numba)
-    tier against the reference on machines that have numba installed —
-    the CI numba job — at zero cost elsewhere: the numba params simply
-    skip.  The interpreted-mode loop-logic coverage that runs everywhere
-    lives in ``tests/test_numba_backend.py``.
+    Parity suites parametrized over this list pin every backend but the
+    reference against it; today that is ``numpy``, skipped where NumPy is
+    not installed.
     """
     from repro.backends import available_backends
 
@@ -34,7 +32,7 @@ def accelerated_backends() -> list:
         pytest.param(name, marks=pytest.mark.skipif(
             name not in available_backends(),
             reason=f"{name} backend unavailable"))
-        for name in ("numpy", "numba")
+        for name in ("numpy",)
     ]
 
 

@@ -9,10 +9,12 @@ profiles and with hypothesis-generated adversarial inputs.
 
 from __future__ import annotations
 
+import json
 import math
 import os
 import subprocess
 import sys
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -29,11 +31,18 @@ from repro import (
     default_backend,
     sliding_window_join,
 )
-from repro.backends import get_backend, resolve_kernel
+from repro.backends import (
+    backend_availability,
+    get_backend,
+    known_backends,
+    probe_backends,
+    resolve_kernel,
+)
 from repro.core.results import JoinStatistics
 from repro.core.similarity import JoinParameters
 from repro.indexes.posting import PostingEntry
-from tests.conftest import accelerated_backends, random_vectors
+from tests.conftest import accelerated_backends, random_vectors, wait_until
+from tests.groundtruth import counters_without_time, engine_pairs
 
 numpy_missing = "numpy" not in available_backends()
 needs_numpy = pytest.mark.skipif(numpy_missing, reason="NumPy backend unavailable")
@@ -172,8 +181,8 @@ class TestBackendSelection:
             if override in available_backends():
                 assert default_backend() == override
             else:
-                # A known-but-unavailable override (e.g. numba without
-                # numba installed) degrades to the auto default.
+                # A known-but-unavailable override (e.g. the retired
+                # numba) degrades to the auto default.
                 assert default_backend() in available_backends()
         elif numpy_missing:
             assert default_backend() == "python"
@@ -428,3 +437,151 @@ class TestCheckpointAcrossBackends:
                           "full_similarities", "pairs_output"):
             assert (getattr(resumed.stats, attribute)
                     == getattr(uninterrupted.stats, attribute)), attribute
+
+
+# ---------------------------------------------------------------------------
+# The retired ``numba`` name.  The compiled tier is gone; a join, checkpoint,
+# session, shard config or ``SSSJ_BACKEND`` that still names it runs on
+# NumPy after one warning.
+
+#: The one-time fallback warning, which only the test pinning it records.
+_NUMBA_FALLBACK = "ignore:backend 'numba' is unavailable:RuntimeWarning"
+
+
+def ok(response):
+    assert response.get("ok"), response
+    return response
+
+
+@needs_numpy
+class TestRetiredNumba:
+    def test_numba_is_always_known(self):
+        assert "numba" in known_backends()
+        assert "numba" not in available_backends()
+
+    def test_availability_probe_reports_numba(self):
+        row = {row["name"]: row for row in probe_backends()}["numba"]
+        assert not row["available"]
+        assert "removed" in row["reason"]
+        assert row["description"]
+
+    def test_backend_availability(self):
+        available, reason = backend_availability("numba")
+        assert not available
+        assert "removed" in reason
+
+    def test_get_backend_falls_back_with_warning(self):
+        from repro.backends import _FALLBACK_WARNED
+
+        _FALLBACK_WARNED.discard("numba")  # the warning is once per process
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert get_backend("numba").name == "numpy"
+        fallback = [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert len(fallback) == 1
+        assert "falling back to 'numpy'" in str(fallback[0].message)
+        # Later resolutions stay silent.
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            get_backend("numba")
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+    @pytest.mark.filterwarnings(_NUMBA_FALLBACK)
+    def test_create_join_accepts_numba_spec_everywhere(self):
+        join = create_join("STR-L2", 0.7, 0.1, backend="numba")
+        assert join.backend_name == "numpy"
+
+    def test_env_override_degrades_in_subprocess(self):
+        code = (
+            "import warnings; warnings.simplefilter('ignore'); "
+            "import repro; print(repro.default_backend())"
+        )
+        env = dict(os.environ, SSSJ_BACKEND="numba",
+                   PYTHONPATH="src" + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        result = subprocess.run([sys.executable, "-c", code], env=env,
+                                capture_output=True, text=True,
+                                cwd=os.path.dirname(os.path.dirname(__file__)))
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "numpy"
+
+    @pytest.mark.filterwarnings(_NUMBA_FALLBACK)
+    def test_numba_checkpoint_resumes_pinned_to_numpy(self):
+        from repro import restore_join
+        from repro.core.checkpoint import snapshot_join
+
+        vectors = random_vectors(80, seed=11)
+        expected, stats = engine_pairs(vectors, 0.6, 0.05,
+                                       algorithm="STR-L2AP", backend="python")
+        join = create_join("STR-L2AP", 0.6, 0.05, backend="numpy")
+        pairs = join.feed(vectors[:40])
+        state = json.loads(json.dumps(snapshot_join(join)))
+        state["backend"] = "numba"
+        resumed = restore_join(state)
+        assert not resumed.adaptive and resumed.backend_name == "numpy"
+        pairs += resumed.feed(vectors[40:]) + resumed.flush()
+        assert pairs == expected
+        assert (counters_without_time(resumed.stats.as_dict())
+                == counters_without_time(stats.as_dict()))
+
+    @pytest.mark.filterwarnings(_NUMBA_FALLBACK)
+    def test_numba_session_runs_numpy_through_evict_and_restore(self,
+                                                                tmp_path):
+        from repro.service import JoinService, read_jsonl_pairs
+        from repro.service.protocol import encode_vector
+
+        vectors = random_vectors(60, seed=8)
+        expected, stats = engine_pairs(vectors, 0.6, 0.05, backend="python")
+        sink_path = tmp_path / "pairs.jsonl"
+        service = JoinService(pool_workers=1, checkpoint_dir=tmp_path)
+
+        def ingest(lo, hi):
+            ok(service.handle({
+                "op": "ingest", "session": "n", "seq": lo,
+                "vectors": [encode_vector(v) for v in vectors[lo:hi]]}))
+            session = service.sessions["n"]
+            wait_until(lambda: session.processed == hi
+                       and session.run_state == "idle")
+
+        def kernels():
+            row = ok(service.handle(
+                {"op": "stats", "session": "n"}))["sessions"]["n"]
+            return row["backend"], row["kernel"]
+
+        try:
+            ok(service.handle({
+                "op": "open", "session": "n", "theta": 0.6, "decay": 0.05,
+                "backend": "numba", "normalize": False,
+                "sinks": [{"kind": "jsonl", "path": str(sink_path)}]}))
+            ingest(0, 35)
+            assert kernels() == ("numpy", "numpy")
+            assert ok(service.handle(
+                {"op": "evict", "session": "n"}))["evicted"]
+            assert service.sessions["n"].status == "evicted"
+            assert kernels() == ("numpy", "numpy")
+            ingest(35, len(vectors))  # lazy restore
+            assert service.sessions["n"].resumed
+            assert kernels() == ("numpy", "numpy")
+            ok(service.handle({"op": "drain", "session": "n"}))
+            assert read_jsonl_pairs(sink_path) == expected
+            counters = ok(service.handle(
+                {"op": "stats", "session": "n"}))["sessions"]["n"]["counters"]
+            assert (counters_without_time(counters)
+                    == counters_without_time(stats.as_dict()))
+        finally:
+            service.shutdown()
+
+    @pytest.mark.filterwarnings(_NUMBA_FALLBACK)
+    def test_numba_sharded_join_matches_reference(self):
+        from repro.shard import create_sharded_join
+
+        vectors = random_vectors(80, seed=12)
+        expected, stats = engine_pairs(vectors, 0.6, 0.05,
+                                       algorithm="STR-L2AP", backend="python")
+        sharded = JoinStatistics()
+        with create_sharded_join("STR-L2AP", 0.6, 0.05, workers=2,
+                                 stats=sharded, backend="numba",
+                                 executor="serial") as join:
+            assert join.backend_name == "numpy"
+            assert list(join.run(vectors)) == expected
+        assert (counters_without_time(sharded.as_dict())
+                == counters_without_time(stats.as_dict()))

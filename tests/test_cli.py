@@ -74,6 +74,20 @@ class TestCommands:
             assert name in output
         assert default_backend() in output
 
+    def test_backends_probe_lists_numba(self, capsys):
+        assert main(["backends"]) == 0
+        row = next(line for line in capsys.readouterr().out.splitlines()
+                   if line.startswith("numba "))
+        assert row.split("|")[1].strip() == "NO"
+        assert "compiled tier was removed" in row
+
+    def test_explicit_numba_fails_fast(self, capsys):
+        assert main(["run", "--profile", "tweets", "--num-vectors", "10",
+                     "--backend", "numba"]) == 2
+        err = capsys.readouterr().err
+        assert "compiled tier was removed" in err
+        assert "pip install" not in err
+
     def test_run_with_explicit_backend(self, capsys):
         assert main(["run", "--profile", "tweets", "--num-vectors", "60",
                      "--algorithm", "STR-L2", "--backend", "python"]) == 0

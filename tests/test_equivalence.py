@@ -65,8 +65,8 @@ class TestBackendOracle:
 
     The classes above run the default backend (so the reference-backend
     CI job re-checks them under ``SSSJ_BACKEND=python``); this one names
-    each accelerated backend explicitly, pinning the compiled tier
-    against the memoised oracle wherever numba is installed.
+    each accelerated backend explicitly and pins it against the memoised
+    oracle.
     """
 
     @pytest.mark.parametrize("backend", accelerated_backends())

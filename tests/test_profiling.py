@@ -42,9 +42,7 @@ def placeholder_arguments(name):
 def test_every_kernel_method_reaches_the_wrapped_kernel(name):
     inner = mock.MagicMock(spec=SimilarityKernel)
     inner.name = "mock"
-    inner.warmup.return_value = 0.0
     profiled = ProfilingKernel(inner)
-    inner.reset_mock()
     args, kwargs = placeholder_arguments(name)
     getattr(profiled, name)(*args, **kwargs)
     getattr(inner, name).assert_called_once_with(*args, **kwargs)

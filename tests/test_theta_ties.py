@@ -83,21 +83,3 @@ def test_prune_tie():
     _, counters = assert_numpy_matches_reference(vectors, theta, "STR-L2")
     assert counters["candidates_generated"] == 1
 
-
-def test_compiled_tier_takes_the_same_seam():
-    # The compiled replay receives the same re-decision inputs; run its
-    # loop uncompiled (use_kernels=True) so this holds without numba.
-    from repro.backends.numba_backend import NumbaKernel
-
-    theta = 0.8 * math.exp(-DECAY * (NOW - 98.997))
-    vectors = [SparseVector(index, timestamp, {1: 1.0})
-               for index, timestamp in ((1, 98.497), (2, 98.997),
-                                        (3, 99.497))]
-    vectors.append(SparseVector(10, NOW, {1: 0.8, 2: 0.6}, normalize=False))
-    expected = run(vectors, theta, "STR-L2", "python")
-    assert run(vectors, theta, "STR-L2",
-               NumbaKernel(use_kernels=True)) == expected
-    tie, prune_theta = _prune_tie()
-    if tie is not None:
-        assert (run(tie, prune_theta, "STR-L2", NumbaKernel(use_kernels=True))
-                == run(tie, prune_theta, "STR-L2", "python"))
