@@ -26,11 +26,11 @@ Two signature families are provided:
   uses — this is the family the benchmark recall gate runs.
 
 Both are built on the splitmix64 mixer, evaluated in exact 64-bit wrap
-arithmetic, so a signature is a pure function of ``(vector dims/values,
-config)`` — the reference and NumPy backends share one
-:class:`SignatureScheme` implementation and therefore take bit-identical
-keep/reject decisions, which is what makes the cross-backend parity
-tests of the approximate tier possible.
+arithmetic (NumPy ``uint64``), so a signature is a pure function of
+``(vector dims/values, config)`` — the reference and NumPy backends share
+one :class:`SignatureScheme` implementation and therefore take
+bit-identical keep/reject decisions, which is what makes the
+cross-backend parity tests of the approximate tier possible.
 
 The filter is **one-sided**: a rejected candidate is never verified (this
 is where recall can be lost), but every *surviving* pair still goes
@@ -42,9 +42,10 @@ engine changes and output stays bitwise identical to the exact engine
 
 from __future__ import annotations
 
-import os
 from dataclasses import asdict, dataclass
 from typing import Any
+
+import numpy as np
 
 from repro.core.vector import SparseVector
 from repro.exceptions import InvalidParameterError
@@ -55,7 +56,6 @@ __all__ = [
     "ApproxConfig",
     "SignatureScheme",
     "parse_approx",
-    "approx_from_env",
 ]
 
 #: Supported sketch families.
@@ -77,6 +77,15 @@ def _splitmix64(value: int) -> int:
     value = ((value ^ (value >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     value = ((value ^ (value >> 27)) * 0x94D049BB133111EB) & _MASK64
     return value ^ (value >> 31)
+
+
+def _splitmix64_np(value: np.ndarray) -> np.ndarray:
+    """:func:`_splitmix64` over a ``uint64`` array (callers silence the
+    wrap-around warnings)."""
+    value = value + np.uint64(0x9E3779B97F4A7C15)
+    value = (value ^ (value >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    value = (value ^ (value >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return value ^ (value >> np.uint64(31))
 
 
 @dataclass(frozen=True)
@@ -197,14 +206,6 @@ def parse_approx(value: "str | ApproxConfig | None", *,
     return config
 
 
-def approx_from_env(environ: "dict[str, str] | None" = None,
-                    ) -> ApproxConfig | None:
-    """The :data:`APPROX_ENV_VAR` configuration, or ``None`` when unset."""
-    env = os.environ if environ is None else environ
-    raw = env.get(APPROX_ENV_VAR, "").strip()
-    return parse_approx(raw) if raw else None
-
-
 class SignatureScheme:
     """Computes signatures and takes the banded keep/reject decisions.
 
@@ -215,22 +216,14 @@ class SignatureScheme:
     signatures and identical decisions.
     """
 
-    __slots__ = ("config", "_lane_salts", "_np", "_salts_np")
+    __slots__ = ("config", "_salts")
 
     def __init__(self, config: ApproxConfig) -> None:
         self.config = config
         base = _splitmix64(config.seed & _MASK64)
-        self._lane_salts = tuple(
-            _splitmix64(base + lane * 0x9E3779B97F4A7C15)
-            for lane in range(config.signature_length))
-        try:  # vectorised signature path when NumPy is importable
-            import numpy
-            self._np = numpy
-            self._salts_np = numpy.asarray(self._lane_salts,
-                                           dtype=numpy.uint64)
-        except ImportError:  # pragma: no cover - environment dependent
-            self._np = None
-            self._salts_np = None
+        self._salts = np.asarray(
+            [_splitmix64(base + lane * 0x9E3779B97F4A7C15)
+             for lane in range(config.signature_length)], dtype=np.uint64)
 
     # -- signature computation -------------------------------------------------
 
@@ -240,89 +233,34 @@ class SignatureScheme:
             return self._minhash(vector)
         return self._wminhash(vector)
 
+    def _lane_hashes(self, vector: SparseVector) -> tuple[np.ndarray, np.ndarray]:
+        """The dim-hashes ``(nnz,)`` and, for every lane at once, splitmix64
+        over (dim-hash ^ lane-salt) ``(nnz, L)``."""
+        dims = np.asarray(vector.dims, dtype=np.uint64)
+        with np.errstate(over="ignore"):
+            mixed = _splitmix64_np(dims)
+            return mixed, _splitmix64_np(mixed[:, None] ^ self._salts[None, :])
+
     def _minhash(self, vector: SparseVector) -> tuple[int, ...]:
-        np = self._np
-        if np is not None:
-            dims = np.asarray(vector.dims, dtype=np.uint64)
-            salts = self._salts_np
-            # splitmix64 over (dim-hash ^ lane-salt) for every lane at once.
-            with np.errstate(over="ignore"):
-                mixed = self._splitmix64_np(np, dims)
-                lanes = self._splitmix64_np(
-                    np, mixed[:, None] ^ salts[None, :])
-            return tuple(lanes.min(axis=0).tolist())
-        dim_hashes = [_splitmix64(dim & _MASK64) for dim in vector.dims]
-        return tuple(
-            min(_splitmix64(mixed ^ salt) for mixed in dim_hashes)
-            for salt in self._lane_salts)
+        return tuple(self._lane_hashes(vector)[1].min(axis=0).tolist())
 
     def _wminhash(self, vector: SparseVector) -> tuple[int, ...]:
         # Consistent weighted sampling: dimension d races in lane i with
         # key hash(d, i) / w_d² — the *same* 64-bit "uniform" for every
         # vector containing d — and the lane records the dim-hash of the
         # winner.  P(two vectors pick the same winner) tracks the
-        # generalized Jaccard of the squared-weight distributions.  Both
-        # arithmetic paths below round identically (IEEE uint64→float64
-        # casts, float64 division, first-minimum tiebreak), so signatures
-        # stay bit-identical across backends.
-        np = self._np
-        if np is not None:
-            dims = np.asarray(vector.dims, dtype=np.uint64)
-            weights = np.asarray(vector.values, dtype=np.float64)
-            weights = weights * weights
-            salts = self._salts_np
-            with np.errstate(over="ignore"):
-                mixed = self._splitmix64_np(np, dims)
-                lane_hash = self._splitmix64_np(
-                    np, mixed[:, None] ^ salts[None, :])  # (nnz, L)
-            with np.errstate(divide="ignore", invalid="ignore",
-                             over="ignore"):
-                keys = lane_hash.astype(np.float64) / weights[:, None]
-            winners = keys.argmin(axis=0)
-            return tuple(mixed[winners].tolist())
-        dim_hashes = [_splitmix64(dim & _MASK64) for dim in vector.dims]
-        squared = [value * value for value in vector.values]
-        signature = []
-        for salt in self._lane_salts:
-            best_hash = 0
-            best_key = None
-            for mixed, weight in zip(dim_hashes, squared):
-                try:
-                    key = float(_splitmix64(mixed ^ salt)) / weight
-                except ZeroDivisionError:
-                    key = float("inf")
-                if best_key is None or key < best_key:
-                    best_key = key
-                    best_hash = mixed
-            signature.append(best_hash)
-        return tuple(signature)
-
-    @staticmethod
-    def _splitmix64_np(np, value):
-        value = (value + np.uint64(0x9E3779B97F4A7C15))
-        value = (value ^ (value >> np.uint64(30))) \
-            * np.uint64(0xBF58476D1CE4E5B9)
-        value = (value ^ (value >> np.uint64(27))) \
-            * np.uint64(0x94D049BB133111EB)
-        return value ^ (value >> np.uint64(31))
+        # generalized Jaccard of the squared-weight distributions.  The
+        # uint64→float64 casts, the float64 division and argmin's
+        # first-minimum tiebreak are deterministic, so signatures are
+        # bit-identical across backends.
+        mixed, lane_hash = self._lane_hashes(vector)
+        weights = np.asarray(vector.values, dtype=np.float64)
+        weights = weights * weights
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            keys = lane_hash.astype(np.float64) / weights[:, None]
+        return tuple(mixed[keys.argmin(axis=0)].tolist())
 
     # -- banded decisions ------------------------------------------------------
-
-    def band_keys(self, signature: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-        """The signature's band keys: ``rows`` consecutive lanes per band."""
-        rows = self.config.rows
-        return tuple(signature[start:start + rows]
-                     for start in range(0, len(signature), rows))
-
-    def matches(self, query_signature: tuple[int, ...],
-                candidate_signature: tuple[int, ...]) -> bool:
-        """True when at least one band agrees (the candidate survives)."""
-        rows = self.config.rows
-        for start in range(0, len(query_signature), rows):
-            end = start + rows
-            if query_signature[start:end] == candidate_signature[start:end]:
-                return True
-        return False
 
     def band_hash_keys(self, signature: tuple[int, ...]) -> tuple[int, ...]:
         """One folded 64-bit key per band (splitmix64 over its lanes).
@@ -332,29 +270,19 @@ class SignatureScheme:
         on these keys, so even a collision cannot break cross-backend
         parity — the two data paths agree bit for bit either way.
         """
-        if self._np is not None:
-            return tuple(self.band_key_array(signature).tolist())
-        rows = self.config.rows
-        keys = []
-        for start in range(0, len(signature), rows):
-            key = signature[start]
-            for lane in signature[start + 1:start + rows]:
-                key = _splitmix64(key ^ lane)
-            keys.append(key)
-        return tuple(keys)
+        return tuple(self.band_key_array(signature).tolist())
 
-    def band_key_array(self, signature: tuple[int, ...]):
+    def band_key_array(self, signature: tuple[int, ...]) -> np.ndarray:
         """:meth:`band_hash_keys` as a ``(bands,)`` uint64 array.
 
         The fold repeats :func:`_splitmix64` lane by lane in uint64 wrap
-        arithmetic, so the values are bitwise identical to the pure-Python
-        keys.
+        arithmetic: band ``b``'s key is its first lane, mixed with each
+        further lane in turn.
         """
-        np = self._np
         lanes = np.asarray(signature, dtype=np.uint64)
         lanes = lanes.reshape(self.config.bands, self.config.rows)
         keys = lanes[:, 0]
         with np.errstate(over="ignore"):
             for row in range(1, self.config.rows):
-                keys = self._splitmix64_np(np, keys ^ lanes[:, row])
+                keys = _splitmix64_np(keys ^ lanes[:, row])
         return keys

@@ -11,8 +11,7 @@ the library:
     against (:mod:`repro.backends.reference`).
 ``numpy``
     Contiguous-array posting lists and vectorised scan kernels
-    (:mod:`repro.backends.numpy_backend`).  Registered only when NumPy is
-    importable.
+    (:mod:`repro.backends.numpy_backend`).
 
 ``numba`` is a retired name: the compiled tier was removed, and a join,
 checkpoint, session or ``SSSJ_BACKEND`` that names it runs on ``numpy``
@@ -31,8 +30,7 @@ means one of two things:
   kernel when its queries' mean gather size reaches the measured
   crossover (:mod:`repro.core.frameworks.streaming`);
 * for everything else — MiniBatch joins, sharded joins, indexes built
-  directly — :func:`default_backend`: ``numpy`` when present, ``python``
-  otherwise.
+  directly — :func:`default_backend`: ``numpy``.
 
 Setting the ``SSSJ_BACKEND`` environment variable to a backend name pins
 every ``auto`` join to it, STR joins included (:func:`auto_is_adaptive`).
@@ -55,6 +53,7 @@ from repro.backends.base import (
     SimilarityKernel,
     SizeFilterMap,
 )
+from repro.backends.numpy_backend import NumpyKernel
 from repro.backends.reference import ReferenceKernel
 from repro.exceptions import UnknownBackendError
 
@@ -96,16 +95,7 @@ def register_backend(cls: type[SimilarityKernel]) -> type[SimilarityKernel]:
 
 
 register_backend(ReferenceKernel)
-
-try:  # NumPy is an optional dependency: gate, don't require.
-    from repro.backends.numpy_backend import NumpyKernel
-except ImportError:  # pragma: no cover - exercised only without numpy
-    NumpyKernel = None  # type: ignore[assignment]
-    _UNAVAILABLE["numpy"] = (
-        "numpy is not installed",
-        "vectorised contiguous-array kernels (requires numpy)")
-else:
-    register_backend(NumpyKernel)
+register_backend(NumpyKernel)
 
 # The compiled tier is gone; its name stays known so that whatever still
 # names it resumes on the fallback below instead of raising.
@@ -157,15 +147,14 @@ def probe_backends() -> list[dict]:
 
 
 def _fallback_for(name: str) -> type[SimilarityKernel]:
-    """Degrade an unavailable-but-known backend to the best usable one."""
-    target = "numpy" if "numpy" in _BACKENDS else "python"
+    """Degrade an unavailable-but-known backend to NumPy."""
     if name not in _FALLBACK_WARNED:
         _FALLBACK_WARNED.add(name)
         warnings.warn(
             f"backend {name!r} is unavailable ({_UNAVAILABLE[name][0]}); "
-            f"falling back to {target!r}",
+            "falling back to 'numpy'",
             RuntimeWarning, stacklevel=3)
-    return _BACKENDS[target]
+    return NumpyKernel
 
 
 def auto_is_adaptive() -> bool:
@@ -181,15 +170,13 @@ def default_backend() -> str:
     """The backend ``"auto"`` resolves to when it resolves to one kernel.
 
     The ``SSSJ_BACKEND`` environment variable wins when set to a registered
-    backend name; otherwise the vectorised backend is picked (``numpy``
-    when importable, else ``python``).  That is what MiniBatch joins,
-    sharded joins and directly built indexes run, and the kernel an
-    adaptive STR join moves to once its gathers grow past the measured
-    crossover; below it the ``python`` kernel is faster
-    (:mod:`repro.core.frameworks.streaming`).  Setting it to a known
-    but unavailable backend (the retired ``numba``, or ``numpy`` without
-    NumPy) degrades to the normal default with a warning instead of
-    failing, so one environment file can serve heterogeneous machines.
+    backend name; otherwise the vectorised backend, ``numpy``, is picked.
+    That is what MiniBatch joins, sharded joins and directly built indexes
+    run, and the kernel an adaptive STR join moves to once its gathers
+    grow past the measured crossover; below it the ``python`` kernel is
+    faster (:mod:`repro.core.frameworks.streaming`).  Setting it to the
+    retired ``numba`` degrades to ``numpy`` with a warning instead of
+    failing.
     """
     override = os.environ.get(BACKEND_ENV_VAR, "").strip().lower()
     if override and override != "auto":
@@ -201,7 +188,7 @@ def default_backend() -> str:
             f"{BACKEND_ENV_VAR}={override!r} is not a registered backend; "
             f"available: {available_backends()}"
         )
-    return "numpy" if "numpy" in _BACKENDS else "python"
+    return "numpy"
 
 
 def get_backend(name: str | None = None) -> type[SimilarityKernel]:
@@ -211,13 +198,12 @@ def get_backend(name: str | None = None) -> type[SimilarityKernel]:
     STR rule is the framework's, not this function's, so a caller that
     needs one kernel class always gets one.
 
-    A *known* backend that cannot run here (the retired ``numba``, or
-    ``numpy`` without NumPy) resolves to the best available backend with
-    a one-time warning, so sessions, shard workers and restored
-    checkpoints that name it keep working.  Unknown names still raise
-    :class:`~repro.exceptions.UnknownBackendError`; the CLI additionally
-    fails fast (exit 2) when an unavailable backend is requested
-    explicitly.
+    A *known* backend that cannot run here (the retired ``numba``)
+    resolves to ``numpy`` with a one-time warning, so sessions, shard
+    workers and restored checkpoints that name it keep working.  Unknown
+    names still raise :class:`~repro.exceptions.UnknownBackendError`; the
+    CLI additionally fails fast (exit 2) when an unavailable backend is
+    requested explicitly.
     """
     if name is None or name.lower() == "auto":
         name = default_backend()
@@ -225,7 +211,7 @@ def get_backend(name: str | None = None) -> type[SimilarityKernel]:
     try:
         return _BACKENDS[key]
     except KeyError:
-        if key in _UNAVAILABLE and _BACKENDS:
+        if key in _UNAVAILABLE:
             return _fallback_for(key)
         raise UnknownBackendError(
             f"unknown compute backend {name!r}; available: {available_backends()}"

@@ -10,7 +10,8 @@ backend can lay both out however its hardware likes:
 
 * the pure-Python reference backend (:mod:`repro.backends.reference`) keeps
   the original per-entry loops over :class:`~repro.indexes.posting.PostingList`
-  ring buffers — simple, dependency-free, and the semantic ground truth;
+  objects (plain Python lists) — simple, dependency-free, and the semantic
+  ground truth;
 * the NumPy backend (:mod:`repro.backends.numpy_backend`) stores every
   dimension's postings in one shared posting arena
   (:mod:`repro.backends.arena`) and replaces the per-entry loops with
@@ -163,7 +164,6 @@ class SimilarityKernel(ABC):
         from repro.approx import SignatureScheme
 
         self._sketch_scheme = SignatureScheme(config)
-        self._sketch_sigs: dict[int, tuple[int, ...]] = {}
         self._sketch_keys: dict[int, tuple[int, ...]] = {}
         self._sketch_query = None
         self._sketch_query_keys: tuple[int, ...] | None = None
@@ -251,8 +251,7 @@ class SimilarityKernel(ABC):
     def note_vector_indexed(self, entry: "ResidualEntry") -> None:
         """A vector was added to the residual/Q store."""
         if self._sketch_scheme is not None:
-            signature, keys = self._query_sketch_for(entry.vector)
-            self._sketch_sigs[entry.vector.vector_id] = signature
+            _, keys = self._query_sketch_for(entry.vector)
             self._sketch_keys[entry.vector.vector_id] = keys
 
     def note_vectors_indexed(self, entries: "list[ResidualEntry]") -> None:
@@ -271,7 +270,6 @@ class SimilarityKernel(ABC):
     def note_vector_evicted(self, vector_id: int) -> None:
         """A stored vector fell behind the time horizon and was evicted."""
         if self._sketch_scheme is not None:
-            self._sketch_sigs.pop(vector_id, None)
             self._sketch_keys.pop(vector_id, None)
 
     # -- index construction --------------------------------------------------

@@ -344,7 +344,7 @@ class NumpyKernel(SimilarityKernel):
     """Vectorised array kernels over slot-interned candidate state."""
 
     name = "numpy"
-    description = "vectorised contiguous-array kernels (requires numpy)"
+    description = "vectorised contiguous-array kernels"
 
     def __init__(self) -> None:
         self._arena = PostingArena(self)

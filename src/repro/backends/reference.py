@@ -3,8 +3,9 @@
 This backend is the semantic ground truth: its scan kernels are the
 per-entry loops that used to live inline in the index classes, moved here
 verbatim when the compute-backend subsystem was introduced.  Posting lists
-are the ring-buffer-backed :class:`~repro.indexes.posting.PostingList` of
-Section 6.2 and the score table is a plain insertion-ordered dictionary.
+are :class:`~repro.indexes.posting.PostingList` objects, plain Python
+lists scanned backwards with ``reversed`` and truncated at the head with
+``del``, and the score table is a plain insertion-ordered dictionary.
 
 It has no dependencies beyond the standard library, works for arbitrarily
 sparse vector ids and dimensions, and is the backend the vectorised
@@ -201,7 +202,7 @@ class ReferenceKernel(SimilarityKernel):
 
     # -- INV scans -----------------------------------------------------------
 
-    def _scan_inv_batch(self, plist: Any, value: float,
+    def _scan_inv_batch(self, plist: PostingList, value: float,
                         acc: ScoreAccumulator) -> int:
         """INV batch scan: adds ``value * x_j`` for every posting."""
         scores = acc.scores
@@ -212,13 +213,13 @@ class ReferenceKernel(SimilarityKernel):
             scores[candidate_id] = scores.get(candidate_id, 0.0) + value * entry.value
         return traversed
 
-    def _scan_inv_stream(self, plist: Any, value: float, cutoff: float,
+    def _scan_inv_stream(self, plist: PostingList, value: float, cutoff: float,
                          acc: ScoreAccumulator) -> tuple[int, int]:
         """STR-INV scan: backward over the live postings, truncating the head."""
         scores = acc.scores
         arrival = acc.arrival
         alive = 0
-        for entry in plist.iter_newest_first():
+        for entry in reversed(plist):
             if entry.timestamp < cutoff:
                 # Everything older than this entry is also expired:
                 # truncate the head of the list (lazy time filtering).
@@ -227,12 +228,14 @@ class ReferenceKernel(SimilarityKernel):
             candidate_id = entry.vector_id
             scores[candidate_id] = scores.get(candidate_id, 0.0) + value * entry.value
             arrival.setdefault(candidate_id, entry.timestamp)
-        removed = plist.keep_newest(alive)
+        removed = len(plist) - alive
+        if removed:
+            del plist[:removed]
         return alive, removed
 
     # -- prefix-filter scans -------------------------------------------------
 
-    def _scan_prefix_batch(self, plist: Any, value: float,
+    def _scan_prefix_batch(self, plist: PostingList, value: float,
                            query_prefix_norm: float, admit_new: bool,
                            threshold: float, use_ap: bool, use_l2: bool,
                            sz1: float, size_filter: SizeFilterMap,
@@ -266,7 +269,7 @@ class ReferenceKernel(SimilarityKernel):
             scores[candidate_id] = accumulated
         return traversed
 
-    def _scan_prefix_stream(self, plist: Any, value: float,
+    def _scan_prefix_stream(self, plist: PostingList, value: float,
                             query_prefix_norm: float, now: float,
                             cutoff: float, decay: float, rs1: float,
                             rs2: float, sz1: float, threshold: float,
@@ -283,14 +286,16 @@ class ReferenceKernel(SimilarityKernel):
             # the head.  Only live postings count as traversed — the expired
             # sentinel is charged to pruning.
             alive = 0
-            for entry in plist.iter_newest_first():
+            for entry in reversed(plist):
                 if entry.timestamp < cutoff:
                     break
                 alive += 1
                 self._accumulate_stream(
                     entry, value, query_prefix_norm, now, decay, rs1, rs2,
                     sz1, threshold, use_ap, use_l2, size_filter, acc)
-            removed = plist.keep_newest(alive)
+            removed = len(plist) - alive
+            if removed:
+                del plist[:removed]
             return alive, removed
         traversed = 0
         kept = []
@@ -304,7 +309,7 @@ class ReferenceKernel(SimilarityKernel):
                 sz1, threshold, use_ap, use_l2, size_filter, acc)
         removed = traversed - len(kept)
         if removed:
-            plist.replace_all_entries(kept)
+            plist[:] = kept
         return traversed, removed
 
     def _accumulate_stream(self, entry: Any, value: float,

@@ -16,6 +16,8 @@ from collections.abc import Iterable, Sequence
 from pathlib import Path
 from typing import Any
 
+import numpy
+
 from repro.bench.experiments import ExperimentResult
 from repro.bench.metrics import RunMetrics
 
@@ -53,15 +55,11 @@ def git_revision(default: str = "unknown") -> str:
 
 
 def backend_versions() -> dict[str, str]:
-    """Version of the optional NumPy dependency, when present here.
+    """Version of the NumPy dependency.
 
     Stamped into benchmark artifacts so a measured speedup can be traced
     to the numpy build that produced it.
     """
-    try:
-        import numpy
-    except ImportError:
-        return {}
     return {"numpy": str(numpy.__version__)}
 
 

@@ -13,6 +13,8 @@ from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.core.results import JoinStatistics
 from repro.core.similarity import time_horizon
 from repro.obs import percentile
@@ -180,8 +182,6 @@ def fit_line(xs: Sequence[float], ys: Sequence[float]) -> LinearFit:
 
     Raises ``ValueError`` with fewer than two points (no line is defined).
     """
-    import numpy as np  # the service imports this module; numpy stays optional
-
     if len(xs) != len(ys):
         raise ValueError(f"mismatched lengths: {len(xs)} vs {len(ys)}")
     if len(xs) < 2:

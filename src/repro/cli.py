@@ -151,8 +151,8 @@ def build_parser() -> argparse.ArgumentParser:
     profile_cmd = subparsers.add_parser(
         "profile", help="per-stage time breakdown of one algorithm run",
         description="Per-stage time breakdown of one STR run on one pinned "
-                    "kernel: --backend, or default_backend() (numpy when "
-                    "installed) without it.  This is not the adaptive auto "
+                    "kernel: --backend, or default_backend() (numpy) "
+                    "without it.  This is not the adaptive auto "
                     "join that `sssj run` and sessions use, which starts on "
                     "the python kernel and moves to numpy once its queries' "
                     "gathers pass the measured crossover; pass --backend "

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 
+from repro.backends import SimilarityKernel, get_backend
 from repro.core.frameworks.base import JoinFramework
 from repro.core.results import JoinStatistics, SimilarPair
 from repro.core.vector import SparseVector
@@ -69,6 +70,13 @@ class MiniBatchFramework(JoinFramework):
         self._current_max = MaxVector()
         self._previous: list[SparseVector] = []
         self._previous_max = MaxVector()
+
+    @property
+    def backend_name(self) -> str:
+        """Name of the compute backend the window indexes run on."""
+        if isinstance(self.backend, SimilarityKernel):
+            return self.backend.name
+        return get_backend(self.backend).name
 
     # -- window management -------------------------------------------------------
 

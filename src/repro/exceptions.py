@@ -41,11 +41,9 @@ class UnknownAlgorithmError(SSSJError):
 
 
 class UnknownBackendError(SSSJError):
-    """Raised when a compute-backend name cannot be resolved.
+    """Raised when a compute-backend name is not registered.
 
-    Either the name is not registered at all, or it names an optional
-    backend whose dependency (e.g. NumPy) is not importable in this
-    environment.
+    The retired ``numba`` name is known and resolves to NumPy instead.
     """
 
 

@@ -14,6 +14,8 @@ in constant time.
 
 from __future__ import annotations
 
+from collections import OrderedDict
+
 from repro import obs
 from repro.backends import CandidateSet, SimilarityKernel
 from repro.core.results import JoinStatistics, SimilarPair
@@ -26,7 +28,6 @@ from repro.indexes.base import (
     register_batch_index,
     register_streaming_index,
 )
-from repro.indexes.linked_map import LinkedHashMap
 from repro.indexes.posting import InvertedIndex
 
 __all__ = ["InvertedBatchIndex", "InvertedStreamingIndex"]
@@ -105,8 +106,8 @@ class InvertedStreamingIndex(StreamingIndex):
         self._index = self._make_index()
         #: Partition only: the owned vectors inside the horizon and their
         #: arrival steps, for :meth:`merge_key`.
-        self._owned: LinkedHashMap[int, tuple[SparseVector, int]] | None = (
-            None if partition is None else LinkedHashMap())
+        self._owned: OrderedDict[int, tuple[SparseVector, int]] | None = (
+            None if partition is None else OrderedDict())
         # Counter export only (shared with the prefix schemes); the scan
         # and append hot paths are untouched.
         from repro.indexes.prefix import collect_index_stats
@@ -126,7 +127,8 @@ class InvertedStreamingIndex(StreamingIndex):
 
         owned = self._owned
         if owned is not None:
-            owned.evict_while(lambda _vector_id, item: item[0].timestamp < cutoff)
+            while owned and next(iter(owned.values()))[0].timestamp < cutoff:
+                owned.popitem(last=False)
 
         # -- CG: accumulate exact dot products from the time-ordered lists,
         # truncating the expired head of each list (lazy time filtering).

@@ -7,10 +7,12 @@ is the triple ``(ι(x), x_j, ‖x'_j‖)`` (the prefix norm is only used by the
 time ``t(x)`` to apply time filtering, so entries carry four fields.
 
 The *layout* of a posting list belongs to the compute backend: the
-reference backend's :class:`PostingList` (defined here) is backed by
-:class:`~repro.indexes.circular.CircularBuffer` (Section 6.2), while the
-NumPy backend stores every dimension's postings in one shared posting
-arena and hands out views of the rows of its list directory
+reference backend's :class:`PostingList` (defined here) is a plain
+``list`` of :class:`PostingEntry` objects, oldest first, which its scans
+walk with ``reversed`` and truncate with ``del plist[:n]``; the NumPy
+backend stores every dimension's postings in one shared posting arena,
+where Section 6.2's doubling and compaction policy lives, and hands out
+views of the rows of its list directory
 (:class:`repro.backends.arena.ArenaPostingList`).  Outside its backend a
 list is only measured (``len``, truthiness) and copied (``to_list``).
 :class:`InvertedIndex` is layout-agnostic — it takes a posting-list
@@ -25,8 +27,6 @@ from __future__ import annotations
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
-from repro.indexes.circular import CircularBuffer
-
 __all__ = ["PostingEntry", "PostingList", "InvertedIndex"]
 
 
@@ -40,51 +40,23 @@ class PostingEntry:
     timestamp: float
 
 
-class PostingList:
-    """A single posting list ``I_j``."""
+class PostingList(list):
+    """A single posting list ``I_j`` of the reference backend: a ``list``
+    of :class:`PostingEntry`, oldest first."""
 
-    __slots__ = ("_buffer",)
-
-    def __init__(self) -> None:
-        self._buffer: CircularBuffer[PostingEntry] = CircularBuffer()
-
-    def __len__(self) -> int:
-        return len(self._buffer)
-
-    def __bool__(self) -> bool:
-        return bool(self._buffer)
-
-    def __iter__(self) -> Iterator[PostingEntry]:
-        """Iterate oldest → newest."""
-        return iter(self._buffer)
-
-    def iter_newest_first(self) -> Iterator[PostingEntry]:
-        """Iterate newest → oldest (backward CG scan)."""
-        return self._buffer.iter_newest_first()
-
-    def append(self, entry: PostingEntry) -> None:
-        """Append a posting at the tail."""
-        self._buffer.append(entry)
-
-    def keep_newest(self, count: int) -> int:
-        """Keep only the ``count`` newest postings (backward-scan truncation)."""
-        return self._buffer.keep_newest(count)
-
-    def replace_all_entries(self, entries: list[PostingEntry]) -> None:
-        """Replace the whole content with ``entries`` (oldest first)."""
-        self._buffer.replace_all(entries)
+    __slots__ = ()
 
     def to_list(self) -> list[PostingEntry]:
         """Copy of the postings from oldest to newest."""
-        return self._buffer.to_list()
+        return list(self)
 
 
 class InvertedIndex:
     """Collection of posting lists keyed by dimension id.
 
     ``list_factory`` controls the posting-list layout; it defaults to the
-    reference ring-buffer :class:`PostingList` and is normally a compute
-    kernel's ``new_posting_list``.
+    reference :class:`PostingList` and is normally a compute kernel's
+    ``new_posting_list``.
     """
 
     __slots__ = ("_lists", "_total_entries", "_list_factory")

@@ -9,20 +9,21 @@ per-vector statistics (``vm_x'``, ``Σx'``, ``|x'|``) that feed the ``ds1``
 and ``sz2`` verification bounds, plus ``|x|·vm_x`` for the ``sz1`` size
 filter applied while scanning posting lists.
 
-Both structures are stored in a :class:`~repro.indexes.linked_map.LinkedHashMap`
-keyed by vector id so that, in the streaming setting, entries can be pruned
-in arrival order once they fall behind the time horizon (Section 6.2).
+Both structures are stored in one :class:`collections.OrderedDict` keyed
+by vector id — CPython's linked hash-map, the structure Section 6.2
+names — so that, in the streaming setting, entries can be popped from the
+head, in arrival order, once they fall behind the time horizon.
 A per-dimension reverse map over the residual coordinates supports the
 re-indexing step of STR-L2AP without scanning every stored vector.
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from repro.core.vector import SparseVector
-from repro.indexes.linked_map import LinkedHashMap
 
 __all__ = ["ResidualEntry", "ResidualIndex"]
 
@@ -127,7 +128,7 @@ class ResidualIndex:
     __slots__ = ("_entries", "_by_dimension", "_total_residual")
 
     def __init__(self) -> None:
-        self._entries: LinkedHashMap[int, ResidualEntry] = LinkedHashMap()
+        self._entries: OrderedDict[int, ResidualEntry] = OrderedDict()
         # dim -> set of vector ids whose residual has a non-zero value on dim
         self._by_dimension: dict[int, set[int]] = {}
         # Running total of residual coordinates; the streaming driver reads
@@ -181,11 +182,14 @@ class ResidualIndex:
 
     def evict_older_than(self, cutoff: float) -> list[ResidualEntry]:
         """Remove entries whose vector arrived before ``cutoff`` (time filtering)."""
-        evicted = self._entries.evict_while(
-            lambda _vector_id, entry: entry.timestamp < cutoff
-        )
-        removed_entries = [entry for _, entry in evicted]
+        entries = self._entries
+        removed_entries = []
+        for entry in entries.values():
+            if entry.timestamp >= cutoff:
+                break
+            removed_entries.append(entry)
         for entry in removed_entries:
+            entries.popitem(last=False)
             self._total_residual -= entry.residual_size
             self.forget_residual_dimension(entry.vector_id, list(entry.residual))
         if self._total_residual < 0:  # defensive; should never happen

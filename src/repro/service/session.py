@@ -882,7 +882,7 @@ class JoinSession:
                                                    self.config.backend)
         if getattr(join, "adaptive", False):
             return "auto"
-        return getattr(join, "backend_name", self.config.backend)
+        return join.backend_name
 
     @property
     def kernel(self) -> str | None:
@@ -891,7 +891,7 @@ class JoinSession:
         if join is None:
             return (self._evicted_stats or {}).get("kernel",
                                                    self.config.backend)
-        return getattr(join, "backend_name", self.config.backend)
+        return join.backend_name
 
     @property
     def queued(self) -> int:

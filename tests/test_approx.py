@@ -30,7 +30,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import SparseVector, available_backends
-from repro.approx import ApproxConfig, SignatureScheme, parse_approx
+from repro.approx import ApproxConfig, SignatureScheme, _splitmix64, parse_approx
 from repro.core.checkpoint import restore_join, snapshot_join
 from repro.core.join import create_join
 from repro.core.similarity import JoinParameters
@@ -199,10 +199,10 @@ class TestCheckpointRoundTrip:
         resident = {entry.vector_id
                     for entry in restored.index._residual.entries()}
         assert resident  # the horizon keeps a tail of the stream alive
-        assert set(kernel._sketch_sigs) >= resident
-        original = join.index.kernel._sketch_sigs
+        assert set(kernel._sketch_keys) >= resident
+        original = join.index.kernel._sketch_keys
         for vector_id in resident:
-            assert kernel._sketch_sigs[vector_id] == original[vector_id]
+            assert kernel._sketch_keys[vector_id] == original[vector_id]
 
     def test_approx_session_survives_kill_and_resume(self, tmp_path):
         from repro.service import JoinSession, SessionConfig
@@ -286,24 +286,41 @@ class TestConfiguration:
             create_join("STR-L2AP", THETA, DECAY, approx="minhash", workers=2)
 
 
+def scalar_signature(config, vector):
+    """The signature of ``config`` computed lane by lane in Python ints,
+    an oracle for the vectorised ``SignatureScheme.signature``."""
+    base = _splitmix64(config.seed)
+    salts = [_splitmix64(base + lane * 0x9E3779B97F4A7C15)
+             for lane in range(config.signature_length)]
+    dim_hashes = [_splitmix64(dim) for dim in vector.dims]
+    if config.method == "minhash":
+        return tuple(min(_splitmix64(mixed ^ salt) for mixed in dim_hashes)
+                     for salt in salts)
+    squared = [value * value for value in vector.values]
+    signature = []
+    for salt in salts:
+        # The first dimension with the smallest key uniform / weight² wins.
+        keys = [float(_splitmix64(mixed ^ salt)) / weight
+                for mixed, weight in zip(dim_hashes, squared)]
+        signature.append(dim_hashes[keys.index(min(keys))])
+    return tuple(signature)
+
+
 class TestSignatureScheme:
     @pytest.mark.parametrize("method", ["minhash", "wminhash"])
     def test_vectorised_and_pure_python_paths_agree(self, method):
-        pytest.importorskip("numpy")
         config = ApproxConfig(method=method, bands=8, rows=2)
-        vectorised = SignatureScheme(config)
-        assert vectorised._np is not None
-        portable = SignatureScheme(config)
-        portable._np = None  # force the pure-Python path
+        scheme = SignatureScheme(config)
         for vector in random_vectors(25, seed=3):
-            assert vectorised.signature(vector) == portable.signature(vector)
+            assert scheme.signature(vector) == scalar_signature(config, vector)
 
     def test_identical_dimension_sets_always_match_under_minhash(self):
         scheme = SignatureScheme(ApproxConfig(method="minhash"))
         x = SparseVector(0, 0.0, {3: 0.9, 7: 0.2})
         y = SparseVector(1, 1.0, {3: 0.1, 7: 0.8})  # same dims, other weights
         assert scheme.signature(x) == scheme.signature(y)
-        assert scheme.matches(scheme.signature(x), scheme.signature(y))
+        assert (scheme.band_hash_keys(scheme.signature(x))
+                == scheme.band_hash_keys(scheme.signature(y)))
 
     def test_wminhash_is_scale_invariant_but_weight_sensitive(self):
         # The consistent-sampling race keys are uniform / weight², so a
@@ -323,6 +340,11 @@ class TestSignatureScheme:
         config = ApproxConfig(method="minhash", bands=4, rows=3)
         scheme = SignatureScheme(config)
         signature = scheme.signature(SparseVector(0, 0.0, {1: 1.0, 5: 0.5}))
-        keys = scheme.band_keys(signature)
-        assert len(keys) == 4 and all(len(key) == 3 for key in keys)
-        assert tuple(value for key in keys for value in key) == signature
+        # Band b folds lanes 3b, 3b+1, 3b+2 in order, one splitmix64 each.
+        expected = []
+        for start in range(0, 12, 3):
+            key = signature[start]
+            for lane in signature[start + 1:start + 3]:
+                key = _splitmix64(key ^ lane)
+            expected.append(key)
+        assert scheme.band_hash_keys(signature) == tuple(expected)

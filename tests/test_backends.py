@@ -316,17 +316,19 @@ class TestArenaPostingListProperties:
         assert outcomes[:2] == outcomes[2:]
 
     @settings(max_examples=40, deadline=None)
-    @given(raw=entry_lists, keep=st.integers(min_value=0, max_value=90))
-    def test_keep_newest(self, raw, keep):
-        """Head truncation keeps a time-ordered list's newest postings, as
-        the reference's ``keep_newest`` does."""
+    @given(raw=entry_lists, cutoff=st.floats(min_value=-1.0, max_value=101.0))
+    def test_keep_newest(self, raw, cutoff):
+        """The arena's head truncation keeps a time-ordered list's newest
+        postings, as the reference's backward scan at ``cutoff`` does."""
         import numpy as np
 
-        (_, reference), (kernel, vectorized) = build_indexes(
+        (reference_kernel, reference), (kernel, vectorized) = build_indexes(
             raw, time_ordered=True)
         if not raw:
             return
-        dropped = reference.get(0).keep_newest(keep)
+        _, dropped = reference_kernel.scan_query_inv_stream(
+            EXPIRY_QUERY, reference, cutoff,
+            reference_kernel.new_accumulator())
         survivors = reference.get(0).to_list()
         arena = kernel._arena
         lid = np.array([vectorized.get(0)._lid])
@@ -503,6 +505,24 @@ class TestRetiredNumba:
                                 cwd=os.path.dirname(os.path.dirname(__file__)))
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip() == "numpy"
+
+    @pytest.mark.filterwarnings(_NUMBA_FALLBACK)
+    def test_minibatch_joins_name_their_kernel(self):
+        """A MiniBatch join, and a session over one, reports the kernel its
+        window indexes resolve to, not the configured string."""
+        from repro.service import JoinSession, SessionConfig
+
+        for backend, kernel in (("numba", "numpy"), (None, default_backend()),
+                                ("python", "python")):
+            join = create_join("MB-L2AP", 0.6, 0.01, backend=backend)
+            assert join.backend_name == kernel
+            session = JoinSession(SessionConfig(
+                name="mb", threshold=0.6, decay=0.01, algorithm="MB-L2AP",
+                backend=backend))
+            assert (session.backend, session.kernel) == (kernel, kernel)
+            stats = session.stats()
+            session.close()
+            assert (stats["backend"], stats["kernel"]) == (kernel, kernel)
 
     @pytest.mark.filterwarnings(_NUMBA_FALLBACK)
     def test_numba_checkpoint_resumes_pinned_to_numpy(self):

@@ -35,7 +35,7 @@ class TestPostingList:
         plist.append(entry(1, 0.0))
         plist.append(entry(2, 1.0))
         assert [e.vector_id for e in plist] == [1, 2]
-        assert [e.vector_id for e in plist.iter_newest_first()] == [2, 1]
+        assert [e.vector_id for e in reversed(plist)] == [2, 1]
 
     def test_len_and_bool(self):
         plist = PostingList()
@@ -57,13 +57,6 @@ class TestPostingList:
         index.add(1, entry(1, 5.0))
         assert expire(index, 1.0, time_ordered=True) == 0
 
-    def test_keep_newest(self):
-        plist = PostingList()
-        for i in range(5):
-            plist.append(entry(i, float(i)))
-        assert plist.keep_newest(2) == 3
-        assert [e.vector_id for e in plist] == [3, 4]
-
     def test_compact_removes_expired_anywhere(self):
         index = InvertedIndex()
         # Out-of-order timestamps, as after L2AP re-indexing.
@@ -78,12 +71,6 @@ class TestPostingList:
         index.add(1, entry(1, 5.0))
         assert expire(index, 1.0, time_ordered=False) == 0
         assert len(index.get(1)) == 1
-
-    def test_replace_all_entries(self):
-        plist = PostingList()
-        plist.append(entry(1, 0.0))
-        plist.replace_all_entries([entry(7, 2.0), entry(8, 3.0)])
-        assert [e.vector_id for e in plist] == [7, 8]
 
     def test_to_list(self):
         plist = PostingList()
@@ -119,7 +106,7 @@ class TestInvertedIndex:
     def test_note_removed_adjusts_size(self):
         index = InvertedIndex()
         index.add(1, entry(1, 0.0))
-        index.get(1).keep_newest(0)
+        index.get(1).clear()
         index.note_removed(1)
         assert len(index) == 0
 
