@@ -14,7 +14,10 @@ streamed pairs are bitwise identical to the direct engine:
     ingest + drain through the CLI; then half a stream, a forced
     checkpoint, a few more vectors and ``kill -9``; restart, check the
     session resumed at the checkpoint barrier, re-feed with
-    ``sssj ingest --resume`` and compare the JSONL sink.
+    ``sssj ingest --resume`` and compare the JSONL sink.  An exact
+    session and an ``--approx wminhash:24x3`` STR-L2AP session go
+    through the crash together; the approx one is compared with the
+    direct engine under the same sketch.
 ``multitenant``
     20 sessions over 3 tenants on a 4-worker pool with a session
     quota: one tenant bounces off its quota
@@ -56,11 +59,13 @@ SRC = REPO / "src"
 sys.path.insert(0, str(SRC))
 
 from repro.core.join import streaming_self_join  # noqa: E402
+from repro.core.results import JoinStatistics  # noqa: E402
 from repro.datasets.generator import generate_profile_corpus  # noqa: E402
 from repro.datasets.io import read_vectors, write_vectors  # noqa: E402
 from repro.service import ServiceClient, read_jsonl_pairs  # noqa: E402
 
 THETA, DECAY = 0.6, 0.0001
+APPROX = "wminhash:24x3"
 VECTORS = int(os.environ.get("SSSJ_SMOKE_VECTORS", "400"))
 CHAOS_VECTORS = 300
 MT_VECTORS = int(os.environ.get("SSSJ_SMOKE_MT_VECTORS", "120"))
@@ -141,8 +146,14 @@ def scenario_recovery(workdir: Path, args) -> None:
     vectors = write_stream(dataset, generate_profile_corpus(
         "hashtags", num_vectors=VECTORS, seed=7))
     expected = list(streaming_self_join(vectors, THETA, DECAY))
+    approx_stats = JoinStatistics()
+    expected_approx = list(streaming_self_join(
+        vectors, THETA, DECAY, algorithm="STR-L2AP", stats=approx_stats,
+        approx=APPROX))
+    approx_flags = ("--algorithm", "STR-L2AP", "--approx", APPROX)
     print(f"stream: {VECTORS} hashtags vectors, expected {len(expected)} "
-          f"pairs (θ={THETA}, λ={DECAY})")
+          f"pairs (θ={THETA}, λ={DECAY}), {len(expected_approx)} with "
+          f"STR-L2AP --approx {APPROX}")
     flags = ("--checkpoint-dir", str(checkpoint_dir),
              "--checkpoint-every", "50")
 
@@ -157,17 +168,22 @@ def scenario_recovery(workdir: Path, args) -> None:
             f"streamed {len(streamed)} pairs != direct {len(expected)}")
         print(f"  OK: {len(streamed)} streamed pairs identical to `sssj run`")
 
-        print("[2] half-ingest + checkpoint, then kill -9")
+        print("[2] half-ingest + checkpoint, then kill -9 "
+              "(an exact and an approx session)")
         sink_b = workdir / "recovered.jsonl"
+        sink_c = workdir / "recovered-approx.jsonl"
         half = VECTORS // 2
         half_file = workdir / "half.txt"
         write_vectors(half_file, vectors[:half])
         server.cli(*ingest_args("recov", half_file,
                                 "--sink-jsonl", str(sink_b)))
+        server.cli(*ingest_args("recov-approx", half_file, *approx_flags,
+                                "--sink-jsonl", str(sink_c)))
         with server.client() as client:
-            client.checkpoint("recov")
-            # A few post-checkpoint vectors that the crash will eat.
-            client.ingest("recov", vectors[half:half + 20])
+            for name in ("recov", "recov-approx"):
+                client.checkpoint(name)
+                # A few post-checkpoint vectors that the crash will eat.
+                client.ingest(name, vectors[half:half + 20])
             time.sleep(0.3)
         server.process.send_signal(signal.SIGKILL)
         server.process.wait(timeout=30)
@@ -180,19 +196,35 @@ def scenario_recovery(workdir: Path, args) -> None:
     server = Server(*flags)
     try:
         with server.client() as client:
-            stats = client.stats("recov")["sessions"]["recov"]
-            assert stats["resumed"], "session was not resumed from checkpoint"
-            processed = stats["processed"]
-            assert processed >= half, (
-                f"checkpoint covers {processed} < ingested {half}")
-            print(f"  recovered session covers {processed} vectors")
-        server.cli(*ingest_args("recov", dataset, "--resume"))
-        print(server.cli("drain", "--session", "recov").splitlines()[0])
-        recovered = read_jsonl_pairs(sink_b)
-        assert recovered == expected, (
-            f"after recovery: {len(recovered)} pairs != direct {len(expected)}")
-        print(f"  OK: {len(recovered)} pairs after kill -9 + recovery, "
-              "identical to the uninterrupted run")
+            for name in ("recov", "recov-approx"):
+                stats = client.stats(name)["sessions"][name]
+                assert stats["resumed"], (
+                    f"session {name} was not resumed from checkpoint")
+                processed = stats["processed"]
+                assert processed >= half, (
+                    f"{name}: checkpoint covers {processed} < ingested {half}")
+                print(f"  recovered session {name} covers {processed} vectors")
+            assert client.stats("recov-approx")["sessions"]["recov-approx"][
+                "approx"] == APPROX
+        for name, extra, sink, direct in (
+                ("recov", (), sink_b, expected),
+                ("recov-approx", approx_flags, sink_c, expected_approx)):
+            server.cli(*ingest_args(name, dataset, *extra, "--resume"))
+            print(server.cli("drain", "--session", name).splitlines()[0])
+            recovered = read_jsonl_pairs(sink)
+            assert recovered == direct, (
+                f"{name} after recovery: {len(recovered)} pairs != "
+                f"direct {len(direct)}")
+            print(f"  OK: {name}: {len(recovered)} pairs after kill -9 + "
+                  "recovery, identical to the uninterrupted run")
+        with server.client() as client:
+            pruned = client.stats("recov-approx")["sessions"]["recov-approx"][
+                "counters"]["candidates_sketch_pruned"]
+        assert pruned == approx_stats.candidates_sketch_pruned > 0, (
+            f"approx session pruned {pruned} postings, direct engine "
+            f"{approx_stats.candidates_sketch_pruned}")
+        print(f"  OK: the approx session's sketch pruned {pruned} postings, "
+              "as the direct engine's did")
         server.shutdown()
     except BaseException:
         server.process.kill()

@@ -42,6 +42,7 @@ engine changes and output stays bitwise identical to the exact engine
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import asdict, dataclass
 from typing import Any
 
@@ -70,6 +71,17 @@ _DEFAULT_SEED = 0x53535341  # "SSSA"
 
 _MASK64 = (1 << 64) - 1
 
+#: Dimensions whose hashes one :class:`SignatureScheme` keeps (about
+#: 2.4 MB at 72 lanes); the table is cleared when it is full.
+_LANE_TABLE_ROWS = 4096
+
+# splitmix64's constants as uint64 scalars, so the array form mixes in
+# place with no per-call conversion.
+_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX2 = np.uint64(0x94D049BB133111EB)
+_SHIFT1, _SHIFT2, _SHIFT3 = np.uint64(30), np.uint64(27), np.uint64(31)
+
 
 def _splitmix64(value: int) -> int:
     """One splitmix64 mixing step in exact 64-bit wrap arithmetic."""
@@ -79,13 +91,16 @@ def _splitmix64(value: int) -> int:
     return value ^ (value >> 31)
 
 
-def _splitmix64_np(value: np.ndarray) -> np.ndarray:
-    """:func:`_splitmix64` over a ``uint64`` array (callers silence the
-    wrap-around warnings)."""
-    value = value + np.uint64(0x9E3779B97F4A7C15)
-    value = (value ^ (value >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    value = (value ^ (value >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return value ^ (value >> np.uint64(31))
+def _splitmix64_inplace(value: np.ndarray) -> np.ndarray:
+    """:func:`_splitmix64` over a ``uint64`` array, in place (array
+    arithmetic wraps silently)."""
+    value += _GOLDEN
+    value ^= value >> _SHIFT1
+    value *= _MIX1
+    value ^= value >> _SHIFT2
+    value *= _MIX2
+    value ^= value >> _SHIFT3
+    return value
 
 
 @dataclass(frozen=True)
@@ -207,16 +222,22 @@ def parse_approx(value: "str | ApproxConfig | None", *,
 
 
 class SignatureScheme:
-    """Computes signatures and takes the banded keep/reject decisions.
+    """Computes signatures and their folded band keys.
 
-    One instance is shared per kernel; signatures are tuples of
-    ``signature_length`` Python ints (64-bit values), deterministic in
-    ``(vector, config)``, so both backends — and a checkpoint-restored
-    kernel replaying ``note_vector_indexed`` — regenerate identical
-    signatures and identical decisions.
+    One instance is shared per kernel; a signature is ``signature_length``
+    64-bit lane values, deterministic in ``(vector, config)``, so both
+    backends — and a checkpoint-restored kernel replaying
+    ``note_vector_indexed`` — regenerate identical signatures and
+    identical decisions.
+
+    A dimension's splitmix64 hash and its salted lane hashes are computed
+    once, the first time the dimension is seen, into a table of at most
+    ``_LANE_TABLE_ROWS`` rows that is cleared when full and allocated on
+    the first signature.  :meth:`band_keys`, the query path of both
+    backends, folds the keys straight from the gathered lanes.
     """
 
-    __slots__ = ("config", "_salts")
+    __slots__ = ("config", "_salts", "_rows", "_dim_hashes", "_lane_hashes")
 
     def __init__(self, config: ApproxConfig) -> None:
         self.config = config
@@ -224,27 +245,70 @@ class SignatureScheme:
         self._salts = np.asarray(
             [_splitmix64(base + lane * 0x9E3779B97F4A7C15)
              for lane in range(config.signature_length)], dtype=np.uint64)
+        # dim -> its row in the two tables below.
+        self._rows: dict[int, int] = {}
+        self._dim_hashes: np.ndarray | None = None
+        # (row, lane) hashes: uint64 for minhash; for wminhash their
+        # float64 casts, the numerators of the race.
+        self._lane_hashes: np.ndarray | None = None
 
     # -- signature computation -------------------------------------------------
 
-    def signature(self, vector: SparseVector) -> tuple[int, ...]:
-        """The vector's sketch signature (a tuple of 64-bit lane values)."""
+    def band_keys(self, vector: SparseVector) -> np.ndarray:
+        """``vector``'s band keys as a ``(bands,)`` uint64 array: one
+        folded 64-bit key per band (splitmix64 over its lanes).
+
+        Key equality is band equality up to splitmix collisions (~2⁻⁶⁴ per
+        comparison); both engine backends take their keep/reject decisions
+        on these keys, so even a collision cannot break cross-backend
+        parity — the two data paths agree bit for bit either way.
+        """
+        return self._fold(self.lanes(vector))
+
+    def _compute(self, dims: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+        """The dim-hashes ``(n,)`` of ``dims`` and, for every lane at once,
+        splitmix64 over (dim-hash ^ lane-salt) ``(n, L)``."""
+        mixed = _splitmix64_inplace(np.array(dims, dtype=np.uint64))
+        lanes = _splitmix64_inplace(mixed[:, None] ^ self._salts)
+        if self.config.method == "wminhash":
+            lanes = lanes.astype(np.float64)
+        return mixed, lanes
+
+    def _hashes(self, dims: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`_compute` of ``dims`` (fresh arrays), read from the table
+        and filling the rows of dimensions it lacks."""
+        rows_of = self._rows
+        rows = list(map(rows_of.get, dims))
+        if None in rows:
+            missing = [dim for dim, row in zip(dims, rows) if row is None]
+            if self._dim_hashes is None:
+                self._dim_hashes = np.empty(_LANE_TABLE_ROWS, dtype=np.uint64)
+                self._lane_hashes = np.empty(
+                    (_LANE_TABLE_ROWS, self.config.signature_length),
+                    dtype=np.float64 if self.config.method == "wminhash"
+                    else np.uint64)
+            capacity = len(self._dim_hashes)
+            if len(dims) > capacity:
+                return self._compute(dims)
+            start = len(rows_of)
+            if start + len(missing) > capacity:
+                rows_of.clear()
+                start, missing = 0, dims
+            stop = start + len(missing)
+            mixed, lanes = self._compute(missing)
+            self._dim_hashes[start:stop] = mixed
+            self._lane_hashes[start:stop] = lanes
+            rows_of.update(zip(missing, range(start, stop)))
+            rows = list(map(rows_of.__getitem__, dims))
+        rows = np.array(rows, dtype=np.intp)
+        return self._dim_hashes.take(rows), self._lane_hashes.take(rows, axis=0)
+
+    def lanes(self, vector: SparseVector) -> np.ndarray:
+        """The vector's sketch signature: ``signature_length`` 64-bit lane
+        values as a ``(L,)`` uint64 array."""
+        mixed, lanes = self._hashes(vector.dims)
         if self.config.method == "minhash":
-            return self._minhash(vector)
-        return self._wminhash(vector)
-
-    def _lane_hashes(self, vector: SparseVector) -> tuple[np.ndarray, np.ndarray]:
-        """The dim-hashes ``(nnz,)`` and, for every lane at once, splitmix64
-        over (dim-hash ^ lane-salt) ``(nnz, L)``."""
-        dims = np.asarray(vector.dims, dtype=np.uint64)
-        with np.errstate(over="ignore"):
-            mixed = _splitmix64_np(dims)
-            return mixed, _splitmix64_np(mixed[:, None] ^ self._salts[None, :])
-
-    def _minhash(self, vector: SparseVector) -> tuple[int, ...]:
-        return tuple(self._lane_hashes(vector)[1].min(axis=0).tolist())
-
-    def _wminhash(self, vector: SparseVector) -> tuple[int, ...]:
+            return lanes.min(axis=0)
         # Consistent weighted sampling: dimension d races in lane i with
         # key hash(d, i) / w_d² — the *same* 64-bit "uniform" for every
         # vector containing d — and the lane records the dim-hash of the
@@ -252,37 +316,22 @@ class SignatureScheme:
         # generalized Jaccard of the squared-weight distributions.  The
         # uint64→float64 casts, the float64 division and argmin's
         # first-minimum tiebreak are deterministic, so signatures are
-        # bit-identical across backends.
-        mixed, lane_hash = self._lane_hashes(vector)
-        weights = np.asarray(vector.values, dtype=np.float64)
-        weights = weights * weights
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            keys = lane_hash.astype(np.float64) / weights[:, None]
-        return tuple(mixed[keys.argmin(axis=0)].tolist())
+        # bit-identical across backends.  A weight whose square underflows
+        # to zero, or is small enough for the quotient to overflow, gives
+        # inf keys; the errstate keeps those quiet.
+        squared = np.array(vector.values, dtype=np.float64)
+        squared *= squared
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            lanes /= squared[:, None]
+        return mixed[lanes.argmin(axis=0)]
 
-    # -- banded decisions ------------------------------------------------------
-
-    def band_hash_keys(self, signature: tuple[int, ...]) -> tuple[int, ...]:
-        """One folded 64-bit key per band (splitmix64 over its lanes).
-
-        Key equality is band equality up to splitmix collisions (~2⁻⁶⁴ per
-        comparison); both engine backends take their keep/reject decisions
-        on these keys, so even a collision cannot break cross-backend
-        parity — the two data paths agree bit for bit either way.
-        """
-        return tuple(self.band_key_array(signature).tolist())
-
-    def band_key_array(self, signature: tuple[int, ...]) -> np.ndarray:
-        """:meth:`band_hash_keys` as a ``(bands,)`` uint64 array.
-
-        The fold repeats :func:`_splitmix64` lane by lane in uint64 wrap
-        arithmetic: band ``b``'s key is its first lane, mixed with each
-        further lane in turn.
-        """
-        lanes = np.asarray(signature, dtype=np.uint64)
-        lanes = lanes.reshape(self.config.bands, self.config.rows)
-        keys = lanes[:, 0]
-        with np.errstate(over="ignore"):
-            for row in range(1, self.config.rows):
-                keys = _splitmix64_np(keys ^ lanes[:, row])
+    def _fold(self, lanes: np.ndarray) -> np.ndarray:
+        """Band keys of a ``(L,)`` uint64 lane array, repeating
+        :func:`_splitmix64` lane by lane: band ``b``'s key is its first
+        lane, mixed with each further lane in turn."""
+        rows = self.config.rows
+        keys = lanes[::rows].copy()
+        for row in range(1, rows):
+            keys ^= lanes[row::rows]
+            _splitmix64_inplace(keys)
         return keys

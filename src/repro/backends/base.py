@@ -150,8 +150,6 @@ class SimilarityKernel(ABC):
 
     #: Active :class:`repro.approx.SignatureScheme`, ``None`` in exact mode.
     _sketch_scheme: Any = None
-    #: Current query's signature, installed per ``scan_query_*`` call.
-    _sketch_query: Any = None
 
     def configure_approx(self, config: Any) -> None:
         """Enable the sketch prefilter described by ``config``.
@@ -165,35 +163,36 @@ class SimilarityKernel(ABC):
 
         self._sketch_scheme = SignatureScheme(config)
         self._sketch_keys: dict[int, tuple[int, ...]] = {}
-        self._sketch_query = None
-        self._sketch_query_keys: tuple[int, ...] | None = None
+        self._sketch_query_keys: Any = None
         self._sketch_query_vector: Any = None
         self._sketch_pass: set[int] = set()
         self._sketch_fail: set[int] = set()
 
+    def _sketch_band_keys(self, vector: "SparseVector") -> Any:
+        """``vector``'s band keys in the form this kernel compares: a
+        tuple of Python ints here."""
+        return tuple(self._sketch_scheme.band_keys(vector).tolist())
+
     def _install_query_sketch(self, vector: "SparseVector") -> None:
-        """Compute the signature of the query one scan is about to run.
+        """Compute the band keys of the query one scan is about to run.
 
         The vector itself is remembered so the ``note_vector_indexed`` hook
         — which in the streaming frameworks fires for the very same vector
-        right after its scan — can reuse the signature instead of hashing
+        right after its scan — can reuse the keys instead of hashing
         twice.
         """
         if self._sketch_scheme is None:
             return
-        self._sketch_query = self._sketch_scheme.signature(vector)
-        self._sketch_query_keys = self._sketch_scheme.band_hash_keys(
-            self._sketch_query)
+        self._sketch_query_keys = self._sketch_band_keys(vector)
         self._sketch_query_vector = vector
         self._sketch_pass.clear()
         self._sketch_fail.clear()
 
-    def _query_sketch_for(self, vector: "SparseVector") -> tuple[Any, Any]:
-        """``(signature, band keys)`` of ``vector``, reusing the query's."""
+    def _band_keys_of(self, vector: "SparseVector") -> Any:
+        """:meth:`_sketch_band_keys` of ``vector``, reusing the query's."""
         if vector is self._sketch_query_vector:
-            return self._sketch_query, self._sketch_query_keys
-        signature = self._sketch_scheme.signature(vector)
-        return signature, self._sketch_scheme.band_hash_keys(signature)
+            return self._sketch_query_keys
+        return self._sketch_band_keys(vector)
 
     def _sketch_admits(self, acc: "ScoreAccumulator", candidate_id: int) -> bool:
         """Per-posting banding check; the decision is memoised per query.
@@ -251,8 +250,8 @@ class SimilarityKernel(ABC):
     def note_vector_indexed(self, entry: "ResidualEntry") -> None:
         """A vector was added to the residual/Q store."""
         if self._sketch_scheme is not None:
-            _, keys = self._query_sketch_for(entry.vector)
-            self._sketch_keys[entry.vector.vector_id] = keys
+            self._sketch_keys[entry.vector.vector_id] = self._band_keys_of(
+                entry.vector)
 
     def note_vectors_indexed(self, entries: "list[ResidualEntry]") -> None:
         """Several vectors were added at once (a rebuild from a snapshot);

@@ -510,25 +510,15 @@ class NumpyKernel(SimilarityKernel):
         self._slot_entries[slot] = entry
         self._slot_residual.pop(slot, None)
         if self._sketch_scheme is not None:
-            if entry.vector is self._sketch_query_vector:
-                keys = self._sketch_query_keys
-                self._slot_bands[:, slot] = self._sketch_query_bands
-            else:
-                _, keys = self._query_sketch_for(entry.vector)
-                self._slot_bands[:, slot] = np.asarray(keys, dtype=np.uint64)
+            keys = self._band_keys_of(entry.vector)
+            if self._slot_sig_valid[slot]:
+                # Indexed again (a restore, or note_vector_updated's
+                # fallback): its old keys leave the buckets first.
+                self._unbucket(slot)
+            self._slot_bands[:, slot] = keys
             self._slot_sig_valid[slot] = True
-            buckets = self._band_buckets
-            arrays = self._band_bucket_arrays
-            for band, key in enumerate(keys):
-                bucket = buckets[band].get(key)
-                if bucket is None:
-                    buckets[band][key] = [slot]
-                else:
-                    bucket.append(slot)
-                    arrays[band].pop(key, None)
-            self._bucket_entries += len(keys)
-            if self._bucket_entries > 4 * len(keys) * len(self._slot_ids):
-                self._rebuild_band_buckets()
+            for bucket, key in zip(self._band_buckets, keys.tolist()):
+                bucket.setdefault(key, []).append(slot)
 
     def note_vectors_indexed(self, entries: list[ResidualEntry]) -> None:
         if self._sketch_scheme is not None:
@@ -567,9 +557,9 @@ class NumpyKernel(SimilarityKernel):
             self._slot_entries.pop(slot, None)
             self._slot_residual.pop(slot, None)
             self._stored_arrays.pop(slot, None)
-            if self._sketch_scheme is not None:
+            if self._sketch_scheme is not None and self._slot_sig_valid[slot]:
                 self._slot_sig_valid[slot] = False
-                self._buckets_dirty = True
+                self._unbucket(slot)
 
     # -- approximate sketch prefilter ----------------------------------------
 
@@ -577,127 +567,62 @@ class NumpyKernel(SimilarityKernel):
         """Enable the sketch prefilter (vectorised banding over slot rows).
 
         Folded band keys (one 64-bit key per band, see
-        :meth:`SignatureScheme.band_hash_keys`) live in a dense
+        :meth:`SignatureScheme.band_keys`) live in a dense
         ``(band, slot)`` uint64 matrix next to the other slot-indexed
-        mirrors, shadowed by per-band hash buckets mapping each key to
-        the slots that hold it.  The first rejection check of each query
-        builds one keep/reject verdict over the bucketed slots of the
-        query's own keys, and every gathered posting then costs a single
-        boolean lookup.  The fused scans drop rejected candidates'
-        postings right after the time filter and before admission, so
-        bounds resolved from the pre-sketch live extremes stay
-        conservative.
+        mirrors, and per-band hash buckets map each key to the live
+        signed slots that hold it.  The first rejection check of each
+        query builds one keep/reject verdict over the bucketed slots of
+        the query's own keys, and every gathered posting then costs a
+        single boolean lookup.  The fused scans drop rejected
+        candidates' postings right after the time filter and before
+        admission, so bounds resolved from the pre-sketch live extremes
+        stay conservative.
         """
         super().configure_approx(config)
         capacity = len(self._slot_ids)
         self._slot_bands = np.zeros((config.bands, capacity), dtype=np.uint64)
         self._slot_sig_valid = np.zeros(capacity, dtype=bool)
-        self._sketch_query_bands: np.ndarray | None = None
         self._sketch_verdict: np.ndarray | None = None
         self._sketch_verdict_epoch = -1
-        # Per-band hash buckets (key -> slots): the per-query verdict only
-        # touches the slots whose stored key equals the query's, instead
-        # of sweeping all ``bands × capacity`` table cells.  Entries go
-        # stale when a slot is reused; every lookup re-checks the bucket's
-        # slots against the live table, so the buckets only ever need to
-        # be a superset of the truth.
+        # Per band, key -> the live signed slots holding it: indexing
+        # appends a slot to one bucket per band and eviction removes it,
+        # so the buckets hold bands × live signatures entries at most.
         self._band_buckets: list[dict[int, list[int]]] = [
             {} for _ in range(config.bands)]
-        # Bucket slot lists converted to arrays on first lookup; an append
-        # to a bucket evicts its cached array (hot near-duplicate buckets
-        # are looked up by every member, so the conversion must amortise).
-        self._band_bucket_arrays: list[dict[int, np.ndarray]] = [
-            {} for _ in range(config.bands)]
-        self._bucket_entries = 0
-        # False until the first eviction: bucket entries can only go stale
-        # through slot reuse, which eviction precedes, so a clean stream
-        # skips the per-band re-validation gathers entirely.
-        self._buckets_dirty = False
 
-    def _install_query_sketch(self, vector: SparseVector) -> None:
-        super()._install_query_sketch(vector)
-        if self._sketch_query is not None:
-            self._sketch_query_bands = np.asarray(self._sketch_query_keys,
-                                                  dtype=np.uint64)
+    def _sketch_band_keys(self, vector: SparseVector) -> np.ndarray:
+        return self._sketch_scheme.band_keys(vector)
 
-    def _sketch_ok_mask(self, slots: np.ndarray,
-                        acc: ScoreAccumulator) -> np.ndarray | None:
-        """Banding verdict per gathered posting (``None`` = all pass).
-
-        A posting survives iff some folded band key of its slot equals the
-        query's key for the same band; slots without a stored signature
-        always pass, like the reference backend's per-candidate check.
-        The per-slot verdict is computed once per query from the per-band
-        hash buckets — only slots bucketed under one of the query's keys
-        are touched, and each is re-validated against the live band table
-        (bucket entries go stale when slots are reused) — then reused by
-        every scan of that query.  Every rejected posting occurrence is
-        counted in ``acc.sketch_pruned`` — the reference per-entry loop
-        charges repeat visits of a rejected candidate the same way.
-        """
-        ok = self._sketch_verdict_now()[slots]
-        rejected = len(ok) - int(np.count_nonzero(ok))
-        if not rejected:
-            return None
-        acc.sketch_pruned += rejected  # type: ignore[attr-defined]
-        return ok
+    def _unbucket(self, slot: int) -> None:
+        """Take ``slot`` out of the buckets of its stored band keys."""
+        for bucket, key in zip(self._band_buckets,
+                               self._slot_bands[:, slot].tolist()):
+            slots = bucket[key]
+            slots.remove(slot)
+            if not slots:
+                del bucket[key]
 
     def _sketch_verdict_now(self) -> np.ndarray:
         """The current query's per-slot banding verdict, built lazily.
 
-        One bucket-lookup pass per query epoch, re-validating stale
-        bucket entries after slot reuse against the live band table.
+        A slot passes iff some band key of it equals the query's key for
+        the same band; slots without a stored signature always pass, like
+        the reference backend's per-candidate check.  Built once per
+        query epoch with one scatter of the slots in the query's buckets,
+        then reused by every scan of that query.
         """
         if self._sketch_verdict_epoch != self._epoch:
-            table = self._slot_bands
             verdict = ~self._slot_sig_valid
-            buckets = self._band_buckets
-            arrays = self._band_bucket_arrays
-            dirty = self._buckets_dirty
-            for band, key in enumerate(self._sketch_query_keys):
-                cached = arrays[band]
-                candidates = cached.get(key)
-                if candidates is None:
-                    bucket = buckets[band].get(key)
-                    if not bucket:
-                        continue
-                    candidates = np.asarray(bucket, dtype=np.int64)
-                    cached[key] = candidates
-                if dirty:
-                    row = table[band]
-                    candidates = candidates[
-                        row[candidates] == np.uint64(key)]
-                verdict[candidates] = True
+            hits: list[int] = []
+            for bucket, key in zip(self._band_buckets,
+                                   self._sketch_query_keys.tolist()):
+                slots = bucket.get(key)
+                if slots:
+                    hits += slots
+            verdict[hits] = True
             self._sketch_verdict = verdict
             self._sketch_verdict_epoch = self._epoch
         return self._sketch_verdict
-
-    def _rebuild_band_buckets(self) -> None:
-        """Compact the band buckets back to the live slots.
-
-        Long streams with eviction churn accumulate stale bucket entries
-        (slot reuse leaves the old ``key -> slot`` rows behind); once the
-        entry count exceeds a small multiple of the live table the
-        buckets are rebuilt from the table itself, keeping lookups and
-        memory bounded regardless of stream length.
-        """
-        table = self._slot_bands
-        valid = np.nonzero(self._slot_sig_valid)[0].tolist()
-        buckets: list[dict[int, list[int]]] = [
-            {} for _ in range(table.shape[0])]
-        for band, bucket in enumerate(buckets):
-            row = table[band]
-            for slot in valid:
-                key = int(row[slot])
-                entry = bucket.get(key)
-                if entry is None:
-                    bucket[key] = [slot]
-                else:
-                    entry.append(slot)
-        self._band_buckets = buckets
-        self._band_bucket_arrays = [{} for _ in range(table.shape[0])]
-        self._bucket_entries = len(valid) * len(buckets)
-        self._buckets_dirty = False
 
     def _sketch_drop(self, idx: np.ndarray, counts: np.ndarray,
                      offsets: np.ndarray, acc: ScoreAccumulator,
@@ -706,24 +631,23 @@ class NumpyKernel(SimilarityKernel):
                                 np.ndarray | None]:
         """Drop gathered postings of sketch-rejected candidates.
 
-        Returns ``(idx, counts, offsets, timestamps)`` with the per-segment
-        counts and running offsets recomputed via cumulative-sum
-        differences (``np.add.reduceat`` misreads empty segments).
+        Returns ``(idx, counts, offsets, timestamps)``: the kept positions
+        come from one ``nonzero`` of the verdict, and the new segment
+        offsets are the kept positions before each old offset (one
+        ``searchsorted``).  Every rejected posting occurrence is counted
+        in ``acc.sketch_pruned`` — the reference per-entry loop charges
+        repeat visits of a rejected candidate the same way.
         """
-        ok = self._sketch_ok_mask(self._arena.slots[idx], acc)
-        if ok is None:
+        keep = self._sketch_verdict_now()[self._arena.slots[idx]].nonzero()[0]
+        rejected = len(idx) - len(keep)
+        if not rejected:
             return idx, counts, offsets, timestamps
-        idx = idx[ok]
+        acc.sketch_pruned += rejected  # type: ignore[attr-defined]
+        idx = idx.take(keep)
         if timestamps is not None:
-            timestamps = timestamps[ok]
-        kept = np.empty(len(ok) + 1, dtype=np.int64)
-        kept[0] = 0
-        np.cumsum(ok, out=kept[1:])
-        counts = kept[offsets[1:]] - kept[offsets[:-1]]
-        offsets = np.empty(len(counts) + 1, dtype=np.int64)
-        offsets[0] = 0
-        np.cumsum(counts, out=offsets[1:])
-        return idx, counts, offsets, timestamps
+            timestamps = timestamps.take(keep)
+        offsets = keep.searchsorted(offsets)
+        return idx, offsets[1:] - offsets[:-1], offsets, timestamps
 
     # -- index construction --------------------------------------------------
 
@@ -960,7 +884,7 @@ class NumpyKernel(SimilarityKernel):
                        _ADMIT_ALL, _ADMIT_NONE)
         idx, offsets = self._gather_indices(lo, lengths, reverse=False)
         total = len(idx)
-        if self._sketch_query is not None:
+        if self._sketch_scheme is not None:
             # Before the admission shortcut: the reference per-entry check
             # runs ahead of admission, so the reject counters must too.
             idx, lengths, offsets, _ = self._sketch_drop(idx, lengths,
@@ -1003,7 +927,7 @@ class NumpyKernel(SimilarityKernel):
             counts = live.counts
             offsets = live.offsets
             timestamps = live.timestamps
-            if self._sketch_query is not None and len(idx):
+            if self._sketch_scheme is not None and len(idx):
                 # Drop postings of sketch-rejected candidates between the
                 # time filter and admission.  The segment extremes stay the
                 # pre-sketch ones: the admission bound is monotone in

@@ -243,7 +243,7 @@ class ReferenceKernel(SimilarityKernel):
         """Algorithm 3 inner loop over one posting list."""
         scores = acc.scores
         pruned = acc.pruned
-        sketch = self._sketch_query is not None
+        sketch = self._sketch_scheme is not None
         traversed = 0
         for entry in plist:
             traversed += 1
@@ -322,7 +322,7 @@ class ReferenceKernel(SimilarityKernel):
         scores = acc.scores
         pruned = acc.pruned
         candidate_id = entry.vector_id
-        if (self._sketch_query is not None
+        if (self._sketch_scheme is not None
                 and not self._sketch_admits(acc, candidate_id)):
             return
         if candidate_id in pruned:

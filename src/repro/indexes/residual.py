@@ -14,13 +14,14 @@ by vector id — CPython's linked hash-map, the structure Section 6.2
 names — so that, in the streaming setting, entries can be popped from the
 head, in arrival order, once they fall behind the time horizon.
 A per-dimension reverse map over the residual coordinates supports the
-re-indexing step of STR-L2AP without scanning every stored vector.
+re-indexing step of STR-L2AP without scanning every stored vector; it is
+built on the first such lookup, so schemes that never re-index keep none.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
 from repro.core.vector import SparseVector
@@ -129,8 +130,9 @@ class ResidualIndex:
 
     def __init__(self) -> None:
         self._entries: OrderedDict[int, ResidualEntry] = OrderedDict()
-        # dim -> set of vector ids whose residual has a non-zero value on dim
-        self._by_dimension: dict[int, set[int]] = {}
+        # dim -> set of vector ids whose residual has a non-zero value on
+        # dim; None until candidates_for_dimensions first reads it.
+        self._by_dimension: dict[int, set[int]] | None = None
         # Running total of residual coordinates; the streaming driver reads
         # it after every item, so it must not be recomputed by scanning.
         self._total_residual = 0
@@ -155,24 +157,41 @@ class ResidualIndex:
         """Register a newly indexed vector (insertion order = arrival order)."""
         self._entries[entry.vector_id] = entry
         self._total_residual += entry.residual_size
+        if self._by_dimension is not None:
+            self._link(entry)
+
+    def _link(self, entry: ResidualEntry) -> None:
+        by_dimension = self._by_dimension
         for dim in entry.residual:
-            self._by_dimension.setdefault(dim, set()).add(entry.vector_id)
+            by_dimension.setdefault(dim, set()).add(entry.vector_id)
+
+    def _reverse_map(self) -> dict[int, set[int]]:
+        """The reverse map, built from the stored residuals on first use
+        (the first re-indexing) and maintained from then on."""
+        if self._by_dimension is None:
+            self._by_dimension = {}
+            for entry in self._entries.values():
+                self._link(entry)
+        return self._by_dimension
 
     def candidates_for_dimensions(self, dims: Iterator[int] | list[int]) -> set[int]:
         """Vector ids whose residual intersects any of ``dims`` (re-indexing scan)."""
+        by_dimension = self._reverse_map()
         result: set[int] = set()
         for dim in dims:
-            result.update(self._by_dimension.get(dim, ()))
+            result.update(by_dimension.get(dim, ()))
         return result
 
-    def forget_residual_dimension(self, vector_id: int, dims: list[int]) -> None:
+    def forget_residual_dimension(self, vector_id: int,
+                                  dims: Iterable[int]) -> None:
         """Drop reverse-map links after re-indexing moved ``dims`` to the index."""
+        by_dimension = self._reverse_map()
         for dim in dims:
-            bucket = self._by_dimension.get(dim)
+            bucket = by_dimension.get(dim)
             if bucket is not None:
                 bucket.discard(vector_id)
                 if not bucket:
-                    del self._by_dimension[dim]
+                    del by_dimension[dim]
 
     def note_residual_shrunk(self, count: int) -> None:
         """Adjust the coordinate total after re-indexing shrank a residual."""
@@ -191,12 +210,13 @@ class ResidualIndex:
         for entry in removed_entries:
             entries.popitem(last=False)
             self._total_residual -= entry.residual_size
-            self.forget_residual_dimension(entry.vector_id, list(entry.residual))
+            if self._by_dimension is not None:
+                self.forget_residual_dimension(entry.vector_id, entry.residual)
         if self._total_residual < 0:  # defensive; should never happen
             self._total_residual = 0
         return removed_entries
 
     def clear(self) -> None:
         self._entries.clear()
-        self._by_dimension.clear()
+        self._by_dimension = None
         self._total_residual = 0

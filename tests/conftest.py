@@ -19,21 +19,9 @@ def make_vector(vector_id: int, timestamp: float, entries: dict[int, float],
     return SparseVector(vector_id, timestamp, entries, normalize=normalize)
 
 
-def accelerated_backends() -> list:
-    """The non-reference backends as pytest params, skip-marked when absent.
-
-    Parity suites parametrized over this list pin every backend but the
-    reference against it; today that is ``numpy``, skipped where NumPy is
-    not installed.
-    """
-    from repro.backends import available_backends
-
-    return [
-        pytest.param(name, marks=pytest.mark.skipif(
-            name not in available_backends(),
-            reason=f"{name} backend unavailable"))
-        for name in ("numpy",)
-    ]
+#: The non-reference backends: parity suites parametrized over this list
+#: pin each of them against the reference backend.
+ACCELERATED_BACKENDS = ["numpy"]
 
 
 #: ``_GROUPED_REPLAY_CUTOFF`` values that force the NumPy backend's

@@ -24,17 +24,21 @@ deterministic tests pin the recall floor and the scope fences.
 from __future__ import annotations
 
 import math
+import warnings
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import SparseVector, available_backends
+from repro import SparseVector, approx
 from repro.approx import ApproxConfig, SignatureScheme, _splitmix64, parse_approx
+from repro.backends.numpy_backend import NumpyKernel
 from repro.core.checkpoint import restore_join, snapshot_join
 from repro.core.join import create_join
 from repro.core.similarity import JoinParameters
+from repro.datasets.generator import generate_profile_corpus
 from repro.exceptions import InvalidParameterError
+from repro.indexes.residual import ResidualEntry
 from tests.conftest import random_vectors
 from tests.groundtruth import counters_without_time, engine_pairs
 
@@ -43,8 +47,7 @@ THETA, DECAY = 0.6, 0.05
 #: Acceptance floor for the default sketch on the shared tweets corpus.
 RECALL_FLOOR = 0.95
 
-BACKENDS = [name for name in ("python", "numpy")
-            if name in available_backends()]
+BACKENDS = ["python", "numpy"]
 
 APPROX_SPECS = ("minhash", "minhash:8x2", "wminhash:8x2", "wminhash:24x3")
 
@@ -204,6 +207,32 @@ class TestCheckpointRoundTrip:
         for vector_id in resident:
             assert kernel._sketch_keys[vector_id] == original[vector_id]
 
+    def test_restored_numpy_kernel_holds_the_oracle_keys(self, monkeypatch):
+        # A lane table that fills every few vectors, on both sides of the
+        # checkpoint: the restored kernel re-signs every resident vector.
+        monkeypatch.setattr(approx, "_LANE_TABLE_ROWS", 16)
+        vectors = random_vectors(70, seed=23)
+        config = parse_approx("wminhash:8x3")
+        uninterrupted = create_join("STR-L2AP", THETA, DECAY, backend="numpy",
+                                    approx=config)
+        expected = uninterrupted.feed(vectors)
+        join = create_join("STR-L2AP", THETA, DECAY, backend="numpy",
+                           approx=config)
+        before = join.feed(vectors[:40])
+        restored = restore_join(snapshot_join(join))
+        after = restored.feed(vectors[40:])
+        assert fingerprint(before + after) == fingerprint(expected)
+        assert (counters_without_time(restored.stats.as_dict())
+                == counters_without_time(uninterrupted.stats.as_dict()))
+        kernel = restored.index.kernel
+        resident = list(restored.index._residual.entries())
+        assert resident
+        for entry in resident:
+            slot = kernel._slot_of[entry.vector_id]
+            assert kernel._slot_sig_valid[slot]
+            assert tuple(kernel._slot_bands[:, slot].tolist()) == \
+                scalar_band_keys(config, scalar_signature(config, entry.vector))
+
     def test_approx_session_survives_kill_and_resume(self, tmp_path):
         from repro.service import JoinSession, SessionConfig
 
@@ -288,7 +317,7 @@ class TestConfiguration:
 
 def scalar_signature(config, vector):
     """The signature of ``config`` computed lane by lane in Python ints,
-    an oracle for the vectorised ``SignatureScheme.signature``."""
+    an oracle for the vectorised ``SignatureScheme.lanes``."""
     base = _splitmix64(config.seed)
     salts = [_splitmix64(base + lane * 0x9E3779B97F4A7C15)
              for lane in range(config.signature_length)]
@@ -299,28 +328,119 @@ def scalar_signature(config, vector):
     squared = [value * value for value in vector.values]
     signature = []
     for salt in salts:
-        # The first dimension with the smallest key uniform / weight² wins.
-        keys = [float(_splitmix64(mixed ^ salt)) / weight
+        # The first dimension with the smallest key uniform / weight² wins
+        # (IEEE division: a weight whose square underflows gives inf).
+        keys = [float(_splitmix64(mixed ^ salt)) / weight if weight
+                else math.inf
                 for mixed, weight in zip(dim_hashes, squared)]
         signature.append(dim_hashes[keys.index(min(keys))])
     return tuple(signature)
 
 
+def scalar_band_keys(config, signature):
+    """Band keys folded lane by lane in Python ints: band ``b``'s key is
+    its first lane, mixed with each further lane by one splitmix64."""
+    keys = []
+    for start in range(0, config.signature_length, config.rows):
+        key = signature[start]
+        for lane in signature[start + 1:start + config.rows]:
+            key = _splitmix64(key ^ lane)
+        keys.append(key)
+    return tuple(keys)
+
+
+def bucket_entries(kernel):
+    return sum(len(slots) for bucket in kernel._band_buckets
+               for slots in bucket.values())
+
+
+# The oracle test's cases: 8x2 keeps the ids it had before the geometry
+# became a parameter.
+ORACLE_CASES = [
+    pytest.param(method, geometry,
+                 id=method if geometry == "8x2" else f"{method}-{geometry}")
+    for geometry in ("8x2", "24x3", "16x2", "8x4:7", "16x1")
+    for method in ("minhash", "wminhash")
+]
+
+
+def lane_tuple(scheme, vector):
+    return tuple(scheme.lanes(vector).tolist())
+
+
 class TestSignatureScheme:
-    @pytest.mark.parametrize("method", ["minhash", "wminhash"])
-    def test_vectorised_and_pure_python_paths_agree(self, method):
-        config = ApproxConfig(method=method, bands=8, rows=2)
+    @pytest.mark.parametrize("method, geometry", ORACLE_CASES)
+    def test_vectorised_and_pure_python_paths_agree(self, method, geometry):
+        config = parse_approx(f"{method}:{geometry}")
         scheme = SignatureScheme(config)
-        for vector in random_vectors(25, seed=3):
-            assert scheme.signature(vector) == scalar_signature(config, vector)
+        # 40 dimensions over 60 vectors: most dimensions come back, and
+        # are read from the lane table the second time.
+        for vector in random_vectors(60, seed=11):
+            signature = scalar_signature(config, vector)
+            assert lane_tuple(scheme, vector) == signature
+            keys = scheme.band_keys(vector)
+            assert keys.dtype == "uint64" and keys.shape == (config.bands,)
+            assert tuple(keys.tolist()) == scalar_band_keys(config, signature)
+        assert 0 < len(scheme._rows) <= 40
+
+    @pytest.mark.parametrize("method", ["minhash", "wminhash"])
+    def test_keys_survive_a_full_lane_table(self, method, monkeypatch):
+        monkeypatch.setattr(approx, "_LANE_TABLE_ROWS", 16)
+        config = parse_approx(f"{method}:8x3")
+        scheme = SignatureScheme(config)
+        wide = SparseVector(999, 0.0, {dim: 1.0 + dim for dim in range(20)})
+        sizes = []
+        for vector in [*random_vectors(50, seed=17), wide,
+                       *random_vectors(10, seed=18)]:
+            signature = scalar_signature(config, vector)
+            assert lane_tuple(scheme, vector) == signature
+            assert tuple(scheme.band_keys(vector).tolist()) \
+                == scalar_band_keys(config, signature)
+            sizes.append(len(scheme._rows))
+            assert len(scheme._rows) <= 16
+        assert len(scheme._dim_hashes) == 16
+        # The table filled and was cleared more than once.
+        assert sum(after < before
+                   for before, after in zip(sizes, sizes[1:])) > 1
+
+    def test_signatures_raise_no_warnings(self):
+        vectors = [
+            *random_vectors(20, seed=29),
+            SparseVector(100, 0.0, {0: 1.0, 2**63 - 1: 0.5}),
+            # A weight whose square underflows to zero.
+            SparseVector(101, 1.0, {1: 1.0, 5: 1e-170}),
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for spec in ("minhash:8x2", "wminhash:24x3"):
+                config = parse_approx(spec)
+                scheme = SignatureScheme(config)
+                for vector in vectors:
+                    signature = scalar_signature(config, vector)
+                    assert lane_tuple(scheme, vector) == signature
+                    assert tuple(scheme.band_keys(vector).tolist()) \
+                        == scalar_band_keys(config, signature)
+                for backend in ("python", "numpy"):
+                    create_join("STR-L2AP", THETA, DECAY, backend=backend,
+                                approx=config).feed(vectors[:20])
+
+    def test_a_fresh_scheme_holds_no_dimension_rows(self):
+        scheme = SignatureScheme(parse_approx("wminhash:24x3"))
+        assert scheme._rows == {}
+        assert scheme._dim_hashes is None and scheme._lane_hashes is None
+        join = create_join("STR-L2AP", THETA, DECAY, backend="numpy",
+                           approx="wminhash:24x3")
+        assert join.index.kernel._sketch_scheme._lane_hashes is None
+        join.process(SparseVector(0, 0.0, {3: 1.0, 4: 1.0}))
+        assert sorted(join.index.kernel._sketch_scheme._rows) == [3, 4]
 
     def test_identical_dimension_sets_always_match_under_minhash(self):
         scheme = SignatureScheme(ApproxConfig(method="minhash"))
         x = SparseVector(0, 0.0, {3: 0.9, 7: 0.2})
         y = SparseVector(1, 1.0, {3: 0.1, 7: 0.8})  # same dims, other weights
-        assert scheme.signature(x) == scheme.signature(y)
-        assert (scheme.band_hash_keys(scheme.signature(x))
-                == scheme.band_hash_keys(scheme.signature(y)))
+        assert lane_tuple(scheme, x) == lane_tuple(scheme, y)
+        assert (scheme.band_keys(x).tolist()
+                == scheme.band_keys(y).tolist())
 
     def test_wminhash_is_scale_invariant_but_weight_sensitive(self):
         # The consistent-sampling race keys are uniform / weight², so a
@@ -329,22 +449,54 @@ class TestSignatureScheme:
         scheme = SignatureScheme(ApproxConfig(method="wminhash"))
         x = SparseVector(0, 0.0, {3: 0.9, 7: 0.2})
         scaled = SparseVector(1, 1.0, {3: 0.45, 7: 0.1})
-        assert scheme.signature(x) == scheme.signature(scaled)
+        assert lane_tuple(scheme, x) == lane_tuple(scheme, scaled)
         # ... while redistributing mass between the dims changes which
         # dimension wins some lanes — unlike minhash, which is blind to
         # the weights entirely.
         reweighted = SparseVector(2, 2.0, {3: 0.1, 7: 0.8})
-        assert scheme.signature(x) != scheme.signature(reweighted)
+        assert lane_tuple(scheme, x) != lane_tuple(scheme, reweighted)
 
     def test_band_keys_tile_the_signature(self):
         config = ApproxConfig(method="minhash", bands=4, rows=3)
         scheme = SignatureScheme(config)
-        signature = scheme.signature(SparseVector(0, 0.0, {1: 1.0, 5: 0.5}))
+        vector = SparseVector(0, 0.0, {1: 1.0, 5: 0.5})
         # Band b folds lanes 3b, 3b+1, 3b+2 in order, one splitmix64 each.
-        expected = []
-        for start in range(0, 12, 3):
-            key = signature[start]
-            for lane in signature[start + 1:start + 3]:
-                key = _splitmix64(key ^ lane)
-            expected.append(key)
-        assert scheme.band_hash_keys(signature) == tuple(expected)
+        assert tuple(scheme.band_keys(vector).tolist()) \
+            == scalar_band_keys(config, lane_tuple(scheme, vector))
+
+
+class TestBandBuckets:
+    """The NumPy kernel's band buckets hold the live signed slots only."""
+
+    def test_buckets_shrink_with_the_horizon(self):
+        # 1 200 hashtags vectors, one per time unit, with a horizon of
+        # 100 time units: almost every vector is evicted again.
+        vectors = generate_profile_corpus("hashtags", num_vectors=1200, seed=3)
+        decay = math.log(1.0 / THETA) / 100.0
+        spec = "wminhash:24x3"
+        join = create_join("STR-L2AP", THETA, decay, backend="numpy",
+                           approx=spec)
+        pairs = join.feed(vectors)
+        kernel = join.index.kernel
+        live = int(kernel._slot_sig_valid.sum())
+        assert 0 < live == len(join.index._residual) < 200
+        assert bucket_entries(kernel) <= 24 * live
+        expected, expected_stats = engine_pairs(
+            vectors, THETA, decay, algorithm="STR-L2AP", backend="python",
+            approx=spec)
+        assert fingerprint(pairs) == fingerprint(expected)
+        assert (counters_without_time(join.stats.as_dict())
+                == counters_without_time(expected_stats.as_dict()))
+
+    def test_a_slot_indexed_again_is_bucketed_once(self):
+        kernel = NumpyKernel()
+        kernel.configure_approx(parse_approx("minhash:8x2"))
+        vector = SparseVector(7, 0.0, {1: 0.6, 2: 0.8})
+        kernel.note_vector_indexed(ResidualEntry(vector, 0, 0.0))
+        # A restore or note_vector_updated's fallback indexes it again.
+        kernel.note_vector_indexed(ResidualEntry(vector, 0, 0.0))
+        assert bucket_entries(kernel) == 8
+        kernel.note_vector_evicted(7)
+        kernel.note_vector_evicted(7)
+        assert bucket_entries(kernel) == 0
+        assert all(not bucket for bucket in kernel._band_buckets)

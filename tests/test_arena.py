@@ -14,19 +14,12 @@ from __future__ import annotations
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.backends import available_backends
-
-pytestmark = pytest.mark.skipif("numpy" not in available_backends(),
-                                reason="NumPy backend unavailable")
-
-if "numpy" in available_backends():
-    import numpy as np
-
-    from repro.backends.numpy_backend import NumpyKernel
+from repro.backends.numpy_backend import NumpyKernel
 from repro.core.vector import SparseVector
 from repro.indexes.posting import InvertedIndex, PostingEntry
 

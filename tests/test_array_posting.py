@@ -17,17 +17,9 @@ from __future__ import annotations
 
 import math
 
-import pytest
+import numpy as np
 
-from repro.backends import available_backends
-
-pytestmark = pytest.mark.skipif("numpy" not in available_backends(),
-                                reason="NumPy backend unavailable")
-
-if "numpy" in available_backends():
-    import numpy as np
-
-    from repro.backends.numpy_backend import NumpyKernel
+from repro.backends.numpy_backend import NumpyKernel
 from repro.core.vector import SparseVector
 from repro.indexes.posting import InvertedIndex, PostingEntry
 

@@ -41,11 +41,8 @@ from repro.backends import (
 from repro.core.results import JoinStatistics
 from repro.core.similarity import JoinParameters
 from repro.indexes.posting import PostingEntry
-from tests.conftest import accelerated_backends, random_vectors, wait_until
+from tests.conftest import ACCELERATED_BACKENDS, random_vectors, wait_until
 from tests.groundtruth import counters_without_time, engine_pairs
-
-numpy_missing = "numpy" not in available_backends()
-needs_numpy = pytest.mark.skipif(numpy_missing, reason="NumPy backend unavailable")
 
 STREAMING_ALGORITHMS = ["STR-INV", "STR-L2", "STR-L2AP", "STR-AP"]
 MINIBATCH_ALGORITHMS = ["MB-INV", "MB-L2", "MB-L2AP", "MB-AP"]
@@ -79,8 +76,7 @@ def assert_backend_parity(algorithm, vectors, threshold, decay,
     return reference
 
 
-@needs_numpy
-@pytest.mark.parametrize("backend", accelerated_backends())
+@pytest.mark.parametrize("backend", ACCELERATED_BACKENDS)
 class TestJoinEquivalence:
     """Pair-for-pair parity on the paper-shaped profile corpora."""
 
@@ -132,9 +128,8 @@ class TestJoinEquivalence:
         assert_backend_parity("STR-L2", vectors, 0.6, 2e-5, backend)
 
 
-@needs_numpy
 class TestBatchAndBaselineEquivalence:
-    @pytest.mark.parametrize("backend", accelerated_backends())
+    @pytest.mark.parametrize("backend", ACCELERATED_BACKENDS)
     @pytest.mark.parametrize("index", BATCH_INDEXES)
     def test_all_pairs(self, rcv1_corpus, index, backend):
         reference = {p.key: p.similarity
@@ -184,8 +179,6 @@ class TestBackendSelection:
                 # A known-but-unavailable override (e.g. the retired
                 # numba) degrades to the auto default.
                 assert default_backend() in available_backends()
-        elif numpy_missing:
-            assert default_backend() == "python"
         else:
             assert default_backend() == "numpy"
 
@@ -270,7 +263,6 @@ def postings_of(index):
 EXPIRY_QUERY = SparseVector(10_000, 101.0, {0: 1.0})
 
 
-@needs_numpy
 class TestArenaPostingListProperties:
     @settings(max_examples=40, deadline=None)
     @given(raw=entry_lists)
@@ -349,8 +341,7 @@ sparse_streams = st.lists(
 )
 
 
-@needs_numpy
-@pytest.mark.parametrize("backend", accelerated_backends())
+@pytest.mark.parametrize("backend", ACCELERATED_BACKENDS)
 class TestKernelProperties:
     """End-to-end kernel parity on adversarial hypothesis streams."""
 
@@ -382,7 +373,6 @@ class TestKernelProperties:
         assert vectorized == reference
 
 
-@needs_numpy
 class TestCheckpointAcrossBackends:
     def test_checkpoint_roundtrip_records_backend(self, tmp_path):
         from repro import load_checkpoint, save_checkpoint
@@ -405,7 +395,7 @@ class TestCheckpointAcrossBackends:
                 expected.extend(keys)
         assert rest == expected
 
-    @pytest.mark.parametrize("backend", ["python", *accelerated_backends()])
+    @pytest.mark.parametrize("backend", ["python", *ACCELERATED_BACKENDS])
     def test_resume_preserves_size_filter_counters(self, tmp_path, backend):
         # Restoring must rebuild the kernel's sz1 size-filter map: a resumed
         # join has to do exactly the same amount of work (not just produce
@@ -455,7 +445,6 @@ def ok(response):
     return response
 
 
-@needs_numpy
 class TestRetiredNumba:
     def test_numba_is_always_known(self):
         assert "numba" in known_backends()

@@ -8,7 +8,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.backends import available_backends
 from repro.baselines.brute_force import brute_force_time_dependent
 from repro.core.checkpoint import (
     CheckpointError,
@@ -26,12 +25,7 @@ from repro.datasets.generator import generate_profile_corpus
 from tests.conftest import random_vectors
 from tests.groundtruth import counters_without_time, engine_pairs
 
-BACKENDS = [
-    "python",
-    pytest.param("numpy", marks=pytest.mark.skipif(
-        "numpy" not in available_backends(),
-        reason="NumPy backend unavailable")),
-]
+BACKENDS = ["python", "numpy"]
 
 
 def split_run(algorithm_index: str, vectors, threshold: float, decay: float,
@@ -298,8 +292,6 @@ class TestGoldenCheckpoint:
         assert (counters_without_time(resumed.stats.as_dict())
                 == counters_without_time(stats.as_dict()))
 
-    @pytest.mark.skipif("numpy" not in available_backends(),
-                        reason="NumPy backend unavailable")
     def test_fresh_snapshot_matches_the_golden_envelope(self):
         golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
         fresh = golden_prefix_snapshot()

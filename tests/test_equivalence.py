@@ -16,7 +16,7 @@ from __future__ import annotations
 import pytest
 
 from repro import create_join, sliding_window_join
-from tests.conftest import accelerated_backends
+from tests.conftest import ACCELERATED_BACKENDS
 
 ALGORITHMS = ["STR-INV", "STR-L2AP", "STR-L2", "MB-INV", "MB-L2AP", "MB-L2"]
 
@@ -69,7 +69,7 @@ class TestBackendOracle:
     oracle.
     """
 
-    @pytest.mark.parametrize("backend", accelerated_backends())
+    @pytest.mark.parametrize("backend", ACCELERATED_BACKENDS)
     @pytest.mark.parametrize("algorithm", ["STR-INV", "STR-L2AP", "STR-L2"])
     def test_matches_oracle(self, tweets_corpus, tweets_truth, algorithm,
                             backend):

@@ -28,7 +28,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import SparseVector, available_backends
+from repro import SparseVector
 from repro.core.results import JoinStatistics
 from repro.exceptions import InvalidParameterError, ShardWorkerError
 from repro.faults import (
@@ -39,9 +39,6 @@ from repro.faults import (
 )
 from repro.shard import ProcessShardExecutor
 from tests.groundtruth import engine_pair_map
-
-pytestmark = pytest.mark.skipif("numpy" not in available_backends(),
-                                reason="NumPy backend unavailable")
 
 PARITY_COUNTERS = ("candidates_generated", "candidates_sketch_pruned",
                    "full_similarities",

@@ -13,7 +13,7 @@ from unittest import mock
 
 import pytest
 
-from repro.backends import available_backends, get_backend
+from repro.backends import get_backend
 from repro.backends.base import SimilarityKernel
 from repro.backends.profiling import ProfilingKernel
 from repro.core.join import create_join
@@ -48,8 +48,6 @@ def test_every_kernel_method_reaches_the_wrapped_kernel(name):
     getattr(inner, name).assert_called_once_with(*args, **kwargs)
 
 
-@pytest.mark.skipif("numpy" not in available_backends(),
-                    reason="NumPy backend unavailable")
 def test_a_kernel_switch_onto_a_profiled_kernel_loads_in_bulk():
     vectors = random_vectors(80, seed=5)
     expected = create_join("STR-L2AP", 0.6, 0.05,

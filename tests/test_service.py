@@ -19,7 +19,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.backends import available_backends
 from repro.core.results import SimilarPair
 from repro.core.vector import SparseVector
 from repro.service import (
@@ -268,8 +267,6 @@ class TestJoinSession:
         assert pairs == expected
         session.close()
 
-    @pytest.mark.skipif("numpy" not in available_backends(),
-                        reason="sharded engine needs the NumPy backend")
     def test_sharded_session_matches_single_process(self):
         vectors = random_vectors(60, seed=31)
         expected, _ = expected_pairs(vectors, backend="numpy")
@@ -450,12 +447,7 @@ class TestJoinSession:
 
 
 class TestRecovery:
-    @pytest.mark.parametrize("backend", [
-        "python",
-        pytest.param("numpy", marks=pytest.mark.skipif(
-            "numpy" not in available_backends(),
-            reason="NumPy backend unavailable")),
-    ])
+    @pytest.mark.parametrize("backend", ["python", "numpy"])
     def test_kill_and_resume_matches_uninterrupted_run(self, tmp_path, backend):
         vectors = random_vectors(90, seed=61)
         expected, expected_stats = expected_pairs(vectors, backend=backend)
@@ -629,8 +621,6 @@ class TestJoinServiceDispatch:
         assert not first["existing"] and second["existing"]
         service.shutdown()
 
-    @pytest.mark.skipif("numpy" not in available_backends(),
-                        reason="sharded engine needs the NumPy backend")
     def test_open_with_workers_forks_the_other_partition(self):
         vectors = random_vectors(60, seed=241)
         expected, _ = expected_pairs(vectors)
@@ -888,8 +878,6 @@ class TestFaultTolerantService:
         injector = server.service.fault_injector
         assert [e["kind"] for e in injector.fired] == ["sever-client"]
 
-    @pytest.mark.skipif("numpy" not in available_backends(),
-                        reason="sharded engine needs the NumPy backend")
     def test_sever_reaches_the_client_while_shard_workers_live(self):
         """Forked shard workers inherit the client socket, so closing it
         alone sends no FIN: the client must still see the sever at once,

@@ -30,19 +30,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import SparseVector, available_backends
+from repro import SparseVector
 from repro.core.results import JoinStatistics
 from repro.exceptions import SSSJError
 from repro.shard import ProcessShardExecutor, create_sharded_join
 from tests.conftest import (
+    ACCELERATED_BACKENDS,
     REPLAY_PATHS,
-    accelerated_backends,
     forced_replay_path,
 )
 from tests.groundtruth import engine_pair_map
-
-pytestmark = pytest.mark.skipif("numpy" not in available_backends(),
-                                reason="NumPy backend unavailable")
 
 PARITY_COUNTERS = ("candidates_generated", "candidates_sketch_pruned",
                    "full_similarities",
@@ -104,7 +101,7 @@ sparse_streams = st.lists(
 )
 
 
-@pytest.mark.parametrize("backend", accelerated_backends())
+@pytest.mark.parametrize("backend", ACCELERATED_BACKENDS)
 class TestShardedParity:
     @settings(max_examples=15, deadline=None)
     @given(entries=sparse_streams,

@@ -28,16 +28,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import SparseVector, available_backends, create_join
+from repro import SparseVector, create_join
 from repro.core.results import JoinStatistics
 from tests.conftest import (
+    ACCELERATED_BACKENDS,
     REPLAY_PATHS,
-    accelerated_backends,
     forced_replay_path,
 )
-
-pytestmark = pytest.mark.skipif("numpy" not in available_backends(),
-                                reason="NumPy backend unavailable")
 
 PARITY_COUNTERS = ("candidates_generated", "full_similarities",
                    "entries_traversed", "entries_pruned", "entries_indexed",
@@ -91,7 +88,7 @@ sparse_streams = st.lists(
 )
 
 
-@pytest.mark.parametrize("backend", accelerated_backends())
+@pytest.mark.parametrize("backend", ACCELERATED_BACKENDS)
 class TestSlotSpaceParity:
     @settings(max_examples=25, deadline=None)
     @given(entries=sparse_streams,

@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from repro import available_backends, create_join
+from repro import create_join
 from repro.baselines.brute_force import brute_force_time_dependent
 from repro.core.frameworks.streaming import StreamingFramework
 from repro.core.similarity import time_horizon
@@ -94,11 +94,6 @@ class TestCorrectness:
 STR_ALGORITHMS = ("STR-INV", "STR-L2", "STR-AP", "STR-L2AP")
 
 
-def order_backends() -> list:
-    return ["python", pytest.param("numpy", marks=pytest.mark.skipif(
-        "numpy" not in available_backends(), reason="NumPy backend unavailable"))]
-
-
 def emitted(join, vectors) -> list[list[tuple]]:
     """Every pair field of every ``process()`` result, in order."""
     return [[(pair.key, pair.similarity, pair.dot, pair.time_delta)
@@ -125,7 +120,7 @@ class TestStreamOrder:
             assert [pair.key for pair in pairs] == [(1, 3)], algorithm
             assert pairs[0].similarity <= 1.0
 
-    @pytest.mark.parametrize("backend", order_backends())
+    @pytest.mark.parametrize("backend", ["python", "numpy"])
     @pytest.mark.parametrize("algorithm", STR_ALGORITHMS)
     def test_rejected_vector_leaves_no_trace(self, algorithm, backend):
         self._assert_rejection_is_invisible(
@@ -133,8 +128,6 @@ class TestStreamOrder:
 
     @pytest.mark.parametrize("algorithm", STR_ALGORITHMS)
     def test_sharded_join_rejects_too(self, algorithm):
-        if "numpy" not in available_backends():
-            pytest.skip("the sharded coordinator needs the NumPy backend")
         from repro.shard import create_sharded_join
 
         joins = []

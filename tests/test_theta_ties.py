@@ -14,12 +14,9 @@ import math
 import numpy as np
 import pytest
 
-from repro import SparseVector, available_backends
+from repro import SparseVector
 from repro.core.join import create_join
 from tests.conftest import REPLAY_PATHS, forced_replay_path
-
-pytestmark = pytest.mark.skipif("numpy" not in available_backends(),
-                                reason="NumPy backend unavailable")
 
 DECAY = 0.01
 NOW = 100.0
